@@ -3,8 +3,8 @@
 //!
 //! Each experiment lives in its own module and returns a serializable
 //! result struct; the `repro` binary runs them and renders paper-style
-//! tables, and the Criterion benches time the hot paths. Experiment ids
-//! follow DESIGN.md:
+//! tables (timings live in the standalone `benchmark/` package).
+//! Experiment ids follow DESIGN.md:
 //!
 //! * E1 [`fig2`] — Figure 2, BGP table memory vs prefixes × peers.
 //! * E2 [`table1`] — Table 1, the capability matrix.

@@ -71,7 +71,8 @@ pub struct Metric {
     pub file: &'static str,
     /// Extraction recipe.
     pub extract: Extract,
-    /// `None` = reported only (the wall-clock seam), never gated.
+    /// `None` = reported only (the wall-clock seam, source-size
+    /// counts), never gated.
     pub gate: Option<Gate>,
 }
 
@@ -81,7 +82,8 @@ pub struct Metric {
 /// shrink-only allowlist are pinned exactly (`Drift(0)` /
 /// `LowerIsBetter(0)`); memory-accounting and grouping ratios get small
 /// tolerances so refactors with sub-percent cost don't trip the gate;
-/// `timing_*` keys are reported with no gate.
+/// `timing_*` keys and the analyzer's source-size counts are reported
+/// with no gate.
 pub const CATALOG: &[Metric] = &[
     Metric {
         key: "scale.sequential_events",
@@ -181,11 +183,19 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("ok")]),
         gate: Some(Gate::Drift(0)),
     },
+    // Source size is a trajectory, not a gate: a PR that deletes a file
+    // or a thousand lines must not fail the perf report for it.
     Metric {
         key: "analysis.files_scanned",
         file: "BENCH_analysis.json",
         extract: Extract::Path(&[Seg::Key("files_scanned")]),
-        gate: Some(Gate::HigherIsBetter(0)),
+        gate: None,
+    },
+    Metric {
+        key: "analysis.lines_scanned",
+        file: "BENCH_analysis.json",
+        extract: Extract::Path(&[Seg::Key("lines_scanned")]),
+        gate: None,
     },
     Metric {
         key: "abuse.scenarios",
@@ -298,7 +308,7 @@ pub enum Status {
     Ok,
     /// Gated, beyond tolerance in the bad direction.
     Regressed,
-    /// Ungated wall-clock metric, informational only.
+    /// Ungated metric (wall-clock, source size), informational only.
     Reported,
     /// Gated but absent from the current results files.
     MissingCurrent,
@@ -574,6 +584,7 @@ mod tests {
                 ("allowlist_size", Value::U64(6)),
                 ("ok", Value::Bool(true)),
                 ("files_scanned", Value::U64(120)),
+                ("lines_scanned", Value::U64(40000)),
             ]),
         );
         r.insert(
@@ -689,13 +700,14 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_keys_are_never_gated() {
+    fn wall_clock_and_source_size_keys_are_never_gated() {
         for m in CATALOG {
-            let is_timing = m.key.contains("timing_");
+            let report_only = m.key.contains("timing_")
+                || matches!(m.key, "analysis.files_scanned" | "analysis.lines_scanned");
             assert_eq!(
                 m.gate.is_none(),
-                is_timing,
-                "{}: timing keys exactly are the ungated set",
+                report_only,
+                "{}: timing and source-size keys exactly are the ungated set",
                 m.key
             );
         }
@@ -706,6 +718,16 @@ mod tests {
             panic!()
         };
         entries.retain(|(k, _)| !k.starts_with("timing_"));
+        assert!(build_report(&results, Some(&baseline)).ok());
+        // Deleting source (fewer files, fewer lines) is not a regression.
+        let Value::Map(entries) = results.get_mut("BENCH_analysis.json").unwrap() else {
+            panic!()
+        };
+        for (k, v) in entries.iter_mut() {
+            if k.ends_with("_scanned") {
+                *v = Value::U64(1);
+            }
+        }
         assert!(build_report(&results, Some(&baseline)).ok());
     }
 }

@@ -56,7 +56,9 @@ pub use policy::{Action, DefaultVerdict, Match, Policy, PolicyRule};
 pub use provenance::{
     ExportVerdict, ImportVerdict, ProvenanceEvent, ProvenanceLog, ProvenanceRecord,
 };
-pub use rib::{AdjRibIn, AdjRibOut, AttrInterner, LocRib, PeerId, Route, RouteSource};
+pub use rib::{
+    digest_routes, AdjRibIn, AdjRibOut, AttrInterner, LocRib, PeerId, Route, RouteSource,
+};
 pub use speaker::{
     AdvertiseMode, ExportGroupKey, ExportGrouping, MaxPrefixConfig, Output, PeerConfig, Speaker,
     SpeakerConfig, SpeakerEvent, SpeakerMode,

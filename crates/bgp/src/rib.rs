@@ -8,7 +8,7 @@
 //! sharing real BGP implementations rely on to keep that curve sane.
 
 use crate::attrs::PathAttributes;
-use peering_netsim::{Prefix, PrefixTrie, SimTime, TraceId};
+use peering_netsim::{Fnv1a, Prefix, PrefixTrie, SimTime, TraceId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -359,6 +359,29 @@ impl LocRib {
             }
         }
         Ok(())
+    }
+}
+
+/// Mix a route set ([`LocRib::iter`], [`AdjRib::iter`]) into `h` in
+/// canonical form: one line per route, sorted, each followed by `;`.
+/// `learned_at` and `trace` are left out, so the digest depends on what
+/// BGP decided and never on arrival timing or observational provenance.
+/// This is the one definition behind every convergence, bystander and
+/// chaos digest pinned in the goldens and `results/`.
+pub fn digest_routes<'a>(h: &mut Fnv1a, routes: impl IntoIterator<Item = &'a Route>) {
+    let mut lines: Vec<String> = routes
+        .into_iter()
+        .map(|r| {
+            format!(
+                "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
+                r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
+            )
+        })
+        .collect();
+    lines.sort();
+    for line in &lines {
+        h.write(line.as_bytes());
+        h.write(b";");
     }
 }
 

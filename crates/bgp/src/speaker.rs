@@ -24,7 +24,7 @@ use crate::message::{BgpMessage, Nlri, UpdateMessage};
 use crate::policy::Policy;
 use crate::provenance::{ExportVerdict, ImportVerdict, ProvenanceEvent, ProvenanceLog};
 use crate::rib::{AdjRibIn, AdjRibOut, AttrInterner, LocRib, PeerId, Route, RouteSource};
-use peering_netsim::{Asn, Prefix, SimDuration, SimRng, SimTime, TraceId};
+use peering_netsim::{Asn, Fnv1a, Prefix, SimDuration, SimRng, SimTime, TraceId};
 use peering_telemetry::Telemetry;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -526,6 +526,40 @@ struct PeerState {
     mrai_deadline: Option<SimTime>,
 }
 
+impl PeerState {
+    /// Whether this peer's mask withholds `route` (a route of its group's
+    /// base) from its view.
+    fn withholds(&self, route: &Route) -> bool {
+        self.mask
+            .get(&route.prefix)
+            .is_some_and(|ids| ids.contains(&route.path_id))
+    }
+
+    /// Drop what `nlri` names from the Adj-RIB-In — one path when it
+    /// carries an ADD-PATH id, every path of the prefix otherwise — and
+    /// with it the matching graceful-restart stale keys, so the sweep at
+    /// End-of-RIB never revisits it. True if a route was removed.
+    fn remove_learned(&mut self, nlri: &Nlri) -> bool {
+        let removed = match nlri.path_id {
+            Some(id) => self.adj_in.remove(&nlri.prefix, id).is_some(),
+            None => !self.adj_in.remove_prefix(&nlri.prefix).is_empty(),
+        };
+        if let Some(st) = &mut self.stale {
+            match nlri.path_id {
+                Some(id) => {
+                    st.keys.remove(&(nlri.prefix, id));
+                }
+                None => st.keys.retain(|(p, _)| p != &nlri.prefix),
+            }
+        }
+        removed
+    }
+}
+
+/// The paths of one prefix a member has been sent: `(path id, attributes
+/// as they went on the wire)`.
+type SentPaths = Vec<(u32, Arc<PathAttributes>)>;
+
 /// A complete BGP router.
 pub struct Speaker {
     cfg: SpeakerConfig,
@@ -667,14 +701,7 @@ impl Speaker {
             return Some(rib);
         }
         if let Some(g) = self.groups.get(&state.group) {
-            for route in g.base.iter() {
-                if state
-                    .mask
-                    .get(&route.prefix)
-                    .is_some_and(|m| m.contains(&route.path_id))
-                {
-                    continue;
-                }
+            for route in g.base.iter().filter(|r| !state.withholds(r)) {
                 rib.insert(route.clone());
             }
         }
@@ -795,11 +822,7 @@ impl Speaker {
             ExportGrouping::Auto => {
                 // FNV-1a over the fingerprint's canonical debug form:
                 // deterministic across runs and platforms.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in format!("{fp:?}").bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
+                let h = Fnv1a::legacy().write(format!("{fp:?}").as_bytes()).finish();
                 ExportGroupKey(h & !ExportGroupKey::SOLO_BIT)
             }
         };
@@ -847,21 +870,21 @@ impl Speaker {
     /// Clear a group's base if none of its members is synced: the base
     /// only represents state that has actually been sent to someone.
     fn maybe_clear_base(&mut self, key: ExportGroupKey) {
-        let Some(g) = self.groups.get(&key) else {
-            return;
-        };
-        let any_synced = g
-            .members
-            .iter()
-            .any(|m| self.peers.get(m).map(|p| p.synced).unwrap_or(false));
-        if !any_synced {
-            let _ = self
-                .groups
-                .get_mut(&key)
-                .expect("group exists")
-                .base
-                .clear();
+        if !self.group_synced(key, None) {
+            if let Some(g) = self.groups.get_mut(&key) {
+                let _ = g.base.clear();
+            }
         }
+    }
+
+    /// Whether any member of the group other than `except` is synced,
+    /// i.e. whether someone keeps the group's base live.
+    fn group_synced(&self, key: ExportGroupKey, except: Option<PeerId>) -> bool {
+        self.groups.get(&key).is_some_and(|g| {
+            g.members
+                .iter()
+                .any(|m| Some(*m) != except && self.peers.get(m).is_some_and(|p| p.synced))
+        })
     }
 
     /// Forget a peer's sent state: it no longer participates in the group
@@ -880,39 +903,61 @@ impl Speaker {
     /// Start (or restart) the session with a peer. A no-op while the
     /// peer is administratively disabled (see [`PeerConfig::enabled`]).
     pub fn start_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        if !state.cfg.enabled {
+        if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
             return Vec::new();
         }
-        let before = state.session.state();
-        let out = state
-            .session
-            .start(now)
-            .into_iter()
-            .map(|m| Output::Send(peer, m))
-            .collect();
         self.session_started.insert(peer, now);
-        let after = self.peers[&peer].session.state();
-        self.note_fsm_transition(before, after);
+        let mut out = Vec::new();
+        self.drive_session(peer, now, &mut out, |s| (s.start(now), Vec::new()));
         out
     }
 
     /// Administratively stop the session with a peer.
     pub fn stop_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
+        let mut out = Vec::new();
+        self.drive_session(peer, now, &mut out, |s| s.stop(now));
+        out
+    }
+
+    /// The one way a session is driven: run `drive` on `peer`'s session,
+    /// queue the messages it wants sent, apply the events it surfaced
+    /// (table sync, RIB flush, UPDATE processing) and record the FSM
+    /// transition. Every entry point that can move a session — messages,
+    /// timers, administrative stop, transport faults — comes through
+    /// here, so none can forget a step. Unknown peers are ignored.
+    fn drive_session(
+        &mut self,
+        peer: PeerId,
+        now: SimTime,
+        out: &mut Vec<Output>,
+        drive: impl FnOnce(&mut Session) -> (Vec<BgpMessage>, Vec<SessionEvent>),
+    ) {
         let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
+            return;
         };
         let before = state.session.state();
-        let (msgs, events) = state.session.stop(now);
-        let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(peer, m)).collect();
+        let (msgs, events) = drive(&mut state.session);
+        if out.is_empty() {
+            // The common result is a message or two and no events: size
+            // for exactly that rather than the amortized minimum.
+            out.reserve_exact(msgs.len());
+        }
+        out.extend(msgs.into_iter().map(|m| Output::Send(peer, m)));
         for ev in events {
             out.extend(self.handle_session_event(peer, ev, now));
         }
         let after = self.peers[&peer].session.state();
         self.note_fsm_transition(before, after);
-        out
+    }
+
+    /// Debug builds re-check cross-structure consistency after every
+    /// externally driven mutation.
+    fn debug_check(&self, after: &str) {
+        debug_assert_eq!(
+            self.check_invariants(),
+            Ok(()),
+            "speaker invariant violated after {after}"
+        );
     }
 
     /// Flip a peer's administrative state. Disabling stops the session
@@ -1001,22 +1046,9 @@ impl Speaker {
 
     /// Process a message from a peer.
     pub fn on_message(&mut self, from: PeerId, msg: BgpMessage, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&from) else {
-            return Vec::new();
-        };
-        let before = state.session.state();
-        let (msgs, events) = state.session.on_message(msg, now);
-        let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(from, m)).collect();
-        for ev in events {
-            out.extend(self.handle_session_event(from, ev, now));
-        }
-        let after = self.peers[&from].session.state();
-        self.note_fsm_transition(before, after);
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after on_message"
-        );
+        let mut out = Vec::new();
+        self.drive_session(from, now, &mut out, |s| s.on_message(msg, now));
+        self.debug_check("on_message");
         out
     }
 
@@ -1025,15 +1057,7 @@ impl Speaker {
         let ids: Vec<PeerId> = self.peers.keys().copied().collect();
         let mut out = Vec::new();
         for id in ids {
-            let state = self.peers.get_mut(&id).expect("peer exists");
-            let before = state.session.state();
-            let (msgs, events) = state.session.tick(now);
-            out.extend(msgs.into_iter().map(|m| Output::Send(id, m)));
-            for ev in events {
-                out.extend(self.handle_session_event(id, ev, now));
-            }
-            let after = self.peers[&id].session.state();
-            self.note_fsm_transition(before, after);
+            self.drive_session(id, now, &mut out, |s| s.tick(now));
             // Damping release check: re-decide prefixes whose suppression
             // has decayed away.
             if let Some(dcfg) = self.cfg.damping {
@@ -1052,21 +1076,16 @@ impl Speaker {
             }
             // Graceful-restart timer: the peer never came back (or never
             // finished re-syncing) in time, so flush its stale paths.
-            let state = self.peers.get_mut(&id).expect("peer exists");
-            if state.stale.as_ref().is_some_and(|st| now >= st.deadline) {
+            let stale = &self.peers[&id].stale;
+            if stale.as_ref().is_some_and(|st| now >= st.deadline) {
                 out.extend(self.finish_graceful_restart(id, now));
             }
             // MRAI timer: flush the staged batch once the interval is up.
-            let state = self.peers.get_mut(&id).expect("peer exists");
-            if state.mrai_deadline.is_some_and(|d| now >= d) {
+            if self.peers[&id].mrai_deadline.is_some_and(|d| now >= d) {
                 out.extend(self.flush_mrai(id, now));
             }
         }
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after tick"
-        );
+        self.debug_check("tick");
         out
     }
 
@@ -1126,13 +1145,7 @@ impl Speaker {
                         Some(st) => st.deadline,
                         None => now + restart_time,
                     };
-                    let mut keys = BTreeSet::new();
-                    let prefixes: Vec<Prefix> = state.adj_in.prefixes().copied().collect();
-                    for p in &prefixes {
-                        for r in state.adj_in.paths(p) {
-                            keys.insert((*p, r.path_id));
-                        }
-                    }
+                    let keys = state.adj_in.iter().map(|r| (r.prefix, r.path_id)).collect();
                     state.stale = Some(StaleState { deadline, keys });
                     vec![Output::Event(SpeakerEvent::PeerDown(peer, reason))]
                 } else {
@@ -1201,19 +1214,7 @@ impl Speaker {
             }
 
             for nlri in &update.withdrawn {
-                let removed = match nlri.path_id {
-                    Some(id) => state.adj_in.remove(&nlri.prefix, id).into_iter().collect(),
-                    None => state.adj_in.remove_prefix(&nlri.prefix),
-                };
-                if let Some(st) = &mut state.stale {
-                    match nlri.path_id {
-                        Some(id) => {
-                            st.keys.remove(&(nlri.prefix, id));
-                        }
-                        None => st.keys.retain(|(p, _)| p != &nlri.prefix),
-                    }
-                }
-                if !removed.is_empty() {
+                if state.remove_learned(nlri) {
                     affected.insert(nlri.prefix);
                 }
                 if let Some(dcfg) = damping_cfg {
@@ -1263,19 +1264,7 @@ impl Speaker {
                         events.push(SpeakerEvent::ImportRejected(from, nlri.prefix));
                         import_verdict(&prov, nlri.prefix, ImportVerdict::PolicyRejected);
                         // An implicit withdraw of any previous path.
-                        let removed = match nlri.path_id {
-                            Some(id) => state.adj_in.remove(&nlri.prefix, id).into_iter().collect(),
-                            None => state.adj_in.remove_prefix(&nlri.prefix),
-                        };
-                        if let Some(st) = &mut state.stale {
-                            match nlri.path_id {
-                                Some(id) => {
-                                    st.keys.remove(&(nlri.prefix, id));
-                                }
-                                None => st.keys.retain(|(p, _)| p != &nlri.prefix),
-                            }
-                        }
-                        if !removed.is_empty() {
+                        if state.remove_learned(nlri) {
                             affected.insert(nlri.prefix);
                         }
                         continue;
@@ -1397,43 +1386,25 @@ impl Speaker {
     /// by itself; with graceful restart the peer's paths go stale rather
     /// than vanishing.
     pub fn reset_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        if !state.cfg.enabled {
+        if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
             // An administratively disabled session has no connection to
             // lose — and must not arm a reconnect.
             return Vec::new();
         }
-        let events = state.session.drop_connection(now);
         let mut out = Vec::new();
-        for ev in events {
-            out.extend(self.handle_session_event(peer, ev, now));
-        }
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after reset_peer"
-        );
+        self.drive_session(peer, now, &mut out, |s| {
+            (Vec::new(), s.drop_connection(now))
+        });
+        self.debug_check("reset_peer");
         out
     }
 
     /// React to an unparseable message from a peer (chaos: corruption in
     /// flight): NOTIFICATION out, session down.
     pub fn on_corrupt_message(&mut self, from: PeerId, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&from) else {
-            return Vec::new();
-        };
-        let (msgs, events) = state.session.on_corrupt(now);
-        let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(from, m)).collect();
-        for ev in events {
-            out.extend(self.handle_session_event(from, ev, now));
-        }
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after on_corrupt_message"
-        );
+        let mut out = Vec::new();
+        self.drive_session(from, now, &mut out, |s| s.on_corrupt(now));
+        self.debug_check("on_corrupt_message");
         out
     }
 
@@ -1449,22 +1420,12 @@ impl Speaker {
         update: UpdateMessage,
         now: SimTime,
     ) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&from) else {
-            return Vec::new();
-        };
-        if state.session.is_established() {
+        if self.peer_established(from) {
             self.telemetry.counter_inc("bgp.session.treat_as_withdraw");
         }
-        let (msgs, events) = state.session.on_malformed_update(update, now);
-        let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(from, m)).collect();
-        for ev in events {
-            out.extend(self.handle_session_event(from, ev, now));
-        }
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after on_malformed_update"
-        );
+        let mut out = Vec::new();
+        self.drive_session(from, now, &mut out, |s| s.on_malformed_update(update, now));
+        self.debug_check("on_malformed_update");
         out
     }
 
@@ -1489,21 +1450,14 @@ impl Speaker {
             for (path_id, attrs) in paths {
                 let mut candidate = (*attrs).clone();
                 if !state.cfg.import.apply(&p, &mut candidate)
-                    && state.adj_in.remove(&p, path_id).is_some()
+                    && state.remove_learned(&Nlri::with_path_id(p, path_id))
                 {
-                    if let Some(st) = &mut state.stale {
-                        st.keys.remove(&(p, path_id));
-                    }
                     affected.push(p);
                 }
             }
         }
         let out = self.reconsider(affected, now);
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after set_peer_import"
-        );
+        self.debug_check("set_peer_import");
         out
     }
 
@@ -1547,7 +1501,7 @@ impl Speaker {
     /// the group actually changes, resync the peer's advertised view by
     /// diffing against what has been sent.
     fn reseat_peer_group(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let state = self.peers.get(&peer).expect("peer exists");
+        let state = &self.peers[&peer];
         let old_key = state.group;
         let cfg = state.cfg.clone();
         // Resolve *before* detaching: if the answer is the same group the
@@ -1557,38 +1511,19 @@ impl Speaker {
             return Vec::new();
         }
         self.telemetry.counter_inc("bgp.export.group_splits");
-        let state = self.peers.get(&peer).expect("peer exists");
-        let synced = state.synced;
-        let established = state.session.is_established();
-        let add_path = state
-            .session
-            .negotiated()
-            .map(|n| n.add_path_tx)
-            .unwrap_or(false);
-        let member_asn = state.cfg.asn;
         // Snapshot what this peer has actually been sent (old base minus
         // its mask) before the detach below can clear the old base.
-        let mut snapshot: BTreeMap<Prefix, Vec<(u32, Arc<PathAttributes>)>> = BTreeMap::new();
-        if synced {
-            let mask = &state.mask;
-            let base = &self.groups.get(&old_key).expect("export group exists").base;
-            for p in base.prefixes() {
-                let hidden = mask.get(p);
-                let view: Vec<(u32, Arc<PathAttributes>)> = base
-                    .paths(p)
-                    .filter(|r| hidden.map(|h| !h.contains(&r.path_id)).unwrap_or(true))
-                    .map(|r| (r.path_id, Arc::clone(&r.attrs)))
-                    .collect();
-                if !view.is_empty() {
-                    snapshot.insert(*p, view);
-                }
-            }
-        }
+        let snapshot: BTreeMap<Prefix, SentPaths> = self.groups[&old_key]
+            .base
+            .prefixes()
+            .map(|p| (*p, self.sent_paths(peer, p)))
+            .filter(|(_, sent)| !sent.is_empty())
+            .collect();
         self.detach_from_group(peer, old_key);
         let state = self.peers.get_mut(&peer).expect("peer exists");
         state.group = new_key;
         state.mask.clear();
-        if !established || !synced {
+        if !state.synced {
             // Nothing has been sent on this session yet; the next full
             // sync simply uses the new group.
             return Vec::new();
@@ -1597,112 +1532,16 @@ impl Speaker {
         // emit only the diff against the snapshot. No reject provenance
         // here — a group move is not a routing decision; only actual
         // emissions are recorded.
-        let mut prefixes: BTreeSet<Prefix> = self.local_routes.keys().copied().collect();
-        for st in self.peers.values() {
-            prefixes.extend(st.adj_in.prefixes().copied());
-        }
+        let mut prefixes = self.known_prefixes();
         prefixes.extend(snapshot.keys().copied());
-        let prov = self.provenance.clone();
-        let local_asn = self.cfg.asn;
-        let rs_member_blocks = self.cfg.rs_member_blocks;
         let mut out = Vec::new();
         for prefix in prefixes {
             let staged = self.stage_group_exports(new_key, &prefix, now);
-            let mut desired: Vec<&Route> = Vec::new();
-            let mut masked: BTreeSet<u32> = BTreeSet::new();
-            for entry in &staged.entries {
-                match Self::member_delta(rs_member_blocks, peer, member_asn, entry) {
-                    Ok(route) => desired.push(route),
-                    Err(_) => {
-                        if let StagedOutcome::Export(route) = &entry.outcome {
-                            masked.insert(route.path_id);
-                        }
-                    }
-                }
-            }
-            let desired_ids: BTreeSet<u32> = desired.iter().map(|r| r.path_id).collect();
-            let empty: Vec<(u32, Arc<PathAttributes>)> = Vec::new();
-            let current = snapshot.get(&prefix).unwrap_or(&empty);
-            let mut withdrawals = Vec::new();
-            for (pid, _) in current {
-                if !desired_ids.contains(pid) {
-                    withdrawals.push(if add_path {
-                        Nlri::with_path_id(prefix, *pid)
-                    } else {
-                        Nlri::plain(prefix)
-                    });
-                }
-            }
-            if !withdrawals.is_empty() && self.cfg.mrai.is_none() && prov.is_enabled() {
-                prov.record(
-                    now,
-                    local_asn,
-                    ProvenanceEvent::WithdrawSent {
-                        to_peer: peer,
-                        to_asn: member_asn,
-                        prefix,
-                        trace: None,
-                    },
-                );
-            }
-            let mut announces = Vec::new();
-            for route in &desired {
-                let unchanged = current
-                    .iter()
-                    .any(|(pid, attrs)| *pid == route.path_id && **attrs == *route.attrs);
-                if unchanged {
-                    continue;
-                }
-                let nlri = if add_path {
-                    Nlri::with_path_id(prefix, route.path_id)
-                } else {
-                    Nlri::plain(prefix)
-                };
-                if prov.is_enabled() {
-                    prov.record(
-                        now,
-                        local_asn,
-                        ProvenanceEvent::Exported {
-                            to_peer: peer,
-                            to_asn: member_asn,
-                            prefix,
-                            trace: route.trace,
-                            as_path: route.attrs.as_path.asns().collect(),
-                            verdict: ExportVerdict::Exported,
-                        },
-                    );
-                }
-                announces.push((nlri, Arc::clone(&route.attrs), route.trace));
-            }
-            {
-                let state = self.peers.get_mut(&peer).expect("peer exists");
-                if masked.is_empty() {
-                    state.mask.remove(&prefix);
-                } else {
-                    state.mask.insert(prefix, masked);
-                }
-            }
-            let other_synced = self
-                .groups
-                .get(&new_key)
-                .expect("export group exists")
-                .members
-                .iter()
-                .any(|m| *m != peer && self.peers.get(m).map(|p| p.synced).unwrap_or(false));
-            if !other_synced {
-                self.groups
-                    .get_mut(&new_key)
-                    .expect("export group exists")
-                    .base
-                    .set_prefix(&prefix, staged.base_routes());
-            }
-            out.extend(self.emit_or_stage(peer, withdrawals, None, announces, now));
+            let sent = snapshot.get(&prefix).map_or(&[][..], Vec::as_slice);
+            out.extend(self.export_to_member(peer, prefix, &staged, sent, false, None, now));
+            self.commit_base(new_key, &prefix, &staged, Some(peer));
         }
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after export-group reseat"
-        );
+        self.debug_check("export-group reseat");
         out
     }
 
@@ -1748,11 +1587,7 @@ impl Speaker {
         self.loc_rib = LocRib::new();
         let locals: Vec<Prefix> = self.local_routes.keys().copied().collect();
         out.extend(self.reconsider(locals, now));
-        debug_assert_eq!(
-            self.check_invariants(),
-            Ok(()),
-            "speaker invariant violated after restart"
-        );
+        self.debug_check("restart");
         out
     }
 
@@ -1766,6 +1601,13 @@ impl Speaker {
             c.extend(state.adj_in.paths(prefix));
         }
         c
+    }
+
+    /// The locally originated route for a prefix, if any, stamped `now`.
+    fn local_route(&self, prefix: &Prefix, now: SimTime) -> Option<Route> {
+        let attrs = self.local_routes.get(prefix)?;
+        let trace = self.local_traces.get(prefix).copied();
+        Some(Route::local(*prefix, Arc::clone(attrs), now).with_trace(trace))
     }
 
     /// Re-run the decision process for `prefixes` and propagate changes.
@@ -1789,10 +1631,7 @@ impl Speaker {
         }
         let mut out = Vec::new();
         for prefix in prefixes {
-            let local = self.local_routes.get(&prefix).map(|attrs| {
-                Route::local(prefix, Arc::clone(attrs), now)
-                    .with_trace(self.local_traces.get(&prefix).copied())
-            });
+            let local = self.local_route(&prefix, now);
             let new_best: Option<Route> = {
                 let cands = self.candidates(&prefix);
                 let all = cands.into_iter().chain(local.as_ref());
@@ -1847,12 +1686,8 @@ impl Speaker {
         let sources: Vec<Route> = match group.fingerprint.advertise {
             AdvertiseMode::BestOnly => self.loc_rib.get(prefix).cloned().into_iter().collect(),
             AdvertiseMode::AllPaths => {
-                let local = self.local_routes.get(prefix).map(|attrs| {
-                    Route::local(*prefix, Arc::clone(attrs), now)
-                        .with_trace(self.local_traces.get(prefix).copied())
-                });
                 let mut v: Vec<Route> = self.candidates(prefix).into_iter().cloned().collect();
-                v.extend(local);
+                v.extend(self.local_route(prefix, now));
                 // Deterministic order: best first.
                 v.sort_by(|a, b| compare_routes(b, a, &self.cfg.decision).then(Ordering::Equal));
                 v
@@ -1999,12 +1834,12 @@ impl Speaker {
         }
     }
 
-    /// Diff desired vs advertised state for one prefix, all peers. The
-    /// staged export for each group is computed once and shared by every
-    /// established member; per-member work is the cheap delta filter and
-    /// the wire diff against the member's view (group base minus mask).
-    /// Bases commit *after* the member loop so every member diffs against
-    /// the pre-change state.
+    /// Re-export one prefix to every established peer after a routing
+    /// change. The staged export for each group is computed once and
+    /// shared by every established member; per-member work is the cheap
+    /// delta filter and the wire diff against the member's view (group
+    /// base minus mask). Bases commit *after* the member loop so every
+    /// member diffs against the pre-change state.
     fn export_prefix(
         &mut self,
         prefix: Prefix,
@@ -2015,22 +1850,11 @@ impl Speaker {
         let mut staged_memo: BTreeMap<ExportGroupKey, StagedExports> = BTreeMap::new();
         let mut out = Vec::new();
         for id in ids {
-            let (add_path, key, member_asn, synced) = {
-                let state = self.peers.get(&id).expect("peer exists");
-                if !state.session.is_established() {
-                    continue;
-                }
-                (
-                    state
-                        .session
-                        .negotiated()
-                        .map(|n| n.add_path_tx)
-                        .unwrap_or(false),
-                    state.group,
-                    state.cfg.asn,
-                    state.synced,
-                )
-            };
+            let state = &self.peers[&id];
+            if !state.session.is_established() {
+                continue;
+            }
+            let key = state.group;
             if let std::collections::btree_map::Entry::Vacant(e) = staged_memo.entry(key) {
                 let staged = self.stage_group_exports(key, &prefix, now);
                 e.insert(staged);
@@ -2038,156 +1862,189 @@ impl Speaker {
             } else {
                 self.telemetry.counter_inc("bgp.export.group_shared");
             }
-            let staged = staged_memo.get(&key).expect("staged");
-            let prov = self.provenance.clone();
-            let local_asn = self.cfg.asn;
-            let rs_member_blocks = self.cfg.rs_member_blocks;
+            let sent = self.sent_paths(id, &prefix);
+            let staged = &staged_memo[&key];
+            out.extend(self.export_to_member(id, prefix, staged, &sent, true, cause, now));
+        }
+        for (key, staged) in staged_memo {
+            self.commit_base(key, &prefix, &staged, None);
+        }
+        out
+    }
 
-            let mut desired: Vec<&Route> = Vec::new();
-            let mut masked: BTreeSet<u32> = BTreeSet::new();
-            for entry in &staged.entries {
-                match Self::member_delta(rs_member_blocks, id, member_asn, entry) {
-                    Ok(route) => desired.push(route),
-                    Err(verdict) => {
-                        if let StagedOutcome::Export(route) = &entry.outcome {
-                            masked.insert(route.path_id);
-                        }
-                        if prov.is_enabled() {
-                            prov.record(
-                                now,
-                                local_asn,
-                                ProvenanceEvent::Exported {
-                                    to_peer: id,
-                                    to_asn: member_asn,
-                                    prefix,
-                                    trace: entry.source_trace,
-                                    as_path: entry.source_attrs.as_path.asns().collect(),
-                                    verdict,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            debug_assert_eq!(
-                desired
-                    .iter()
-                    .map(|r| r.path_id)
-                    .collect::<BTreeSet<_>>()
-                    .len(),
-                desired.len(),
-                "duplicate export path ids for one member"
-            );
-            let desired_ids: BTreeSet<u32> = desired.iter().map(|r| r.path_id).collect();
+    /// What `peer` has been sent for `prefix`: its group's base minus its
+    /// mask, and nothing until its initial table sync completes.
+    fn sent_paths(&self, peer: PeerId, prefix: &Prefix) -> SentPaths {
+        let state = &self.peers[&peer];
+        if !state.synced {
+            return Vec::new();
+        }
+        self.groups[&state.group]
+            .base
+            .paths(prefix)
+            .filter(|r| !state.withholds(r))
+            .map(|r| (r.path_id, Arc::clone(&r.attrs)))
+            .collect()
+    }
 
-            // The member's currently advertised paths: group base minus
-            // the member's mask (empty until the initial sync completes).
-            let old_mask: BTreeSet<u32> = self
-                .peers
-                .get(&id)
-                .and_then(|s| s.mask.get(&prefix).cloned())
-                .unwrap_or_default();
-            let current: Vec<(u32, Arc<PathAttributes>)> = if synced {
-                self.groups
-                    .get(&key)
-                    .expect("export group exists")
-                    .base
-                    .paths(&prefix)
-                    .filter(|r| !old_mask.contains(&r.path_id))
-                    .map(|r| (r.path_id, Arc::clone(&r.attrs)))
-                    .collect()
+    /// The member diff — the only place desired and advertised state
+    /// meet. Desired is the group's staged export of `prefix` filtered by
+    /// the member's own delta (split horizon, sender-side loop, RS member
+    /// block); `sent` is what the member holds. Exactly the difference is
+    /// emitted (or MRAI-staged): one withdrawal for the paths no longer
+    /// desired, one announcement per new or changed path. The member's
+    /// mask becomes the staged paths withheld from it.
+    ///
+    /// The callers differ only in their arguments. A routing change
+    /// ([`export_prefix`](Self::export_prefix)) diffs against the
+    /// member's live view, records rejects, and tags withdrawals with the
+    /// causing trace. The initial table sync
+    /// ([`full_table_to`](Self::full_table_to)) diffs against nothing. A
+    /// group reseat diffs against the pre-move snapshot and records only
+    /// what it emits.
+    #[allow(clippy::too_many_arguments)]
+    fn export_to_member(
+        &mut self,
+        id: PeerId,
+        prefix: Prefix,
+        staged: &StagedExports,
+        sent: &[(u32, Arc<PathAttributes>)],
+        record_rejects: bool,
+        cause: Option<TraceId>,
+        now: SimTime,
+    ) -> Vec<Output> {
+        let state = &self.peers[&id];
+        let member_asn = state.cfg.asn;
+        let add_path = state.session.negotiated().is_some_and(|n| n.add_path_tx);
+        let nlri = |path_id: u32| {
+            if add_path {
+                Nlri::with_path_id(prefix, path_id)
             } else {
-                Vec::new()
-            };
-
-            // Withdraw paths no longer desired.
-            let mut withdrawals = Vec::new();
-            for (pid, _) in &current {
-                if !desired_ids.contains(pid) {
-                    withdrawals.push(if add_path {
-                        Nlri::with_path_id(prefix, *pid)
-                    } else {
-                        Nlri::plain(prefix)
-                    });
-                }
+                Nlri::plain(prefix)
             }
-            // `WithdrawSent` means the withdrawal hit the wire. Unpacked,
-            // that is right here; with MRAI packing the delta is only
-            // *staged* (and may be superseded by a later announce or
-            // dropped by a session reset before the flush), so the
-            // record is made in `flush_mrai` at actual emission time.
-            if !withdrawals.is_empty() && self.cfg.mrai.is_none() && prov.is_enabled() {
+        };
+        let prov = self.provenance.clone();
+        let local_asn = self.cfg.asn;
+        let record_export = |trace, attrs: &PathAttributes, verdict| {
+            if prov.is_enabled() {
                 prov.record(
                     now,
                     local_asn,
-                    ProvenanceEvent::WithdrawSent {
+                    ProvenanceEvent::Exported {
                         to_peer: id,
                         to_asn: member_asn,
                         prefix,
-                        trace: cause,
+                        trace,
+                        as_path: attrs.as_path.asns().collect(),
+                        verdict,
                     },
                 );
             }
-            // Announce new or changed paths.
-            let mut announces = Vec::new();
-            for route in &desired {
-                let unchanged = current
-                    .iter()
-                    .any(|(pid, attrs)| *pid == route.path_id && **attrs == *route.attrs);
-                if unchanged {
-                    continue;
-                }
-                let nlri = if add_path {
-                    Nlri::with_path_id(prefix, route.path_id)
-                } else {
-                    Nlri::plain(prefix)
-                };
-                if prov.is_enabled() {
-                    prov.record(
-                        now,
-                        local_asn,
-                        ProvenanceEvent::Exported {
-                            to_peer: id,
-                            to_asn: member_asn,
-                            prefix,
-                            trace: route.trace,
-                            as_path: route.attrs.as_path.asns().collect(),
-                            verdict: ExportVerdict::Exported,
-                        },
-                    );
-                }
-                announces.push((nlri, Arc::clone(&route.attrs), route.trace));
-            }
-            {
-                let state = self.peers.get_mut(&id).expect("peer exists");
-                if masked.is_empty() {
-                    state.mask.remove(&prefix);
-                } else {
-                    state.mask.insert(prefix, masked);
+        };
+
+        let mut desired: Vec<&Route> = Vec::new();
+        let mut masked: BTreeSet<u32> = BTreeSet::new();
+        for entry in &staged.entries {
+            match Self::member_delta(self.cfg.rs_member_blocks, id, member_asn, entry) {
+                Ok(route) => desired.push(route),
+                Err(verdict) => {
+                    if let StagedOutcome::Export(route) = &entry.outcome {
+                        masked.insert(route.path_id);
+                    }
+                    if record_rejects {
+                        record_export(entry.source_trace, &entry.source_attrs, verdict);
+                    }
                 }
             }
-            out.extend(self.emit_or_stage(id, withdrawals, cause, announces, now));
         }
-        // Commit the staged exports into each group's shared base — once
-        // per group, not once per member. Groups with no synced member
-        // keep an empty base (nothing has been sent to anyone).
-        for (key, staged) in staged_memo {
-            let any_synced = self
-                .groups
-                .get(&key)
-                .expect("export group exists")
-                .members
+        debug_assert_eq!(
+            desired
                 .iter()
-                .any(|m| self.peers.get(m).map(|p| p.synced).unwrap_or(false));
-            if any_synced {
-                self.groups
-                    .get_mut(&key)
-                    .expect("export group exists")
-                    .base
-                    .set_prefix(&prefix, staged.base_routes());
-            }
+                .map(|r| r.path_id)
+                .collect::<BTreeSet<_>>()
+                .len(),
+            desired.len(),
+            "duplicate export path ids for one member"
+        );
+
+        // Withdraw paths no longer desired.
+        let withdrawals: Vec<Nlri> = sent
+            .iter()
+            .filter(|(pid, _)| !desired.iter().any(|r| r.path_id == *pid))
+            .map(|(pid, _)| nlri(*pid))
+            .collect();
+        // `WithdrawSent` means the withdrawal hit the wire. Unpacked,
+        // that is right here; with MRAI packing the delta is only
+        // *staged* (and may be superseded by a later announce or
+        // dropped by a session reset before the flush), so the
+        // record is made in `flush_mrai` at actual emission time.
+        if !withdrawals.is_empty() && self.cfg.mrai.is_none() && prov.is_enabled() {
+            prov.record(
+                now,
+                local_asn,
+                ProvenanceEvent::WithdrawSent {
+                    to_peer: id,
+                    to_asn: member_asn,
+                    prefix,
+                    trace: cause,
+                },
+            );
         }
-        out
+        // Announce new or changed paths.
+        let mut announces = Vec::new();
+        for route in &desired {
+            let unchanged = sent
+                .iter()
+                .any(|(pid, attrs)| *pid == route.path_id && **attrs == *route.attrs);
+            if unchanged {
+                continue;
+            }
+            record_export(route.trace, &route.attrs, ExportVerdict::Exported);
+            announces.push((nlri(route.path_id), Arc::clone(&route.attrs), route.trace));
+        }
+        let state = self.peers.get_mut(&id).expect("peer exists");
+        if masked.is_empty() {
+            state.mask.remove(&prefix);
+        } else {
+            state.mask.insert(prefix, masked);
+        }
+        self.emit_or_stage(id, withdrawals, cause, announces, now)
+    }
+
+    /// Commit one prefix of a staged export into its group's shared
+    /// base — once per group, never once per member. The base only ever
+    /// holds what has been sent to someone, so a routing change
+    /// (`joining` = `None`) moves it exactly when a member is synced. A
+    /// member `joining` the group's view (initial sync, reseat) fills it
+    /// only when no *other* member keeps it live; otherwise the base is
+    /// already authoritative and the staged computation must agree.
+    fn commit_base(
+        &mut self,
+        key: ExportGroupKey,
+        prefix: &Prefix,
+        staged: &StagedExports,
+        joining: Option<PeerId>,
+    ) {
+        match (joining, self.group_synced(key, joining)) {
+            (None, true) | (Some(_), false) => {
+                let group = self.groups.get_mut(&key).expect("export group exists");
+                group.base.set_prefix(prefix, staged.base_routes());
+            }
+            // Nothing has been sent to anyone: the base stays empty.
+            (None, false) => {}
+            // Attribute values and path ids must match — `learned_at` may
+            // differ for local routes, whose timestamp is the staging time.
+            (Some(_), true) => debug_assert!(
+                {
+                    let view = |routes: Vec<Route>| -> BTreeMap<u32, Arc<PathAttributes>> {
+                        routes.into_iter().map(|r| (r.path_id, r.attrs)).collect()
+                    };
+                    let base = &self.groups[&key].base;
+                    view(base.paths(prefix).cloned().collect()) == view(staged.base_routes())
+                },
+                "staged exports diverge from an already-synced group base"
+            ),
+        }
     }
 
     /// Emit export deltas toward `id` immediately, or stage them for the
@@ -2204,57 +2061,45 @@ impl Speaker {
         if withdrawals.is_empty() && announces.is_empty() {
             return Vec::new();
         }
-        match self.cfg.mrai {
-            None => {
-                let state = self.peers.get_mut(&id).expect("peer exists");
-                let mut out = Vec::new();
-                if !withdrawals.is_empty() {
-                    state.session.note_update_sent();
-                    self.updates_sent += 1;
-                    self.telemetry.counter_inc("bgp.speaker.updates_out");
-                    out.push(Output::Send(
-                        id,
-                        BgpMessage::Update(
-                            UpdateMessage::withdraw(withdrawals).with_trace(withdraw_trace),
-                        ),
-                    ));
-                }
-                for (nlri, attrs, trace) in announces {
-                    state.session.note_update_sent();
-                    self.updates_sent += 1;
-                    self.telemetry.counter_inc("bgp.speaker.updates_out");
-                    out.push(Output::Send(
-                        id,
-                        BgpMessage::Update(
-                            UpdateMessage::announce(attrs, vec![nlri]).with_trace(trace),
-                        ),
-                    ));
-                }
-                out
+        let Some(interval) = self.cfg.mrai else {
+            let mut out = Vec::new();
+            if !withdrawals.is_empty() {
+                let update = UpdateMessage::withdraw(withdrawals).with_trace(withdraw_trace);
+                out.push(self.send_update(id, update));
             }
-            Some(interval) => {
-                let state = self.peers.get_mut(&id).expect("peer exists");
-                for nlri in withdrawals {
-                    state.pending.insert(
-                        nlri,
-                        PendingDelta::Withdraw {
-                            trace: withdraw_trace,
-                        },
-                    );
-                }
-                for (nlri, attrs, trace) in announces {
-                    state
-                        .pending
-                        .insert(nlri, PendingDelta::Announce { attrs, trace });
-                }
-                // First staged delta arms the timer; later ones ride the
-                // existing deadline so a busy peer still flushes.
-                if state.mrai_deadline.is_none() {
-                    state.mrai_deadline = Some(now + interval);
-                }
-                Vec::new()
+            for (nlri, attrs, trace) in announces {
+                let update = UpdateMessage::announce(attrs, vec![nlri]).with_trace(trace);
+                out.push(self.send_update(id, update));
             }
+            return out;
+        };
+        let state = self.peers.get_mut(&id).expect("peer exists");
+        for nlri in withdrawals {
+            let trace = withdraw_trace;
+            state.pending.insert(nlri, PendingDelta::Withdraw { trace });
         }
+        for (nlri, attrs, trace) in announces {
+            state
+                .pending
+                .insert(nlri, PendingDelta::Announce { attrs, trace });
+        }
+        // First staged delta arms the timer; later ones ride the
+        // existing deadline so a busy peer still flushes.
+        if state.mrai_deadline.is_none() {
+            state.mrai_deadline = Some(now + interval);
+        }
+        Vec::new()
+    }
+
+    /// Put one UPDATE on the wire toward `id`: the single place emitted
+    /// UPDATEs are counted (session stats, `updates_sent`, telemetry),
+    /// shared by the immediate and the MRAI-flush path.
+    fn send_update(&mut self, id: PeerId, update: UpdateMessage) -> Output {
+        let state = self.peers.get_mut(&id).expect("peer exists");
+        state.session.note_update_sent();
+        self.updates_sent += 1;
+        self.telemetry.counter_inc("bgp.speaker.updates_out");
+        Output::Send(id, BgpMessage::Update(update))
     }
 
     /// Flush `id`'s staged export deltas as packed UPDATEs: withdrawals
@@ -2274,6 +2119,7 @@ impl Speaker {
             return Vec::new();
         }
         let pending = std::mem::take(&mut state.pending);
+        let to_asn = state.cfg.asn;
         let mut withdraw_groups: Vec<(Option<TraceId>, Vec<Nlri>)> = Vec::new();
         let mut announce_groups: Vec<(Arc<PathAttributes>, Option<TraceId>, Vec<Nlri>)> =
             Vec::new();
@@ -2304,9 +2150,6 @@ impl Speaker {
         }
         let mut out = Vec::new();
         for (trace, nlris) in withdraw_groups {
-            state.session.note_update_sent();
-            self.updates_sent += 1;
-            self.telemetry.counter_inc("bgp.speaker.updates_out");
             if self.provenance.is_enabled() {
                 // One record per distinct prefix, mirroring the unpacked
                 // path's per-prefix granularity (ADD-PATH can put several
@@ -2322,48 +2165,48 @@ impl Speaker {
                         self.cfg.asn,
                         ProvenanceEvent::WithdrawSent {
                             to_peer: id,
-                            to_asn: state.cfg.asn,
+                            to_asn,
                             prefix: nlri.prefix,
                             trace,
                         },
                     );
                 }
             }
-            out.push(Output::Send(
-                id,
-                BgpMessage::Update(UpdateMessage::withdraw(nlris).with_trace(trace)),
-            ));
+            out.push(self.send_update(id, UpdateMessage::withdraw(nlris).with_trace(trace)));
         }
         for (attrs, trace, nlris) in announce_groups {
-            state.session.note_update_sent();
-            self.updates_sent += 1;
-            self.telemetry.counter_inc("bgp.speaker.updates_out");
-            out.push(Output::Send(
-                id,
-                BgpMessage::Update(UpdateMessage::announce(attrs, nlris).with_trace(trace)),
-            ));
+            let update = UpdateMessage::announce(attrs, nlris).with_trace(trace);
+            out.push(self.send_update(id, update));
         }
         out
     }
 
-    /// Send the full table to a peer (initial sync or route refresh).
-    /// The peer is marked synced — joined to its group's shared view —
-    /// only after the walk, so every prefix below diffs against an empty
-    /// view exactly like the historical cleared Adj-RIB-Out.
-    fn full_table_to(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
+    /// Every prefix with a local route or a learned path: the walk set
+    /// of a full-table export.
+    fn known_prefixes(&self) -> BTreeSet<Prefix> {
         let mut prefixes: BTreeSet<Prefix> = self.local_routes.keys().copied().collect();
         for state in self.peers.values() {
             prefixes.extend(state.adj_in.prefixes().copied());
         }
+        prefixes
+    }
+
+    /// Send the full table to a newly established (or refreshing) peer.
+    /// The peer is marked synced — joined to its group's shared view —
+    /// only after the walk, so every prefix diffs against an empty view
+    /// and everything staged is announced. If another member of the
+    /// group is already synced the shared base is authoritative and
+    /// untouched; otherwise the base was cleared on unsync and is
+    /// rebuilt prefix by prefix here.
+    fn full_table_to(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
+        let key = self.peers[&peer].group;
         let mut out = Vec::new();
-        for prefix in prefixes {
-            out.extend(self.export_one_peer(prefix, peer, now));
+        for prefix in self.known_prefixes() {
+            let staged = self.stage_group_exports(key, &prefix, now);
+            out.extend(self.export_to_member(peer, prefix, &staged, &[], true, None, now));
+            self.commit_base(key, &prefix, &staged, Some(peer));
         }
-        if let Some(state) = self.peers.get_mut(&peer) {
-            if state.session.is_established() {
-                state.synced = true;
-            }
-        }
+        self.peers.get_mut(&peer).expect("peer exists").synced = true;
         // Initial sync is not rate-limited: flush anything the per-prefix
         // exports staged so the full table precedes the End-of-RIB marker.
         out.extend(self.flush_mrai(peer, now));
@@ -2378,156 +2221,6 @@ impl Speaker {
             }),
         ));
         out
-    }
-
-    /// Like `export_prefix` but restricted to a single peer (initial
-    /// sync). The walking peer is unsynced, so its view is empty and
-    /// everything staged is announced. If another member of the group is
-    /// already synced the shared base is authoritative and untouched;
-    /// otherwise the base was cleared on unsync and is rebuilt here.
-    fn export_one_peer(&mut self, prefix: Prefix, id: PeerId, now: SimTime) -> Vec<Output> {
-        let (add_path, key, member_asn, synced) = {
-            let Some(state) = self.peers.get(&id) else {
-                return Vec::new();
-            };
-            if !state.session.is_established() {
-                return Vec::new();
-            }
-            (
-                state
-                    .session
-                    .negotiated()
-                    .map(|n| n.add_path_tx)
-                    .unwrap_or(false),
-                state.group,
-                state.cfg.asn,
-                state.synced,
-            )
-        };
-        let staged = self.stage_group_exports(key, &prefix, now);
-        let prov = self.provenance.clone();
-        let local_asn = self.cfg.asn;
-        let rs_member_blocks = self.cfg.rs_member_blocks;
-
-        let mut desired: Vec<&Route> = Vec::new();
-        let mut masked: BTreeSet<u32> = BTreeSet::new();
-        for entry in &staged.entries {
-            match Self::member_delta(rs_member_blocks, id, member_asn, entry) {
-                Ok(route) => desired.push(route),
-                Err(verdict) => {
-                    if let StagedOutcome::Export(route) = &entry.outcome {
-                        masked.insert(route.path_id);
-                    }
-                    if prov.is_enabled() {
-                        prov.record(
-                            now,
-                            local_asn,
-                            ProvenanceEvent::Exported {
-                                to_peer: id,
-                                to_asn: member_asn,
-                                prefix,
-                                trace: entry.source_trace,
-                                as_path: entry.source_attrs.as_path.asns().collect(),
-                                verdict,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        let old_mask: BTreeSet<u32> = self
-            .peers
-            .get(&id)
-            .and_then(|s| s.mask.get(&prefix).cloned())
-            .unwrap_or_default();
-        let current: Vec<(u32, Arc<PathAttributes>)> = if synced {
-            self.groups
-                .get(&key)
-                .expect("export group exists")
-                .base
-                .paths(&prefix)
-                .filter(|r| !old_mask.contains(&r.path_id))
-                .map(|r| (r.path_id, Arc::clone(&r.attrs)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut announces = Vec::new();
-        for route in &desired {
-            let unchanged = current
-                .iter()
-                .any(|(pid, attrs)| *pid == route.path_id && **attrs == *route.attrs);
-            if unchanged {
-                continue;
-            }
-            let nlri = if add_path {
-                Nlri::with_path_id(prefix, route.path_id)
-            } else {
-                Nlri::plain(prefix)
-            };
-            if prov.is_enabled() {
-                prov.record(
-                    now,
-                    local_asn,
-                    ProvenanceEvent::Exported {
-                        to_peer: id,
-                        to_asn: member_asn,
-                        prefix,
-                        trace: route.trace,
-                        as_path: route.attrs.as_path.asns().collect(),
-                        verdict: ExportVerdict::Exported,
-                    },
-                );
-            }
-            announces.push((nlri, Arc::clone(&route.attrs), route.trace));
-        }
-        {
-            let state = self.peers.get_mut(&id).expect("peer exists");
-            if masked.is_empty() {
-                state.mask.remove(&prefix);
-            } else {
-                state.mask.insert(prefix, masked);
-            }
-        }
-        let other_synced = self
-            .groups
-            .get(&key)
-            .expect("export group exists")
-            .members
-            .iter()
-            .any(|m| *m != id && self.peers.get(m).map(|p| p.synced).unwrap_or(false));
-        if other_synced {
-            // The base already tracks the live RIB state for this group;
-            // the staged computation must agree with it (attribute values
-            // and path ids — learned_at may differ for local routes,
-            // whose timestamp is the staging time).
-            debug_assert!(
-                {
-                    let base = &self.groups.get(&key).expect("export group exists").base;
-                    let staged_view: BTreeMap<u32, &PathAttributes> = staged
-                        .entries
-                        .iter()
-                        .filter_map(|e| match &e.outcome {
-                            StagedOutcome::Export(r) => Some((r.path_id, &*r.attrs)),
-                            StagedOutcome::Reject(_) => None,
-                        })
-                        .collect();
-                    let base_view: BTreeMap<u32, &PathAttributes> = base
-                        .paths(&prefix)
-                        .map(|r| (r.path_id, &*r.attrs))
-                        .collect();
-                    staged_view == base_view
-                },
-                "staged exports diverge from an already-synced group base"
-            );
-        } else {
-            self.groups
-                .get_mut(&key)
-                .expect("export group exists")
-                .base
-                .set_prefix(&prefix, staged.base_routes());
-        }
-        self.emit_or_stage(id, Vec::new(), None, announces, now)
     }
 
     /// Check cross-structure consistency: every per-peer session, RIB and
@@ -2764,6 +2457,37 @@ mod tests {
             .histogram("bgp.session.convergence_us")
             .expect("convergence histogram");
         assert_eq!(conv.count, 2);
+    }
+
+    #[test]
+    fn fault_driven_session_loss_counts_as_fsm_transition() {
+        use peering_telemetry::Telemetry;
+        let telemetry = Telemetry::new();
+        let mut a = speaker(1);
+        let mut b = speaker(2);
+        a.set_telemetry(telemetry.clone());
+        b.set_telemetry(telemetry.clone());
+        a.add_peer(PeerConfig::new(PeerId(0), Asn(2)));
+        b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive());
+        settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
+        let before = telemetry.snapshot();
+        // A transport reset and a corrupt frame are session losses like
+        // any other: Established -> Idle, one transition each.
+        a.reset_peer(PeerId(0), SimTime::from_secs(1));
+        assert_eq!(
+            telemetry.snapshot().counter("bgp.fsm.to_idle"),
+            before.counter("bgp.fsm.to_idle") + 1
+        );
+        b.on_corrupt_message(PeerId(0), SimTime::from_secs(1));
+        let after = telemetry.snapshot();
+        assert_eq!(
+            after.counter("bgp.fsm.to_idle"),
+            before.counter("bgp.fsm.to_idle") + 2
+        );
+        assert_eq!(
+            after.counter("bgp.fsm.transitions"),
+            before.counter("bgp.fsm.transitions") + 2
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::alloc::PrefixAllocator;
 use crate::experiment::{AnnouncementSpec, Experiment, ExperimentId};
-use peering_netsim::{Ipv4Net, SimTime};
+use peering_netsim::{Fnv1a, Ipv4Net, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -244,14 +244,9 @@ impl ConfigState {
     /// platforms; used for search memoization and for the per-step
     /// digests pinned into certified migration plans.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        Fnv1a::legacy()
+            .write(format!("{self:?}").as_bytes())
+            .finish()
     }
 }
 

@@ -18,7 +18,7 @@ use crate::mux::MuxDesign;
 use crate::safety::{SafetyConfig, SafetyFilter, SafetyVerdict, Violation};
 use crate::server::{PeeringServer, SiteKind, SiteSpec};
 use peering_ixp::{Ixp, PeeringWorkflow};
-use peering_netsim::{Asn, Ipv4Net, Ipv6Net, Prefix, SimDuration, SimRng, SimTime};
+use peering_netsim::{Asn, Fnv1a, Ipv4Net, Ipv6Net, Prefix, SimDuration, SimRng, SimTime};
 use peering_telemetry::Telemetry;
 use peering_topology::{
     cone::{as_rank, customer_cones},
@@ -716,12 +716,9 @@ impl Testbed {
     /// Deterministic per-AS-hop one-way latency.
     pub fn hop_latency(&self, a: AsIdx, b: AsIdx) -> SimDuration {
         let (lo, hi) = if a.0 < b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in lo.to_le_bytes().into_iter().chain(hi.to_le_bytes()) {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        SimDuration::from_millis(2 + h % 28)
+        let mut h = Fnv1a::new();
+        h.write(&lo.to_le_bytes()).write(&hi.to_le_bytes());
+        SimDuration::from_millis(2 + h.finish() % 28)
     }
 
     /// One-way latency along an AS path.

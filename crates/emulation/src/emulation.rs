@@ -572,7 +572,7 @@ impl Emulation {
     /// both ends, without any message on the wire (TCP reset).
     pub fn reset_sessions_between(&mut self, a: usize, b: usize) {
         let now = self.net.now();
-        let mut ends: Vec<(usize, PeerId)> = self
+        let ends: Vec<(usize, PeerId)> = self
             .sessions
             .iter()
             .filter_map(|((c, pid), end)| match end {
@@ -584,8 +584,6 @@ impl Emulation {
                 _ => None,
             })
             .collect();
-        // The session map is a HashMap; sort for deterministic replay.
-        ends.sort();
         for (c, pid) in ends {
             let Some(daemon) = self.containers[c].daemon.as_mut() else {
                 continue;
@@ -605,7 +603,7 @@ impl Emulation {
         };
         self.telemetry.counter_inc("emulation.daemon.crashes");
         self.crashed.insert(idx, daemon);
-        let mut far: Vec<(usize, PeerId)> = self
+        let far: Vec<(usize, PeerId)> = self
             .sessions
             .iter()
             .filter_map(|((c, pid), end)| match end {
@@ -615,7 +613,6 @@ impl Emulation {
                 _ => None,
             })
             .collect();
-        far.sort();
         for (c, pid) in far {
             let Some(d) = self.containers[c].daemon.as_mut() else {
                 continue;

@@ -37,6 +37,7 @@
 
 use crate::profile::{EngineProfile, ProfileConfig, ShardEpoch, ShardEpochWall, WallMark};
 use crate::queue::SharedEventQueue;
+use crate::rng::Fnv1a;
 use crate::sync::{Condvar, Mutex};
 use crate::time::{SimDuration, SimTime};
 use crate::transport::NodeId;
@@ -154,14 +155,11 @@ pub struct EngineRun {
 /// by construction, so the fold is always computed centrally from the
 /// ordered per-node values rather than merged pairwise.
 fn fold_digests(digests: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for d in digests {
-        for b in d.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&d.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> crate::sync::MutexGuard<'a, T> {

@@ -47,7 +47,7 @@ pub use link::{Link, LinkParams};
 pub use net::{Asn, Ipv4Net, Ipv6Net, Prefix, PrefixParseError};
 pub use profile::{EngineProfile, ProfileConfig, ProfileSummary, ShardEpoch, ShardEpochWall};
 pub use queue::{EventQueue, SharedEventQueue};
-pub use rng::SimRng;
+pub use rng::{Fnv1a, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceId, TraceLog, TraceSink};
 pub use transport::{Delivery, DeliveryKind, LinkStats, MsgNet, NodeId};

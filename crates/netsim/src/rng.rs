@@ -18,14 +18,59 @@ pub struct SimRng {
     seed: u64,
 }
 
-/// FNV-1a hash, used to mix fork labels into seeds without external deps.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a (64-bit): the one non-cryptographic hash behind every digest,
+/// fork label and derived key in the workspace. Byte-at-a-time and
+/// order-sensitive, so a value is a pure function of the byte stream
+/// written — stable across runs and platforms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a {
+    state: u64,
+    prime: u64,
+}
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// A hasher with the standard FNV prime (2^40 + 0x1b3): seeds, fork
+    /// labels, the engine's digest fold.
+    pub const fn new() -> Self {
+        Fnv1a {
+            state: Self::OFFSET_BASIS,
+            prime: 0x0000_0100_0000_01b3,
+        }
     }
-    h
+
+    /// A hasher with the multiplier 2^44 + 0x1b3 — the standard prime
+    /// with one zero too many, as first typed into the RIB digest and
+    /// copied from there. Every pinned route-set digest, certified plan
+    /// digest and export-group key was computed with it, so those keep
+    /// it; anything new should use [`new`](Self::new).
+    pub const fn legacy() -> Self {
+        Fnv1a {
+            state: Self::OFFSET_BASIS,
+            prime: 0x0000_1000_0000_01b3,
+        }
+    }
+
+    /// Mix `bytes` into the running hash; chainable.
+    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.state ^= u64::from(b);
+            self.state = self.state.wrapping_mul(self.prime);
+        }
+        self
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 impl SimRng {
@@ -48,7 +93,11 @@ impl SimRng {
     /// randomness from `self`, so the order in which subsystems fork does
     /// not matter.
     pub fn fork(&self, label: &str) -> SimRng {
-        let child = self.seed ^ fnv1a(label.as_bytes()).rotate_left(17);
+        let child = self.seed
+            ^ Fnv1a::new()
+                .write(label.as_bytes())
+                .finish()
+                .rotate_left(17);
         SimRng::new(child.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
     }
 

@@ -17,13 +17,13 @@
 //!   (same FNV digest technique as the chaos campaign, excluding
 //!   `learned_at` so timing shifts cannot alias as damage).
 
-use peering_bgp::MaxPrefixConfig;
+use peering_bgp::{digest_routes, MaxPrefixConfig};
 use peering_core::containment::TokenBucketConfig;
 use peering_core::{
     ContainmentConfig, ContainmentState, MuxDesign, MuxHarness, MuxScaleConfig, RouteChange,
     Transition,
 };
-use peering_netsim::{FaultAction, FaultPlan, LinkParams, NodeId, Prefix, SimDuration};
+use peering_netsim::{FaultAction, FaultPlan, Fnv1a, LinkParams, NodeId, Prefix, SimDuration};
 use peering_telemetry::Telemetry;
 
 /// Upstream peers on the mux.
@@ -92,35 +92,14 @@ fn blowup_prefix(i: usize) -> Prefix {
 /// FNV-1a digest of one emulation node's Loc-RIB, `learned_at` excluded
 /// (same canonicalization as the chaos campaign's digest).
 pub fn node_rib_digest(h: &MuxHarness, node: usize) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut mix = |s: &str| {
-        for byte in s.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
+    let mut hash = Fnv1a::legacy();
+    match h.emulation().daemon(node) {
+        Some(d) => digest_routes(&mut hash, d.loc_rib().iter()),
+        None => {
+            hash.write(b"crashed;");
         }
-    };
-    let Some(d) = h.emulation().daemon(node) else {
-        mix("crashed;");
-        return hash;
-    };
-    let mut lines: Vec<String> = d
-        .loc_rib()
-        .iter()
-        .map(|r| {
-            format!(
-                "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
-                r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
-            )
-        })
-        .collect();
-    lines.sort();
-    for line in &lines {
-        mix(line);
-        mix(";");
     }
-    hash
+    hash.finish()
 }
 
 /// Combined digest over every *healthy* client's Loc-RIB.

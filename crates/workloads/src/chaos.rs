@@ -12,10 +12,14 @@
 //! reshuffles *when* routes arrive, and the decision process is
 //! age-independent, so converged content must not depend on timing.
 
-use peering_bgp::{Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
+use peering_bgp::{
+    digest_routes, Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig,
+};
 use peering_collector::Collector;
 use peering_emulation::{Container, Emulation};
-use peering_netsim::{FaultAction, FaultPlan, LinkParams, NodeId, SimDuration, SimRng, SimTime};
+use peering_netsim::{
+    FaultAction, FaultPlan, Fnv1a, LinkParams, NodeId, SimDuration, SimRng, SimTime,
+};
 use peering_telemetry::Telemetry;
 use std::net::Ipv4Addr;
 
@@ -195,38 +199,16 @@ pub fn chaos_plan(topology: &ChaosTopology, seed: u64) -> FaultPlan {
 /// arrival timing: routes are canonicalized **without** `learned_at`,
 /// sorted per container, then hashed container by container.
 pub fn rib_digest(emu: &Emulation) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut mix = |s: &str| {
-        for byte in s.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv1a::legacy();
     for idx in 0..emu.container_count() {
         let Some(d) = emu.daemon(idx) else {
-            mix(&format!("node {idx}: crashed;"));
+            h.write(format!("node {idx}: crashed;").as_bytes());
             continue;
         };
-        let mut lines: Vec<String> = d
-            .loc_rib()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
-                    r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
-                )
-            })
-            .collect();
-        lines.sort();
-        mix(&format!("node {idx}:"));
-        for line in &lines {
-            mix(line);
-            mix(";");
-        }
+        h.write(format!("node {idx}:").as_bytes());
+        digest_routes(&mut h, d.loc_rib().iter());
     }
-    hash
+    h.finish()
 }
 
 /// The outcome of one seeded chaos run against one topology.

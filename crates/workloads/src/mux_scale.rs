@@ -23,9 +23,10 @@
 //!   memory of the grouped engine must sit well below the naive copy
 //!   (the ISSUE 8 acceptance bar is ≥5× at 256 tenants).
 
+use peering_bgp::digest_routes;
 use peering_bgp::policy::{Action, Match, Policy};
 use peering_core::{MuxDesign, MuxHarness, MuxScaleConfig, RouteChange};
-use peering_netsim::Prefix;
+use peering_netsim::{Fnv1a, Prefix};
 use serde::{Deserialize, Serialize};
 
 use crate::abuse::node_rib_digest;
@@ -111,41 +112,20 @@ pub struct MuxScaleReport {
 /// [`node_rib_digest`]: `learned_at` excluded so timing shifts from
 /// extra tenants cannot alias as route damage.
 fn adj_out_digest(h: &MuxHarness, client: usize) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut mix = |s: &str| {
-        for byte in s.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut hash = Fnv1a::legacy();
     for m in 0..h.mux_count() {
         let Some(d) = h.emulation().daemon(h.mux_node(m)) else {
-            mix("crashed;");
+            hash.write(b"crashed;");
             continue;
         };
         let Some(rib) = d.adj_rib_out(h.client_peer_id(client)) else {
-            mix("down;");
+            hash.write(b"down;");
             continue;
         };
-        let mut lines: Vec<String> = rib
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
-                    r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
-                )
-            })
-            .collect();
-        lines.sort();
-        for line in &lines {
-            mix(line);
-            mix(";");
-        }
-        mix("|");
+        digest_routes(&mut hash, rib.iter());
+        hash.write(b"|");
     }
-    hash
+    hash.finish()
 }
 
 /// Digest every bystander's state: Loc-RIB at the client node plus the

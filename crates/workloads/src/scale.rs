@@ -22,12 +22,12 @@
 
 use crate::chaos::{origin_prefix, ChaosTopology};
 use peering_bgp::{
-    Action, Asn, BgpMessage, Community, Match, Output, PeerConfig, PeerId, Policy, Prefix, Speaker,
-    SpeakerConfig,
+    digest_routes, Action, Asn, BgpMessage, Community, Match, Output, PeerConfig, PeerId, Policy,
+    Prefix, Speaker, SpeakerConfig,
 };
 use peering_netsim::{
     run_parallel, run_parallel_profiled, run_sequential, run_sequential_profiled, EngineNode,
-    EngineProfile, EngineRun, NodeId, Outbox, ProfileConfig, SimDuration, SimTime,
+    EngineProfile, EngineRun, Fnv1a, NodeId, Outbox, ProfileConfig, SimDuration, SimTime,
 };
 use peering_topology::{AsIdx, Internet, Relationship};
 use std::collections::BTreeSet;
@@ -457,32 +457,9 @@ impl EngineNode for BgpNode {
     }
 
     fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |s: &str| {
-            for byte in s.bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
-        let mut lines: Vec<String> = self
-            .speaker
-            .loc_rib()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
-                    r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
-                )
-            })
-            .collect();
-        lines.sort();
-        for line in &lines {
-            mix(line);
-            mix(";");
-        }
-        hash
+        let mut h = Fnv1a::legacy();
+        digest_routes(&mut h, self.speaker.loc_rib().iter());
+        h.finish()
     }
 }
 
