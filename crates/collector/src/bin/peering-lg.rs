@@ -13,57 +13,28 @@
 //! renders the propagation tree of AS65001's announcement. Same seed,
 //! same answer, bit for bit.
 
-use peering_bgp::{Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
+use peering_bgp::{Asn, Prefix};
 use peering_collector::{Collector, LookingGlass};
-use peering_emulation::{Container, Emulation};
-use peering_netsim::{LinkParams, SimRng};
-use std::net::Ipv4Addr;
+use peering_emulation::{flat_mesh, Emulation};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: peering-lg [--seed N] [--nodes N] <show|trace|convergence> <prefix>
        (node i originates 10.60.i.0/24; default 5 nodes, seed 42)";
 
 /// Build the demo ring, collector attached, run to convergence.
-fn build_ring(nodes: usize, seed: u64) -> (Emulation, Collector) {
-    let mut emu = Emulation::new(SimRng::new(seed).fork("lg-ring"));
-    let idx: Vec<usize> = (0..nodes)
-        .map(|i| {
-            let retry = SimRng::new(seed).fork(&format!("retry/{i}")).seed();
-            emu.add_container(Container::router(
-                &format!("r{i}"),
-                Speaker::new(
-                    SpeakerConfig::new(
-                        Asn(65001 + i as u32),
-                        Ipv4Addr::new(10, 0, (i >> 8) as u8, (i & 0xff) as u8),
-                    )
-                    .with_connect_retry(ConnectRetryConfig::new(retry)),
-                ),
-            ))
-        })
-        .collect();
-    let mut next_peer = vec![0u32; nodes];
-    for a in 0..nodes {
-        let b = (a + 1) % nodes;
-        emu.link(idx[a], idx[b], LinkParams::default());
-        let pa = PeerId(next_peer[a]);
-        let pb = PeerId(next_peer[b]);
-        next_peer[a] += 1;
-        next_peer[b] += 1;
-        emu.connect_bgp(
-            idx[a],
-            PeerConfig::new(pa, Asn(65001 + b as u32)),
-            idx[b],
-            PeerConfig::new(pb, Asn(65001 + a as u32)).passive(),
-        );
-    }
+fn collected_ring(nodes: usize, seed: u64) -> (Emulation, Collector) {
+    let edges: Vec<(usize, usize)> = (0..nodes).map(|a| (a, (a + 1) % nodes)).collect();
+    let mut emu = flat_mesh("lg-ring", nodes, &edges, seed);
     let mut collector = Collector::new();
     for i in 0..nodes {
         collector.add_vantage(Asn(65001 + i as u32));
     }
     collector.attach(&mut emu);
     emu.start_all();
-    for (i, &n) in idx.iter().enumerate() {
-        emu.originate(n, Prefix::v4(10, 60, i as u8, 0, 24));
+    for i in 0..nodes {
+        emu.control(i, |d, now| {
+            d.originate(Prefix::v4(10, 60, i as u8, 0, 24), now)
+        });
     }
     emu.run_until_quiet(usize::MAX);
     (emu, collector)
@@ -103,7 +74,7 @@ fn run() -> Result<String, String> {
         .parse()
         .map_err(|e| format!("bad prefix {prefix:?}: {e}"))?;
 
-    let (emu, collector) = build_ring(nodes, seed);
+    let (emu, collector) = collected_ring(nodes, seed);
     let lg = LookingGlass::new(&emu, &collector);
     match command.as_str() {
         "show" => Ok(lg.show_route(prefix)),

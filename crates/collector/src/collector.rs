@@ -239,47 +239,24 @@ pub fn dump_timestamp(now: SimTime) -> u32 {
 mod tests {
     use super::*;
     use crate::mrt::{decode_all, MRT_TYPE_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE};
-    use peering_bgp::{ConnectRetryConfig, PeerConfig, Prefix, SpeakerConfig};
-    use peering_emulation::Container;
-    use peering_netsim::{LinkParams, SimRng};
+    use peering_bgp::Prefix;
+    use peering_emulation::flat_mesh;
 
     /// A 3-node line: r0 — r1 — r2, each originating one prefix.
-    fn line_emulation(seed: u64) -> Emulation {
-        let mut emu = Emulation::new(SimRng::new(seed));
-        let nodes: Vec<usize> = (0..3)
-            .map(|i| {
-                let retry = SimRng::new(seed).fork(&format!("retry/{i}")).seed();
-                emu.add_container(Container::router(
-                    &format!("r{i}"),
-                    Speaker::new(
-                        SpeakerConfig::new(
-                            Asn(65001 + i as u32),
-                            Ipv4Addr::new(10, 0, 0, 1 + i as u8),
-                        )
-                        .with_connect_retry(ConnectRetryConfig::new(retry)),
-                    ),
-                ))
-            })
-            .collect();
-        for (a, b) in [(0usize, 1usize), (1, 2)] {
-            emu.link(nodes[a], nodes[b], LinkParams::default());
-            emu.connect_bgp(
-                nodes[a],
-                PeerConfig::new(PeerId(if a == 1 { 1 } else { 0 }), Asn(65001 + b as u32)),
-                nodes[b],
-                PeerConfig::new(PeerId(0), Asn(65001 + a as u32)).passive(),
-            );
-        }
+    fn line(seed: u64) -> Emulation {
+        let mut emu = flat_mesh("line", 3, &[(0, 1), (1, 2)], seed);
         emu.start_all();
-        for (i, &n) in nodes.iter().enumerate() {
-            emu.originate(n, Prefix::v4(10, 60, i as u8, 0, 24));
+        for i in 0..3 {
+            emu.control(i, |d, now| {
+                d.originate(Prefix::v4(10, 60, i as u8, 0, 24), now)
+            });
         }
         emu
     }
 
     #[test]
     fn attached_collector_archives_the_vantage_feed() {
-        let mut emu = line_emulation(5);
+        let mut emu = line(5);
         let mut collector = Collector::new();
         collector.add_vantage(Asn(65003));
         collector.attach(&mut emu);
@@ -291,7 +268,7 @@ mod tests {
         assert!(feed.iter().all(|m| m.peer_asn == Asn(65002)));
         assert!(feed
             .iter()
-            .all(|m| m.local_ip == Ipv4Addr::new(10, 0, 0, 3)));
+            .all(|m| m.local_ip == Ipv4Addr::new(10, 0, 0, 2)));
         // Delivery-ordered.
         assert!(feed.windows(2).all(|w| w[0].time <= w[1].time));
 
@@ -306,7 +283,7 @@ mod tests {
     #[test]
     fn archives_are_byte_deterministic_across_runs() {
         let build = || {
-            let mut emu = line_emulation(5);
+            let mut emu = line(5);
             let mut c = Collector::new();
             c.add_vantage(Asn(65001));
             c.attach(&mut emu);
@@ -321,7 +298,7 @@ mod tests {
 
     #[test]
     fn rib_dump_covers_the_loc_rib() {
-        let mut emu = line_emulation(9);
+        let mut emu = line(9);
         let mut collector = Collector::new();
         collector.attach(&mut emu);
         emu.run_until_quiet(usize::MAX);
@@ -351,7 +328,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_archive_sizes() {
-        let mut emu = line_emulation(3);
+        let mut emu = line(3);
         let telemetry = Telemetry::new();
         let mut collector = Collector::new().with_telemetry(telemetry.clone());
         collector.attach(&mut emu);

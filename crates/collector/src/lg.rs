@@ -166,51 +166,24 @@ impl<'a> LookingGlass<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peering_bgp::{ConnectRetryConfig, PeerConfig, SpeakerConfig};
-    use peering_emulation::Container;
-    use peering_netsim::{LinkParams, SimRng};
-    use std::net::Ipv4Addr;
+    use peering_emulation::flat_mesh;
 
-    /// r0 — r1 — r2 line; r0 originates, then withdraws and re-announces.
-    fn collected_line() -> (Emulation, Collector, Prefix) {
-        let mut emu = Emulation::new(SimRng::new(7));
-        let nodes: Vec<usize> = (0..3)
-            .map(|i| {
-                let retry = SimRng::new(7).fork(&format!("retry/{i}")).seed();
-                emu.add_container(Container::router(
-                    &format!("r{i}"),
-                    Speaker::new(
-                        SpeakerConfig::new(
-                            Asn(65001 + i as u32),
-                            Ipv4Addr::new(10, 0, 0, 1 + i as u8),
-                        )
-                        .with_connect_retry(ConnectRetryConfig::new(retry)),
-                    ),
-                ))
-            })
-            .collect();
-        for (a, b) in [(0usize, 1usize), (1, 2)] {
-            emu.link(nodes[a], nodes[b], LinkParams::default());
-            emu.connect_bgp(
-                nodes[a],
-                PeerConfig::new(PeerId(if a == 1 { 1 } else { 0 }), Asn(65001 + b as u32)),
-                nodes[b],
-                PeerConfig::new(PeerId(0), Asn(65001 + a as u32)).passive(),
-            );
-        }
+    /// r0 — r1 — r2 line, collected from AS65003; r0 originates.
+    fn collected() -> (Emulation, Collector, Prefix) {
+        let mut emu = flat_mesh("line", 3, &[(0, 1), (1, 2)], 7);
         let mut collector = Collector::new();
         collector.add_vantage(Asn(65003));
         collector.attach(&mut emu);
         emu.start_all();
         let prefix = Prefix::v4(10, 60, 0, 0, 24);
-        emu.originate(nodes[0], prefix);
+        emu.control(0, |d, now| d.originate(prefix, now));
         emu.run_until_quiet(usize::MAX);
         (emu, collector, prefix)
     }
 
     #[test]
     fn show_route_reports_every_as() {
-        let (emu, collector, prefix) = collected_line();
+        let (emu, collector, prefix) = collected();
         let lg = LookingGlass::new(&emu, &collector);
         let out = lg.show_route(prefix);
         assert!(out.contains("AS65001: path [] via local origination"));
@@ -221,7 +194,7 @@ mod tests {
 
     #[test]
     fn show_route_handles_unknown_prefix() {
-        let (emu, collector, _) = collected_line();
+        let (emu, collector, _) = collected();
         let lg = LookingGlass::new(&emu, &collector);
         let out = lg.show_route(Prefix::v4(10, 99, 0, 0, 24));
         assert!(out.contains("not installed anywhere"));
@@ -229,7 +202,7 @@ mod tests {
 
     #[test]
     fn trace_renders_the_propagation_tree() {
-        let (emu, collector, prefix) = collected_line();
+        let (emu, collector, prefix) = collected();
         let lg = LookingGlass::new(&emu, &collector);
         let out = lg.trace(prefix);
         assert!(out.contains("10.60.0.0/24 announce trace t65001-0 origin AS65001"));
@@ -241,7 +214,7 @@ mod tests {
 
     #[test]
     fn convergence_timeline_summarizes() {
-        let (emu, collector, prefix) = collected_line();
+        let (emu, collector, prefix) = collected();
         let lg = LookingGlass::new(&emu, &collector);
         let out = lg.convergence(prefix);
         assert!(out.contains("AS65001 announces 10.60.0.0/24"));
@@ -251,7 +224,7 @@ mod tests {
 
     #[test]
     fn unknown_prefix_has_no_trace() {
-        let (emu, collector, _) = collected_line();
+        let (emu, collector, _) = collected();
         let lg = LookingGlass::new(&emu, &collector);
         assert!(lg
             .trace(Prefix::v4(10, 99, 0, 0, 24))

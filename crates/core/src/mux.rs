@@ -402,13 +402,16 @@ impl MuxHarness {
 
     /// Originate `prefix` at upstream `u` and run to convergence.
     pub fn announce_from_upstream(&mut self, u: usize, prefix: Prefix) {
-        self.emu.originate(self.upstream_nodes[u], prefix);
+        self.emu
+            .control(self.upstream_nodes[u], |d, now| d.originate(prefix, now));
         self.emu.run_until_quiet(usize::MAX);
     }
 
     /// Withdraw `prefix` at upstream `u` and run to convergence.
     pub fn withdraw_from_upstream(&mut self, u: usize, prefix: Prefix) {
-        self.emu.withdraw(self.upstream_nodes[u], prefix);
+        self.emu.control(self.upstream_nodes[u], |d, now| {
+            d.withdraw_origin(prefix, now)
+        });
         self.emu.run_until_quiet(usize::MAX);
     }
 
@@ -427,8 +430,14 @@ impl MuxHarness {
         };
         if verdict.admitted() {
             match change {
-                RouteChange::Announce(prefix) => self.emu.originate(self.client_nodes[c], prefix),
-                RouteChange::Withdraw(prefix) => self.emu.withdraw(self.client_nodes[c], prefix),
+                RouteChange::Announce(prefix) => self
+                    .emu
+                    .control(self.client_nodes[c], |d, now| d.originate(prefix, now)),
+                RouteChange::Withdraw(prefix) => {
+                    self.emu.control(self.client_nodes[c], |d, now| {
+                        d.withdraw_origin(prefix, now)
+                    })
+                }
             }
             self.emu.run_until_quiet(usize::MAX);
         }
@@ -702,15 +711,20 @@ impl MuxHarness {
             let peer = self.client_peer(c);
             for m in self.mux_nodes.clone() {
                 if quarantine {
-                    self.emu.set_peer_import(m, peer, Policy::reject_all());
-                    self.emu
-                        .set_peer_export_grouping(m, peer, ExportGrouping::Solo);
+                    self.emu.control(m, |d, now| {
+                        d.set_peer_import(peer, Policy::reject_all(), now)
+                    });
+                    self.emu.control(m, |d, now| {
+                        d.set_peer_export_grouping(peer, ExportGrouping::Solo, now)
+                    });
                 } else {
-                    self.emu
-                        .set_peer_import(m, peer, self.client_import.clone());
-                    self.emu
-                        .set_peer_export_grouping(m, peer, ExportGrouping::Auto);
-                    self.emu.request_refresh(m, peer);
+                    self.emu.control(m, |d, now| {
+                        d.set_peer_import(peer, self.client_import.clone(), now)
+                    });
+                    self.emu.control(m, |d, now| {
+                        d.set_peer_export_grouping(peer, ExportGrouping::Auto, now)
+                    });
+                    self.emu.control(m, |d, _| d.request_refresh(peer));
                 }
             }
             self.quarantine_applied[c] = quarantine;
@@ -992,7 +1006,8 @@ mod tests {
         );
         // Clean time paroles the client; ROUTE-REFRESH restores the
         // table it still holds on its side.
-        h.emu.originate(h.client_nodes[0], abuser);
+        h.emu
+            .control(h.client_nodes[0], |d, now| d.originate(abuser, now));
         h.emu.run_until_quiet(usize::MAX);
         assert!(!h.mux_has_route(&abuser), "still quarantined");
         let mut plan = FaultPlan::new();

@@ -1,4 +1,5 @@
-//! Build an emulation from a Topology-Zoo PoP map.
+//! Build an emulation: from a Topology-Zoo PoP map ([`build_from_pops`])
+//! or as a flat mesh of small ASes ([`flat_mesh`]).
 //!
 //! §4.2's shape: one routing engine per PoP, one prefix per PoP, sessions
 //! between adjacent PoPs, and the Amsterdam PoP connected out to AMS-IX.
@@ -10,7 +11,7 @@
 use crate::container::Container;
 use crate::emulation::{Emulation, ExternalHandle};
 use crate::igp::Spf;
-use peering_bgp::{Asn, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
+use peering_bgp::{Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
 use peering_netsim::{LinkParams, SimDuration, SimRng};
 use peering_topology::PopTopology;
 use std::net::Ipv4Addr;
@@ -73,6 +74,55 @@ pub fn build_from_pops(topo: &PopTopology, base_asn: u32, seed: u64) -> PopEmula
     }
 }
 
+/// How long graceful restart retains a crashed neighbor's paths in a
+/// [`flat_mesh`].
+const MESH_RESTART_TIME: SimDuration = SimDuration::from_secs(120);
+
+/// The one flat-mesh builder — what the chaos campaign, the looking
+/// glass and the collector tests all run on: `nodes` single-router ASes
+/// joined along `edges`, nothing started yet. Container `i` is router
+/// `r{i}`, AS 65001+i, router id `10.0.(i>>8).(i&0xff)`, armed with a
+/// ConnectRetry stream seeded from the `retry/{i}` fork of `seed` so
+/// nothing stays down for good; the transport's RNG is the `label` fork.
+/// Each edge gets a default link and one graceful-restart-capable eBGP
+/// session — the lower index connects, the higher listens — with
+/// `PeerId`s handed out per node in edge order.
+pub fn flat_mesh(label: &str, nodes: usize, edges: &[(usize, usize)], seed: u64) -> Emulation {
+    assert!((2..=200).contains(&nodes), "topology size out of range");
+    let mut emu = Emulation::new(SimRng::new(seed).fork(label));
+    for i in 0..nodes {
+        let retry_seed = SimRng::new(seed).fork(&format!("retry/{i}")).seed();
+        emu.add_container(Container::router(
+            &format!("r{i}"),
+            Speaker::new(
+                SpeakerConfig::new(
+                    Asn(65001 + i as u32),
+                    Ipv4Addr::new(10, 0, (i >> 8) as u8, (i & 0xff) as u8),
+                )
+                .with_connect_retry(ConnectRetryConfig::new(retry_seed)),
+            ),
+        ));
+    }
+    let mut next_peer = vec![0u32; nodes];
+    for &(a, b) in edges {
+        emu.link(a, b, LinkParams::default());
+        let pa = PeerId(next_peer[a]);
+        let pb = PeerId(next_peer[b]);
+        next_peer[a] += 1;
+        next_peer[b] += 1;
+        // Both ends keep the other's paths across restarts.
+        emu.connect_bgp(
+            a,
+            PeerConfig::new(pa, Asn(65001 + b as u32)).graceful_restart(MESH_RESTART_TIME),
+            b,
+            PeerConfig::new(pb, Asn(65001 + a as u32))
+                .passive()
+                .graceful_restart(MESH_RESTART_TIME),
+        );
+    }
+    emu
+}
+
 impl PopEmulation {
     /// Bring all sessions up and originate each PoP's prefix.
     /// Returns the number of deliveries processed to convergence.
@@ -80,7 +130,8 @@ impl PopEmulation {
         self.emu.start_all();
         let mut steps = self.emu.run_until_quiet(step_limit);
         for (i, &r) in self.routers.iter().enumerate() {
-            self.emu.originate(r, self.prefixes[i]);
+            self.emu
+                .control(r, |d, now| d.originate(self.prefixes[i], now));
         }
         steps += self.emu.run_until_quiet(step_limit);
         steps

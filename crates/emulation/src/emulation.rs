@@ -63,7 +63,10 @@ pub struct Emulation {
     crashed: std::collections::BTreeMap<usize, Speaker>,
     /// Resource model used for memory accounting.
     pub resources: ResourceModel,
-    /// Log of speaker events `(time, container, event)`.
+    /// The session log `(time, container, event)`: every
+    /// [`SpeakerEvent::PeerUp`] and [`SpeakerEvent::PeerDown`] a hosted
+    /// daemon raised, and nothing else — it grows with session flaps,
+    /// never with route changes.
     pub events: Vec<(SimTime, usize, SpeakerEvent)>,
     /// Telemetry sink; disabled unless attached with
     /// [`set_telemetry`](Self::set_telemetry).
@@ -93,18 +96,31 @@ impl Emulation {
         }
     }
 
+    /// The one daemon lookup: a container's daemon and whether it is
+    /// running. A daemon that [`crash_daemon`](Self::crash_daemon) took
+    /// down is still found — stashed in `crashed`, with its configuration
+    /// and no transport — so callers decide what may reach it.
+    fn daemon_slot(&mut self, idx: usize) -> Option<(&mut Speaker, bool)> {
+        match self.containers[idx].daemon.as_mut() {
+            Some(d) => Some((d, true)),
+            None => self.crashed.get_mut(&idx).map(|d| (d, false)),
+        }
+    }
+
+    /// Run `f` on every hosted daemon, running or crashed.
+    fn each_daemon(&mut self, mut f: impl FnMut(&mut Speaker)) {
+        for idx in 0..self.containers.len() {
+            if let Some((d, _)) = self.daemon_slot(idx) {
+                f(d);
+            }
+        }
+    }
+
     /// Attach a telemetry handle to the emulation and every hosted daemon
     /// (including any currently crashed ones, whose stashed state comes
     /// back on restart). Containers added later inherit the handle.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        for c in &mut self.containers {
-            if let Some(d) = c.daemon.as_mut() {
-                d.set_telemetry(telemetry.clone());
-            }
-        }
-        for d in self.crashed.values_mut() {
-            d.set_telemetry(telemetry.clone());
-        }
+        self.each_daemon(|d| d.set_telemetry(telemetry.clone()));
         self.telemetry = telemetry;
     }
 
@@ -117,14 +133,7 @@ impl Emulation {
     /// (including any currently crashed ones). Containers added later
     /// inherit the handle, so one shared log sees the whole run.
     pub fn set_provenance(&mut self, provenance: ProvenanceLog) {
-        for c in &mut self.containers {
-            if let Some(d) = c.daemon.as_mut() {
-                d.set_provenance(provenance.clone());
-            }
-        }
-        for d in self.crashed.values_mut() {
-            d.set_provenance(provenance.clone());
-        }
+        self.each_daemon(|d| d.set_provenance(provenance.clone()));
         self.provenance = provenance;
     }
 
@@ -176,19 +185,19 @@ impl Emulation {
     }
 
     /// Add a container, returning its index.
-    pub fn add_container(&mut self, mut c: Container) -> usize {
-        if self.telemetry.is_enabled() {
-            if let Some(d) = c.daemon.as_mut() {
-                d.set_telemetry(self.telemetry.clone());
-            }
-        }
-        if self.provenance.is_enabled() {
-            if let Some(d) = c.daemon.as_mut() {
-                d.set_provenance(self.provenance.clone());
-            }
-        }
+    pub fn add_container(&mut self, c: Container) -> usize {
+        let idx = self.containers.len();
         self.containers.push(c);
-        self.containers.len() - 1
+        let (telemetry, provenance) = (self.telemetry.clone(), self.provenance.clone());
+        if let Some((d, _)) = self.daemon_slot(idx) {
+            if telemetry.is_enabled() {
+                d.set_telemetry(telemetry);
+            }
+            if provenance.is_enabled() {
+                d.set_provenance(provenance);
+            }
+        }
+        idx
     }
 
     /// Number of containers.
@@ -222,54 +231,33 @@ impl Emulation {
         self.net.set_link_up(NodeId(a as u32), NodeId(b as u32), up);
     }
 
+    /// Install `cfg` on container `idx`'s daemon and record where the
+    /// session's far end lives. Panics if the container has no daemon.
+    fn add_session(&mut self, idx: usize, cfg: PeerConfig, end: SessionEnd) {
+        self.sessions.insert((idx, cfg.id), end);
+        let (daemon, _) = self.daemon_slot(idx).expect("container has a daemon");
+        daemon.add_peer(cfg);
+    }
+
     /// Configure a BGP session between two router containers that share a
     /// link. `a_cfg` is installed on `a` (its view of `b`) and vice versa.
     ///
     /// Panics if either container has no daemon.
     pub fn connect_bgp(&mut self, a: usize, a_cfg: PeerConfig, b: usize, b_cfg: PeerConfig) {
-        let a_peer = a_cfg.id;
-        let b_peer = b_cfg.id;
-        self.containers[a]
-            .daemon
-            .as_mut()
-            .expect("container a has a daemon")
-            .add_peer(a_cfg);
-        self.containers[b]
-            .daemon
-            .as_mut()
-            .expect("container b has a daemon")
-            .add_peer(b_cfg);
-        self.sessions.insert(
-            (a, a_peer),
-            SessionEnd::Internal {
-                container: b,
-                peer: b_peer,
-            },
-        );
-        self.sessions.insert(
-            (b, b_peer),
-            SessionEnd::Internal {
-                container: a,
-                peer: a_peer,
-            },
-        );
+        let (a_peer, b_peer) = (a_cfg.id, b_cfg.id);
+        let end = |container, peer| SessionEnd::Internal { container, peer };
+        self.add_session(a, a_cfg, end(b, b_peer));
+        self.add_session(b, b_cfg, end(a, a_peer));
     }
 
     /// Configure a session from `container` to an external party.
     /// Messages the daemon emits on this session queue on the returned
     /// handle; inject replies with [`inject_external`](Self::inject_external).
     pub fn add_external_session(&mut self, container: usize, cfg: PeerConfig) -> ExternalHandle {
-        let peer = cfg.id;
-        self.containers[container]
-            .daemon
-            .as_mut()
-            .expect("container has a daemon")
-            .add_peer(cfg);
         let h = ExternalHandle(self.external_out.len());
         self.external_out.push(Vec::new());
-        self.external_home.push((container, peer));
-        self.sessions
-            .insert((container, peer), SessionEnd::External(h));
+        self.external_home.push((container, cfg.id));
+        self.add_session(container, cfg, SessionEnd::External(h));
         h
     }
 
@@ -277,7 +265,13 @@ impl Emulation {
         let now = self.net.now();
         for out in outputs {
             match out {
-                Output::Event(ev) => self.events.push((now, from, ev)),
+                Output::Event(ev @ (SpeakerEvent::PeerUp(_) | SpeakerEvent::PeerDown(..))) => {
+                    self.events.push((now, from, ev));
+                }
+                // Per-route events are the daemons' telemetry and
+                // provenance to report; logging them here would grow the
+                // host with every route change for ever.
+                Output::Event(_) => {}
                 Output::Send(peer, msg) => {
                     match self.sessions.get(&(from, peer)) {
                         Some(SessionEnd::Internal {
@@ -307,18 +301,46 @@ impl Emulation {
         }
     }
 
-    /// Start every configured session on a container.
-    pub fn start_container(&mut self, idx: usize) {
+    /// The one control entry: run `f` on container `idx`'s daemon at the
+    /// current simulated time and route what it returns (messages onto
+    /// the emulated wire, session events into [`events`](Self::events)).
+    /// Every `Speaker` method that returns `Vec<Output>` is driven this
+    /// way, e.g. `emu.control(i, |d, now| d.originate(prefix, now))`.
+    ///
+    /// Configuration reaches a daemon whether it is running or crashed:
+    /// a crashed daemon keeps its configuration for the restart, so `f`
+    /// still runs on it, but it has no transport, so its outputs are
+    /// dropped. A container without a daemon is skipped.
+    pub fn control(&mut self, idx: usize, f: impl FnOnce(&mut Speaker, SimTime) -> Vec<Output>) {
         let now = self.net.now();
-        let Some(daemon) = self.containers[idx].daemon.as_mut() else {
+        let Some((daemon, running)) = self.daemon_slot(idx) else {
             return;
         };
-        let peers: Vec<PeerId> = daemon.peer_ids().collect();
-        let mut outputs = Vec::new();
-        for p in peers {
-            outputs.extend(daemon.start_peer(p, now));
+        let outputs = f(daemon, now);
+        if running {
+            self.route_outputs(idx, outputs);
         }
-        self.route_outputs(idx, outputs);
+    }
+
+    /// [`control`](Self::control) for what arrives over the transport —
+    /// deliveries, timers, connection starts and resets: these reach a
+    /// running daemon only, never one stashed by a crash.
+    fn on_running(&mut self, idx: usize, f: impl FnOnce(&mut Speaker, SimTime) -> Vec<Output>) {
+        if self.containers[idx].daemon.is_some() {
+            self.control(idx, f);
+        }
+    }
+
+    /// Start every configured session on a container.
+    pub fn start_container(&mut self, idx: usize) {
+        self.on_running(idx, |daemon, now| {
+            let peers: Vec<PeerId> = daemon.peer_ids().collect();
+            let mut outputs = Vec::new();
+            for p in peers {
+                outputs.extend(daemon.start_peer(p, now));
+            }
+            outputs
+        });
     }
 
     /// Start every session on every container.
@@ -328,124 +350,11 @@ impl Emulation {
         }
     }
 
-    /// Originate a prefix from a container's daemon.
-    pub fn originate(&mut self, idx: usize, prefix: peering_netsim::Prefix) {
-        let now = self.net.now();
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .originate(prefix, now);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Administratively stop one BGP session on a container, routing the
-    /// resulting messages (Cease toward the peer, withdrawals toward
-    /// everyone else) through the emulated network.
-    pub fn stop_peer(&mut self, idx: usize, peer: PeerId) {
-        let now = self.net.now();
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .stop_peer(peer, now);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Withdraw a locally originated prefix from a container's daemon.
-    pub fn withdraw(&mut self, idx: usize, prefix: peering_netsim::Prefix) {
-        let now = self.net.now();
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .withdraw_origin(prefix, now);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Swap the import policy a container's daemon applies on `peer` and
-    /// re-filter what that peer already advertised, routing any resulting
-    /// withdrawals through the network. The containment engine uses this
-    /// to quarantine (and later reinstate) a client session.
-    pub fn set_peer_import(&mut self, idx: usize, peer: PeerId, policy: peering_bgp::Policy) {
-        let now = self.net.now();
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .set_peer_import(peer, policy, now);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Re-resolve the export peer-group a container's daemon places
-    /// `peer` in, routing any resync deltas through the network. The
-    /// containment engine uses this to split a quarantined client out of
-    /// its shared export group (and to rejoin it on parole) without
-    /// touching the group-mates' copy-on-write Adj-RIB-Out.
-    pub fn set_peer_export_grouping(
-        &mut self,
-        idx: usize,
-        peer: PeerId,
-        grouping: peering_bgp::ExportGrouping,
-    ) {
-        let now = self.net.now();
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .set_peer_export_grouping(peer, grouping, now);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Flip the administrative state of `peer` on a container's daemon.
-    /// Disabling tears the session down and pins it down — daemon
-    /// restarts and retry timers will not resurrect it — which is what
-    /// lets a migration plan's `SessionDown` survive a chaos
-    /// crash/restart fault mid-plan. Enabling starts the session.
-    pub fn set_peer_enabled(&mut self, idx: usize, peer: PeerId, enabled: bool) {
-        let now = self.net.now();
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .set_peer_enabled(peer, enabled, now);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Swap the export policy a container's daemon applies toward
-    /// `peer`, routing the resync delta (exactly the routes whose
-    /// export verdict changed) through the network.
-    pub fn set_peer_export(&mut self, idx: usize, peer: PeerId, policy: peering_bgp::Policy) {
-        let now = self.net.now();
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .set_peer_export(peer, policy, now);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Ask `peer` to re-advertise its table (RFC 2918 ROUTE-REFRESH),
-    /// routing the request through the network.
-    pub fn request_refresh(&mut self, idx: usize, peer: PeerId) {
-        let outputs = self.containers[idx]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .request_refresh(peer);
-        self.route_outputs(idx, outputs);
-    }
-
-    /// Inject a message arriving from outside on an external session.
+    /// Inject a message arriving from outside on an external session; a
+    /// crashed daemon's transport is gone, so the message is dropped.
     pub fn inject_external(&mut self, h: ExternalHandle, msg: BgpMessage) {
         let (container, peer) = self.external_home[h.0];
-        let now = self.net.now();
-        let outputs = self.containers[container]
-            .daemon
-            .as_mut()
-            .expect("daemon")
-            .on_message(peer, msg, now);
-        self.route_outputs(container, outputs);
+        self.on_running(container, |daemon, now| daemon.on_message(peer, msg, now));
     }
 
     /// Drain messages the emulation wants to send out on a handle.
@@ -456,7 +365,6 @@ impl Emulation {
     /// Deliver one BGP message to a container's daemon, honoring any
     /// pending corruption marker for the `(from, to)` pair.
     fn deliver_bgp(&mut self, from: usize, to: usize, to_peer: PeerId, msg: BgpMessage) {
-        let now = self.net.now();
         let corrupted = self.corrupt_next.remove(&(from, to));
         if corrupted {
             self.telemetry
@@ -472,49 +380,73 @@ impl Emulation {
             self.telemetry
                 .counter_inc("emulation.net.corrupt_attr_deliveries");
         }
-        let Some(daemon) = self.containers[to].daemon.as_mut() else {
-            return;
-        };
-        let outputs = if corrupted {
-            daemon.on_corrupt_message(to_peer, now)
-        } else if corrupt_attrs {
-            let BgpMessage::Update(update) = msg else {
-                unreachable!("corrupt_attrs implies an UPDATE payload");
-            };
-            daemon.on_malformed_update(to_peer, update, now)
-        } else {
-            daemon.on_message(to_peer, msg, now)
-        };
-        self.route_outputs(to, outputs);
+        self.on_running(to, |daemon, now| {
+            if corrupted {
+                daemon.on_corrupt_message(to_peer, now)
+            } else if corrupt_attrs {
+                let BgpMessage::Update(update) = msg else {
+                    unreachable!("corrupt_attrs implies an UPDATE payload");
+                };
+                daemon.on_malformed_update(to_peer, update, now)
+            } else {
+                daemon.on_message(to_peer, msg, now)
+            }
+        });
     }
 
-    /// Process one in-flight delivery. Returns `false` when idle.
-    pub fn step(&mut self) -> bool {
-        let Some((_now, delivery)) = self.net.next() else {
-            return false;
-        };
-        match delivery.msg {
-            Payload::Tick => self.tick_all(),
-            Payload::Bgp { to_peer, msg } => {
-                self.deliver_bgp(
-                    delivery.from.0 as usize,
-                    delivery.to.0 as usize,
-                    to_peer,
-                    msg,
-                );
+    /// The one delivery loop: pop and dispatch in-flight deliveries until
+    /// idle or `limit`, returning how many were processed. A tick applies
+    /// `plan`'s due faults, runs every daemon's timers, and re-arms itself
+    /// `tick_every` later while `until` lies ahead or `plan` has actions
+    /// left.
+    fn drain(
+        &mut self,
+        plan: &mut FaultPlan,
+        until: SimTime,
+        tick_every: SimDuration,
+        limit: usize,
+    ) -> usize {
+        let mut steps = 0;
+        while steps < limit {
+            let Some((now, delivery)) = self.net.next() else {
+                break;
+            };
+            steps += 1;
+            match delivery.msg {
+                Payload::Tick => {
+                    for action in plan.due(now) {
+                        self.apply_fault(action);
+                    }
+                    self.tick_all();
+                    if now < until || !plan.exhausted() {
+                        self.net.set_timer(NodeId(0), tick_every, Payload::Tick);
+                    }
+                }
+                Payload::Bgp { to_peer, msg } => {
+                    self.deliver_bgp(
+                        delivery.from.0 as usize,
+                        delivery.to.0 as usize,
+                        to_peer,
+                        msg,
+                    );
+                }
             }
         }
-        true
+        steps
     }
 
     /// Run until no messages are in flight (bounded by `limit` steps).
     /// Returns the number of deliveries processed.
     pub fn run_until_quiet(&mut self, limit: usize) -> usize {
-        let mut steps = 0;
-        while steps < limit && self.step() {
-            steps += 1;
-        }
-        steps
+        // No plan and a horizon already behind: a tick left over from a
+        // `run_with_faults` that hit its limit still runs the timers, but
+        // nothing re-arms it.
+        self.drain(
+            &mut FaultPlan::new(),
+            SimTime::ZERO,
+            SimDuration::ZERO,
+            limit,
+        )
     }
 
     /// Apply one fault action at the current simulated time. Link-level
@@ -568,71 +500,50 @@ impl Emulation {
         }
     }
 
-    /// Tear down every BGP session riding the `a`<->`b` adjacency, on
-    /// both ends, without any message on the wire (TCP reset).
-    pub fn reset_sessions_between(&mut self, a: usize, b: usize) {
-        let now = self.net.now();
+    /// Reset, without any message on the wire (TCP reset), the near end
+    /// `(container, peer)` of every internal session for which
+    /// `hit(container, far_container)` holds.
+    fn reset_ends(&mut self, hit: impl Fn(usize, usize) -> bool) {
         let ends: Vec<(usize, PeerId)> = self
             .sessions
             .iter()
-            .filter_map(|((c, pid), end)| match end {
-                SessionEnd::Internal { container, .. }
-                    if (*c == a && *container == b) || (*c == b && *container == a) =>
-                {
-                    Some((*c, *pid))
-                }
+            .filter_map(|(&(c, pid), end)| match end {
+                SessionEnd::Internal { container, .. } if hit(c, *container) => Some((c, pid)),
                 _ => None,
             })
             .collect();
         for (c, pid) in ends {
-            let Some(daemon) = self.containers[c].daemon.as_mut() else {
-                continue;
-            };
-            let outputs = daemon.reset_peer(pid, now);
-            self.route_outputs(c, outputs);
+            self.on_running(c, |daemon, now| daemon.reset_peer(pid, now));
         }
+    }
+
+    /// Tear down every BGP session riding the `a`<->`b` adjacency, on
+    /// both ends.
+    pub fn reset_sessions_between(&mut self, a: usize, b: usize) {
+        self.reset_ends(|c, far| (c == a && far == b) || (c == b && far == a));
     }
 
     /// Crash the daemon on a container: its volatile state leaves the
     /// emulation (stashed for a later restart) and every far end sees its
     /// transport die.
     pub fn crash_daemon(&mut self, idx: usize) {
-        let now = self.net.now();
         let Some(daemon) = self.containers[idx].daemon.take() else {
             return;
         };
         self.telemetry.counter_inc("emulation.daemon.crashes");
         self.crashed.insert(idx, daemon);
-        let far: Vec<(usize, PeerId)> = self
-            .sessions
-            .iter()
-            .filter_map(|((c, pid), end)| match end {
-                SessionEnd::Internal { container, .. } if *container == idx && *c != idx => {
-                    Some((*c, *pid))
-                }
-                _ => None,
-            })
-            .collect();
-        for (c, pid) in far {
-            let Some(d) = self.containers[c].daemon.as_mut() else {
-                continue;
-            };
-            let outputs = d.reset_peer(pid, now);
-            self.route_outputs(c, outputs);
-        }
+        self.reset_ends(|c, far| far == idx && c != idx);
     }
 
     /// Restart a crashed daemon: configuration and local originations
     /// survived, learned state did not. Sessions restart immediately.
     pub fn restart_daemon(&mut self, idx: usize) {
-        let now = self.net.now();
-        let Some(mut daemon) = self.crashed.remove(&idx) else {
+        let Some(daemon) = self.crashed.remove(&idx) else {
             return;
         };
         self.telemetry.counter_inc("emulation.daemon.restarts");
-        let outputs = daemon.restart(now);
         self.containers[idx].daemon = Some(daemon);
-        self.route_outputs(idx, outputs);
+        self.on_running(idx, |daemon, now| daemon.restart(now));
         self.start_container(idx);
     }
 
@@ -652,46 +563,15 @@ impl Emulation {
         limit: usize,
     ) -> usize {
         assert!(!tick_every.is_zero(), "tick_every must be positive");
-        let mut steps = 0;
         self.net
             .set_timer(NodeId(0), SimDuration::ZERO, Payload::Tick);
-        while steps < limit {
-            let Some((now, delivery)) = self.net.next() else {
-                break;
-            };
-            steps += 1;
-            match delivery.msg {
-                Payload::Tick => {
-                    for action in plan.due(now) {
-                        self.apply_fault(action);
-                    }
-                    self.tick_all();
-                    if now < until || !plan.exhausted() {
-                        self.net.set_timer(NodeId(0), tick_every, Payload::Tick);
-                    }
-                }
-                Payload::Bgp { to_peer, msg } => {
-                    self.deliver_bgp(
-                        delivery.from.0 as usize,
-                        delivery.to.0 as usize,
-                        to_peer,
-                        msg,
-                    );
-                }
-            }
-        }
-        steps
+        self.drain(plan, until, tick_every, limit)
     }
 
     /// Drive every daemon's timers at the current time.
     pub fn tick_all(&mut self) {
-        let now = self.net.now();
         for idx in 0..self.containers.len() {
-            let Some(daemon) = self.containers[idx].daemon.as_mut() else {
-                continue;
-            };
-            let outputs = daemon.tick(now);
-            self.route_outputs(idx, outputs);
+            self.on_running(idx, |daemon, now| daemon.tick(now));
         }
     }
 
@@ -715,42 +595,26 @@ impl Emulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::flat_mesh;
     use peering_bgp::{Asn, Prefix, SpeakerConfig};
     use std::net::Ipv4Addr;
 
-    fn router(name: &str, asn: u32) -> Container {
-        Container::router(
-            name,
-            Speaker::new(SpeakerConfig::new(
-                Asn(asn),
-                Ipv4Addr::new(10, 0, 0, (asn % 250) as u8 + 1),
-            )),
-        )
-    }
-
-    fn two_router_emulation() -> (Emulation, usize, usize) {
-        let mut emu = Emulation::new(SimRng::new(1));
-        let a = emu.add_container(router("a", 65001));
-        let b = emu.add_container(router("b", 65002));
-        emu.link(a, b, LinkParams::default());
-        emu.connect_bgp(
-            a,
-            PeerConfig::new(PeerId(0), Asn(65002)),
-            b,
-            PeerConfig::new(PeerId(0), Asn(65001)).passive(),
-        );
-        (emu, a, b)
+    /// Two routers, `a` (AS65001, connects) and `b` (AS65002, listens),
+    /// in the chaos-ready configuration: sessions reconnect by themselves
+    /// and peers' paths are retained across restarts.
+    fn pair() -> (Emulation, usize, usize) {
+        (flat_mesh("pair", 2, &[(0, 1)], 7), 0, 1)
     }
 
     #[test]
     fn session_establishes_and_routes_flow() {
-        let (mut emu, a, b) = two_router_emulation();
+        let (mut emu, a, b) = pair();
         emu.start_all();
         emu.run_until_quiet(1000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
         let p = Prefix::v4(10, 50, 0, 0, 16);
-        emu.originate(a, p);
+        emu.control(a, |d, now| d.originate(p, now));
         emu.run_until_quiet(1000);
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());
         // PeerUp events were logged for both ends.
@@ -764,28 +628,12 @@ mod tests {
 
     #[test]
     fn chain_propagation_across_three_routers() {
-        let mut emu = Emulation::new(SimRng::new(2));
-        let a = emu.add_container(router("a", 65001));
-        let b = emu.add_container(router("b", 65002));
-        let c = emu.add_container(router("c", 65003));
-        emu.link(a, b, LinkParams::default());
-        emu.link(b, c, LinkParams::default());
-        emu.connect_bgp(
-            a,
-            PeerConfig::new(PeerId(0), Asn(65002)),
-            b,
-            PeerConfig::new(PeerId(0), Asn(65001)).passive(),
-        );
-        emu.connect_bgp(
-            b,
-            PeerConfig::new(PeerId(1), Asn(65003)),
-            c,
-            PeerConfig::new(PeerId(0), Asn(65002)).passive(),
-        );
+        let mut emu = flat_mesh("chain", 3, &[(0, 1), (1, 2)], 2);
+        let (a, c) = (0, 2);
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 60, 0, 0, 16);
-        emu.originate(a, p);
+        emu.control(a, |d, now| d.originate(p, now));
         emu.run_until_quiet(10_000);
         let at_c = emu.daemon(c).unwrap().loc_rib().get(&p).expect("c learned");
         assert_eq!(at_c.attrs.as_path.to_string(), "65002 65001");
@@ -793,7 +641,7 @@ mod tests {
 
     #[test]
     fn external_session_bridges_out() {
-        let (mut emu, a, _b) = two_router_emulation();
+        let (mut emu, a, _b) = pair();
         let h = emu.add_external_session(a, PeerConfig::new(PeerId(9), Asn(47065)));
         emu.start_all();
         emu.run_until_quiet(1000);
@@ -842,12 +690,12 @@ mod tests {
 
     #[test]
     fn telemetry_observes_emulated_session() {
-        let (mut emu, a, _b) = two_router_emulation();
+        let (mut emu, a, _b) = pair();
         let telemetry = Telemetry::new();
         emu.set_telemetry(telemetry.clone());
         emu.start_all();
         emu.run_until_quiet(1000);
-        emu.originate(a, Prefix::v4(10, 50, 0, 0, 16));
+        emu.control(a, |d, now| d.originate(Prefix::v4(10, 50, 0, 0, 16), now));
         emu.run_until_quiet(1000);
         emu.export_net_stats();
         let snap = telemetry.snapshot();
@@ -863,7 +711,7 @@ mod tests {
 
     #[test]
     fn link_down_blocks_messages() {
-        let (mut emu, a, b) = two_router_emulation();
+        let (mut emu, a, b) = pair();
         emu.set_link_up(a, b, false);
         emu.start_all();
         emu.run_until_quiet(1000);
@@ -873,61 +721,35 @@ mod tests {
 
     #[test]
     fn memory_accounting_sums_containers() {
-        let (mut emu, a, _b) = two_router_emulation();
+        let (mut emu, a, _b) = pair();
         let before = emu.total_memory();
         for i in 0..100u32 {
-            emu.originate(a, Prefix::v4(10, 70, i as u8, 0, 24));
+            emu.control(a, |d, now| {
+                d.originate(Prefix::v4(10, 70, i as u8, 0, 24), now)
+            });
         }
         let after = emu.total_memory();
         assert!(after > before);
         let by = emu.memory_by_container();
         assert_eq!(by.len(), 2);
-        assert_eq!(by[0].0, "a");
+        assert_eq!(by[0].0, "r0");
     }
 
     #[test]
     fn run_until_quiet_respects_limit() {
-        let (mut emu, _a, _b) = two_router_emulation();
+        let (mut emu, _a, _b) = pair();
         emu.start_all();
         let steps = emu.run_until_quiet(1);
         assert_eq!(steps, 1);
     }
 
-    /// A router whose sessions reconnect by themselves and whose peers
-    /// are retained across restarts (the chaos-ready configuration).
-    fn resilient_router(name: &str, asn: u32, seed: u64) -> Container {
-        Container::router(
-            name,
-            Speaker::new(
-                SpeakerConfig::new(Asn(asn), Ipv4Addr::new(10, 0, 0, (asn % 250) as u8 + 1))
-                    .with_connect_retry(peering_bgp::ConnectRetryConfig::new(seed)),
-            ),
-        )
-    }
-
-    fn resilient_pair_emulation() -> (Emulation, usize, usize) {
-        let mut emu = Emulation::new(SimRng::new(7));
-        let a = emu.add_container(resilient_router("a", 65001, 1));
-        let b = emu.add_container(resilient_router("b", 65002, 2));
-        emu.link(a, b, LinkParams::default());
-        emu.connect_bgp(
-            a,
-            PeerConfig::new(PeerId(0), Asn(65002)).graceful_restart(SimDuration::from_secs(120)),
-            b,
-            PeerConfig::new(PeerId(0), Asn(65001))
-                .passive()
-                .graceful_restart(SimDuration::from_secs(120)),
-        );
-        (emu, a, b)
-    }
-
     #[test]
     fn session_reset_fault_recovers_via_retry() {
-        let (mut emu, a, b) = resilient_pair_emulation();
+        let (mut emu, a, b) = pair();
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 50, 0, 0, 16);
-        emu.originate(a, p);
+        emu.control(a, |d, now| d.originate(p, now));
         emu.run_until_quiet(10_000);
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());
 
@@ -958,11 +780,11 @@ mod tests {
 
     #[test]
     fn corrupt_message_fault_notifies_and_recovers() {
-        let (mut emu, a, b) = resilient_pair_emulation();
+        let (mut emu, a, b) = pair();
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 51, 0, 0, 16);
-        emu.originate(a, p);
+        emu.control(a, |d, now| d.originate(p, now));
         emu.run_until_quiet(10_000);
 
         // Corrupt the next a->b message, then originate so one flows.
@@ -975,7 +797,7 @@ mod tests {
                 SimTime::from_secs(6),
                 FaultAction::SessionReset(NodeId(a as u32), NodeId(b as u32)),
             );
-        emu.originate(a, Prefix::v4(10, 52, 0, 0, 16));
+        emu.control(a, |d, now| d.originate(Prefix::v4(10, 52, 0, 0, 16), now));
         emu.run_with_faults(
             &mut plan,
             SimTime::from_secs(90),
@@ -989,13 +811,13 @@ mod tests {
 
     #[test]
     fn mux_crash_and_restart_relearns_routes() {
-        let (mut emu, a, b) = resilient_pair_emulation();
+        let (mut emu, a, b) = pair();
         emu.start_all();
         emu.run_until_quiet(10_000);
         let pa = Prefix::v4(10, 53, 0, 0, 16);
         let pb = Prefix::v4(10, 54, 0, 0, 16);
-        emu.originate(a, pa);
-        emu.originate(b, pb);
+        emu.control(a, |d, now| d.originate(pa, now));
+        emu.control(b, |d, now| d.originate(pb, now));
         emu.run_until_quiet(10_000);
         assert!(emu.daemon(a).unwrap().loc_rib().get(&pb).is_some());
 
@@ -1023,12 +845,30 @@ mod tests {
     }
 
     #[test]
+    fn session_log_does_not_grow_with_route_changes() {
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
+        let mut emu = flat_mesh("ring-4", 4, &edges, 1);
+        emu.start_all();
+        emu.run_until_quiet(usize::MAX);
+        let before = emu.events.len();
+        assert_eq!(before, 8, "one PeerUp per session end");
+        let p = Prefix::v4(10, 58, 0, 0, 16);
+        for _ in 0..200 {
+            emu.control(0, |d, now| d.originate(p, now));
+            emu.run_until_quiet(usize::MAX);
+            emu.control(0, |d, now| d.withdraw_origin(p, now));
+            emu.run_until_quiet(usize::MAX);
+        }
+        assert_eq!(emu.events.len(), before);
+    }
+
+    #[test]
     fn partition_and_heal_reconverges() {
-        let (mut emu, a, b) = resilient_pair_emulation();
+        let (mut emu, a, b) = pair();
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 55, 0, 0, 16);
-        emu.originate(a, p);
+        emu.control(a, |d, now| d.originate(p, now));
         emu.run_until_quiet(10_000);
 
         // Partition b long enough for its hold timer (90 s) to expire,
@@ -1055,7 +895,7 @@ mod tests {
 
     #[test]
     fn delay_spike_slows_but_does_not_break() {
-        let (mut emu, a, b) = resilient_pair_emulation();
+        let (mut emu, a, b) = pair();
         emu.start_all();
         emu.run_until_quiet(10_000);
         let mut plan = FaultPlan::new().at(
@@ -1067,7 +907,7 @@ mod tests {
             ),
         );
         let p = Prefix::v4(10, 56, 0, 0, 16);
-        emu.originate(a, p);
+        emu.control(a, |d, now| d.originate(p, now));
         emu.run_with_faults(
             &mut plan,
             SimTime::from_secs(60),

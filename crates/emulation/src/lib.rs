@@ -19,8 +19,9 @@
 //!   discrete-event transport, and *external sessions* that connect an
 //!   emulated router to something outside the emulation (a PEERING
 //!   server).
-//! * [`builder`] — build an emulation from a Topology-Zoo PoP map: one
-//!   router per PoP, iBGP full mesh with IGP costs, one prefix per PoP.
+//! * [`builder`] — build an emulation from a Topology-Zoo PoP map (one
+//!   router per PoP, iBGP full mesh with IGP costs, one prefix per PoP)
+//!   or as a flat mesh of single-router ASes over an edge list.
 //! * [`host`] — placement of containers onto physical hosts with memory
 //!   budgets ("to run even larger topologies... connect MinineXt
 //!   containers across multiple physical hosts").
@@ -31,7 +32,7 @@ pub mod emulation;
 pub mod host;
 pub mod igp;
 
-pub use builder::{build_from_pops, PopEmulation};
+pub use builder::{build_from_pops, flat_mesh, PopEmulation};
 pub use container::{Container, ContainerKind, ResourceModel};
 pub use emulation::{Emulation, ExternalHandle, SessionEnd};
 pub use host::{place_containers, Placement, PlacementError};

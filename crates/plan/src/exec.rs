@@ -207,12 +207,16 @@ impl MigrationTestbed {
         // muxes demonstrably stop importing.
         for u in 0..deploy.upstreams {
             let n = testbed.upstream_node(u);
-            testbed.emu.originate(n, Prefix::v4(11, u as u8, 0, 0, 16));
+            testbed.emu.control(n, |d, now| {
+                d.originate(Prefix::v4(11, u as u8, 0, 0, 16), now)
+            });
         }
         for (c, prefixes) in &current.announced {
             let n = testbed.client_node(*c);
             for p in prefixes {
-                testbed.emu.originate(n, Prefix::V4(*p));
+                testbed
+                    .emu
+                    .control(n, |d, now| d.originate(Prefix::V4(*p), now));
             }
         }
 
@@ -236,8 +240,12 @@ impl MigrationTestbed {
                 // Passive (client) end first, so the mux's connect
                 // attempt finds it listening.
                 let (cn, mn) = (self.client_node(client), self.mux_node(mux));
-                self.emu.set_peer_enabled(cn, PeerId(mux as u32), true);
-                self.emu.set_peer_enabled(mn, PeerId(client as u32), true);
+                self.emu.control(cn, |d, now| {
+                    d.set_peer_enabled(PeerId(mux as u32), true, now)
+                });
+                self.emu.control(mn, |d, now| {
+                    d.set_peer_enabled(PeerId(client as u32), true, now)
+                });
             }
             PlanStep::SessionDown { client, mux } => {
                 t.counter_inc("bgp.plan.session_down");
@@ -245,31 +253,39 @@ impl MigrationTestbed {
                 // runs, so neither end's retry logic resurrects the
                 // session when the other's Cease arrives.
                 let (cn, mn) = (self.client_node(client), self.mux_node(mux));
-                self.emu.set_peer_enabled(mn, PeerId(client as u32), false);
-                self.emu.set_peer_enabled(cn, PeerId(mux as u32), false);
+                self.emu.control(mn, |d, now| {
+                    d.set_peer_enabled(PeerId(client as u32), false, now)
+                });
+                self.emu.control(cn, |d, now| {
+                    d.set_peer_enabled(PeerId(mux as u32), false, now)
+                });
             }
             PlanStep::Announce { client, prefix } => {
                 t.counter_inc("bgp.plan.announce");
-                self.emu
-                    .originate(self.client_node(client), Prefix::V4(prefix));
+                self.emu.control(self.client_node(client), |d, now| {
+                    d.originate(Prefix::V4(prefix), now)
+                });
             }
             PlanStep::Withdraw { client, prefix } => {
                 t.counter_inc("bgp.plan.withdraw");
-                self.emu
-                    .withdraw(self.client_node(client), Prefix::V4(prefix));
+                self.emu.control(self.client_node(client), |d, now| {
+                    d.withdraw_origin(Prefix::V4(prefix), now)
+                });
             }
             PlanStep::SwapImport { client, to } => {
                 t.counter_inc("bgp.plan.import_swaps");
                 let policy = import_policy(&self.safety, to);
                 for m in 0..self.deploy.muxes {
                     let mn = self.mux_node(m);
-                    self.emu
-                        .set_peer_import(mn, PeerId(client as u32), policy.clone());
+                    self.emu.control(mn, |d, now| {
+                        d.set_peer_import(PeerId(client as u32), policy.clone(), now)
+                    });
                     if to == ImportSel::Safety {
                         // Relaxing re-admits nothing by itself: routes
                         // the old policy dropped were never stored.
                         // Ask the client to resend its table.
-                        self.emu.request_refresh(mn, PeerId(client as u32));
+                        self.emu
+                            .control(mn, |d, _| d.request_refresh(PeerId(client as u32)));
                     }
                 }
             }
@@ -280,7 +296,8 @@ impl MigrationTestbed {
                     for u in 0..self.deploy.upstreams {
                         let mn = self.mux_node(mux);
                         let peer = self.upstream_peer(u);
-                        self.emu.set_peer_export(mn, peer, policy.clone());
+                        self.emu
+                            .control(mn, |d, now| d.set_peer_export(peer, policy.clone(), now));
                     }
                 }
                 // A drained mux records the selection only; Undrain
@@ -291,8 +308,12 @@ impl MigrationTestbed {
                 for u in 0..self.deploy.upstreams {
                     let mn = self.mux_node(mux);
                     let peer = self.upstream_peer(u);
-                    self.emu.set_peer_export(mn, peer, Policy::reject_all());
-                    self.emu.set_peer_import(mn, peer, Policy::reject_all());
+                    self.emu.control(mn, |d, now| {
+                        d.set_peer_export(peer, Policy::reject_all(), now)
+                    });
+                    self.emu.control(mn, |d, now| {
+                        d.set_peer_import(peer, Policy::reject_all(), now)
+                    });
                 }
             }
             PlanStep::Undrain { mux } => {
@@ -305,9 +326,12 @@ impl MigrationTestbed {
                 for u in 0..self.deploy.upstreams {
                     let mn = self.mux_node(mux);
                     let peer = self.upstream_peer(u);
-                    self.emu.set_peer_export(mn, peer, export.clone());
-                    self.emu.set_peer_import(mn, peer, Policy::accept_all());
-                    self.emu.request_refresh(mn, peer);
+                    self.emu
+                        .control(mn, |d, now| d.set_peer_export(peer, export.clone(), now));
+                    self.emu.control(mn, |d, now| {
+                        d.set_peer_import(peer, Policy::accept_all(), now)
+                    });
+                    self.emu.control(mn, |d, _| d.request_refresh(peer));
                 }
             }
         }

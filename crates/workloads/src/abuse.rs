@@ -225,7 +225,7 @@ fn drive_abuse(scenario: AbuseScenario, h: &mut MuxHarness) {
             let abuser_node = h.client_node(ABUSER);
             let emu = h.emulation_mut();
             for i in 0..10 {
-                emu.originate(abuser_node, blowup_prefix(i));
+                emu.control(abuser_node, |d, now| d.originate(blowup_prefix(i), now));
             }
             emu.run_until_quiet(usize::MAX);
             settle(h, 30);

@@ -12,19 +12,11 @@
 //! reshuffles *when* routes arrive, and the decision process is
 //! age-independent, so converged content must not depend on timing.
 
-use peering_bgp::{
-    digest_routes, Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig,
-};
+use peering_bgp::{digest_routes, Prefix};
 use peering_collector::Collector;
-use peering_emulation::{Container, Emulation};
-use peering_netsim::{
-    FaultAction, FaultPlan, Fnv1a, LinkParams, NodeId, SimDuration, SimRng, SimTime,
-};
+use peering_emulation::{flat_mesh, Emulation};
+use peering_netsim::{FaultAction, FaultPlan, Fnv1a, NodeId, SimDuration, SimRng, SimTime};
 use peering_telemetry::Telemetry;
-use std::net::Ipv4Addr;
-
-/// How long graceful restart retains a crashed neighbor's paths.
-const RESTART_TIME: SimDuration = SimDuration::from_secs(120);
 
 /// Simulated horizon for one chaos run: every fault injects before
 /// [`INJECT_WINDOW`] and heals within [`HEAL_WINDOW`], leaving several
@@ -69,13 +61,14 @@ impl ChaosTopology {
         }
     }
 
-    /// Build the emulation: one speaker per node (private ASNs), every
-    /// session graceful-restart capable, every speaker armed with a
-    /// seeded ConnectRetry stream so nothing stays down for good. Each
-    /// node originates one unique prefix. Runs to initial convergence.
+    /// Build the emulation — [`flat_mesh`] under this topology's name:
+    /// one speaker per node (private ASNs), every session
+    /// graceful-restart capable, every speaker armed with a seeded
+    /// ConnectRetry stream so nothing stays down for good. Each node
+    /// originates one unique prefix. Runs to initial convergence.
     pub fn build(&self, seed: u64) -> Emulation {
-        let (mut emu, nodes) = self.assemble(seed);
-        Self::launch(&mut emu, &nodes);
+        let mut emu = flat_mesh(&self.name(), self.node_count(), &self.edges(), seed);
+        launch(&mut emu);
         emu
     }
 
@@ -85,62 +78,21 @@ impl ChaosTopology {
     /// the converged tables are bit-identical to a bare build (a test
     /// below pins this).
     pub fn build_collected(&self, seed: u64, collector: &mut Collector) -> Emulation {
-        let (mut emu, nodes) = self.assemble(seed);
+        let mut emu = flat_mesh(&self.name(), self.node_count(), &self.edges(), seed);
         collector.attach(&mut emu);
-        Self::launch(&mut emu, &nodes);
+        launch(&mut emu);
         emu
     }
+}
 
-    /// Containers, links, and sessions — nothing started yet.
-    fn assemble(&self, seed: u64) -> (Emulation, Vec<usize>) {
-        let n = self.node_count();
-        assert!((2..=200).contains(&n), "topology size out of range");
-        let mut emu = Emulation::new(SimRng::new(seed).fork(&self.name()));
-        let nodes: Vec<usize> = (0..n)
-            .map(|i| {
-                let retry_seed = SimRng::new(seed).fork(&format!("retry/{i}")).seed();
-                emu.add_container(Container::router(
-                    &format!("r{i}"),
-                    Speaker::new(
-                        SpeakerConfig::new(
-                            Asn(65001 + i as u32),
-                            Ipv4Addr::new(10, 0, (i >> 8) as u8, (i & 0xff) as u8),
-                        )
-                        .with_connect_retry(ConnectRetryConfig::new(retry_seed)),
-                    ),
-                ))
-            })
-            .collect();
-        let mut next_peer = vec![0u32; n];
-        for (a, b) in self.edges() {
-            emu.link(nodes[a], nodes[b], LinkParams::default());
-            let pa = PeerId(next_peer[a]);
-            let pb = PeerId(next_peer[b]);
-            next_peer[a] += 1;
-            next_peer[b] += 1;
-            // Lower index connects, higher index listens; both ends keep
-            // the other's paths across restarts.
-            emu.connect_bgp(
-                nodes[a],
-                PeerConfig::new(pa, Asn(65001 + b as u32)).graceful_restart(RESTART_TIME),
-                nodes[b],
-                PeerConfig::new(pb, Asn(65001 + a as u32))
-                    .passive()
-                    .graceful_restart(RESTART_TIME),
-            );
-        }
-        (emu, nodes)
+/// Start every session, originate each node's prefix, and run to
+/// initial convergence.
+fn launch(emu: &mut Emulation) {
+    emu.start_all();
+    for i in 0..emu.container_count() {
+        emu.control(i, |d, now| d.originate(origin_prefix(i), now));
     }
-
-    /// Start every session, originate each node's prefix, and run to
-    /// initial convergence.
-    fn launch(emu: &mut Emulation, nodes: &[usize]) {
-        emu.start_all();
-        for (i, &node) in nodes.iter().enumerate() {
-            emu.originate(node, origin_prefix(i));
-        }
-        emu.run_until_quiet(usize::MAX);
-    }
+    emu.run_until_quiet(usize::MAX);
 }
 
 /// The prefix node `i` originates (public so collectors, goldens, and
@@ -248,26 +200,9 @@ pub fn run_one_instrumented(
     seed: u64,
     telemetry: Telemetry,
 ) -> ChaosReport {
-    let baseline = topology.build(seed);
-    let baseline_digest = rib_digest(&baseline);
     let mut emu = topology.build(seed);
     emu.set_telemetry(telemetry);
-    let mut plan = chaos_plan(topology, seed);
-    let faults = plan.len();
-    emu.run_with_faults(
-        &mut plan,
-        SimTime::ZERO + HORIZON,
-        SimDuration::from_secs(1),
-        usize::MAX,
-    );
-    emu.export_net_stats();
-    ChaosReport {
-        scenario: topology.name(),
-        seed,
-        faults,
-        baseline_digest,
-        chaos_digest: rib_digest(&emu),
-    }
+    run_faulted(topology, seed, emu)
 }
 
 /// [`run_one`] with a route collector archiving the faulted run: every
@@ -279,9 +214,13 @@ pub fn run_one_collected(
     seed: u64,
     collector: &mut Collector,
 ) -> ChaosReport {
-    let baseline = topology.build(seed);
-    let baseline_digest = rib_digest(&baseline);
-    let mut emu = topology.build_collected(seed, collector);
+    run_faulted(topology, seed, topology.build_collected(seed, collector))
+}
+
+/// Drive `emu` — `topology` built from `seed`, observers attached —
+/// through the seeded schedule and compare it with a fault-free build.
+fn run_faulted(topology: &ChaosTopology, seed: u64, mut emu: Emulation) -> ChaosReport {
+    let baseline_digest = rib_digest(&topology.build(seed));
     let mut plan = chaos_plan(topology, seed);
     let faults = plan.len();
     emu.run_with_faults(
@@ -290,6 +229,7 @@ pub fn run_one_collected(
         SimDuration::from_secs(1),
         usize::MAX,
     );
+    emu.export_net_stats();
     ChaosReport {
         scenario: topology.name(),
         seed,
@@ -313,6 +253,7 @@ pub fn run_campaign(topologies: &[ChaosTopology], seeds: &[u64]) -> Vec<ChaosRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peering_bgp::Asn;
 
     const TOPOLOGIES: [ChaosTopology; 2] = [ChaosTopology::Ring(5), ChaosTopology::Star(4)];
 
@@ -446,7 +387,7 @@ mod tests {
         let topo = ChaosTopology::Ring(4);
         let base = topo.build(7);
         let mut changed = topo.build(7);
-        changed.originate(0, Prefix::v4(10, 99, 0, 0, 24));
+        changed.control(0, |d, now| d.originate(Prefix::v4(10, 99, 0, 0, 24), now));
         changed.run_until_quiet(usize::MAX);
         assert_ne!(rib_digest(&base), rib_digest(&changed));
     }

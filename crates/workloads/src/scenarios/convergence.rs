@@ -54,12 +54,14 @@ fn measure(size: usize, seed: u64) -> ConvergencePoint {
     pe.emu.run_until_quiet(usize::MAX);
     // Announce a single prefix at router 0 and converge.
     let prefix = peering_netsim::Prefix::v4(10, 200, 0, 0, 16);
-    pe.emu.originate(pe.routers[0], prefix);
+    pe.emu
+        .control(pe.routers[0], |d, now| d.originate(prefix, now));
     let announce_msgs = pe.emu.run_until_quiet(usize::MAX);
     // Withdraw it; the rest of the ring explores ever-longer paths
     // through each other before accepting unreachability.
     let t0 = pe.emu.now();
-    pe.emu.withdraw(pe.routers[0], prefix);
+    pe.emu
+        .control(pe.routers[0], |d, now| d.withdraw_origin(prefix, now));
     let withdraw_msgs = pe.emu.run_until_quiet(usize::MAX);
     let withdraw_time_us = pe.emu.now().since(t0).as_micros();
     // Everyone ended with no route (convergence is *correct*).

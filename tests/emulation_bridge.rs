@@ -95,8 +95,10 @@ fn link_failure_inside_the_emulation_reroutes() {
     // cascade toward the rest of the ring must flow through the
     // emulation for everyone to reconverge.
     pe.emu.set_link_up(pe.routers[0], pe.routers[1], false);
-    pe.emu.stop_peer(pe.routers[0], PeerId(1));
-    pe.emu.stop_peer(pe.routers[1], PeerId(0));
+    pe.emu
+        .control(pe.routers[0], |d, now| d.stop_peer(PeerId(1), now));
+    pe.emu
+        .control(pe.routers[1], |d, now| d.stop_peer(PeerId(0), now));
     pe.emu.run_until_quiet(usize::MAX);
     // 0 still reaches 3 the long way round.
     let d = pe.emu.daemon(pe.routers[0]).unwrap();

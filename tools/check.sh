@@ -68,6 +68,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark package (standalone; builds against the crates' public APIs)"
+# benchmark/ is its own workspace, so the steps above never compile it:
+# without this a public-API change that breaks it passes the gate.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> chaos smoke (session resilience under faults)"
 cargo test -q -p peering-workloads chaos_smoke
 
