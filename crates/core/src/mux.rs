@@ -952,6 +952,43 @@ mod tests {
     }
 
     #[test]
+    fn quarantine_applied_while_the_mux_is_down_survives_its_restart() {
+        let mut h = MuxScaleConfig::new(MuxDesign::AddPathMux)
+            .upstreams(2)
+            .clients(2)
+            .seed(19)
+            .build();
+        h.enable_containment(ContainmentConfig::default());
+        // The mux dies; the abuse reports keep coming and walk client 0
+        // to quarantine (violation_weight 2, threshold 8). The lever is
+        // configuration, so it lands on the crashed daemon's stashed
+        // config instead of aborting the process.
+        h.crash_mux(0);
+        for _ in 0..4 {
+            h.report_violation(0, &Violation::RouteLeak);
+        }
+        assert_eq!(
+            h.containment().expect("engine").state(0),
+            ContainmentState::Quarantined
+        );
+        h.restart_mux(0);
+        let mut plan = FaultPlan::new();
+        h.run_faults(&mut plan, h.emu.now() + SimDuration::from_secs(60));
+        assert!(h.fully_established(), "far ends reconnected");
+        // The restarted mux still rejects everything the abuser sends,
+        // and still serves the bystander.
+        let abuser = Prefix::v4(184, 164, 225, 0, 24);
+        let healthy = Prefix::v4(184, 164, 226, 0, 24);
+        for (c, p) in [(0, abuser), (1, healthy)] {
+            h.emu
+                .control(h.client_nodes[c], |d, now| d.originate(p, now));
+        }
+        h.emu.run_until_quiet(usize::MAX);
+        assert!(!h.mux_has_route(&abuser), "quarantine held across restart");
+        assert!(h.mux_has_route(&healthy));
+    }
+
+    #[test]
     fn update_flood_walks_ladder_to_quarantine_and_back() {
         use crate::containment::TokenBucketConfig;
         let mut h = MuxScaleConfig::new(MuxDesign::AddPathMux)

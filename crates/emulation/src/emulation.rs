@@ -845,6 +845,43 @@ mod tests {
     }
 
     #[test]
+    fn crashed_daemon_takes_configuration_but_no_messages() {
+        let (mut emu, a, b) = pair();
+        let h = emu.add_external_session(b, PeerConfig::new(PeerId(9), Asn(47065)));
+        emu.start_all();
+        emu.run_until_quiet(10_000);
+        let p = Prefix::v4(10, 57, 0, 0, 16);
+        emu.control(a, |d, now| d.originate(p, now));
+        emu.run_until_quiet(10_000);
+        emu.crash_daemon(b);
+        emu.run_until_quiet(10_000);
+        emu.drain_external(h);
+
+        // Its transport is gone: an external message is dropped, and a
+        // reconfiguration's outputs go nowhere...
+        emu.inject_external(h, BgpMessage::Keepalive);
+        emu.control(b, |d, now| {
+            d.set_peer_import(PeerId(0), peering_bgp::Policy::reject_all(), now)
+        });
+        assert_eq!(emu.run_until_quiet(10_000), 0);
+        assert!(emu.drain_external(h).is_empty());
+
+        // ...but the reconfiguration itself is there after the restart.
+        emu.restart_daemon(b);
+        emu.run_with_faults(
+            &mut FaultPlan::new(),
+            emu.now() + SimDuration::from_secs(60),
+            SimDuration::from_secs(1),
+            100_000,
+        );
+        assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
+        assert!(
+            emu.daemon(b).unwrap().loc_rib().get(&p).is_none(),
+            "import policy set while crashed rejects a's route"
+        );
+    }
+
+    #[test]
     fn session_log_does_not_grow_with_route_changes() {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
         let mut emu = flat_mesh("ring-4", 4, &edges, 1);
