@@ -4,7 +4,12 @@
 //!
 //! ```text
 //! perf_report [OUT.json] [RESULTS_DIR] [BASELINE.json] [--update-baseline]
+//! perf_report --import-exact TRACED.json OUT.json
 //! ```
+//!
+//! The second form turns one traced `benchmark/run.sh` result file into
+//! the counters file the catalog reads (`results/BENCH_<workload>.json`):
+//! its exact counters only, see [`peering_bench::perf::exact_counters`].
 //!
 //! Reads every results file named by the metric catalog
 //! ([`peering_bench::perf::CATALOG`]) from `RESULTS_DIR` (default
@@ -21,14 +26,39 @@
 //! twice over the same directory yields byte-identical output, which
 //! `tools/check.sh` verifies.
 
-use peering_bench::perf::{baseline_to_value, build_report, parse_baseline, CATALOG};
+use peering_bench::perf::{
+    baseline_to_value, build_report, exact_counters, parse_baseline, CATALOG,
+};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
+/// `--import-exact TRACED.json OUT.json`.
+fn import_exact(traced_path: &str, out_path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(traced_path).map_err(|e| format!("{traced_path}: {e}"))?;
+    let traced: Value =
+        serde_json::from_str(&text).map_err(|e| format!("{traced_path}: unparsable: {e:?}"))?;
+    let counters = exact_counters(&traced).map_err(|e| format!("{traced_path}: {e}"))?;
+    let rendered = serde_json::to_string_pretty(&counters).expect("counters render") + "\n";
+    std::fs::write(out_path, rendered).map_err(|e| format!("{out_path}: {e}"))
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "--import-exact") {
+        let [_, traced, out] = args.as_slice() else {
+            eprintln!("usage: perf_report --import-exact TRACED.json OUT.json");
+            return ExitCode::FAILURE;
+        };
+        return match import_exact(traced, out) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("perf_report: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     let update_baseline = if let Some(i) = args.iter().position(|a| a == "--update-baseline") {
         args.remove(i);
         true

@@ -257,6 +257,55 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("archive_bytes")]),
         gate: Some(Gate::Drift(0)),
     },
+    // The exact counters of one traced `benchmark/run.sh --workload
+    // router_feed` run (see `exact_counters`): allocations are the
+    // machine-independent proxy for the Speaker's per-route cost and may
+    // only fall; what goes on the wire and into the tables may not move.
+    Metric {
+        key: "router_feed.alloc_count_per_op",
+        file: "BENCH_router_feed.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "router_feed.alloc_bytes_per_op",
+        file: "BENCH_router_feed.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.bytes_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "router_feed.out_msgs_per_route",
+        file: "BENCH_router_feed.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("speaker.out_msgs_per_route")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "router_feed.out_bytes_per_route",
+        file: "BENCH_router_feed.json",
+        extract: Extract::Path(&[
+            Seg::Key("counters"),
+            Seg::Key("speaker.out_bytes_per_route"),
+        ]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "router_feed.table_bytes_per_route",
+        file: "BENCH_router_feed.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("table_bytes_per_route")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "router_feed.interner_distinct",
+        file: "BENCH_router_feed.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("rib.interner_distinct")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "router_feed.interner_hit_permille",
+        file: "BENCH_router_feed.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("rib.interner_hit_permille")]),
+        gate: Some(Gate::Drift(0)),
+    },
 ];
 
 fn lookup<'a>(mut v: &'a Value, path: &[Seg]) -> Option<&'a Value> {
@@ -511,6 +560,50 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, f64>, String> {
     Ok(out)
 }
 
+/// Schema tag of a `results/BENCH_<workload>.json` counters file.
+pub const COUNTERS_SCHEMA: &str = "peering-bench-counters/v1";
+
+/// The exact per-layer counters of one traced `benchmark/run.sh` result
+/// file (`traced_<workload>.json`), as `tools/check.sh` installs them
+/// under `results/`. Timed values, quartiles and repeat times are left
+/// out, so what is installed is a function of the code and the seed and
+/// can be byte-compared between runs. Errors when the run failed an
+/// output check: counters of a wrong run are not worth keeping.
+pub fn exact_counters(traced: &Value) -> Result<Value, String> {
+    let field = |name: &'static str| {
+        lookup(traced, &[Seg::Key(name)]).ok_or_else(|| format!("result file has no {name:?}"))
+    };
+    if field("correct")? != &Value::Bool(true) {
+        return Err(format!(
+            "the run failed its output checks: {:?}",
+            field("failures")?
+        ));
+    }
+    let Value::Map(per_layer) = field("per_layer")? else {
+        return Err("per_layer is not a map".to_string());
+    };
+    let exact =
+        |entry: &Value| lookup(entry, &[Seg::Key("kind")]) == Some(&Value::Str("exact".into()));
+    let counters = per_layer
+        .iter()
+        .filter(|(_, entry)| exact(entry))
+        .map(|(name, entry)| {
+            let value = lookup(entry, &[Seg::Key("value")]).and_then(as_number);
+            let value = value.ok_or_else(|| format!("counter {name:?} has no numeric value"))?;
+            Ok((name.clone(), Value::F64(value)))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(Value::Map(vec![
+        (
+            "schema".to_string(),
+            Value::Str(COUNTERS_SCHEMA.to_string()),
+        ),
+        ("workload".to_string(), field("workload")?.clone()),
+        ("seed".to_string(), field("seed")?.clone()),
+        ("counters".to_string(), Value::Map(counters)),
+    ]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,6 +640,64 @@ mod tests {
             ("timing_wall_ms_sequential", Value::F64(25000.0)),
             ("timing_events_per_sec_sequential", Value::F64(59585.5)),
         ])
+    }
+
+    /// A traced benchmark result file, cut down to what the import reads.
+    fn traced_router_feed(correct: bool) -> Value {
+        let metric = |kind: &str, value: f64| {
+            map(vec![
+                ("value", Value::F64(value)),
+                ("kind", Value::Str(kind.into())),
+                ("q1", Value::F64(value)),
+            ])
+        };
+        map(vec![
+            ("workload", Value::Str("router_feed".into())),
+            ("seed", Value::U64(42)),
+            ("correct", Value::Bool(correct)),
+            ("failures", Value::Seq(vec![])),
+            (
+                "repeat_times",
+                Value::Seq(vec![map(vec![("wall_s", Value::F64(5.1))])]),
+            ),
+            (
+                "per_layer",
+                map(vec![
+                    ("table_bytes_per_route", metric("exact", 298.152)),
+                    ("speaker.announce_ns_per_route", metric("timed", 1300.0)),
+                    ("speaker.out_msgs_per_route", metric("exact", 2.0)),
+                    ("speaker.out_bytes_per_route", metric("exact", 115.33)),
+                    ("rib.interner_distinct", metric("exact", 3280.0)),
+                    ("rib.interner_hit_permille", metric("exact", 994.0)),
+                    ("alloc.count_per_op", metric("exact", 6217.8)),
+                    ("alloc.bytes_per_op", metric("exact", 654066.4)),
+                    ("cpu.user_s", metric("timed", 8.7)),
+                ]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn benchmark_import_keeps_exact_counters_only() {
+        let installed = exact_counters(&traced_router_feed(true)).unwrap();
+        let Some(Value::Map(counters)) = lookup(&installed, &[Seg::Key("counters")]) else {
+            panic!("no counters map in {installed:?}");
+        };
+        let names: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names.len(), 7, "{names:?}");
+        assert!(!names
+            .iter()
+            .any(|n| n.ends_with("_ns_per_route") || n.starts_with("cpu.")));
+        assert!(lookup(&installed, &[Seg::Key("repeat_times")]).is_none());
+        // Every router_feed catalog entry finds its counter.
+        for m in CATALOG
+            .iter()
+            .filter(|m| m.file == "BENCH_router_feed.json")
+        {
+            assert!(extract(&installed, &m.extract).is_some(), "{}", m.key);
+        }
+        // A run that failed its output checks installs nothing.
+        assert!(exact_counters(&traced_router_feed(false)).is_err());
     }
 
     fn full_results() -> BTreeMap<String, Value> {
@@ -597,6 +748,10 @@ mod tests {
                 ("feed_records", Value::U64(70)),
                 ("archive_bytes", Value::U64(9000)),
             ]),
+        );
+        r.insert(
+            "BENCH_router_feed.json".to_string(),
+            exact_counters(&traced_router_feed(true)).unwrap(),
         );
         r.insert(
             "BENCH_plan.json".to_string(),

@@ -59,6 +59,26 @@ impl Match {
         }
     }
 
+    /// True when the predicate never reads the prefix — the complement
+    /// of [`is_prefix_structural`](Self::is_prefix_structural) (only
+    /// [`Match::Any`] is both). Such a match gives every prefix carrying
+    /// one attribute set the same answer, which is what lets the speaker
+    /// evaluate a policy once per attribute set instead of once per
+    /// route.
+    pub fn is_prefix_free(&self) -> bool {
+        match self {
+            Match::Any
+            | Match::AsPathContains(_)
+            | Match::OriginatedBy(_)
+            | Match::AsPathLongerThan(_)
+            | Match::HasCommunity(_)
+            | Match::OriginIs(_) => true,
+            Match::PrefixIn(_) | Match::PrefixExact(_) | Match::LongerThan(_) => false,
+            Match::Not(m) => m.is_prefix_free(),
+            Match::All(ms) | Match::AnyOf(ms) => ms.iter().all(Match::is_prefix_free),
+        }
+    }
+
     /// Evaluate the predicate.
     pub fn matches(&self, prefix: &Prefix, attrs: &PathAttributes) -> bool {
         match self {
@@ -210,6 +230,12 @@ impl Policy {
     pub fn default_verdict(mut self, v: DefaultVerdict) -> Self {
         self.default = v;
         self
+    }
+
+    /// True when no rule's match reads the prefix (actions never do):
+    /// [`apply`](Self::apply) then depends on the attributes alone.
+    pub fn is_prefix_free(&self) -> bool {
+        self.rules.iter().all(|rule| rule.matches.is_prefix_free())
     }
 
     /// Apply the policy. Returns `true` to accept (with `attrs` possibly
@@ -398,6 +424,65 @@ mod tests {
         assert!(
             !Match::AnyOf(vec![Match::Any, Match::OriginIs(Origin::Igp)]).is_prefix_structural()
         );
+    }
+
+    #[test]
+    fn prefix_free_matches_and_policies() {
+        let pfx = Prefix::v4(10, 0, 0, 0, 8);
+        let c = Community::new(1, 1);
+        let reads_attrs = [
+            Match::AsPathContains(Asn(1)),
+            Match::OriginatedBy(Asn(1)),
+            Match::AsPathLongerThan(3),
+            Match::HasCommunity(c),
+            Match::OriginIs(Origin::Igp),
+        ];
+        let reads_prefix = [
+            Match::PrefixIn(vec![pfx]),
+            Match::PrefixExact(vec![pfx]),
+            Match::LongerThan(24),
+        ];
+        // Every variant is prefix-free or prefix-structural; only `Any`,
+        // which reads nothing, is both.
+        assert!(Match::Any.is_prefix_free() && Match::Any.is_prefix_structural());
+        for m in &reads_attrs {
+            assert!(m.is_prefix_free() && !m.is_prefix_structural(), "{m:?}");
+        }
+        for m in &reads_prefix {
+            assert!(!m.is_prefix_free() && m.is_prefix_structural(), "{m:?}");
+        }
+        // Combinators are prefix-free exactly when every leaf is, at any
+        // depth: one prefix-reading leaf taints the whole tree.
+        let free = || Match::HasCommunity(c);
+        let bound = || Match::LongerThan(24);
+        let not = |m: Match| Match::Not(Box::new(m));
+        assert!(not(free()).is_prefix_free());
+        assert!(!not(bound()).is_prefix_free());
+        assert!(Match::All(vec![]).is_prefix_free() && Match::AnyOf(vec![]).is_prefix_free());
+        assert!(Match::All(vec![free(), Match::Any]).is_prefix_free());
+        assert!(!Match::All(vec![free(), bound()]).is_prefix_free());
+        assert!(Match::AnyOf(vec![free(), not(free())]).is_prefix_free());
+        assert!(!Match::AnyOf(vec![free(), bound()]).is_prefix_free());
+        let nested = |leaf: Match| {
+            Match::All(vec![
+                free(),
+                Match::AnyOf(vec![Match::Any, not(Match::All(vec![leaf]))]),
+            ])
+        };
+        assert!(nested(free()).is_prefix_free());
+        assert!(!nested(bound()).is_prefix_free());
+        // A mixed tree is neither.
+        assert!(!nested(bound()).is_prefix_structural());
+
+        // A policy is prefix-free when every rule's match is; actions and
+        // the default verdict never read the prefix.
+        assert!(Policy::accept_all().is_prefix_free());
+        assert!(Policy::reject_all().is_prefix_free());
+        let steer = Policy::reject_all()
+            .rule(free(), vec![Action::SetLocalPref(200), Action::Accept])
+            .rule(Match::Any, vec![Action::Prepend(Asn(7), 2)]);
+        assert!(steer.is_prefix_free());
+        assert!(!steer.rule(bound(), vec![Action::Reject]).is_prefix_free());
     }
 
     #[test]

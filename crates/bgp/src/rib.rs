@@ -207,21 +207,29 @@ impl AdjRib {
 
     /// Replace every path held for `prefix` with `routes` in one step.
     /// The peer-group export engine uses this to commit a staged export
-    /// computation into the group's shared Adj-RIB-Out base.
-    pub fn set_prefix(&mut self, prefix: &Prefix, routes: Vec<Route>) {
-        if let Some(old) = self.routes.remove(prefix) {
-            self.entries -= old.len();
-        }
-        if routes.is_empty() {
+    /// computation into the group's shared Adj-RIB-Out base. Paths that
+    /// stay are overwritten where they sit, so the common commit — one
+    /// path replaced by its successor — allocates nothing.
+    pub fn set_prefix<'a>(
+        &mut self,
+        prefix: &Prefix,
+        routes: impl Iterator<Item = &'a Route> + Clone,
+    ) {
+        if routes.clone().next().is_none() {
+            if let Some(old) = self.routes.remove(prefix) {
+                self.entries -= old.len();
+            }
             return;
         }
-        let mut paths: BTreeMap<u32, Route> = BTreeMap::new();
+        let paths = self.routes.entry(*prefix).or_default();
+        let before = paths.len();
+        paths.retain(|path_id, _| routes.clone().any(|r| r.path_id == *path_id));
         for route in routes {
             debug_assert_eq!(route.prefix, *prefix, "route committed under wrong prefix");
-            paths.insert(route.path_id, route);
+            paths.insert(route.path_id, route.clone());
         }
-        self.entries += paths.len();
-        self.routes.insert(*prefix, paths);
+        let after = paths.len();
+        self.entries = self.entries - before + after;
     }
 
     /// Drop everything, returning the affected prefixes (for re-decision).

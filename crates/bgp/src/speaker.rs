@@ -27,8 +27,9 @@ use crate::rib::{AdjRibIn, AdjRibOut, AttrInterner, LocRib, PeerId, Route, Route
 use peering_netsim::{Asn, Fnv1a, Prefix, SimDuration, SimRng, SimTime, TraceId};
 use peering_telemetry::Telemetry;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Global operating mode of a speaker.
@@ -456,6 +457,11 @@ impl GroupFingerprint {
 /// identical to the group's costs no route copies at all.
 struct ExportGroup {
     fingerprint: GroupFingerprint,
+    /// No match of the export policy reads the prefix
+    /// ([`Policy::is_prefix_free`]), so what the group makes of a source
+    /// route depends on the route's attributes and learning peer only and
+    /// can be shared by every prefix carrying them (see [`StageMemo`]).
+    export_prefix_free: bool,
     members: BTreeSet<PeerId>,
     base: AdjRibOut,
 }
@@ -479,23 +485,101 @@ struct StagedEntry {
     outcome: StagedOutcome,
 }
 
-/// The staged export of one prefix for one group: every source route in
-/// deterministic (best-first) order with its group-level outcome.
-struct StagedExports {
-    entries: Vec<StagedEntry>,
+impl StagedEntry {
+    /// The route the group exports for this source, if it exports one.
+    fn exported(&self) -> Option<&Route> {
+        match &self.outcome {
+            StagedOutcome::Export(route) => Some(route),
+            StagedOutcome::Reject(_) => None,
+        }
+    }
 }
 
-impl StagedExports {
-    /// The group-level exported routes (the next base for this prefix).
-    fn base_routes(&self) -> Vec<Route> {
-        self.entries
-            .iter()
-            .filter_map(|e| match &e.outcome {
-                StagedOutcome::Export(r) => Some(r.clone()),
-                StagedOutcome::Reject(_) => None,
-            })
-            .collect()
+/// The group-level exported routes of a staged prefix: the group's next
+/// base for it.
+fn base_routes(staged: &[StagedEntry]) -> impl Iterator<Item = &Route> + Clone {
+    staged.iter().filter_map(StagedEntry::exported)
+}
+
+/// What a group makes of one source attribute set: the exported
+/// attributes, interned, or the group-level rejection.
+type StagedAttrs = Result<Arc<PathAttributes>, ExportVerdict>;
+
+/// Staged outcomes of groups whose export policy reads no prefix, keyed by
+/// (source attribute allocation, learning peer, group). The table lives
+/// for one engine call ([`Speaker::reconsider_with`] or a member resync)
+/// and is emptied before the call returns: the Adj-RIB-Ins and local
+/// routes that own the source allocations are not touched while it
+/// exists, and each entry holds its source `Arc` besides, so a key cannot
+/// come to name a different attribute set; nothing is left behind for
+/// [`AttrInterner::gc`] to trip over, and nothing ever needs invalidating.
+/// Lookup only, never iterated.
+type StageMemo = HashMap<(usize, PeerId, ExportGroupKey), (Arc<PathAttributes>, StagedAttrs)>;
+
+/// One export group with an established member, as one engine call sees
+/// it. Sessions and sync flags do not move while prefixes are being
+/// re-exported, so this is read from the peers once per call.
+struct LiveGroup {
+    key: ExportGroupKey,
+    all_paths: bool,
+    /// Established members.
+    members: u64,
+    /// A member is synced: the group's base is live and follows routing
+    /// changes.
+    synced: bool,
+    /// Staged for the prefix in hand.
+    staged_now: bool,
+    /// This group's entries in [`Staging::staged`] and
+    /// [`Staging::sent`] for the prefix in hand.
+    staged: Range<usize>,
+    sent: Range<usize>,
+}
+
+/// Working memory of the staging half of the export engine.
+#[derive(Default)]
+struct Staging {
+    /// Staged exports of the prefix in hand, group after group; within a
+    /// group every source route in deterministic (best-first) order.
+    staged: Vec<StagedEntry>,
+    /// What each staged group's base held for the prefix before the change.
+    sent: SentPaths,
+    /// Source routes of an AllPaths group while they are sorted.
+    sources: Vec<Route>,
+    memo: StageMemo,
+}
+
+/// Reusable working memory of the export engine. An engine call takes it
+/// out of the [`Speaker`] and puts it back emptied, so it can be borrowed
+/// next to the Speaker's tables; only capacity survives a call.
+#[derive(Default)]
+struct ExportScratch {
+    /// Groups with an established member, in key order.
+    live: Vec<LiveGroup>,
+    staging: Staging,
+    /// Per staged entry, what it means for the member in hand.
+    verdicts: Vec<MemberPath>,
+}
+
+impl ExportScratch {
+    /// Drop every `Arc` the call left in the scratch.
+    fn clear(&mut self) {
+        self.live.clear();
+        let st = &mut self.staging;
+        st.staged.clear();
+        st.sent.clear();
+        st.memo.clear();
     }
+}
+
+/// A staged entry as one member sees it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum MemberPath {
+    /// Not for this member (group-level reject or per-member delta).
+    Withheld,
+    /// Desired and already held with equal attributes.
+    Unchanged,
+    /// Desired and new or changed: announce it.
+    Announce,
 }
 
 struct PeerState {
@@ -589,6 +673,10 @@ pub struct Speaker {
     /// Sim-time each peer's session was last started, for convergence
     /// measurement (cleared once Established is observed).
     session_started: BTreeMap<PeerId, SimTime>,
+    /// Working memory of the export engine (see [`ExportScratch`]),
+    /// allocated by the first engine call: a speaker that never exports
+    /// pays a pointer for it.
+    scratch: Option<Box<ExportScratch>>,
 }
 
 impl Speaker {
@@ -613,6 +701,7 @@ impl Speaker {
             origin_seq: 0,
             local_traces: BTreeMap::new(),
             session_started: BTreeMap::new(),
+            scratch: None,
         }
     }
 
@@ -800,7 +889,7 @@ impl Speaker {
         let (msgs, _) = state.session.stop(now);
         let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(peer, m)).collect();
         let affected = state.adj_in.clear();
-        out.extend(self.reconsider(affected, now));
+        self.reconsider(&affected, now, &mut out);
         out
     }
 
@@ -832,6 +921,7 @@ impl Speaker {
                     self.groups.insert(
                         key,
                         ExportGroup {
+                            export_prefix_free: fp.export.is_prefix_free(),
                             fingerprint: fp,
                             members: BTreeSet::from([peer.id]),
                             base: AdjRibOut::new(),
@@ -944,10 +1034,11 @@ impl Speaker {
         }
         out.extend(msgs.into_iter().map(|m| Output::Send(peer, m)));
         for ev in events {
-            out.extend(self.handle_session_event(peer, ev, now));
+            self.handle_session_event(peer, ev, now, out);
         }
-        let after = self.peers[&peer].session.state();
-        self.note_fsm_transition(before, after);
+        if let Some(state) = self.peers.get(&peer) {
+            self.note_fsm_transition(before, state.session.state());
+        }
     }
 
     /// Debug builds re-check cross-structure consistency after every
@@ -1009,11 +1100,14 @@ impl Speaker {
                 withdraw: false,
             },
         );
-        self.reconsider_with(vec![prefix], now, Some(trace))
+        let mut out = Vec::new();
+        self.reconsider_with(&[prefix], now, Some(trace), &mut out);
+        out
     }
 
     /// Withdraw a locally originated prefix.
     pub fn withdraw_origin(&mut self, prefix: Prefix, now: SimTime) -> Vec<Output> {
+        let mut out = Vec::new();
         if self.local_routes.remove(&prefix).is_some() {
             self.local_traces.remove(&prefix);
             let trace = self.mint_trace();
@@ -1026,10 +1120,9 @@ impl Speaker {
                     withdraw: true,
                 },
             );
-            self.reconsider_with(vec![prefix], now, Some(trace))
-        } else {
-            Vec::new()
+            self.reconsider_with(&[prefix], now, Some(trace), &mut out);
         }
+        out
     }
 
     /// Mint the next deterministic trace id for a local routing change.
@@ -1058,31 +1151,35 @@ impl Speaker {
         let mut out = Vec::new();
         for id in ids {
             self.drive_session(id, now, &mut out, |s| s.tick(now));
+            let Some(state) = self.peers.get_mut(&id) else {
+                continue;
+            };
             // Damping release check: re-decide prefixes whose suppression
             // has decayed away.
+            let mut released = Vec::new();
             if let Some(dcfg) = self.cfg.damping {
-                let state = self.peers.get_mut(&id).expect("peer exists");
                 let candidates: Vec<Prefix> = state.suppressed.iter().copied().collect();
-                let mut released = Vec::new();
                 for p in candidates {
                     if !state.damping.is_suppressed(&p, now, &dcfg) {
                         state.suppressed.remove(&p);
                         released.push(p);
                     }
                 }
-                if !released.is_empty() {
-                    out.extend(self.reconsider(released, now));
-                }
+            }
+            let stale_expired = state.stale.as_ref().is_some_and(|st| now >= st.deadline);
+            if !released.is_empty() {
+                self.reconsider(&released, now, &mut out);
             }
             // Graceful-restart timer: the peer never came back (or never
             // finished re-syncing) in time, so flush its stale paths.
-            let stale = &self.peers[&id].stale;
-            if stale.as_ref().is_some_and(|st| now >= st.deadline) {
-                out.extend(self.finish_graceful_restart(id, now));
+            if stale_expired {
+                self.finish_graceful_restart(id, now, &mut out);
             }
-            // MRAI timer: flush the staged batch once the interval is up.
-            if self.peers[&id].mrai_deadline.is_some_and(|d| now >= d) {
-                out.extend(self.flush_mrai(id, now));
+            // MRAI timer: flush the staged batch once the interval is up
+            // (read last: the re-decisions above may have armed it).
+            let mrai_due = |p: &PeerState| p.mrai_deadline.is_some_and(|d| now >= d);
+            if self.peers.get(&id).is_some_and(mrai_due) {
+                self.flush_mrai(id, now, &mut out);
             }
         }
         self.debug_check("tick");
@@ -1113,7 +1210,8 @@ impl Speaker {
         peer: PeerId,
         ev: SessionEvent,
         now: SimTime,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         match ev {
             SessionEvent::Established(_) => {
                 if let Some(started) = self.session_started.remove(&peer) {
@@ -1121,16 +1219,17 @@ impl Speaker {
                         .observe_duration("bgp.session.convergence_us", now.since(started));
                 }
                 self.telemetry.counter_inc("bgp.session.established");
-                let mut out = vec![Output::Event(SpeakerEvent::PeerUp(peer))];
-                out.extend(self.full_table_to(peer, now));
-                out
+                out.push(Output::Event(SpeakerEvent::PeerUp(peer)));
+                self.full_table_to(peer, now, out);
             }
             SessionEvent::Down { reason } => {
                 self.telemetry.counter_inc("bgp.session.down");
                 // Forget everything sent on the dead session: drop the
                 // peer out of its group's shared view.
                 self.unsync_peer(peer);
-                let state = self.peers.get_mut(&peer).expect("peer exists");
+                let Some(state) = self.peers.get_mut(&peer) else {
+                    return;
+                };
                 state.suppressed.clear();
                 state.max_prefix_warned = false;
                 // Staged deltas are for the dead session; drop them.
@@ -1147,166 +1246,202 @@ impl Speaker {
                     };
                     let keys = state.adj_in.iter().map(|r| (r.prefix, r.path_id)).collect();
                     state.stale = Some(StaleState { deadline, keys });
-                    vec![Output::Event(SpeakerEvent::PeerDown(peer, reason))]
+                    out.push(Output::Event(SpeakerEvent::PeerDown(peer, reason)));
                 } else {
                     let affected = state.adj_in.clear();
-                    let mut out = vec![Output::Event(SpeakerEvent::PeerDown(peer, reason))];
-                    out.extend(self.reconsider(affected, now));
-                    out
+                    out.push(Output::Event(SpeakerEvent::PeerDown(peer, reason)));
+                    self.reconsider(&affected, now, out);
                 }
             }
             SessionEvent::Update(update) => {
                 self.updates_received += 1;
                 self.telemetry.counter_inc("bgp.speaker.updates_in");
-                self.process_update(peer, update, now)
+                self.process_update(peer, update, now, out);
             }
             SessionEvent::RefreshRequested => {
                 // RFC 2918: re-advertise the whole Adj-RIB-Out. Forget
                 // what was already sent so the diffing export resends it.
                 self.unsync_peer(peer);
-                self.full_table_to(peer, now)
+                self.full_table_to(peer, now, out);
             }
         }
     }
 
-    fn process_update(&mut self, from: PeerId, update: UpdateMessage, now: SimTime) -> Vec<Output> {
+    fn process_update(
+        &mut self,
+        from: PeerId,
+        update: UpdateMessage,
+        now: SimTime,
+        out: &mut Vec<Output>,
+    ) {
         // End-of-RIB after a graceful restart: the peer has re-sent its
         // whole table, so whatever is still stale was genuinely lost.
         if update.is_end_of_rib() {
-            return self.finish_graceful_restart(from, now);
+            return self.finish_graceful_restart(from, now, out);
         }
+        let Some(state) = self.peers.get_mut(&from) else {
+            return;
+        };
         // The provenance id carried by this update is the *cause* of every
         // RIB change (and downstream export) it triggers here.
         let cause = update.trace;
-        let prov = self.provenance.clone();
-        let mut affected: BTreeSet<Prefix> = BTreeSet::new();
-        let mut events = Vec::new();
+        let prov = self.provenance.is_enabled().then_some(&self.provenance);
+        let mut affected: Vec<Prefix> =
+            Vec::with_capacity(update.withdrawn.len() + update.announced.len());
         let local_asn = self.cfg.asn;
         let damping_cfg = self.cfg.damping;
-        {
-            let state = self.peers.get_mut(&from).expect("peer exists");
-            let peer_is_ibgp = state.cfg.asn == local_asn;
-            let peer_asn = state.cfg.asn;
-            if prov.is_enabled() {
-                // The vantage-point feed record: the update exactly as
-                // received, stamped with its delivery time.
+        let peer_asn = state.cfg.asn;
+        let peer_is_ibgp = peer_asn == local_asn;
+        let telemetry = &self.telemetry;
+        let suppressed = |out: &mut Vec<Output>, prefix: Prefix| {
+            telemetry.counter_inc("bgp.damping.suppressed");
+            out.push(Output::Event(SpeakerEvent::Suppressed(from, prefix)));
+        };
+        let import_rejected = |out: &mut Vec<Output>, prefix: Prefix| {
+            telemetry.counter_inc("bgp.policy.import_rejected");
+            out.push(Output::Event(SpeakerEvent::ImportRejected(from, prefix)));
+        };
+        if let Some(prov) = prov {
+            // The vantage-point feed record: the update exactly as
+            // received, stamped with its delivery time.
+            prov.record(
+                now,
+                local_asn,
+                ProvenanceEvent::Feed {
+                    from_peer: from,
+                    from_asn: peer_asn,
+                    update: update.clone(),
+                },
+            );
+            for nlri in &update.withdrawn {
                 prov.record(
                     now,
                     local_asn,
-                    ProvenanceEvent::Feed {
+                    ProvenanceEvent::WithdrawReceived {
                         from_peer: from,
                         from_asn: peer_asn,
-                        update: update.clone(),
+                        prefix: nlri.prefix,
+                        trace: cause,
                     },
                 );
-                for nlri in &update.withdrawn {
+            }
+        }
+
+        for nlri in &update.withdrawn {
+            if state.remove_learned(nlri) {
+                affected.push(nlri.prefix);
+            }
+            if let Some(dcfg) = damping_cfg {
+                if state.damping.on_withdraw(nlri.prefix, now, &dcfg) {
+                    state.suppressed.insert(nlri.prefix);
+                    suppressed(out, nlri.prefix);
+                }
+            }
+        }
+
+        if let Some(attrs) = &update.attrs {
+            let heard_path: Vec<Asn> = match prov {
+                Some(_) => attrs.as_path.asns().collect(),
+                None => Vec::new(),
+            };
+            let import_verdict = |prefix: Prefix, v: ImportVerdict| {
+                if let Some(prov) = prov {
                     prov.record(
                         now,
                         local_asn,
-                        ProvenanceEvent::WithdrawReceived {
+                        ProvenanceEvent::Imported {
                             from_peer: from,
                             from_asn: peer_asn,
-                            prefix: nlri.prefix,
+                            prefix,
                             trace: cause,
+                            as_path: heard_path.clone(),
+                            verdict: v,
                         },
                     );
                 }
-            }
-
-            for nlri in &update.withdrawn {
-                if state.remove_learned(nlri) {
-                    affected.insert(nlri.prefix);
+            };
+            // Receiver-side loop detection: our ASN in the path means the
+            // route already passed through us (this is also what makes
+            // AS-path poisoning work).
+            let looped = self.cfg.mode == SpeakerMode::Normal
+                && !peer_is_ibgp
+                && attrs.as_path.contains(local_asn);
+            // An import policy that reads no prefix makes the same thing of
+            // every NLRI of the UPDATE, and the interner would hand each of
+            // them the same allocation: run policy and interner once and
+            // count the later NLRIs as the interner hits they would be.
+            let import_once = self.interner.is_enabled() && state.cfg.import.is_prefix_free();
+            let mut imported_once: Option<Option<Arc<PathAttributes>>> = None;
+            for nlri in &update.announced {
+                if looped {
+                    import_rejected(out, nlri.prefix);
+                    import_verdict(nlri.prefix, ImportVerdict::AsPathLoop);
+                    continue;
                 }
+                let imported = match &imported_once {
+                    Some(imported) => {
+                        if imported.is_some() {
+                            self.interner.hits += 1;
+                        }
+                        imported.clone()
+                    }
+                    None => {
+                        let mut imported = (**attrs).clone();
+                        let imported = state
+                            .cfg
+                            .import
+                            .apply(&nlri.prefix, &mut imported)
+                            .then(|| self.interner.intern(imported));
+                        if import_once {
+                            imported_once = Some(imported.clone());
+                        }
+                        imported
+                    }
+                };
+                let Some(imported) = imported else {
+                    import_rejected(out, nlri.prefix);
+                    import_verdict(nlri.prefix, ImportVerdict::PolicyRejected);
+                    // An implicit withdraw of any previous path.
+                    if state.remove_learned(nlri) {
+                        affected.push(nlri.prefix);
+                    }
+                    continue;
+                };
+                let mut damped = false;
                 if let Some(dcfg) = damping_cfg {
-                    if state.damping.on_withdraw(nlri.prefix, now, &dcfg) {
+                    if state.damping.on_announce(nlri.prefix, now, &dcfg) {
                         state.suppressed.insert(nlri.prefix);
-                        events.push(SpeakerEvent::Suppressed(from, nlri.prefix));
+                        suppressed(out, nlri.prefix);
+                        damped = true;
                     }
                 }
-            }
-
-            if let Some(attrs) = &update.attrs {
-                let heard_path: Vec<Asn> = if prov.is_enabled() {
-                    attrs.as_path.asns().collect()
-                } else {
-                    Vec::new()
-                };
-                let import_verdict = |prov: &ProvenanceLog, prefix: Prefix, v: ImportVerdict| {
-                    if prov.is_enabled() {
-                        prov.record(
-                            now,
-                            local_asn,
-                            ProvenanceEvent::Imported {
-                                from_peer: from,
-                                from_asn: peer_asn,
-                                prefix,
-                                trace: cause,
-                                as_path: heard_path.clone(),
-                                verdict: v,
-                            },
-                        );
-                    }
-                };
-                for nlri in &update.announced {
-                    // Receiver-side loop detection: our ASN in the path
-                    // means the route already passed through us (this is
-                    // also what makes AS-path poisoning work).
-                    if self.cfg.mode == SpeakerMode::Normal
-                        && attrs.as_path.contains(local_asn)
-                        && !peer_is_ibgp
-                    {
-                        events.push(SpeakerEvent::ImportRejected(from, nlri.prefix));
-                        import_verdict(&prov, nlri.prefix, ImportVerdict::AsPathLoop);
-                        continue;
-                    }
-                    let mut imported = (**attrs).clone();
-                    if !state.cfg.import.apply(&nlri.prefix, &mut imported) {
-                        events.push(SpeakerEvent::ImportRejected(from, nlri.prefix));
-                        import_verdict(&prov, nlri.prefix, ImportVerdict::PolicyRejected);
-                        // An implicit withdraw of any previous path.
-                        if state.remove_learned(nlri) {
-                            affected.insert(nlri.prefix);
-                        }
-                        continue;
-                    }
-                    let mut damped = false;
-                    if let Some(dcfg) = damping_cfg {
-                        if state.damping.on_announce(nlri.prefix, now, &dcfg) {
-                            state.suppressed.insert(nlri.prefix);
-                            events.push(SpeakerEvent::Suppressed(from, nlri.prefix));
-                            damped = true;
-                        }
-                    }
-                    import_verdict(
-                        &prov,
-                        nlri.prefix,
-                        if damped {
-                            ImportVerdict::Damped
-                        } else {
-                            ImportVerdict::Accepted
-                        },
-                    );
-                    let interned = self.interner.intern(imported);
-                    let route = Route {
-                        prefix: nlri.prefix,
-                        attrs: interned,
-                        peer: from,
-                        path_id: nlri.path_id.unwrap_or(0),
-                        source: if peer_is_ibgp {
-                            RouteSource::Ibgp
-                        } else {
-                            RouteSource::Ebgp
-                        },
-                        igp_cost: state.cfg.igp_cost,
-                        learned_at: now,
-                        trace: cause,
-                    };
-                    state.adj_in.insert(route);
-                    if let Some(st) = &mut state.stale {
-                        st.keys.remove(&(nlri.prefix, nlri.path_id.unwrap_or(0)));
-                    }
-                    affected.insert(nlri.prefix);
+                import_verdict(
+                    nlri.prefix,
+                    if damped {
+                        ImportVerdict::Damped
+                    } else {
+                        ImportVerdict::Accepted
+                    },
+                );
+                let path_id = nlri.path_id.unwrap_or(0);
+                state.adj_in.insert(Route {
+                    prefix: nlri.prefix,
+                    attrs: imported,
+                    peer: from,
+                    path_id,
+                    source: if peer_is_ibgp {
+                        RouteSource::Ibgp
+                    } else {
+                        RouteSource::Ebgp
+                    },
+                    igp_cost: state.cfg.igp_cost,
+                    learned_at: now,
+                    trace: cause,
+                });
+                if let Some(st) = &mut state.stale {
+                    st.keys.remove(&(nlri.prefix, path_id));
                 }
+                affected.push(nlri.prefix);
             }
         }
         // Max-prefix enforcement (RFC 4486 §4): count what the peer now
@@ -1314,29 +1449,25 @@ impl Speaker {
         // threshold, Cease above the hard limit. The Cease path bypasses
         // graceful restart — retaining a flooder's paths would preserve
         // the very table pressure the limit exists to shed.
-        let mut cease: Vec<Output> = Vec::new();
         let mut ceased = false;
-        {
-            let state = self.peers.get_mut(&from).expect("peer exists");
-            if let Some(mp) = state.cfg.max_prefix {
-                let count = state.adj_in.prefixes().count();
-                if count >= mp.warn && count <= mp.limit && !state.max_prefix_warned {
-                    state.max_prefix_warned = true;
-                    self.telemetry.counter_inc("bgp.session.max_prefix_warn");
-                }
-                if count > mp.limit {
-                    let (msgs, sess_events) = state.session.max_prefix_cease(now, mp.idle_hold);
-                    cease.extend(msgs.into_iter().map(|m| Output::Send(from, m)));
-                    affected.extend(state.adj_in.clear());
-                    ceased = true;
-                    state.suppressed.clear();
-                    state.stale = None;
-                    state.max_prefix_warned = false;
-                    self.telemetry.counter_inc("bgp.session.down");
-                    for ev in sess_events {
-                        if let SessionEvent::Down { reason } = ev {
-                            cease.push(Output::Event(SpeakerEvent::PeerDown(from, reason)));
-                        }
+        if let Some(mp) = state.cfg.max_prefix {
+            let count = state.adj_in.prefix_count();
+            if count >= mp.warn && count <= mp.limit && !state.max_prefix_warned {
+                state.max_prefix_warned = true;
+                telemetry.counter_inc("bgp.session.max_prefix_warn");
+            }
+            if count > mp.limit {
+                let (msgs, sess_events) = state.session.max_prefix_cease(now, mp.idle_hold);
+                out.extend(msgs.into_iter().map(|m| Output::Send(from, m)));
+                affected.extend(state.adj_in.clear());
+                ceased = true;
+                state.suppressed.clear();
+                state.stale = None;
+                state.max_prefix_warned = false;
+                telemetry.counter_inc("bgp.session.down");
+                for ev in sess_events {
+                    if let SessionEvent::Down { reason } = ev {
+                        out.push(Output::Event(SpeakerEvent::PeerDown(from, reason)));
                     }
                 }
             }
@@ -1344,41 +1475,29 @@ impl Speaker {
         if ceased {
             self.unsync_peer(from);
         }
-        if self.telemetry.is_enabled() {
-            for ev in &events {
-                match ev {
-                    SpeakerEvent::Suppressed(..) => {
-                        self.telemetry.counter_inc("bgp.damping.suppressed");
-                    }
-                    SpeakerEvent::ImportRejected(..) => {
-                        self.telemetry.counter_inc("bgp.policy.import_rejected");
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut out: Vec<Output> = events.into_iter().map(Output::Event).collect();
-        out.extend(cease);
-        out.extend(self.reconsider_with(affected.into_iter().collect(), now, cause));
-        out
+        affected.sort_unstable();
+        affected.dedup();
+        self.reconsider_with(&affected, now, cause, out);
     }
 
     /// End the graceful-restart window for a peer: sweep every retained
     /// path the peer did not re-announce and re-decide those prefixes.
-    fn finish_graceful_restart(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
+    fn finish_graceful_restart(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
         let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
+            return;
         };
         let Some(stale) = state.stale.take() else {
-            return Vec::new();
+            return;
         };
-        let mut affected = BTreeSet::new();
+        // The keys are ordered by prefix, so `affected` comes out sorted.
+        let mut affected = Vec::new();
         for (prefix, path_id) in stale.keys {
             if state.adj_in.remove(&prefix, path_id).is_some() {
-                affected.insert(prefix);
+                affected.push(prefix);
             }
         }
-        self.reconsider(affected.into_iter().collect(), now)
+        affected.dedup();
+        self.reconsider(&affected, now, out);
     }
 
     /// Tear down the transport with a peer (chaos: TCP reset, link cut
@@ -1456,7 +1575,8 @@ impl Speaker {
                 }
             }
         }
-        let out = self.reconsider(affected, now);
+        let mut out = Vec::new();
+        self.reconsider(&affected, now, &mut out);
         self.debug_check("set_peer_import");
         out
     }
@@ -1501,7 +1621,9 @@ impl Speaker {
     /// the group actually changes, resync the peer's advertised view by
     /// diffing against what has been sent.
     fn reseat_peer_group(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let state = &self.peers[&peer];
+        let Some(state) = self.peers.get(&peer) else {
+            return Vec::new();
+        };
         let old_key = state.group;
         let cfg = state.cfg.clone();
         // Resolve *before* detaching: if the answer is the same group the
@@ -1513,14 +1635,11 @@ impl Speaker {
         self.telemetry.counter_inc("bgp.export.group_splits");
         // Snapshot what this peer has actually been sent (old base minus
         // its mask) before the detach below can clear the old base.
-        let snapshot: BTreeMap<Prefix, SentPaths> = self.groups[&old_key]
-            .base
-            .prefixes()
-            .map(|p| (*p, self.sent_paths(peer, p)))
-            .filter(|(_, sent)| !sent.is_empty())
-            .collect();
+        let snapshot = self.adj_rib_out(peer).unwrap_or_default();
         self.detach_from_group(peer, old_key);
-        let state = self.peers.get_mut(&peer).expect("peer exists");
+        let Some(state) = self.peers.get_mut(&peer) else {
+            return Vec::new();
+        };
         state.group = new_key;
         state.mask.clear();
         if !state.synced {
@@ -1532,15 +1651,8 @@ impl Speaker {
         // emit only the diff against the snapshot. No reject provenance
         // here — a group move is not a routing decision; only actual
         // emissions are recorded.
-        let mut prefixes = self.known_prefixes();
-        prefixes.extend(snapshot.keys().copied());
         let mut out = Vec::new();
-        for prefix in prefixes {
-            let staged = self.stage_group_exports(new_key, &prefix, now);
-            let sent = snapshot.get(&prefix).map_or(&[][..], Vec::as_slice);
-            out.extend(self.export_to_member(peer, prefix, &staged, sent, false, None, now));
-            self.commit_base(new_key, &prefix, &staged, Some(peer));
-        }
+        self.resync_member(peer, &snapshot, false, now, &mut out);
         self.debug_check("export-group reseat");
         out
     }
@@ -1586,599 +1698,312 @@ impl Speaker {
         }
         self.loc_rib = LocRib::new();
         let locals: Vec<Prefix> = self.local_routes.keys().copied().collect();
-        out.extend(self.reconsider(locals, now));
+        self.reconsider(&locals, now, &mut out);
         self.debug_check("restart");
         out
     }
 
-    /// Candidate routes for a prefix: local + unsuppressed Adj-RIB-In.
-    fn candidates(&self, prefix: &Prefix) -> Vec<&Route> {
-        let mut c: Vec<&Route> = Vec::new();
-        for state in self.peers.values() {
-            if state.suppressed.contains(prefix) {
-                continue;
-            }
-            c.extend(state.adj_in.paths(prefix));
-        }
-        c
-    }
-
-    /// The locally originated route for a prefix, if any, stamped `now`.
-    fn local_route(&self, prefix: &Prefix, now: SimTime) -> Option<Route> {
-        let attrs = self.local_routes.get(prefix)?;
-        let trace = self.local_traces.get(prefix).copied();
-        Some(Route::local(*prefix, Arc::clone(attrs), now).with_trace(trace))
-    }
-
     /// Re-run the decision process for `prefixes` and propagate changes.
-    fn reconsider(&mut self, prefixes: Vec<Prefix>, now: SimTime) -> Vec<Output> {
-        self.reconsider_with(prefixes, now, None)
+    fn reconsider(&mut self, prefixes: &[Prefix], now: SimTime, out: &mut Vec<Output>) {
+        self.reconsider_with(prefixes, now, None, out);
     }
 
     /// Like [`reconsider`](Self::reconsider), threading the provenance id
     /// of the routing change that triggered the re-decision (used to tag
     /// propagated withdrawals, which carry no route of their own).
+    /// `prefixes` are distinct and in the order their changes are emitted.
     fn reconsider_with(
         &mut self,
-        prefixes: Vec<Prefix>,
+        prefixes: &[Prefix],
         now: SimTime,
         cause: Option<TraceId>,
-    ) -> Vec<Output> {
-        if !prefixes.is_empty() {
-            self.telemetry.counter_inc("bgp.decision.runs");
-            self.telemetry
-                .counter_add("bgp.decision.prefixes", prefixes.len() as u64);
+        out: &mut Vec<Output>,
+    ) {
+        if prefixes.is_empty() {
+            return self.note_rib_gauges();
         }
-        let mut out = Vec::new();
-        for prefix in prefixes {
-            let local = self.local_route(&prefix, now);
-            let new_best: Option<Route> = {
-                let cands = self.candidates(&prefix);
-                let all = cands.into_iter().chain(local.as_ref());
-                best_route(all, &self.cfg.decision).cloned()
-            };
-            let old_best = self.loc_rib.get(&prefix).cloned();
-            let changed = match (&old_best, &new_best) {
-                (None, None) => false,
+        self.telemetry.counter_inc("bgp.decision.runs");
+        self.telemetry
+            .counter_add("bgp.decision.prefixes", prefixes.len() as u64);
+        let mut scratch = self.scratch.take().unwrap_or_default();
+        self.live_groups(&mut scratch.live);
+        // A best path that did not move leaves every BestOnly export as it
+        // is — unless a provenance log is attached, which is owed each
+        // member's reject verdicts again on every re-export. AllPaths
+        // groups export the losing paths too, so they never skip.
+        let observed = self.provenance.is_enabled();
+        for &prefix in prefixes {
+            let local = local_route(&self.local_routes, &self.local_traces, &prefix, now);
+            let new_best = best_route(
+                candidates(&self.peers, &prefix).chain(local.as_ref()),
+                &self.cfg.decision,
+            );
+            // `moved` is what the owner hears about; `same` is stricter:
+            // not even the bookkeeping an Adj-RIB-Out shows (`learned_at`,
+            // `trace`) differs, so the Loc-RIB entry and every BestOnly
+            // export of it already are what redoing them would produce.
+            let (moved, same) = match (self.loc_rib.get(&prefix), new_best) {
+                (None, None) => (false, true),
                 (Some(a), Some(b)) => {
-                    !(Arc::ptr_eq(&a.attrs, &b.attrs) && a.peer == b.peer && a.path_id == b.path_id)
+                    let moved = !(Arc::ptr_eq(&a.attrs, &b.attrs)
+                        && a.peer == b.peer
+                        && a.path_id == b.path_id);
+                    let same = !moved
+                        && a.source == b.source
+                        && a.igp_cost == b.igp_cost
+                        && a.learned_at == b.learned_at
+                        && a.trace == b.trace;
+                    (moved, same)
                 }
-                _ => true,
+                _ => (true, false),
             };
-            match &new_best {
-                Some(r) => {
-                    self.loc_rib.set_best(r.clone());
-                }
-                None => {
-                    self.loc_rib.remove(&prefix);
+            if !same {
+                match new_best {
+                    Some(r) => {
+                        self.loc_rib.set_best(r.clone());
+                    }
+                    None => {
+                        self.loc_rib.remove(&prefix);
+                    }
                 }
             }
-            if changed {
+            if moved {
                 out.push(Output::Event(SpeakerEvent::BestChanged {
                     prefix,
-                    new: new_best,
+                    new: new_best.cloned(),
                 }));
             }
-            // Export state can change even when the best didn't (an
-            // AllPaths peer cares about every path), so always re-export.
-            out.extend(self.export_prefix(prefix, now, cause));
+            self.export_prefix(&mut scratch, prefix, !same || observed, now, cause, out);
         }
+        scratch.clear();
+        self.scratch = Some(scratch);
         self.note_rib_gauges();
-        out
     }
 
-    /// Stage the export computation for one group and one prefix: the
-    /// per-route work that depends only on the group fingerprint (iBGP
-    /// reflection class, well-known communities, export policy, mode
-    /// transforms, path-id assignment) runs exactly once here and is
-    /// shared by every member. Member-dependent filters (split horizon,
-    /// sender-side loop, route-server member blocks) are deferred to
-    /// [`member_delta`](Self::member_delta).
-    fn stage_group_exports(
-        &mut self,
-        key: ExportGroupKey,
-        prefix: &Prefix,
+    /// The export groups with an established member, in key order.
+    fn live_groups(&self, live: &mut Vec<LiveGroup>) {
+        live.clear();
+        let established = self.peers.values().filter(|s| s.session.is_established());
+        live.extend(established.map(|state| LiveGroup {
+            key: state.group,
+            all_paths: state.cfg.advertise == AdvertiseMode::AllPaths,
+            members: 1,
+            synced: state.synced,
+            staged_now: false,
+            staged: 0..0,
+            sent: 0..0,
+        }));
+        live.sort_unstable_by_key(|g| g.key);
+        live.dedup_by(|later, first| {
+            let same_group = later.key == first.key;
+            if same_group {
+                first.members += later.members;
+                first.synced |= later.synced;
+            }
+            same_group
+        });
+    }
+
+    /// The staging half of the engine over this Speaker's tables.
+    fn stager<'a>(&'a mut self, st: &'a mut Staging, now: SimTime) -> Stager<'a> {
+        Stager {
+            cfg: &self.cfg,
+            peers: &self.peers,
+            groups: &self.groups,
+            loc_rib: &self.loc_rib,
+            local_routes: &self.local_routes,
+            local_traces: &self.local_traces,
+            interner: &mut self.interner,
+            st,
+            now,
+        }
+    }
+
+    /// The member half of the engine, writing to `out`, beside the peers
+    /// and groups it works on.
+    fn emitter<'a>(
+        &'a mut self,
+        verdicts: &'a mut Vec<MemberPath>,
         now: SimTime,
-    ) -> StagedExports {
-        // Take the group out of the map so the staging can borrow the
-        // rest of `self` (candidates, interner) mutably.
-        let group = self.groups.remove(&key).expect("export group exists");
-        let sources: Vec<Route> = match group.fingerprint.advertise {
-            AdvertiseMode::BestOnly => self.loc_rib.get(prefix).cloned().into_iter().collect(),
-            AdvertiseMode::AllPaths => {
-                let mut v: Vec<Route> = self.candidates(prefix).into_iter().cloned().collect();
-                v.extend(self.local_route(prefix, now));
-                // Deterministic order: best first.
-                v.sort_by(|a, b| compare_routes(b, a, &self.cfg.decision).then(Ordering::Equal));
-                v
-            }
+        out: &'a mut Vec<Output>,
+    ) -> (
+        Emitter<'a>,
+        &'a mut BTreeMap<PeerId, PeerState>,
+        &'a mut BTreeMap<ExportGroupKey, ExportGroup>,
+    ) {
+        let em = Emitter {
+            cfg: &self.cfg,
+            prov: self.provenance.is_enabled().then_some(&self.provenance),
+            telemetry: &self.telemetry,
+            updates_sent: &mut self.updates_sent,
+            verdicts,
+            now,
+            out,
         };
-        let mut entries = Vec::with_capacity(sources.len());
-        for route in sources {
-            let outcome = self.stage_route(&group.fingerprint, &route);
-            entries.push(StagedEntry {
-                source_peer: route.peer,
-                source_attrs: Arc::clone(&route.attrs),
-                source_trace: route.trace,
-                outcome,
-            });
-        }
-        self.groups.insert(key, group);
-        StagedExports { entries }
+        (em, &mut self.peers, &mut self.groups)
     }
 
-    /// Apply the group-level export semantics for one source route. `Ok`
-    /// is a fully transformed, interned route ready for the shared base;
-    /// `Err` carries the group-level rejection verdict.
-    fn stage_route(&mut self, fp: &GroupFingerprint, route: &Route) -> StagedOutcome {
-        // iBGP-learned routes are not re-advertised to iBGP peers unless
-        // route reflection applies (RFC 4456): a route from a client is
-        // reflected to every iBGP peer; a route from a non-client is
-        // reflected to clients only.
-        if route.source == RouteSource::Ibgp && fp.ibgp {
-            let from_client = self
-                .peers
-                .get(&route.peer)
-                .map(|p| p.cfg.rr_client)
-                .unwrap_or(false);
-            let reflect = from_client || fp.rr_client;
-            if !reflect {
-                return StagedOutcome::Reject(ExportVerdict::IbgpNoReflect);
-            }
-        }
-        // Well-known communities.
-        if route.attrs.has_community(Community::NO_ADVERTISE) {
-            return StagedOutcome::Reject(ExportVerdict::NoAdvertise);
-        }
-        // NO_EXPORT binds the *receiving* AS: routes we learned must not
-        // leave our AS, but a route we originate ourselves is still sent
-        // to the neighbor (who then keeps it inside their AS).
-        if !fp.ibgp
-            && route.source != RouteSource::Local
-            && route.attrs.has_community(Community::NO_EXPORT)
-        {
-            return StagedOutcome::Reject(ExportVerdict::NoExport);
-        }
-        let mut attrs = (*route.attrs).clone();
-        if !fp.export.apply(&route.prefix, &mut attrs) {
-            return StagedOutcome::Reject(ExportVerdict::PolicyRejected);
-        }
-        match self.cfg.mode {
-            SpeakerMode::RouteServer => {
-                // RFC 7947: transparent. Leave AS_PATH, NEXT_HOP, MED.
-            }
-            SpeakerMode::Normal => {
-                if fp.ibgp {
-                    // iBGP: keep next hop and path; ensure LOCAL_PREF set.
-                    if attrs.local_pref.is_none() {
-                        attrs.local_pref = Some(100);
-                    }
-                } else {
-                    attrs.as_path.prepend(self.cfg.asn, 1);
-                    attrs.next_hop = self.cfg.router_id;
-                    attrs.local_pref = None;
-                }
-            }
-        }
-        let path_id = match fp.advertise {
-            AdvertiseMode::BestOnly => 0,
-            // Stable, collision-free id: the learning peer's id + 1
-            // (0 is reserved for the local/best path).
-            AdvertiseMode::AllPaths => {
-                if route.peer == PeerId::LOCAL {
-                    0
-                } else {
-                    route.peer.0.wrapping_add(1)
-                }
-            }
-        };
-        // Interning here means every member of every group holding this
-        // export (and every receiving speaker's Adj-RIB-In) shares one
-        // allocation; values are untouched, so digests are unchanged.
-        StagedOutcome::Export(Route {
-            prefix: route.prefix,
-            attrs: self.interner.intern(attrs),
-            peer: route.peer,
-            path_id,
-            source: route.source,
-            igp_cost: route.igp_cost,
-            learned_at: route.learned_at,
-            trace: route.trace,
-        })
-    }
-
-    /// Member-dependent export filter over a staged entry. Verdict
-    /// precedence exactly mirrors the historical per-peer pipeline:
-    /// split horizon, then the group-level reflection/community rejects,
-    /// then the member's sender-side loop check (on the *source* path),
-    /// then group-level policy rejection, then route-server member
-    /// blocks. `Ok` borrows the staged route shared by the whole group.
-    fn member_delta(
-        rs_member_blocks: bool,
-        member: PeerId,
-        member_asn: Asn,
-        entry: &StagedEntry,
-    ) -> Result<&Route, ExportVerdict> {
-        // Split horizon: never back to the peer it came from.
-        if entry.source_peer == member {
-            return Err(ExportVerdict::SplitHorizon);
-        }
-        if let StagedOutcome::Reject(v) = entry.outcome {
-            if matches!(
-                v,
-                ExportVerdict::IbgpNoReflect | ExportVerdict::NoAdvertise | ExportVerdict::NoExport
-            ) {
-                return Err(v);
-            }
-        }
-        // Sender-side loop check.
-        if entry.source_attrs.as_path.contains(member_asn) {
-            return Err(ExportVerdict::AsPathLoop);
-        }
-        match &entry.outcome {
-            StagedOutcome::Reject(v) => Err(*v),
-            StagedOutcome::Export(route) => {
-                // RFC 7947 member blocks: community `0:<member-as16>` on
-                // the source route keeps it away from that member. The
-                // check runs on the source attributes (the shared policy
-                // strips operator communities on the way out).
-                if rs_member_blocks
-                    && entry
-                        .source_attrs
-                        .has_community(Community::new(0, as16(member_asn)))
-                {
-                    return Err(ExportVerdict::PolicyRejected);
-                }
-                Ok(route)
-            }
-        }
-    }
-
-    /// Re-export one prefix to every established peer after a routing
-    /// change. The staged export for each group is computed once and
-    /// shared by every established member; per-member work is the cheap
-    /// delta filter and the wire diff against the member's view (group
-    /// base minus mask). Bases commit *after* the member loop so every
-    /// member diffs against the pre-change state.
+    /// Re-export one prefix to the established peers after a routing
+    /// change. Each group's export is staged once and shared by its
+    /// established members; per-member work is the cheap delta filter and
+    /// the wire diff against the member's view (group base minus mask),
+    /// in peer-id order. Bases commit *after* the member loop so every
+    /// member diffs against the pre-change state. With `best_only` false
+    /// the best path did not move and only AllPaths groups take part.
     fn export_prefix(
         &mut self,
+        scratch: &mut ExportScratch,
         prefix: Prefix,
+        best_only: bool,
         now: SimTime,
         cause: Option<TraceId>,
-    ) -> Vec<Output> {
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        let mut staged_memo: BTreeMap<ExportGroupKey, StagedExports> = BTreeMap::new();
-        let mut out = Vec::new();
-        for id in ids {
-            let state = &self.peers[&id];
+        out: &mut Vec<Output>,
+    ) {
+        let ExportScratch {
+            live,
+            staging,
+            verdicts,
+        } = scratch;
+        staging.staged.clear();
+        staging.sent.clear();
+        let mut stager = self.stager(staging, now);
+        let (mut computed, mut shared) = (0, 0);
+        for g in live.iter_mut() {
+            g.staged_now = false;
+            if !(best_only || g.all_paths) {
+                continue;
+            }
+            let Some((group, staged)) = stager.stage(g.key, &prefix) else {
+                continue;
+            };
+            g.staged = staged;
+            let sent = stager.st.sent.len();
+            if g.synced {
+                let held = group.base.paths(&prefix);
+                stager
+                    .st
+                    .sent
+                    .extend(held.map(|r| (r.path_id, Arc::clone(&r.attrs))));
+            }
+            g.sent = sent..stager.st.sent.len();
+            g.staged_now = true;
+            computed += 1;
+            shared += g.members - 1;
+        }
+        if computed == 0 {
+            return;
+        }
+        self.telemetry
+            .counter_add("bgp.export.group_computed", computed);
+        if shared > 0 {
+            self.telemetry
+                .counter_add("bgp.export.group_shared", shared);
+        }
+        let (mut em, peers, groups) = self.emitter(verdicts, now, out);
+        for state in peers.values_mut() {
             if !state.session.is_established() {
                 continue;
             }
-            let key = state.group;
-            if let std::collections::btree_map::Entry::Vacant(e) = staged_memo.entry(key) {
-                let staged = self.stage_group_exports(key, &prefix, now);
-                e.insert(staged);
-                self.telemetry.counter_inc("bgp.export.group_computed");
-            } else {
-                self.telemetry.counter_inc("bgp.export.group_shared");
-            }
-            let sent = self.sent_paths(id, &prefix);
-            let staged = &staged_memo[&key];
-            out.extend(self.export_to_member(id, prefix, staged, &sent, true, cause, now));
-        }
-        for (key, staged) in staged_memo {
-            self.commit_base(key, &prefix, &staged, None);
-        }
-        out
-    }
-
-    /// What `peer` has been sent for `prefix`: its group's base minus its
-    /// mask, and nothing until its initial table sync completes.
-    fn sent_paths(&self, peer: PeerId, prefix: &Prefix) -> SentPaths {
-        let state = &self.peers[&peer];
-        if !state.synced {
-            return Vec::new();
-        }
-        self.groups[&state.group]
-            .base
-            .paths(prefix)
-            .filter(|r| !state.withholds(r))
-            .map(|r| (r.path_id, Arc::clone(&r.attrs)))
-            .collect()
-    }
-
-    /// The member diff — the only place desired and advertised state
-    /// meet. Desired is the group's staged export of `prefix` filtered by
-    /// the member's own delta (split horizon, sender-side loop, RS member
-    /// block); `sent` is what the member holds. Exactly the difference is
-    /// emitted (or MRAI-staged): one withdrawal for the paths no longer
-    /// desired, one announcement per new or changed path. The member's
-    /// mask becomes the staged paths withheld from it.
-    ///
-    /// The callers differ only in their arguments. A routing change
-    /// ([`export_prefix`](Self::export_prefix)) diffs against the
-    /// member's live view, records rejects, and tags withdrawals with the
-    /// causing trace. The initial table sync
-    /// ([`full_table_to`](Self::full_table_to)) diffs against nothing. A
-    /// group reseat diffs against the pre-move snapshot and records only
-    /// what it emits.
-    #[allow(clippy::too_many_arguments)]
-    fn export_to_member(
-        &mut self,
-        id: PeerId,
-        prefix: Prefix,
-        staged: &StagedExports,
-        sent: &[(u32, Arc<PathAttributes>)],
-        record_rejects: bool,
-        cause: Option<TraceId>,
-        now: SimTime,
-    ) -> Vec<Output> {
-        let state = &self.peers[&id];
-        let member_asn = state.cfg.asn;
-        let add_path = state.session.negotiated().is_some_and(|n| n.add_path_tx);
-        let nlri = |path_id: u32| {
-            if add_path {
-                Nlri::with_path_id(prefix, path_id)
-            } else {
-                Nlri::plain(prefix)
-            }
-        };
-        let prov = self.provenance.clone();
-        let local_asn = self.cfg.asn;
-        let record_export = |trace, attrs: &PathAttributes, verdict| {
-            if prov.is_enabled() {
-                prov.record(
-                    now,
-                    local_asn,
-                    ProvenanceEvent::Exported {
-                        to_peer: id,
-                        to_asn: member_asn,
-                        prefix,
-                        trace,
-                        as_path: attrs.as_path.asns().collect(),
-                        verdict,
-                    },
-                );
-            }
-        };
-
-        let mut desired: Vec<&Route> = Vec::new();
-        let mut masked: BTreeSet<u32> = BTreeSet::new();
-        for entry in &staged.entries {
-            match Self::member_delta(self.cfg.rs_member_blocks, id, member_asn, entry) {
-                Ok(route) => desired.push(route),
-                Err(verdict) => {
-                    if let StagedOutcome::Export(route) = &entry.outcome {
-                        masked.insert(route.path_id);
-                    }
-                    if record_rejects {
-                        record_export(entry.source_trace, &entry.source_attrs, verdict);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(
-            desired
-                .iter()
-                .map(|r| r.path_id)
-                .collect::<BTreeSet<_>>()
-                .len(),
-            desired.len(),
-            "duplicate export path ids for one member"
-        );
-
-        // Withdraw paths no longer desired.
-        let withdrawals: Vec<Nlri> = sent
-            .iter()
-            .filter(|(pid, _)| !desired.iter().any(|r| r.path_id == *pid))
-            .map(|(pid, _)| nlri(*pid))
-            .collect();
-        // `WithdrawSent` means the withdrawal hit the wire. Unpacked,
-        // that is right here; with MRAI packing the delta is only
-        // *staged* (and may be superseded by a later announce or
-        // dropped by a session reset before the flush), so the
-        // record is made in `flush_mrai` at actual emission time.
-        if !withdrawals.is_empty() && self.cfg.mrai.is_none() && prov.is_enabled() {
-            prov.record(
-                now,
-                local_asn,
-                ProvenanceEvent::WithdrawSent {
-                    to_peer: id,
-                    to_asn: member_asn,
-                    prefix,
-                    trace: cause,
-                },
-            );
-        }
-        // Announce new or changed paths.
-        let mut announces = Vec::new();
-        for route in &desired {
-            let unchanged = sent
-                .iter()
-                .any(|(pid, attrs)| *pid == route.path_id && **attrs == *route.attrs);
-            if unchanged {
+            let Ok(i) = live.binary_search_by_key(&state.group, |g| g.key) else {
+                continue;
+            };
+            let g = &live[i];
+            if !g.staged_now {
                 continue;
             }
-            record_export(route.trace, &route.attrs, ExportVerdict::Exported);
-            announces.push((nlri(route.path_id), Arc::clone(&route.attrs), route.trace));
+            // Nothing counts as sent until the initial table sync is done.
+            let sent: &[_] = if state.synced {
+                &staging.sent[g.sent.clone()]
+            } else {
+                &[]
+            };
+            let staged = &staging.staged[g.staged.clone()];
+            em.export_to_member(state, prefix, staged, sent, true, cause);
         }
-        let state = self.peers.get_mut(&id).expect("peer exists");
-        if masked.is_empty() {
-            state.mask.remove(&prefix);
-        } else {
-            state.mask.insert(prefix, masked);
-        }
-        self.emit_or_stage(id, withdrawals, cause, announces, now)
-    }
-
-    /// Commit one prefix of a staged export into its group's shared
-    /// base — once per group, never once per member. The base only ever
-    /// holds what has been sent to someone, so a routing change
-    /// (`joining` = `None`) moves it exactly when a member is synced. A
-    /// member `joining` the group's view (initial sync, reseat) fills it
-    /// only when no *other* member keeps it live; otherwise the base is
-    /// already authoritative and the staged computation must agree.
-    fn commit_base(
-        &mut self,
-        key: ExportGroupKey,
-        prefix: &Prefix,
-        staged: &StagedExports,
-        joining: Option<PeerId>,
-    ) {
-        match (joining, self.group_synced(key, joining)) {
-            (None, true) | (Some(_), false) => {
-                let group = self.groups.get_mut(&key).expect("export group exists");
-                group.base.set_prefix(prefix, staged.base_routes());
+        // The base only ever holds what has been sent to someone, so a
+        // routing change moves it exactly when a member is synced.
+        for g in live.iter().filter(|g| g.staged_now && g.synced) {
+            if let Some(group) = groups.get_mut(&g.key) {
+                let staged = &staging.staged[g.staged.clone()];
+                group.base.set_prefix(&prefix, base_routes(staged));
             }
-            // Nothing has been sent to anyone: the base stays empty.
-            (None, false) => {}
-            // Attribute values and path ids must match — `learned_at` may
-            // differ for local routes, whose timestamp is the staging time.
-            (Some(_), true) => debug_assert!(
-                {
-                    let view = |routes: Vec<Route>| -> BTreeMap<u32, Arc<PathAttributes>> {
-                        routes.into_iter().map(|r| (r.path_id, r.attrs)).collect()
-                    };
-                    let base = &self.groups[&key].base;
-                    view(base.paths(prefix).cloned().collect()) == view(staged.base_routes())
-                },
-                "staged exports diverge from an already-synced group base"
-            ),
         }
     }
 
-    /// Emit export deltas toward `id` immediately, or stage them for the
-    /// peer's MRAI flush when packing is configured. Counters track
-    /// emitted UPDATE messages, so they move to the flush in packed mode.
-    fn emit_or_stage(
+    /// Bring `peer`'s advertised view in line with its group's exports,
+    /// prefix by prefix, against what it holds in `sent`: nothing at an
+    /// initial table sync ([`full_table_to`](Self::full_table_to)), the
+    /// pre-move snapshot at a group reseat. The member joins the group's
+    /// shared view: the walk fills the base only when no *other* member
+    /// keeps it live; otherwise the base is already authoritative and the
+    /// staged computation must agree with it.
+    fn resync_member(
         &mut self,
-        id: PeerId,
-        withdrawals: Vec<Nlri>,
-        withdraw_trace: Option<TraceId>,
-        announces: Vec<(Nlri, Arc<PathAttributes>, Option<TraceId>)>,
+        peer: PeerId,
+        sent: &AdjRibOut,
+        record_rejects: bool,
         now: SimTime,
-    ) -> Vec<Output> {
-        if withdrawals.is_empty() && announces.is_empty() {
-            return Vec::new();
-        }
-        let Some(interval) = self.cfg.mrai else {
-            let mut out = Vec::new();
-            if !withdrawals.is_empty() {
-                let update = UpdateMessage::withdraw(withdrawals).with_trace(withdraw_trace);
-                out.push(self.send_update(id, update));
-            }
-            for (nlri, attrs, trace) in announces {
-                let update = UpdateMessage::announce(attrs, vec![nlri]).with_trace(trace);
-                out.push(self.send_update(id, update));
-            }
-            return out;
+        out: &mut Vec<Output>,
+    ) {
+        let Some(key) = self.peers.get(&peer).map(|s| s.group) else {
+            return;
         };
-        let state = self.peers.get_mut(&id).expect("peer exists");
-        for nlri in withdrawals {
-            let trace = withdraw_trace;
-            state.pending.insert(nlri, PendingDelta::Withdraw { trace });
+        let mut prefixes = self.known_prefixes();
+        prefixes.extend(sent.prefixes().copied());
+        if prefixes.is_empty() {
+            return;
         }
-        for (nlri, attrs, trace) in announces {
-            state
-                .pending
-                .insert(nlri, PendingDelta::Announce { attrs, trace });
+        let others_synced = self.group_synced(key, Some(peer));
+        let mut scratch = self.scratch.take().unwrap_or_default();
+        let ExportScratch {
+            staging, verdicts, ..
+        } = &mut *scratch;
+        for prefix in prefixes {
+            staging.staged.clear();
+            let Some((_, staged)) = self.stager(staging, now).stage(key, &prefix) else {
+                break;
+            };
+            let staged = &staging.staged[staged];
+            staging.sent.clear();
+            let held = sent.paths(&prefix);
+            staging
+                .sent
+                .extend(held.map(|r| (r.path_id, Arc::clone(&r.attrs))));
+            let (mut em, peers, groups) = self.emitter(verdicts, now, out);
+            let (Some(state), Some(group)) = (peers.get_mut(&peer), groups.get_mut(&key)) else {
+                break;
+            };
+            em.export_to_member(state, prefix, staged, &staging.sent, record_rejects, None);
+            if !others_synced {
+                group.base.set_prefix(&prefix, base_routes(staged));
+            } else {
+                // Attribute values and path ids must match — `learned_at`
+                // may differ for local routes, whose timestamp is the
+                // staging time.
+                debug_assert!(
+                    {
+                        let view = |routes: &mut dyn Iterator<Item = &Route>| {
+                            routes
+                                .map(|r| (r.path_id, Arc::clone(&r.attrs)))
+                                .collect::<BTreeMap<_, _>>()
+                        };
+                        view(&mut group.base.paths(&prefix)) == view(&mut base_routes(staged))
+                    },
+                    "staged exports diverge from an already-synced group base"
+                );
+            }
         }
-        // First staged delta arms the timer; later ones ride the
-        // existing deadline so a busy peer still flushes.
-        if state.mrai_deadline.is_none() {
-            state.mrai_deadline = Some(now + interval);
-        }
-        Vec::new()
+        scratch.clear();
+        self.scratch = Some(scratch);
     }
 
-    /// Put one UPDATE on the wire toward `id`: the single place emitted
-    /// UPDATEs are counted (session stats, `updates_sent`, telemetry),
-    /// shared by the immediate and the MRAI-flush path.
-    fn send_update(&mut self, id: PeerId, update: UpdateMessage) -> Output {
-        let state = self.peers.get_mut(&id).expect("peer exists");
-        state.session.note_update_sent();
-        self.updates_sent += 1;
-        self.telemetry.counter_inc("bgp.speaker.updates_out");
-        Output::Send(id, BgpMessage::Update(update))
-    }
-
-    /// Flush `id`'s staged export deltas as packed UPDATEs: withdrawals
-    /// grouped by provenance trace, announcements grouped by (attribute
-    /// allocation, trace), each group one multi-NLRI message. Iteration
-    /// is over a `BTreeMap` keyed by [`Nlri`] and group order is
-    /// first-seen, so the packing is deterministic. Send-side provenance
-    /// ([`ProvenanceEvent::WithdrawSent`]) is recorded here, at `now`,
-    /// because this is when the packed UPDATEs actually hit the wire —
-    /// a staged withdraw superseded before the flush is never recorded.
-    fn flush_mrai(&mut self, id: PeerId, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&id) else {
-            return Vec::new();
-        };
-        state.mrai_deadline = None;
-        if state.pending.is_empty() {
-            return Vec::new();
+    /// Flush `id`'s staged MRAI batch (see [`Emitter::flush_mrai`]).
+    fn flush_mrai(&mut self, id: PeerId, now: SimTime, out: &mut Vec<Output>) {
+        let mut unused = Vec::new();
+        let (mut em, peers, _) = self.emitter(&mut unused, now, out);
+        if let Some(state) = peers.get_mut(&id) {
+            em.flush_mrai(state);
         }
-        let pending = std::mem::take(&mut state.pending);
-        let to_asn = state.cfg.asn;
-        let mut withdraw_groups: Vec<(Option<TraceId>, Vec<Nlri>)> = Vec::new();
-        let mut announce_groups: Vec<(Arc<PathAttributes>, Option<TraceId>, Vec<Nlri>)> =
-            Vec::new();
-        // Indexes are lookup-only (never iterated), so the HashMap does
-        // not enter any ordered output; group order comes from the Vecs.
-        let mut wd_index: std::collections::HashMap<Option<u64>, usize> =
-            std::collections::HashMap::new();
-        let mut ann_index: std::collections::HashMap<(usize, Option<u64>), usize> =
-            std::collections::HashMap::new();
-        for (nlri, delta) in pending {
-            match delta {
-                PendingDelta::Withdraw { trace } => {
-                    let slot = *wd_index.entry(trace.map(|t| t.0)).or_insert_with(|| {
-                        withdraw_groups.push((trace, Vec::new()));
-                        withdraw_groups.len() - 1
-                    });
-                    withdraw_groups[slot].1.push(nlri);
-                }
-                PendingDelta::Announce { attrs, trace } => {
-                    let key = (Arc::as_ptr(&attrs) as usize, trace.map(|t| t.0));
-                    let slot = *ann_index.entry(key).or_insert_with(|| {
-                        announce_groups.push((attrs, trace, Vec::new()));
-                        announce_groups.len() - 1
-                    });
-                    announce_groups[slot].2.push(nlri);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (trace, nlris) in withdraw_groups {
-            if self.provenance.is_enabled() {
-                // One record per distinct prefix, mirroring the unpacked
-                // path's per-prefix granularity (ADD-PATH can put several
-                // NLRIs of one prefix in a group).
-                let mut last: Option<Prefix> = None;
-                for nlri in &nlris {
-                    if last == Some(nlri.prefix) {
-                        continue;
-                    }
-                    last = Some(nlri.prefix);
-                    self.provenance.record(
-                        now,
-                        self.cfg.asn,
-                        ProvenanceEvent::WithdrawSent {
-                            to_peer: id,
-                            to_asn,
-                            prefix: nlri.prefix,
-                            trace,
-                        },
-                    );
-                }
-            }
-            out.push(self.send_update(id, UpdateMessage::withdraw(nlris).with_trace(trace)));
-        }
-        for (attrs, trace, nlris) in announce_groups {
-            let update = UpdateMessage::announce(attrs, nlris).with_trace(trace);
-            out.push(self.send_update(id, update));
-        }
-        out
     }
 
     /// Every prefix with a local route or a learned path: the walk set
@@ -2198,18 +2023,15 @@ impl Speaker {
     /// group is already synced the shared base is authoritative and
     /// untouched; otherwise the base was cleared on unsync and is
     /// rebuilt prefix by prefix here.
-    fn full_table_to(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let key = self.peers[&peer].group;
-        let mut out = Vec::new();
-        for prefix in self.known_prefixes() {
-            let staged = self.stage_group_exports(key, &prefix, now);
-            out.extend(self.export_to_member(peer, prefix, &staged, &[], true, None, now));
-            self.commit_base(key, &prefix, &staged, Some(peer));
-        }
-        self.peers.get_mut(&peer).expect("peer exists").synced = true;
+    fn full_table_to(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
+        self.resync_member(peer, &AdjRibOut::new(), true, now, out);
+        let Some(state) = self.peers.get_mut(&peer) else {
+            return;
+        };
+        state.synced = true;
         // Initial sync is not rate-limited: flush anything the per-prefix
         // exports staged so the full table precedes the End-of-RIB marker.
-        out.extend(self.flush_mrai(peer, now));
+        self.flush_mrai(peer, now, out);
         // End-of-RIB marker.
         out.push(Output::Send(
             peer,
@@ -2220,7 +2042,6 @@ impl Speaker {
                 trace: None,
             }),
         ));
-        out
     }
 
     /// Check cross-structure consistency: every per-peer session, RIB and
@@ -2360,11 +2181,527 @@ impl Speaker {
     }
 }
 
+/// Candidate routes for a prefix: every unsuppressed Adj-RIB-In path, in
+/// peer-id order.
+fn candidates<'a>(
+    peers: &'a BTreeMap<PeerId, PeerState>,
+    prefix: &'a Prefix,
+) -> impl Iterator<Item = &'a Route> {
+    peers
+        .values()
+        .filter(move |state| !state.suppressed.contains(prefix))
+        .flat_map(move |state| state.adj_in.paths(prefix))
+}
+
+/// The locally originated route for a prefix, if any, stamped `now`.
+fn local_route(
+    local_routes: &BTreeMap<Prefix, Arc<PathAttributes>>,
+    local_traces: &BTreeMap<Prefix, TraceId>,
+    prefix: &Prefix,
+    now: SimTime,
+) -> Option<Route> {
+    let attrs = local_routes.get(prefix)?;
+    let trace = local_traces.get(prefix).copied();
+    Some(Route::local(*prefix, Arc::clone(attrs), now).with_trace(trace))
+}
+
+/// The staging half of the export engine: what a group's export
+/// computation reads, borrowed from the [`Speaker`] field by field, and
+/// the scratch it writes. The per-route work that depends only on the
+/// group fingerprint (iBGP reflection class, well-known communities,
+/// export policy, mode transforms, path-id assignment) runs here, once
+/// per group, and is shared by every member. Member-dependent filters
+/// (split horizon, sender-side loop, route-server member blocks) are
+/// deferred to [`member_delta`].
+struct Stager<'a> {
+    cfg: &'a SpeakerConfig,
+    peers: &'a BTreeMap<PeerId, PeerState>,
+    groups: &'a BTreeMap<ExportGroupKey, ExportGroup>,
+    loc_rib: &'a LocRib,
+    local_routes: &'a BTreeMap<Prefix, Arc<PathAttributes>>,
+    local_traces: &'a BTreeMap<Prefix, TraceId>,
+    interner: &'a mut AttrInterner,
+    st: &'a mut Staging,
+    now: SimTime,
+}
+
+impl<'a> Stager<'a> {
+    /// Stage one prefix for one group: append the group-level outcome of
+    /// every source route — the best path, or for an AllPaths group every
+    /// usable path, best first — to the staged entries. Returns the group
+    /// and where its entries sit; `None` for an unknown group.
+    fn stage(
+        &mut self,
+        key: ExportGroupKey,
+        prefix: &Prefix,
+    ) -> Option<(&'a ExportGroup, Range<usize>)> {
+        let (groups, loc_rib) = (self.groups, self.loc_rib);
+        let group = groups.get(&key)?;
+        let start = self.st.staged.len();
+        match group.fingerprint.advertise {
+            AdvertiseMode::BestOnly => {
+                if let Some(best) = loc_rib.get(prefix) {
+                    let entry = self.stage_route(key, group, best);
+                    self.st.staged.push(entry);
+                }
+            }
+            AdvertiseMode::AllPaths => {
+                let mut sources = std::mem::take(&mut self.st.sources);
+                sources.extend(candidates(self.peers, prefix).cloned());
+                sources.extend(local_route(
+                    self.local_routes,
+                    self.local_traces,
+                    prefix,
+                    self.now,
+                ));
+                // Deterministic order: best first.
+                let decision = &self.cfg.decision;
+                sources.sort_by(|a, b| compare_routes(b, a, decision).then(Ordering::Equal));
+                for route in &sources {
+                    let entry = self.stage_route(key, group, route);
+                    self.st.staged.push(entry);
+                }
+                sources.clear();
+                self.st.sources = sources;
+            }
+        }
+        Some((group, start..self.st.staged.len()))
+    }
+
+    /// The group-level outcome for one source route: a fully transformed
+    /// route ready for the shared base, or the group-level rejection.
+    fn stage_route(
+        &mut self,
+        key: ExportGroupKey,
+        group: &ExportGroup,
+        route: &Route,
+    ) -> StagedEntry {
+        // With a prefix-free export policy the exported attributes are a
+        // function of (source attributes, learning peer, group); the
+        // interner is what makes the memoized allocation the very one a
+        // fresh computation would be handed.
+        let memo_key = (group.export_prefix_free && self.interner.is_enabled()).then_some((
+            Arc::as_ptr(&route.attrs) as usize,
+            route.peer,
+            key,
+        ));
+        let attrs = match memo_key.and_then(|k| self.st.memo.get(&k)) {
+            Some((_, staged)) => {
+                if staged.is_ok() {
+                    // The interner lookup this stands in for.
+                    self.interner.hits += 1;
+                }
+                staged.clone()
+            }
+            None => {
+                let staged = self.export_attrs(&group.fingerprint, route);
+                if let Some(k) = memo_key {
+                    self.st
+                        .memo
+                        .insert(k, (Arc::clone(&route.attrs), staged.clone()));
+                }
+                staged
+            }
+        };
+        let outcome = match attrs {
+            Err(verdict) => StagedOutcome::Reject(verdict),
+            Ok(attrs) => StagedOutcome::Export(Route {
+                prefix: route.prefix,
+                attrs,
+                peer: route.peer,
+                path_id: match group.fingerprint.advertise {
+                    AdvertiseMode::BestOnly => 0,
+                    // Stable, collision-free id: the learning peer's id + 1
+                    // (0 is reserved for the local/best path).
+                    AdvertiseMode::AllPaths if route.peer == PeerId::LOCAL => 0,
+                    AdvertiseMode::AllPaths => route.peer.0.wrapping_add(1),
+                },
+                source: route.source,
+                igp_cost: route.igp_cost,
+                learned_at: route.learned_at,
+                trace: route.trace,
+            }),
+        };
+        StagedEntry {
+            source_peer: route.peer,
+            source_attrs: Arc::clone(&route.attrs),
+            source_trace: route.trace,
+            outcome,
+        }
+    }
+
+    /// Apply the group-level export semantics to one source route's
+    /// attributes: the transformed, interned attributes, or the verdict
+    /// that rejects the route for the whole group.
+    fn export_attrs(&mut self, fp: &GroupFingerprint, route: &Route) -> StagedAttrs {
+        // iBGP-learned routes are not re-advertised to iBGP peers unless
+        // route reflection applies (RFC 4456): a route from a client is
+        // reflected to every iBGP peer; a route from a non-client is
+        // reflected to clients only.
+        if route.source == RouteSource::Ibgp && fp.ibgp {
+            let from_client = self.peers.get(&route.peer).is_some_and(|p| p.cfg.rr_client);
+            let reflect = from_client || fp.rr_client;
+            if !reflect {
+                return Err(ExportVerdict::IbgpNoReflect);
+            }
+        }
+        // Well-known communities.
+        if route.attrs.has_community(Community::NO_ADVERTISE) {
+            return Err(ExportVerdict::NoAdvertise);
+        }
+        // NO_EXPORT binds the *receiving* AS: routes we learned must not
+        // leave our AS, but a route we originate ourselves is still sent
+        // to the neighbor (who then keeps it inside their AS).
+        if !fp.ibgp
+            && route.source != RouteSource::Local
+            && route.attrs.has_community(Community::NO_EXPORT)
+        {
+            return Err(ExportVerdict::NoExport);
+        }
+        let mut attrs = (*route.attrs).clone();
+        if !fp.export.apply(&route.prefix, &mut attrs) {
+            return Err(ExportVerdict::PolicyRejected);
+        }
+        match self.cfg.mode {
+            SpeakerMode::RouteServer => {
+                // RFC 7947: transparent. Leave AS_PATH, NEXT_HOP, MED.
+            }
+            SpeakerMode::Normal => {
+                if fp.ibgp {
+                    // iBGP: keep next hop and path; ensure LOCAL_PREF set.
+                    if attrs.local_pref.is_none() {
+                        attrs.local_pref = Some(100);
+                    }
+                } else {
+                    attrs.as_path.prepend(self.cfg.asn, 1);
+                    attrs.next_hop = self.cfg.router_id;
+                    attrs.local_pref = None;
+                }
+            }
+        }
+        // Interning here means every member of every group holding this
+        // export (and every receiving speaker's Adj-RIB-In) shares one
+        // allocation; values are untouched, so digests are unchanged.
+        Ok(self.interner.intern(attrs))
+    }
+}
+
+/// Member-dependent export filter over a staged entry. Verdict
+/// precedence exactly mirrors the historical per-peer pipeline: split
+/// horizon, then the group-level reflection/community rejects, then the
+/// member's sender-side loop check (on the *source* path), then
+/// group-level policy rejection, then route-server member blocks. `Ok`
+/// borrows the staged route shared by the whole group.
+fn member_delta(
+    rs_member_blocks: bool,
+    member: PeerId,
+    member_asn: Asn,
+    entry: &StagedEntry,
+) -> Result<&Route, ExportVerdict> {
+    // Split horizon: never back to the peer it came from.
+    if entry.source_peer == member {
+        return Err(ExportVerdict::SplitHorizon);
+    }
+    if let StagedOutcome::Reject(v) = entry.outcome {
+        if matches!(
+            v,
+            ExportVerdict::IbgpNoReflect | ExportVerdict::NoAdvertise | ExportVerdict::NoExport
+        ) {
+            return Err(v);
+        }
+    }
+    // Sender-side loop check.
+    if entry.source_attrs.as_path.contains(member_asn) {
+        return Err(ExportVerdict::AsPathLoop);
+    }
+    match &entry.outcome {
+        StagedOutcome::Reject(v) => Err(*v),
+        StagedOutcome::Export(route) => {
+            // RFC 7947 member blocks: community `0:<member-as16>` on
+            // the source route keeps it away from that member. The
+            // check runs on the source attributes (the shared policy
+            // strips operator communities on the way out).
+            if rs_member_blocks
+                && entry
+                    .source_attrs
+                    .has_community(Community::new(0, as16(member_asn)))
+            {
+                return Err(ExportVerdict::PolicyRejected);
+            }
+            Ok(route)
+        }
+    }
+}
+
+/// The member half of the export engine and the one sink of the update
+/// path: the caller's `Vec<Output>` and the counters an emitted UPDATE
+/// moves, borrowed from the [`Speaker`] field by field so a member's
+/// [`PeerState`] can be held mutably beside them.
+struct Emitter<'a> {
+    cfg: &'a SpeakerConfig,
+    /// The provenance log, when one is attached.
+    prov: Option<&'a ProvenanceLog>,
+    telemetry: &'a Telemetry,
+    updates_sent: &'a mut u64,
+    verdicts: &'a mut Vec<MemberPath>,
+    now: SimTime,
+    out: &'a mut Vec<Output>,
+}
+
+impl Emitter<'_> {
+    /// The member diff — the only place desired and advertised state
+    /// meet. Desired is the group's staged export of `prefix` filtered by
+    /// the member's own delta (split horizon, sender-side loop, RS member
+    /// block); `sent` is what the member's view is drawn from, less the
+    /// paths its mask withholds. Exactly the difference is emitted (or
+    /// MRAI-staged): one withdrawal for the paths no longer desired, one
+    /// announcement per new or changed path. The member's mask becomes
+    /// the staged paths withheld from it.
+    ///
+    /// The callers differ only in their arguments. A routing change
+    /// ([`Speaker::export_prefix`]) diffs against the group's live base,
+    /// records rejects, and tags withdrawals with the causing trace. The
+    /// initial table sync diffs against nothing. A group reseat diffs
+    /// against the pre-move snapshot and records only what it emits.
+    fn export_to_member(
+        &mut self,
+        state: &mut PeerState,
+        prefix: Prefix,
+        staged: &[StagedEntry],
+        sent: &[(u32, Arc<PathAttributes>)],
+        record_rejects: bool,
+        cause: Option<TraceId>,
+    ) {
+        let (id, member_asn) = (state.cfg.id, state.cfg.asn);
+        let add_path = state.session.negotiated().is_some_and(|n| n.add_path_tx);
+        let nlri = |path_id: u32| {
+            if add_path {
+                Nlri::with_path_id(prefix, path_id)
+            } else {
+                Nlri::plain(prefix)
+            }
+        };
+        let (prov, now, local_asn) = (self.prov, self.now, self.cfg.asn);
+        let record_export = |trace, attrs: &PathAttributes, verdict| {
+            if let Some(prov) = prov {
+                prov.record(
+                    now,
+                    local_asn,
+                    ProvenanceEvent::Exported {
+                        to_peer: id,
+                        to_asn: member_asn,
+                        prefix,
+                        trace,
+                        as_path: attrs.as_path.asns().collect(),
+                        verdict,
+                    },
+                );
+            }
+        };
+        let mask = state.mask.get(&prefix);
+        let held = sent
+            .iter()
+            .filter(|(pid, _)| !mask.is_some_and(|withheld| withheld.contains(pid)));
+
+        let mut masked: BTreeSet<u32> = BTreeSet::new();
+        self.verdicts.clear();
+        for entry in staged {
+            let verdict = match member_delta(self.cfg.rs_member_blocks, id, member_asn, entry) {
+                Ok(route) => {
+                    let unchanged = held.clone().any(|(pid, attrs)| {
+                        *pid == route.path_id
+                            && (Arc::ptr_eq(attrs, &route.attrs) || **attrs == *route.attrs)
+                    });
+                    if unchanged {
+                        MemberPath::Unchanged
+                    } else {
+                        MemberPath::Announce
+                    }
+                }
+                Err(verdict) => {
+                    if let Some(route) = entry.exported() {
+                        masked.insert(route.path_id);
+                    }
+                    if record_rejects {
+                        record_export(entry.source_trace, &entry.source_attrs, verdict);
+                    }
+                    MemberPath::Withheld
+                }
+            };
+            self.verdicts.push(verdict);
+        }
+        let desired = || {
+            let wanted = staged.iter().zip(self.verdicts.iter());
+            wanted.filter_map(|(entry, verdict)| match verdict {
+                MemberPath::Withheld => None,
+                MemberPath::Unchanged | MemberPath::Announce => entry.exported(),
+            })
+        };
+        debug_assert_eq!(
+            desired().map(|r| r.path_id).collect::<BTreeSet<_>>().len(),
+            desired().count(),
+            "duplicate export path ids for one member"
+        );
+        // Withdraw paths no longer desired.
+        let withdrawals: Vec<Nlri> = held
+            .filter(|(pid, _)| !desired().any(|r| r.path_id == *pid))
+            .map(|(pid, _)| nlri(*pid))
+            .collect();
+        if masked.is_empty() {
+            state.mask.remove(&prefix);
+        } else {
+            state.mask.insert(prefix, masked);
+        }
+
+        if !withdrawals.is_empty() {
+            // `WithdrawSent` means the withdrawal hit the wire. Unpacked,
+            // that is right here; with MRAI packing the delta is only
+            // *staged* (and may be superseded by a later announce or
+            // dropped by a session reset before the flush), so the
+            // record is made in `flush_mrai` at actual emission time.
+            if let (None, Some(prov)) = (self.cfg.mrai, prov) {
+                prov.record(
+                    now,
+                    local_asn,
+                    ProvenanceEvent::WithdrawSent {
+                        to_peer: id,
+                        to_asn: member_asn,
+                        prefix,
+                        trace: cause,
+                    },
+                );
+            }
+            self.emit(state, withdrawals, PendingDelta::Withdraw { trace: cause });
+        }
+        // Announce new or changed paths.
+        for (i, entry) in staged.iter().enumerate() {
+            let (MemberPath::Announce, Some(route)) = (self.verdicts[i], entry.exported()) else {
+                continue;
+            };
+            record_export(route.trace, &route.attrs, ExportVerdict::Exported);
+            let delta = PendingDelta::Announce {
+                attrs: Arc::clone(&route.attrs),
+                trace: route.trace,
+            };
+            self.emit(state, vec![nlri(route.path_id)], delta);
+        }
+    }
+
+    /// Emit one export delta toward a member immediately, or stage it for
+    /// the member's MRAI flush when packing is configured. Counters track
+    /// emitted UPDATE messages, so they move to the flush in packed mode.
+    fn emit(&mut self, state: &mut PeerState, nlris: Vec<Nlri>, delta: PendingDelta) {
+        let Some(interval) = self.cfg.mrai else {
+            let update = match delta {
+                PendingDelta::Withdraw { trace } => {
+                    UpdateMessage::withdraw(nlris).with_trace(trace)
+                }
+                PendingDelta::Announce { attrs, trace } => {
+                    UpdateMessage::announce(attrs, nlris).with_trace(trace)
+                }
+            };
+            return self.send_update(state, update);
+        };
+        for nlri in nlris {
+            state.pending.insert(nlri, delta.clone());
+        }
+        // First staged delta arms the timer; later ones ride the
+        // existing deadline so a busy peer still flushes.
+        if state.mrai_deadline.is_none() {
+            state.mrai_deadline = Some(self.now + interval);
+        }
+    }
+
+    /// Put one UPDATE on the wire toward a peer: the single place emitted
+    /// UPDATEs are counted (session stats, `updates_sent`, telemetry),
+    /// shared by the immediate and the MRAI-flush path.
+    fn send_update(&mut self, state: &mut PeerState, update: UpdateMessage) {
+        state.session.note_update_sent();
+        *self.updates_sent += 1;
+        self.telemetry.counter_inc("bgp.speaker.updates_out");
+        self.out
+            .push(Output::Send(state.cfg.id, BgpMessage::Update(update)));
+    }
+
+    /// Flush a peer's staged export deltas as packed UPDATEs: withdrawals
+    /// grouped by provenance trace, announcements grouped by (attribute
+    /// allocation, trace), each group one multi-NLRI message. Iteration
+    /// is over a `BTreeMap` keyed by [`Nlri`] and group order is
+    /// first-seen, so the packing is deterministic. Send-side provenance
+    /// ([`ProvenanceEvent::WithdrawSent`]) is recorded here, at `now`,
+    /// because this is when the packed UPDATEs actually hit the wire —
+    /// a staged withdraw superseded before the flush is never recorded.
+    fn flush_mrai(&mut self, state: &mut PeerState) {
+        state.mrai_deadline = None;
+        if state.pending.is_empty() {
+            return;
+        }
+        let pending = std::mem::take(&mut state.pending);
+        let (id, to_asn) = (state.cfg.id, state.cfg.asn);
+        let mut withdraw_groups: Vec<(Option<TraceId>, Vec<Nlri>)> = Vec::new();
+        let mut announce_groups: Vec<(Arc<PathAttributes>, Option<TraceId>, Vec<Nlri>)> =
+            Vec::new();
+        // Indexes are lookup-only (never iterated), so the HashMap does
+        // not enter any ordered output; group order comes from the Vecs.
+        let mut wd_index: HashMap<Option<u64>, usize> = HashMap::new();
+        let mut ann_index: HashMap<(usize, Option<u64>), usize> = HashMap::new();
+        for (nlri, delta) in pending {
+            match delta {
+                PendingDelta::Withdraw { trace } => {
+                    let slot = *wd_index.entry(trace.map(|t| t.0)).or_insert_with(|| {
+                        withdraw_groups.push((trace, Vec::new()));
+                        withdraw_groups.len() - 1
+                    });
+                    withdraw_groups[slot].1.push(nlri);
+                }
+                PendingDelta::Announce { attrs, trace } => {
+                    let key = (Arc::as_ptr(&attrs) as usize, trace.map(|t| t.0));
+                    let slot = *ann_index.entry(key).or_insert_with(|| {
+                        announce_groups.push((attrs, trace, Vec::new()));
+                        announce_groups.len() - 1
+                    });
+                    announce_groups[slot].2.push(nlri);
+                }
+            }
+        }
+        for (trace, nlris) in withdraw_groups {
+            if let Some(prov) = self.prov {
+                // One record per distinct prefix, mirroring the unpacked
+                // path's per-prefix granularity (ADD-PATH can put several
+                // NLRIs of one prefix in a group).
+                let mut last: Option<Prefix> = None;
+                for nlri in &nlris {
+                    if last == Some(nlri.prefix) {
+                        continue;
+                    }
+                    last = Some(nlri.prefix);
+                    prov.record(
+                        self.now,
+                        self.cfg.asn,
+                        ProvenanceEvent::WithdrawSent {
+                            to_peer: id,
+                            to_asn,
+                            prefix: nlri.prefix,
+                            trace,
+                        },
+                    );
+                }
+            }
+            self.send_update(state, UpdateMessage::withdraw(nlris).with_trace(trace));
+        }
+        for (attrs, trace, nlris) in announce_groups {
+            let update = UpdateMessage::announce(attrs, nlris).with_trace(trace);
+            self.send_update(state, update);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::AsPath;
     use crate::message::NotifCode;
+    use crate::policy::{Action, Match};
 
     /// Deliver all queued outputs between two speakers until quiescent.
     fn settle(a: &mut Speaker, b: &mut Speaker, a_peer: PeerId, b_peer: PeerId, now: SimTime) {
@@ -3443,5 +3780,98 @@ mod tests {
             1,
             "no WithdrawSent for the superseded staged withdraw"
         );
+    }
+    /// A speaker (AS 65000) with one established feeder (peer 0, AS 100)
+    /// and one established listener (peer 1, AS 200) exporting under
+    /// `export`; the far ends are played by hand.
+    fn feeder_and_listener(export: Policy) -> Speaker {
+        let mut s = speaker(65000);
+        for (id, asn, policy) in [(0, 100, Policy::accept_all()), (1, 200, export)] {
+            s.add_peer(PeerConfig::new(PeerId(id), Asn(asn)).export(policy));
+            s.start_peer(PeerId(id), SimTime::ZERO);
+            let open = crate::message::OpenMessage::new(Asn(asn), 90, Ipv4Addr::new(10, 1, 0, 1));
+            s.on_message(PeerId(id), BgpMessage::Open(open), SimTime::ZERO);
+            s.on_message(PeerId(id), BgpMessage::Keepalive, SimTime::ZERO);
+            assert!(s.peer_established(PeerId(id)));
+        }
+        s
+    }
+
+    /// One UPDATE from the feeder: `prefixes` sharing one attribute set.
+    fn shared_attrs_update(prefixes: &[Prefix]) -> BgpMessage {
+        let attrs = PathAttributes {
+            as_path: AsPath::from_asns(&[Asn(100), Asn(101)]),
+            ..Default::default()
+        };
+        let nlris = prefixes.iter().copied().map(Nlri::plain).collect();
+        BgpMessage::Update(UpdateMessage::announce(Arc::new(attrs), nlris))
+    }
+
+    #[test]
+    fn prefix_reading_export_policy_is_decided_per_prefix() {
+        // Two prefixes arrive in one UPDATE and share one interned
+        // attribute set; an export policy that reads the prefix must
+        // still give each its own verdict (and its own rewrite) rather
+        // than the staged outcome memoized for the other.
+        let (kept, dropped) = (Prefix::v4(10, 1, 0, 0, 16), Prefix::v4(10, 2, 0, 0, 16));
+        let reads_prefix = Policy::accept_all()
+            .rule(Match::PrefixExact(vec![dropped]), vec![Action::Reject])
+            .rule(
+                Match::PrefixIn(vec![Prefix::v4(10, 1, 0, 0, 16)]),
+                vec![Action::Prepend(Asn(65000), 2)],
+            );
+        assert!(!reads_prefix.is_prefix_free());
+        for order in [[kept, dropped], [dropped, kept]] {
+            let mut s = feeder_and_listener(reads_prefix.clone());
+            let outs = s.on_message(
+                PeerId(0),
+                shared_attrs_update(&order),
+                SimTime::from_secs(1),
+            );
+            let sent: Vec<(Prefix, usize)> = outs
+                .iter()
+                .filter_map(|o| match o {
+                    Output::Send(PeerId(1), BgpMessage::Update(u)) => {
+                        let hops = u.attrs.as_ref()?.as_path.hop_count() as usize;
+                        Some((u.announced[0].prefix, hops))
+                    }
+                    _ => None,
+                })
+                .collect();
+            // The kept prefix goes out prepended twice on top of the
+            // eBGP self-prepend; the dropped one does not go out at all.
+            assert_eq!(sent, vec![(kept, 5)], "order {order:?}");
+            let out = s.adj_rib_out(PeerId(1)).unwrap();
+            assert!(out.get(&kept, 0).is_some() && out.get(&dropped, 0).is_none());
+        }
+    }
+
+    #[test]
+    fn prefix_free_export_policy_shares_one_staged_outcome() {
+        // The counterpart: under a prefix-free policy the two prefixes
+        // leave with the very same exported allocation, and the interner
+        // statistics read as if each had been looked up on its own.
+        let (a, b) = (Prefix::v4(10, 1, 0, 0, 16), Prefix::v4(10, 2, 0, 0, 16));
+        let tag = Policy::accept_all().rule(Match::Any, vec![Action::SetMed(7)]);
+        assert!(tag.is_prefix_free());
+        let mut s = feeder_and_listener(tag);
+        let before = s.interner_stats();
+        s.on_message(
+            PeerId(0),
+            shared_attrs_update(&[a, b]),
+            SimTime::from_secs(1),
+        );
+        let out = s.adj_rib_out(PeerId(1)).unwrap();
+        let (ra, rb) = (out.get(&a, 0).unwrap(), out.get(&b, 0).unwrap());
+        assert!(Arc::ptr_eq(&ra.attrs, &rb.attrs));
+        assert_eq!(ra.attrs.med, Some(7));
+        // Two imports and two listener-side exports; the feeder's own
+        // group sees a split-horizon source but still stages it (2 more).
+        // One allocation each for the imported and the exported set, and
+        // a third for what goes back toward the feeder's group.
+        let after = s.interner_stats();
+        let lookups = (after.1 + after.2) - (before.1 + before.2);
+        assert_eq!(lookups, 6);
+        assert_eq!(after.2 - before.2, 3);
     }
 }

@@ -59,6 +59,20 @@ double_run_cmp() {
   done
 }
 
+# One short traced run of a benchmark workload; its exact counters
+# (allocations, wire and table counts — no timings) go to OUT. The import
+# refuses a run whose result is not `"correct":true`. Usage:
+#
+#   bench_counters WORKLOAD OUT
+bench_counters() {
+  local workload="$1" out="$2" dir
+  dir="$(mktemp -d -p "$tmpdir")"
+  bash benchmark/run.sh --workload "$workload" --trace 1 --seconds 2 --results "$dir" \
+    >"$dir/run.log" || { cat "$dir/run.log"; exit 1; }
+  cargo run --release -q -p peering-bench --bin perf_report -- \
+    --import-exact "$dir/traced_$workload.json" "$out"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -122,6 +136,10 @@ cargo run --release -q -p peering-analysis --bin peering-analyze -- \
 cmp "$tmpdir/analysis1.json" "$tmpdir/analysis2.json" \
   || { echo "analysis report differs between runs (nondeterministic analyzer)"; exit 1; }
 cp "$tmpdir/analysis1.json" results/BENCH_analysis.json
+
+echo "==> benchmark counters (router_feed traced: allocations, wire and table counts)"
+double_run_cmp router_feed - results/BENCH_router_feed.json \
+  bench_counters router_feed "{out}"
 
 echo "==> perf regression gate (BENCH suite vs checked-in baseline)"
 double_run_cmp perf - results/BENCH_PERF.json \
