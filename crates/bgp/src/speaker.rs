@@ -882,12 +882,14 @@ impl Speaker {
 
     /// Remove a peer entirely, rerunning decisions for its routes.
     pub fn remove_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
+        // Take the session down like any other loss (Cease, `PeerDown`,
+        // FSM accounting), then drop the configuration.
+        let mut out = self.stop_peer(peer, now);
         let Some(mut state) = self.peers.remove(&peer) else {
-            return Vec::new();
+            return out;
         };
         self.detach_from_group(peer, state.group);
-        let (msgs, _) = state.session.stop(now);
-        let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(peer, m)).collect();
+        // Graceful restart kept the paths as stale; a removed peer's go now.
         let affected = state.adj_in.clear();
         self.reconsider(&affected, now, &mut out);
         out
@@ -1464,6 +1466,8 @@ impl Speaker {
                 state.suppressed.clear();
                 state.stale = None;
                 state.max_prefix_warned = false;
+                state.pending.clear();
+                state.mrai_deadline = None;
                 telemetry.counter_inc("bgp.session.down");
                 for ev in sess_events {
                     if let SessionEvent::Down { reason } = ev {
@@ -1690,6 +1694,8 @@ impl Speaker {
             state.damping = DampingState::new();
             state.stale = None;
             state.max_prefix_warned = false;
+            state.pending.clear();
+            state.mrai_deadline = None;
         }
         // No peer is synced any more, so no group base represents sent
         // state: clear them all.
@@ -3781,13 +3787,94 @@ mod tests {
             "no WithdrawSent for the superseded staged withdraw"
         );
     }
+
+    /// The UPDATEs in `outs`, by the peer they go to.
+    fn updates_to(outs: &[Output]) -> Vec<PeerId> {
+        let update = |o: &Output| match o {
+            Output::Send(peer, BgpMessage::Update(_)) => Some(*peer),
+            _ => None,
+        };
+        outs.iter().filter_map(update).collect()
+    }
+
+    /// [`feeder_and_listener`] pacing its exports at 30 s, the feeder held
+    /// to two prefixes, with one export staged toward both peers at 1 s.
+    fn paced_with_a_staged_export() -> Speaker {
+        let cfg = SpeakerConfig::new(Asn(65000), Ipv4Addr::new(10, 0, 0, 1));
+        let mut s = establish_feeder_and_listener(
+            Speaker::new(cfg.with_mrai(SimDuration::from_secs(30))),
+            PeerConfig::new(PeerId(0), Asn(100)).with_max_prefix(MaxPrefixConfig::new(2)),
+            PeerConfig::new(PeerId(1), Asn(200)),
+        );
+        let staged = s.originate(Prefix::v4(10, 9, 0, 0, 16), SimTime::from_secs(1));
+        assert_eq!(updates_to(&staged), vec![], "paced exports stage");
+        assert_eq!(s.next_deadline(), SimTime::from_secs(30), "keepalive first");
+        s
+    }
+
+    #[test]
+    fn max_prefix_cease_drops_the_deltas_staged_for_the_ceased_peer() {
+        let mut s = paced_with_a_staged_export();
+        let flood: Vec<Prefix> = (1..=3).map(|i| Prefix::v4(10, i, 0, 0, 16)).collect();
+        let outs = s.on_message(PeerId(0), shared_attrs_update(&flood), SimTime::from_secs(2));
+        assert!(!s.peer_established(PeerId(0)), "the flooder is ceased");
+        assert_eq!(updates_to(&outs), vec![]);
+        // Past the MRAI deadline the listener gets its batch; the staged
+        // export toward the ceased session died with it.
+        let flushed = s.tick(SimTime::from_secs(32));
+        assert_eq!(updates_to(&flushed), vec![PeerId(1)]);
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn restart_drops_every_staged_delta() {
+        let mut s = paced_with_a_staged_export();
+        s.restart(SimTime::from_secs(2));
+        assert!(!s.peer_established(PeerId(0)) && !s.peer_established(PeerId(1)));
+        assert_eq!(updates_to(&s.tick(SimTime::from_secs(32))), vec![]);
+        assert_eq!(s.next_deadline(), SimTime::MAX, "no timer left armed");
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn remove_peer_takes_the_session_down_like_any_other_loss() {
+        let mut s = feeder_and_listener(Policy::accept_all());
+        let telemetry = Telemetry::new();
+        s.set_telemetry(telemetry.clone());
+        let p = Prefix::v4(10, 1, 0, 0, 16);
+        s.on_message(PeerId(0), shared_attrs_update(&[p]), SimTime::from_secs(1));
+        let outs = s.remove_peer(PeerId(0), SimTime::from_secs(2));
+        assert!(outs.iter().any(|o| matches!(
+            o,
+            Output::Event(SpeakerEvent::PeerDown(PeerId(0), _))
+        )));
+        assert_eq!(updates_to(&outs), vec![PeerId(1)], "the route is withdrawn");
+        let counters = telemetry.snapshot();
+        assert_eq!(counters.counter("bgp.fsm.to_idle"), 1);
+        assert_eq!(counters.counter("bgp.session.down"), 1);
+        assert_eq!(s.peer_count(), 1);
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
     /// A speaker (AS 65000) with one established feeder (peer 0, AS 100)
     /// and one established listener (peer 1, AS 200) exporting under
     /// `export`; the far ends are played by hand.
     fn feeder_and_listener(export: Policy) -> Speaker {
-        let mut s = speaker(65000);
-        for (id, asn, policy) in [(0, 100, Policy::accept_all()), (1, 200, export)] {
-            s.add_peer(PeerConfig::new(PeerId(id), Asn(asn)).export(policy));
+        establish_feeder_and_listener(
+            speaker(65000),
+            PeerConfig::new(PeerId(0), Asn(100)),
+            PeerConfig::new(PeerId(1), Asn(200)).export(export),
+        )
+    }
+
+    fn establish_feeder_and_listener(
+        mut s: Speaker,
+        feeder: PeerConfig,
+        listener: PeerConfig,
+    ) -> Speaker {
+        for peer in [feeder, listener] {
+            let (id, asn) = (peer.id.0, peer.asn.0);
+            s.add_peer(peer);
             s.start_peer(PeerId(id), SimTime::ZERO);
             let open = crate::message::OpenMessage::new(Asn(asn), 90, Ipv4Addr::new(10, 1, 0, 1));
             s.on_message(PeerId(id), BgpMessage::Open(open), SimTime::ZERO);
