@@ -14,357 +14,37 @@
 //!   best one. This is the BIRD-style multiplexing PEERING proposes for
 //!   scaling client sessions at large IXPs: one session carries every
 //!   upstream's routes, distinguishable by path id.
+//!
+//! The `impl Speaker` is split along its seams, and each private
+//! submodule owns the state it is responsible for: [`config`] the knobs,
+//! `session` what drives a peer's FSM and what a session coming or going
+//! means, `import` the UPDATE-to-Adj-RIB-In path, `export` (with its
+//! children `stage`, `diff` and `mrai`) everything a peer has been sent.
+//! This file keeps the tables, local origination, the decision process
+//! that connects import to export, and the cross-module invariants.
+
+mod config;
+mod export;
+mod import;
+mod session;
+
+pub use config::{
+    AdvertiseMode, ExportGroupKey, ExportGrouping, MaxPrefixConfig, PeerConfig, SpeakerConfig,
+    SpeakerMode,
+};
 
 use crate::attrs::{Community, PathAttributes};
-use crate::damping::{DampingConfig, DampingState};
-use crate::decision::{best_route, compare_routes, DecisionConfig};
-use crate::fsm::{ConnectRetryConfig, Session, SessionConfig, SessionEvent};
-use crate::mem::rib_memory;
-use crate::message::{BgpMessage, Nlri, UpdateMessage};
-use crate::policy::Policy;
-use crate::provenance::{ExportVerdict, ImportVerdict, ProvenanceEvent, ProvenanceLog};
-use crate::rib::{AdjRibIn, AdjRibOut, AttrInterner, LocRib, PeerId, Route, RouteSource};
-use peering_netsim::{Asn, Fnv1a, Prefix, SimDuration, SimRng, SimTime, TraceId};
+use crate::damping::DampingState;
+use crate::decision::best_route;
+use crate::fsm::{ConnectRetryConfig, Session, SessionConfig};
+use crate::message::{BgpMessage, Nlri};
+use crate::provenance::{ProvenanceEvent, ProvenanceLog};
+use crate::rib::{AdjRibIn, AttrInterner, LocRib, PeerId, Route};
+use export::{Export, Member};
+use peering_netsim::{Asn, Prefix, SimRng, SimTime, TraceId};
 use peering_telemetry::Telemetry;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::net::Ipv4Addr;
-use std::ops::Range;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Global operating mode of a speaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpeakerMode {
-    /// Conventional BGP router.
-    Normal,
-    /// RFC 7947 route server: transparent AS path and next hop.
-    RouteServer,
-}
-
-/// What a speaker advertises to a given peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdvertiseMode {
-    /// Only the Loc-RIB best route per prefix (normal BGP).
-    BestOnly,
-    /// Every usable path, tagged with ADD-PATH ids (mux sessions).
-    AllPaths,
-}
-
-/// Speaker-wide configuration.
-#[derive(Debug, Clone)]
-pub struct SpeakerConfig {
-    /// Our ASN.
-    pub asn: Asn,
-    /// Our router id (also used as next-hop-self address).
-    pub router_id: Ipv4Addr,
-    /// Operating mode.
-    pub mode: SpeakerMode,
-    /// Decision-process tunables.
-    pub decision: DecisionConfig,
-    /// Route-flap damping applied to routes learned from peers.
-    pub damping: Option<DampingConfig>,
-    /// Share identical attribute sets across RIB entries.
-    pub intern_attrs: bool,
-    /// Proposed hold time for sessions.
-    pub hold_time: SimDuration,
-    /// Automatic reconnection after session loss. Each peer session gets
-    /// its own deterministic jitter stream forked from this seed.
-    pub connect_retry: Option<ConnectRetryConfig>,
-    /// MRAI-style update packing (RFC 4271 §9.2.1.1, simplified to a
-    /// per-peer batch timer): export deltas are staged per peer and
-    /// flushed as packed multi-NLRI UPDATEs when the interval expires.
-    /// `None` (the default) emits every delta immediately, which is the
-    /// historical behaviour every golden is pinned to.
-    pub mrai: Option<SimDuration>,
-    /// Peer-group export engine: peers whose export-relevant config
-    /// (export policy, advertise mode, session class) matches share one
-    /// staged export computation and one copy-on-write Adj-RIB-Out base.
-    /// Disabling forces every peer into a solo group — the naive
-    /// per-peer-copy reference the grouped engine is pinned against.
-    pub export_groups: bool,
-    /// RFC 7947 route-server member blocks handled in the engine: a
-    /// source route tagged `0:<low16(member ASN)>` is withheld from that
-    /// member as a per-member delta on the shared group computation
-    /// (instead of forcing a per-member export policy, which would
-    /// defeat grouping). Only meaningful in route-server mode.
-    pub rs_member_blocks: bool,
-}
-
-impl SpeakerConfig {
-    /// A normal router.
-    pub fn new(asn: Asn, router_id: Ipv4Addr) -> Self {
-        SpeakerConfig {
-            asn,
-            router_id,
-            mode: SpeakerMode::Normal,
-            decision: DecisionConfig::default(),
-            damping: None,
-            intern_attrs: true,
-            hold_time: SimDuration::from_secs(90),
-            connect_retry: None,
-            mrai: None,
-            export_groups: true,
-            rs_member_blocks: false,
-        }
-    }
-
-    /// Enable MRAI-style update packing with the given interval.
-    pub fn with_mrai(mut self, interval: SimDuration) -> Self {
-        self.mrai = Some(interval);
-        self
-    }
-
-    /// Enable automatic reconnection with backed-off retries.
-    pub fn with_connect_retry(mut self, retry: ConnectRetryConfig) -> Self {
-        self.connect_retry = Some(retry);
-        self
-    }
-
-    /// Switch to route-server mode.
-    pub fn route_server(mut self) -> Self {
-        self.mode = SpeakerMode::RouteServer;
-        self
-    }
-
-    /// Enable flap damping.
-    pub fn with_damping(mut self, cfg: DampingConfig) -> Self {
-        self.damping = Some(cfg);
-        self
-    }
-
-    /// Disable attribute interning (Figure 2 ablation).
-    pub fn without_interning(mut self) -> Self {
-        self.intern_attrs = false;
-        self
-    }
-
-    /// Disable the peer-group export engine: every peer computes and
-    /// stores its own Adj-RIB-Out (the naive per-peer-copy reference).
-    pub fn without_export_groups(mut self) -> Self {
-        self.export_groups = false;
-        self
-    }
-
-    /// Handle RFC 7947 `0:<member>` block communities in the engine as
-    /// per-member deltas on the shared export group (route-server mode).
-    pub fn with_rs_member_blocks(mut self) -> Self {
-        self.rs_member_blocks = true;
-        self
-    }
-}
-
-/// Identifier of an export peer-group. Peers sharing a key share one
-/// staged export computation and one copy-on-write Adj-RIB-Out base.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ExportGroupKey(pub u64);
-
-impl ExportGroupKey {
-    /// Bit tagging keys of solo (ungrouped) peers, keeping them disjoint
-    /// from the auto-derived hash space (which clears this bit).
-    const SOLO_BIT: u64 = 1 << 63;
-
-    /// The dedicated single-member key for a peer that opted out of
-    /// grouping (or was split out, e.g. by containment quarantine).
-    pub fn solo(peer: PeerId) -> Self {
-        ExportGroupKey(Self::SOLO_BIT | u64::from(peer.0))
-    }
-
-    /// True for keys minted by [`solo`](Self::solo).
-    pub fn is_solo(self) -> bool {
-        self.0 & Self::SOLO_BIT != 0
-    }
-}
-
-/// How a peer is assigned to an export peer-group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExportGrouping {
-    /// Derive the group from the peer's export-relevant configuration:
-    /// peers with equal export policy, advertise mode and session class
-    /// share a group automatically.
-    #[default]
-    Auto,
-    /// Join exactly this group. The peer's export-relevant config must
-    /// match the group's; a mismatch splits the peer to a fresh key
-    /// rather than silently corrupting the shared base.
-    Key(ExportGroupKey),
-    /// Never share: a dedicated group holding only this peer.
-    Solo,
-}
-
-/// Low 16 bits of an ASN — the encoding used in `0:<asn>` operator
-/// communities (route-server member blocks, RFC 7947 style).
-fn as16(asn: Asn) -> u16 {
-    (asn.0 & 0xFFFF) as u16
-}
-
-/// Per-session prefix-count limits (RFC 4486 §4 "maximum number of
-/// prefixes reached").
-///
-/// Crossing `warn` raises a one-shot telemetry warning; exceeding
-/// `limit` answers with a Cease NOTIFICATION, flushes the peer's
-/// Adj-RIB-In (graceful restart is deliberately bypassed — retaining a
-/// flooder's paths would preserve the very table pressure the limit
-/// exists to shed), and serves an `idle_hold` penalty before the
-/// session re-establishes on its own.
-#[derive(Debug, Clone, Copy)]
-pub struct MaxPrefixConfig {
-    /// Soft threshold: warn (once per session) at this many prefixes.
-    pub warn: usize,
-    /// Hard limit: tear the session down above this many prefixes.
-    pub limit: usize,
-    /// Idle-hold penalty served before automatic re-establishment.
-    pub idle_hold: SimDuration,
-}
-
-impl MaxPrefixConfig {
-    /// Limits with a warning threshold at 80% of `limit` and a 60 s
-    /// idle-hold penalty.
-    pub fn new(limit: usize) -> Self {
-        MaxPrefixConfig {
-            warn: limit - limit / 5,
-            limit,
-            idle_hold: SimDuration::from_secs(60),
-        }
-    }
-
-    /// Builder: override the warning threshold.
-    pub fn warn_at(mut self, warn: usize) -> Self {
-        self.warn = warn;
-        self
-    }
-
-    /// Builder: override the idle-hold penalty.
-    pub fn idle_hold(mut self, penalty: SimDuration) -> Self {
-        self.idle_hold = penalty;
-        self
-    }
-}
-
-/// Per-peer configuration.
-#[derive(Debug, Clone)]
-pub struct PeerConfig {
-    /// Local identifier for this peer.
-    pub id: PeerId,
-    /// The peer's ASN.
-    pub asn: Asn,
-    /// Import policy (applied before Adj-RIB-In).
-    pub import: Policy,
-    /// Export policy (applied before Adj-RIB-Out).
-    pub export: Policy,
-    /// What to advertise.
-    pub advertise: AdvertiseMode,
-    /// Whether we wait for the peer to open the session.
-    pub passive: bool,
-    /// IGP cost to this peer's next hop (decision-process input).
-    pub igp_cost: u32,
-    /// This iBGP peer is a route-reflector client of ours (RFC 4456).
-    /// The paper's Figure 2 discussion leans on exactly this: "route
-    /// reflectors and MPLS backbones mean that many internal routers do
-    /// not carry multiple copies of the full table."
-    pub rr_client: bool,
-    /// RFC 4724 graceful restart: on session loss, keep this peer's paths
-    /// as stale (still forwarding) for this long, sweeping whatever was
-    /// not re-announced once the peer signals End-of-RIB.
-    pub graceful_restart: Option<SimDuration>,
-    /// Per-session prefix-count limits; `None` disables enforcement.
-    pub max_prefix: Option<MaxPrefixConfig>,
-    /// Export peer-group assignment (see [`ExportGrouping`]).
-    pub grouping: ExportGrouping,
-    /// Administrative state. A disabled peer keeps its configuration but
-    /// [`Speaker::start_peer`] is a no-op until it is re-enabled — this
-    /// is what lets a daemon restart bring back *configured* sessions
-    /// without resurrecting ones an operator (or a migration plan) has
-    /// deliberately torn down.
-    pub enabled: bool,
-}
-
-impl PeerConfig {
-    /// A plain eBGP/iBGP peer with accept-all policies.
-    pub fn new(id: PeerId, asn: Asn) -> Self {
-        PeerConfig {
-            id,
-            asn,
-            import: Policy::accept_all(),
-            export: Policy::accept_all(),
-            advertise: AdvertiseMode::BestOnly,
-            passive: false,
-            igp_cost: 0,
-            rr_client: false,
-            graceful_restart: None,
-            max_prefix: None,
-            grouping: ExportGrouping::Auto,
-            enabled: true,
-        }
-    }
-
-    /// Builder: register the peer administratively down (see
-    /// [`PeerConfig::enabled`]).
-    pub fn disabled(mut self) -> Self {
-        self.enabled = false;
-        self
-    }
-
-    /// Builder: import policy.
-    pub fn import(mut self, p: Policy) -> Self {
-        self.import = p;
-        self
-    }
-
-    /// Builder: export policy.
-    pub fn export(mut self, p: Policy) -> Self {
-        self.export = p;
-        self
-    }
-
-    /// Builder: passive endpoint.
-    pub fn passive(mut self) -> Self {
-        self.passive = true;
-        self
-    }
-
-    /// Builder: advertise all paths (ADD-PATH mux session).
-    pub fn all_paths(mut self) -> Self {
-        self.advertise = AdvertiseMode::AllPaths;
-        self
-    }
-
-    /// Builder: IGP cost toward this peer.
-    pub fn igp_cost(mut self, cost: u32) -> Self {
-        self.igp_cost = cost;
-        self
-    }
-
-    /// Builder: mark this iBGP peer as a route-reflector client.
-    pub fn rr_client(mut self) -> Self {
-        self.rr_client = true;
-        self
-    }
-
-    /// Builder: retain this peer's paths as stale across restarts.
-    pub fn graceful_restart(mut self, restart_time: SimDuration) -> Self {
-        self.graceful_restart = Some(restart_time);
-        self
-    }
-
-    /// Builder: enforce per-session prefix-count limits.
-    pub fn with_max_prefix(mut self, mp: MaxPrefixConfig) -> Self {
-        self.max_prefix = Some(mp);
-        self
-    }
-
-    /// Builder: join a specific export peer-group.
-    pub fn export_group(mut self, key: ExportGroupKey) -> Self {
-        self.grouping = ExportGrouping::Key(key);
-        self
-    }
-
-    /// Builder: opt out of export grouping — this peer always gets its
-    /// own Adj-RIB-Out.
-    pub fn export_solo(mut self) -> Self {
-        self.grouping = ExportGrouping::Solo;
-        self
-    }
-}
 
 /// Events a speaker surfaces to its owner.
 #[derive(Debug, Clone, PartialEq)]
@@ -404,199 +84,12 @@ struct StaleState {
     keys: BTreeSet<(Prefix, u32)>,
 }
 
-/// One staged export delta awaiting an MRAI flush. Keyed by [`Nlri`] in
-/// `PeerState::pending`, so a later delta for the same NLRI supersedes an
-/// earlier one — packing never changes the peer's final state, only how
-/// many UPDATE messages carry it.
-#[derive(Debug, Clone)]
-enum PendingDelta {
-    /// Withdraw the NLRI.
-    Withdraw {
-        /// Provenance cause of the withdrawal.
-        trace: Option<TraceId>,
-    },
-    /// Announce the NLRI with these (already exported) attributes.
-    Announce {
-        /// Attributes as they will appear on the wire.
-        attrs: Arc<PathAttributes>,
-        /// Provenance id of the announcement.
-        trace: Option<TraceId>,
-    },
-}
-
-/// The export-relevant slice of a peer's configuration: two peers share
-/// a staged export computation (and a COW Adj-RIB-Out base) exactly when
-/// these match. Equality is verified structurally on every group join —
-/// the hash only picks the slot, it never decides sharing by itself.
-#[derive(Debug, Clone, PartialEq)]
-struct GroupFingerprint {
-    export: Policy,
-    advertise: AdvertiseMode,
-    /// Session class: iBGP (peer ASN == ours) vs eBGP changes the export
-    /// transforms and reflection rules.
-    ibgp: bool,
-    rr_client: bool,
-}
-
-impl GroupFingerprint {
-    fn of(cfg: &SpeakerConfig, peer: &PeerConfig) -> Self {
-        GroupFingerprint {
-            export: peer.export.clone(),
-            advertise: peer.advertise,
-            ibgp: peer.asn == cfg.asn,
-            rr_client: peer.rr_client,
-        }
-    }
-}
-
-/// One export peer-group: the members sharing a staged export
-/// computation and the group's copy-on-write Adj-RIB-Out base. The base
-/// holds the *group-level* export result (before per-member split
-/// horizon / loop / member-block deltas); each member's sent state is
-/// `base ∖ mask` (see `PeerState::mask`), so a member whose view is
-/// identical to the group's costs no route copies at all.
-struct ExportGroup {
-    fingerprint: GroupFingerprint,
-    /// No match of the export policy reads the prefix
-    /// ([`Policy::is_prefix_free`]), so what the group makes of a source
-    /// route depends on the route's attributes and learning peer only and
-    /// can be shared by every prefix carrying them (see [`StageMemo`]).
-    export_prefix_free: bool,
-    members: BTreeSet<PeerId>,
-    base: AdjRibOut,
-}
-
-/// Group-level outcome for one source route in a staged export.
-enum StagedOutcome {
-    /// Exported by the group computation (policy applied, attributes
-    /// transformed and interned). Per-member deltas may still withhold it.
-    Export(Route),
-    /// Rejected at group level (same verdict for every member).
-    Reject(ExportVerdict),
-}
-
-/// One source route's staged export, retaining what the per-member
-/// delta checks (split horizon, sender-side loop, RS member blocks) and
-/// per-member provenance records need from the *source* route.
-struct StagedEntry {
-    source_peer: PeerId,
-    source_attrs: Arc<PathAttributes>,
-    source_trace: Option<TraceId>,
-    outcome: StagedOutcome,
-}
-
-impl StagedEntry {
-    /// The route the group exports for this source, if it exports one.
-    fn exported(&self) -> Option<&Route> {
-        match &self.outcome {
-            StagedOutcome::Export(route) => Some(route),
-            StagedOutcome::Reject(_) => None,
-        }
-    }
-}
-
-/// The group-level exported routes of a staged prefix: the group's next
-/// base for it.
-fn base_routes(staged: &[StagedEntry]) -> impl Iterator<Item = &Route> + Clone {
-    staged.iter().filter_map(StagedEntry::exported)
-}
-
-/// What a group makes of one source attribute set: the exported
-/// attributes, interned, or the group-level rejection.
-type StagedAttrs = Result<Arc<PathAttributes>, ExportVerdict>;
-
-/// Staged outcomes of groups whose export policy reads no prefix, keyed by
-/// (source attribute allocation, learning peer, group). The table lives
-/// for one engine call ([`Speaker::reconsider_with`] or a member resync)
-/// and is emptied before the call returns: the Adj-RIB-Ins and local
-/// routes that own the source allocations are not touched while it
-/// exists, and each entry holds its source `Arc` besides, so a key cannot
-/// come to name a different attribute set; nothing is left behind for
-/// [`AttrInterner::gc`] to trip over, and nothing ever needs invalidating.
-/// Lookup only, never iterated.
-type StageMemo = HashMap<(usize, PeerId, ExportGroupKey), (Arc<PathAttributes>, StagedAttrs)>;
-
-/// One export group with an established member, as one engine call sees
-/// it. Sessions and sync flags do not move while prefixes are being
-/// re-exported, so this is read from the peers once per call.
-struct LiveGroup {
-    key: ExportGroupKey,
-    all_paths: bool,
-    /// Established members.
-    members: u64,
-    /// A member is synced: the group's base is live and follows routing
-    /// changes.
-    synced: bool,
-    /// Staged for the prefix in hand.
-    staged_now: bool,
-    /// This group's entries in [`Staging::staged`] and
-    /// [`Staging::sent`] for the prefix in hand.
-    staged: Range<usize>,
-    sent: Range<usize>,
-}
-
-/// Working memory of the staging half of the export engine.
-#[derive(Default)]
-struct Staging {
-    /// Staged exports of the prefix in hand, group after group; within a
-    /// group every source route in deterministic (best-first) order.
-    staged: Vec<StagedEntry>,
-    /// What each staged group's base held for the prefix before the change.
-    sent: SentPaths,
-    /// Source routes of an AllPaths group while they are sorted.
-    sources: Vec<Route>,
-    memo: StageMemo,
-}
-
-/// Reusable working memory of the export engine. An engine call takes it
-/// out of the [`Speaker`] and puts it back emptied, so it can be borrowed
-/// next to the Speaker's tables; only capacity survives a call.
-#[derive(Default)]
-struct ExportScratch {
-    /// Groups with an established member, in key order.
-    live: Vec<LiveGroup>,
-    staging: Staging,
-    /// Per staged entry, what it means for the member in hand.
-    verdicts: Vec<MemberPath>,
-}
-
-impl ExportScratch {
-    /// Drop every `Arc` the call left in the scratch.
-    fn clear(&mut self) {
-        self.live.clear();
-        let st = &mut self.staging;
-        st.staged.clear();
-        st.sent.clear();
-        st.memo.clear();
-    }
-}
-
-/// A staged entry as one member sees it.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MemberPath {
-    /// Not for this member (group-level reject or per-member delta).
-    Withheld,
-    /// Desired and already held with equal attributes.
-    Unchanged,
-    /// Desired and new or changed: announce it.
-    Announce,
-}
-
 struct PeerState {
     cfg: PeerConfig,
     session: Session,
     adj_in: AdjRibIn,
-    /// The export peer-group this peer currently belongs to.
-    group: ExportGroupKey,
-    /// Per-member delta vs the group base: `(prefix -> path ids)` present
-    /// in the base but withheld from this peer (split horizon, sender-side
-    /// loop, RS member block). Empty for a member with the group's
-    /// identical view — which is what makes marginal tenants O(1).
-    mask: BTreeMap<Prefix, BTreeSet<u32>>,
-    /// Whether this peer's sent state is represented by `base ∖ mask`.
-    /// False before the initial table sync and after any session loss or
-    /// refresh; the group base only reflects peers that are synced.
-    synced: bool,
+    /// What this peer has been sent; only `export` can look inside.
+    sent: Member,
     damping: DampingState,
     /// Suppressed (damped) prefixes learned from this peer.
     suppressed: BTreeSet<Prefix>,
@@ -604,21 +97,9 @@ struct PeerState {
     stale: Option<StaleState>,
     /// The max-prefix warning threshold already fired this session.
     max_prefix_warned: bool,
-    /// Staged export deltas (MRAI packing); empty when `cfg.mrai` is off.
-    pending: BTreeMap<Nlri, PendingDelta>,
-    /// When the pending batch flushes; `None` when nothing is staged.
-    mrai_deadline: Option<SimTime>,
 }
 
 impl PeerState {
-    /// Whether this peer's mask withholds `route` (a route of its group's
-    /// base) from its view.
-    fn withholds(&self, route: &Route) -> bool {
-        self.mask
-            .get(&route.prefix)
-            .is_some_and(|ids| ids.contains(&route.path_id))
-    }
-
     /// Drop what `nlri` names from the Adj-RIB-In — one path when it
     /// carries an ADD-PATH id, every path of the prefix otherwise — and
     /// with it the matching graceful-restart stale keys, so the sweep at
@@ -640,17 +121,14 @@ impl PeerState {
     }
 }
 
-/// The paths of one prefix a member has been sent: `(path id, attributes
-/// as they went on the wire)`.
-type SentPaths = Vec<(u32, Arc<PathAttributes>)>;
+type Peers = BTreeMap<PeerId, PeerState>;
 
 /// A complete BGP router.
 pub struct Speaker {
     cfg: SpeakerConfig,
-    peers: BTreeMap<PeerId, PeerState>,
-    /// Export peer-groups, keyed by [`ExportGroupKey`]. Every configured
-    /// peer belongs to exactly one group; solo peers get a private one.
-    groups: BTreeMap<ExportGroupKey, ExportGroup>,
+    peers: Peers,
+    /// The export peer-groups and the engine that serves them.
+    export: Export,
     loc_rib: LocRib,
     local_routes: BTreeMap<Prefix, Arc<PathAttributes>>,
     interner: AttrInterner,
@@ -673,10 +151,6 @@ pub struct Speaker {
     /// Sim-time each peer's session was last started, for convergence
     /// measurement (cleared once Established is observed).
     session_started: BTreeMap<PeerId, SimTime>,
-    /// Working memory of the export engine (see [`ExportScratch`]),
-    /// allocated by the first engine call: a speaker that never exports
-    /// pays a pointer for it.
-    scratch: Option<Box<ExportScratch>>,
 }
 
 impl Speaker {
@@ -690,7 +164,7 @@ impl Speaker {
         Speaker {
             cfg,
             peers: BTreeMap::new(),
-            groups: BTreeMap::new(),
+            export: Export::default(),
             loc_rib: LocRib::new(),
             local_routes: BTreeMap::new(),
             interner,
@@ -701,7 +175,6 @@ impl Speaker {
             origin_seq: 0,
             local_traces: BTreeMap::new(),
             session_started: BTreeMap::new(),
-            scratch: None,
         }
     }
 
@@ -716,24 +189,6 @@ impl Speaker {
     /// bit-identical either way.
     pub fn set_provenance(&mut self, provenance: ProvenanceLog) {
         self.provenance = provenance;
-    }
-
-    /// Record an FSM state change on `peer`'s session between two
-    /// externally observable points.
-    fn note_fsm_transition(&self, before: crate::fsm::FsmState, after: crate::fsm::FsmState) {
-        use crate::fsm::FsmState;
-        if before == after || !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry.counter_inc("bgp.fsm.transitions");
-        let to = match after {
-            FsmState::Idle => "bgp.fsm.to_idle",
-            FsmState::Connect => "bgp.fsm.to_connect",
-            FsmState::OpenSent => "bgp.fsm.to_open_sent",
-            FsmState::OpenConfirm => "bgp.fsm.to_open_confirm",
-            FsmState::Established => "bgp.fsm.to_established",
-        };
-        self.telemetry.counter_inc(to);
     }
 
     /// Refresh the Loc-RIB size gauge after a decision run.
@@ -779,59 +234,12 @@ impl Speaker {
         self.peers.get(&peer).map(|p| &p.adj_in)
     }
 
-    /// The Adj-RIB-Out for a peer, materialized from the peer's export
-    /// group: the group's copy-on-write base minus this peer's mask.
-    /// Entries share attribute `Arc`s with the base, so the copy is
-    /// route-struct-deep only.
-    pub fn adj_rib_out(&self, peer: PeerId) -> Option<AdjRibOut> {
-        let state = self.peers.get(&peer)?;
-        let mut rib = AdjRibOut::new();
-        if !state.synced {
-            return Some(rib);
-        }
-        if let Some(g) = self.groups.get(&state.group) {
-            for route in g.base.iter().filter(|r| !state.withholds(r)) {
-                rib.insert(route.clone());
-            }
-        }
-        Some(rib)
-    }
-
-    /// The export peer-group a peer currently belongs to.
-    pub fn export_group_of(&self, peer: PeerId) -> Option<ExportGroupKey> {
-        self.peers.get(&peer).map(|p| p.group)
-    }
-
-    /// Number of members in an export peer-group (0 if unknown).
-    pub fn export_group_len(&self, key: ExportGroupKey) -> usize {
-        self.groups.get(&key).map(|g| g.members.len()).unwrap_or(0)
-    }
-
     /// Whether the session with a peer is established.
     pub fn peer_established(&self, peer: PeerId) -> bool {
         self.peers
             .get(&peer)
             .map(|p| p.session.is_established())
             .unwrap_or(false)
-    }
-
-    /// Total BGP table memory (all RIBs, attributes shared-once). Each
-    /// export group's Adj-RIB-Out base is charged once no matter how many
-    /// members share it; members additionally pay only for their masks —
-    /// which is exactly the marginal-memory argument the mux-scale bench
-    /// measures.
-    pub fn table_memory(&self) -> usize {
-        use crate::mem::BTREE_ENTRY_OVERHEAD;
-        let ins = self.peers.values().map(|p| &p.adj_in);
-        let bases = self.groups.values().map(|g| &g.base);
-        let mut total = rib_memory(ins.chain(bases), Some(&self.loc_rib));
-        for p in self.peers.values() {
-            total += p.mask.len() * (std::mem::size_of::<Prefix>() + BTREE_ENTRY_OVERHEAD);
-            for ids in p.mask.values() {
-                total += ids.len() * (std::mem::size_of::<u32>() + BTREE_ENTRY_OVERHEAD);
-            }
-        }
-        total
     }
 
     /// Register a peer. The session starts in Idle; call
@@ -856,25 +264,20 @@ impl Speaker {
         if let Some(rt) = cfg.graceful_restart {
             scfg = scfg.graceful_restart(rt.as_micros().div_euclid(1_000_000).min(4095) as u16);
         }
-        // Re-adding an existing peer replaces it: detach the old group
-        // membership before resolving the (possibly different) new one.
-        if let Some(old) = self.peers.get(&cfg.id) {
-            let old_key = old.group;
-            self.detach_from_group(cfg.id, old_key);
+        // Re-adding an existing peer replaces it: the old membership goes
+        // before the (possibly different) new one is resolved.
+        if let Some(old_key) = self.export_group_of(cfg.id) {
+            self.peers.remove(&cfg.id);
+            self.export.leave(&self.peers, cfg.id, old_key);
         }
-        let group = self.resolve_group(&cfg);
         let state = PeerState {
             session: Session::new(scfg),
             adj_in: AdjRibIn::new(),
-            group,
-            mask: BTreeMap::new(),
-            synced: false,
+            sent: self.export.join(&self.cfg, &cfg),
             damping: DampingState::new(),
             suppressed: BTreeSet::new(),
             stale: None,
             max_prefix_warned: false,
-            pending: BTreeMap::new(),
-            mrai_deadline: None,
             cfg,
         };
         self.peers.insert(state.cfg.id, state);
@@ -885,162 +288,14 @@ impl Speaker {
         // Take the session down like any other loss (Cease, `PeerDown`,
         // FSM accounting), then drop the configuration.
         let mut out = self.stop_peer(peer, now);
-        let Some(mut state) = self.peers.remove(&peer) else {
-            return out;
-        };
-        self.detach_from_group(peer, state.group);
         // Graceful restart kept the paths as stale; a removed peer's go now.
-        let affected = state.adj_in.clear();
-        self.reconsider(&affected, now, &mut out);
+        let affected = self.session_lost(peer, None);
+        self.reconsider_with(&affected, now, None, &mut out);
+        if let Some(key) = self.export_group_of(peer) {
+            self.peers.remove(&peer);
+            self.export.leave(&self.peers, peer, key);
+        }
         out
-    }
-
-    /// Resolve the export group for a peer config and register the peer
-    /// as a member, creating the group on first use. Sharing is decided
-    /// by structural fingerprint equality — the hash only picks the slot;
-    /// on a collision (or an explicit key whose config does not match)
-    /// the peer probes to the next free slot instead of sharing.
-    fn resolve_group(&mut self, peer: &PeerConfig) -> ExportGroupKey {
-        let fp = GroupFingerprint::of(&self.cfg, peer);
-        let grouping = if self.cfg.export_groups {
-            peer.grouping
-        } else {
-            ExportGrouping::Solo
-        };
-        let mut key = match grouping {
-            ExportGrouping::Solo => ExportGroupKey::solo(peer.id),
-            ExportGrouping::Key(k) => k,
-            ExportGrouping::Auto => {
-                // FNV-1a over the fingerprint's canonical debug form:
-                // deterministic across runs and platforms.
-                let h = Fnv1a::legacy().write(format!("{fp:?}").as_bytes()).finish();
-                ExportGroupKey(h & !ExportGroupKey::SOLO_BIT)
-            }
-        };
-        loop {
-            match self.groups.get_mut(&key) {
-                None => {
-                    self.groups.insert(
-                        key,
-                        ExportGroup {
-                            export_prefix_free: fp.export.is_prefix_free(),
-                            fingerprint: fp,
-                            members: BTreeSet::from([peer.id]),
-                            base: AdjRibOut::new(),
-                        },
-                    );
-                    return key;
-                }
-                Some(g) if g.fingerprint == fp => {
-                    g.members.insert(peer.id);
-                    return key;
-                }
-                Some(_) => {
-                    key = ExportGroupKey(key.0.wrapping_add(1) & !ExportGroupKey::SOLO_BIT);
-                }
-            }
-        }
-    }
-
-    /// Drop a peer's membership in a group, deleting the group when it
-    /// empties and clearing its base when no synced member remains.
-    fn detach_from_group(&mut self, id: PeerId, key: ExportGroupKey) {
-        let drop_group = match self.groups.get_mut(&key) {
-            Some(g) => {
-                g.members.remove(&id);
-                g.members.is_empty()
-            }
-            None => false,
-        };
-        if drop_group {
-            self.groups.remove(&key);
-        } else {
-            self.maybe_clear_base(key);
-        }
-    }
-
-    /// Clear a group's base if none of its members is synced: the base
-    /// only represents state that has actually been sent to someone.
-    fn maybe_clear_base(&mut self, key: ExportGroupKey) {
-        if !self.group_synced(key, None) {
-            if let Some(g) = self.groups.get_mut(&key) {
-                let _ = g.base.clear();
-            }
-        }
-    }
-
-    /// Whether any member of the group other than `except` is synced,
-    /// i.e. whether someone keeps the group's base live.
-    fn group_synced(&self, key: ExportGroupKey, except: Option<PeerId>) -> bool {
-        self.groups.get(&key).is_some_and(|g| {
-            g.members
-                .iter()
-                .any(|m| Some(*m) != except && self.peers.get(m).is_some_and(|p| p.synced))
-        })
-    }
-
-    /// Forget a peer's sent state: it no longer participates in the group
-    /// base (session loss, refresh, restart). The next full table sync
-    /// rebuilds it.
-    fn unsync_peer(&mut self, id: PeerId) {
-        let Some(state) = self.peers.get_mut(&id) else {
-            return;
-        };
-        state.synced = false;
-        state.mask.clear();
-        let key = state.group;
-        self.maybe_clear_base(key);
-    }
-
-    /// Start (or restart) the session with a peer. A no-op while the
-    /// peer is administratively disabled (see [`PeerConfig::enabled`]).
-    pub fn start_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
-            return Vec::new();
-        }
-        self.session_started.insert(peer, now);
-        let mut out = Vec::new();
-        self.drive_session(peer, now, &mut out, |s| (s.start(now), Vec::new()));
-        out
-    }
-
-    /// Administratively stop the session with a peer.
-    pub fn stop_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.drive_session(peer, now, &mut out, |s| s.stop(now));
-        out
-    }
-
-    /// The one way a session is driven: run `drive` on `peer`'s session,
-    /// queue the messages it wants sent, apply the events it surfaced
-    /// (table sync, RIB flush, UPDATE processing) and record the FSM
-    /// transition. Every entry point that can move a session — messages,
-    /// timers, administrative stop, transport faults — comes through
-    /// here, so none can forget a step. Unknown peers are ignored.
-    fn drive_session(
-        &mut self,
-        peer: PeerId,
-        now: SimTime,
-        out: &mut Vec<Output>,
-        drive: impl FnOnce(&mut Session) -> (Vec<BgpMessage>, Vec<SessionEvent>),
-    ) {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return;
-        };
-        let before = state.session.state();
-        let (msgs, events) = drive(&mut state.session);
-        if out.is_empty() {
-            // The common result is a message or two and no events: size
-            // for exactly that rather than the amortized minimum.
-            out.reserve_exact(msgs.len());
-        }
-        out.extend(msgs.into_iter().map(|m| Output::Send(peer, m)));
-        for ev in events {
-            self.handle_session_event(peer, ev, now, out);
-        }
-        if let Some(state) = self.peers.get(&peer) {
-            self.note_fsm_transition(before, state.session.state());
-        }
     }
 
     /// Debug builds re-check cross-structure consistency after every
@@ -1051,26 +306,6 @@ impl Speaker {
             Ok(()),
             "speaker invariant violated after {after}"
         );
-    }
-
-    /// Flip a peer's administrative state. Disabling stops the session
-    /// (Cease) and pins it down: retries never arm and
-    /// [`start_peer`](Self::start_peer) no-ops, so even a full daemon
-    /// restart leaves the session torn down until it is re-enabled.
-    /// Enabling restores normal operation and starts the session.
-    pub fn set_peer_enabled(&mut self, peer: PeerId, enabled: bool, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        if state.cfg.enabled == enabled {
-            return Vec::new();
-        }
-        state.cfg.enabled = enabled;
-        if enabled {
-            self.start_peer(peer, now)
-        } else {
-            self.stop_peer(peer, now)
-        }
     }
 
     /// Originate a prefix with default attributes.
@@ -1091,17 +326,8 @@ impl Speaker {
         }
         let attrs = self.interner.intern(attrs);
         self.local_routes.insert(prefix, attrs);
-        let trace = self.mint_trace();
+        let trace = self.mint_origination(prefix, false, now);
         self.local_traces.insert(prefix, trace);
-        self.provenance.record(
-            now,
-            self.cfg.asn,
-            ProvenanceEvent::Originated {
-                prefix,
-                trace,
-                withdraw: false,
-            },
-        );
         let mut out = Vec::new();
         self.reconsider_with(&[prefix], now, Some(trace), &mut out);
         out
@@ -1112,25 +338,23 @@ impl Speaker {
         let mut out = Vec::new();
         if self.local_routes.remove(&prefix).is_some() {
             self.local_traces.remove(&prefix);
-            let trace = self.mint_trace();
-            self.provenance.record(
-                now,
-                self.cfg.asn,
-                ProvenanceEvent::Originated {
-                    prefix,
-                    trace,
-                    withdraw: true,
-                },
-            );
+            let trace = self.mint_origination(prefix, true, now);
             self.reconsider_with(&[prefix], now, Some(trace), &mut out);
         }
         out
     }
 
-    /// Mint the next deterministic trace id for a local routing change.
-    fn mint_trace(&mut self) -> TraceId {
+    /// Mint the next deterministic trace id for a local routing change and
+    /// record the change under it.
+    fn mint_origination(&mut self, prefix: Prefix, withdraw: bool, now: SimTime) -> TraceId {
         let trace = TraceId::new(self.cfg.asn.0, self.origin_seq);
         self.origin_seq = self.origin_seq.wrapping_add(1);
+        let event = ProvenanceEvent::Originated {
+            prefix,
+            trace,
+            withdraw,
+        };
+        self.provenance.record(now, self.cfg.asn, event);
         trace
     }
 
@@ -1139,585 +363,11 @@ impl Speaker {
         self.local_routes.keys()
     }
 
-    /// Process a message from a peer.
-    pub fn on_message(&mut self, from: PeerId, msg: BgpMessage, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.drive_session(from, now, &mut out, |s| s.on_message(msg, now));
-        self.debug_check("on_message");
-        out
-    }
-
-    /// Drive timers for every peer session.
-    pub fn tick(&mut self, now: SimTime) -> Vec<Output> {
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        let mut out = Vec::new();
-        for id in ids {
-            self.drive_session(id, now, &mut out, |s| s.tick(now));
-            let Some(state) = self.peers.get_mut(&id) else {
-                continue;
-            };
-            // Damping release check: re-decide prefixes whose suppression
-            // has decayed away.
-            let mut released = Vec::new();
-            if let Some(dcfg) = self.cfg.damping {
-                let candidates: Vec<Prefix> = state.suppressed.iter().copied().collect();
-                for p in candidates {
-                    if !state.damping.is_suppressed(&p, now, &dcfg) {
-                        state.suppressed.remove(&p);
-                        released.push(p);
-                    }
-                }
-            }
-            let stale_expired = state.stale.as_ref().is_some_and(|st| now >= st.deadline);
-            if !released.is_empty() {
-                self.reconsider(&released, now, &mut out);
-            }
-            // Graceful-restart timer: the peer never came back (or never
-            // finished re-syncing) in time, so flush its stale paths.
-            if stale_expired {
-                self.finish_graceful_restart(id, now, &mut out);
-            }
-            // MRAI timer: flush the staged batch once the interval is up
-            // (read last: the re-decisions above may have armed it).
-            let mrai_due = |p: &PeerState| p.mrai_deadline.is_some_and(|d| now >= d);
-            if self.peers.get(&id).is_some_and(mrai_due) {
-                self.flush_mrai(id, now, &mut out);
-            }
-        }
-        self.debug_check("tick");
-        out
-    }
-
-    /// The earliest time any session or graceful-restart timer needs
-    /// service.
-    pub fn next_deadline(&self) -> SimTime {
-        self.peers
-            .values()
-            .map(|p| {
-                let mut s = p.session.next_deadline();
-                if let Some(st) = &p.stale {
-                    s = s.min(st.deadline);
-                }
-                if let Some(d) = p.mrai_deadline {
-                    s = s.min(d);
-                }
-                s
-            })
-            .min()
-            .unwrap_or(SimTime::MAX)
-    }
-
-    fn handle_session_event(
-        &mut self,
-        peer: PeerId,
-        ev: SessionEvent,
-        now: SimTime,
-        out: &mut Vec<Output>,
-    ) {
-        match ev {
-            SessionEvent::Established(_) => {
-                if let Some(started) = self.session_started.remove(&peer) {
-                    self.telemetry
-                        .observe_duration("bgp.session.convergence_us", now.since(started));
-                }
-                self.telemetry.counter_inc("bgp.session.established");
-                out.push(Output::Event(SpeakerEvent::PeerUp(peer)));
-                self.full_table_to(peer, now, out);
-            }
-            SessionEvent::Down { reason } => {
-                self.telemetry.counter_inc("bgp.session.down");
-                // Forget everything sent on the dead session: drop the
-                // peer out of its group's shared view.
-                self.unsync_peer(peer);
-                let Some(state) = self.peers.get_mut(&peer) else {
-                    return;
-                };
-                state.suppressed.clear();
-                state.max_prefix_warned = false;
-                // Staged deltas are for the dead session; drop them.
-                state.pending.clear();
-                state.mrai_deadline = None;
-                if let Some(restart_time) = state.cfg.graceful_restart {
-                    // RFC 4724: mark the peer's paths stale but keep
-                    // forwarding along them. A second loss inside the
-                    // window keeps the original deadline so staleness
-                    // stays bounded.
-                    let deadline = match &state.stale {
-                        Some(st) => st.deadline,
-                        None => now + restart_time,
-                    };
-                    let keys = state.adj_in.iter().map(|r| (r.prefix, r.path_id)).collect();
-                    state.stale = Some(StaleState { deadline, keys });
-                    out.push(Output::Event(SpeakerEvent::PeerDown(peer, reason)));
-                } else {
-                    let affected = state.adj_in.clear();
-                    out.push(Output::Event(SpeakerEvent::PeerDown(peer, reason)));
-                    self.reconsider(&affected, now, out);
-                }
-            }
-            SessionEvent::Update(update) => {
-                self.updates_received += 1;
-                self.telemetry.counter_inc("bgp.speaker.updates_in");
-                self.process_update(peer, update, now, out);
-            }
-            SessionEvent::RefreshRequested => {
-                // RFC 2918: re-advertise the whole Adj-RIB-Out. Forget
-                // what was already sent so the diffing export resends it.
-                self.unsync_peer(peer);
-                self.full_table_to(peer, now, out);
-            }
-        }
-    }
-
-    fn process_update(
-        &mut self,
-        from: PeerId,
-        update: UpdateMessage,
-        now: SimTime,
-        out: &mut Vec<Output>,
-    ) {
-        // End-of-RIB after a graceful restart: the peer has re-sent its
-        // whole table, so whatever is still stale was genuinely lost.
-        if update.is_end_of_rib() {
-            return self.finish_graceful_restart(from, now, out);
-        }
-        let Some(state) = self.peers.get_mut(&from) else {
-            return;
-        };
-        // The provenance id carried by this update is the *cause* of every
-        // RIB change (and downstream export) it triggers here.
-        let cause = update.trace;
-        let prov = self.provenance.is_enabled().then_some(&self.provenance);
-        let mut affected: Vec<Prefix> =
-            Vec::with_capacity(update.withdrawn.len() + update.announced.len());
-        let local_asn = self.cfg.asn;
-        let damping_cfg = self.cfg.damping;
-        let peer_asn = state.cfg.asn;
-        let peer_is_ibgp = peer_asn == local_asn;
-        let telemetry = &self.telemetry;
-        let suppressed = |out: &mut Vec<Output>, prefix: Prefix| {
-            telemetry.counter_inc("bgp.damping.suppressed");
-            out.push(Output::Event(SpeakerEvent::Suppressed(from, prefix)));
-        };
-        let import_rejected = |out: &mut Vec<Output>, prefix: Prefix| {
-            telemetry.counter_inc("bgp.policy.import_rejected");
-            out.push(Output::Event(SpeakerEvent::ImportRejected(from, prefix)));
-        };
-        if let Some(prov) = prov {
-            // The vantage-point feed record: the update exactly as
-            // received, stamped with its delivery time.
-            prov.record(
-                now,
-                local_asn,
-                ProvenanceEvent::Feed {
-                    from_peer: from,
-                    from_asn: peer_asn,
-                    update: update.clone(),
-                },
-            );
-            for nlri in &update.withdrawn {
-                prov.record(
-                    now,
-                    local_asn,
-                    ProvenanceEvent::WithdrawReceived {
-                        from_peer: from,
-                        from_asn: peer_asn,
-                        prefix: nlri.prefix,
-                        trace: cause,
-                    },
-                );
-            }
-        }
-
-        for nlri in &update.withdrawn {
-            if state.remove_learned(nlri) {
-                affected.push(nlri.prefix);
-            }
-            if let Some(dcfg) = damping_cfg {
-                if state.damping.on_withdraw(nlri.prefix, now, &dcfg) {
-                    state.suppressed.insert(nlri.prefix);
-                    suppressed(out, nlri.prefix);
-                }
-            }
-        }
-
-        if let Some(attrs) = &update.attrs {
-            let heard_path: Vec<Asn> = match prov {
-                Some(_) => attrs.as_path.asns().collect(),
-                None => Vec::new(),
-            };
-            let import_verdict = |prefix: Prefix, v: ImportVerdict| {
-                if let Some(prov) = prov {
-                    prov.record(
-                        now,
-                        local_asn,
-                        ProvenanceEvent::Imported {
-                            from_peer: from,
-                            from_asn: peer_asn,
-                            prefix,
-                            trace: cause,
-                            as_path: heard_path.clone(),
-                            verdict: v,
-                        },
-                    );
-                }
-            };
-            // Receiver-side loop detection: our ASN in the path means the
-            // route already passed through us (this is also what makes
-            // AS-path poisoning work).
-            let looped = self.cfg.mode == SpeakerMode::Normal
-                && !peer_is_ibgp
-                && attrs.as_path.contains(local_asn);
-            // An import policy that reads no prefix makes the same thing of
-            // every NLRI of the UPDATE, and the interner would hand each of
-            // them the same allocation: run policy and interner once and
-            // count the later NLRIs as the interner hits they would be.
-            let import_once = self.interner.is_enabled() && state.cfg.import.is_prefix_free();
-            let mut imported_once: Option<Option<Arc<PathAttributes>>> = None;
-            for nlri in &update.announced {
-                if looped {
-                    import_rejected(out, nlri.prefix);
-                    import_verdict(nlri.prefix, ImportVerdict::AsPathLoop);
-                    continue;
-                }
-                let imported = match &imported_once {
-                    Some(imported) => {
-                        if imported.is_some() {
-                            self.interner.hits += 1;
-                        }
-                        imported.clone()
-                    }
-                    None => {
-                        let mut imported = (**attrs).clone();
-                        let imported = state
-                            .cfg
-                            .import
-                            .apply(&nlri.prefix, &mut imported)
-                            .then(|| self.interner.intern(imported));
-                        if import_once {
-                            imported_once = Some(imported.clone());
-                        }
-                        imported
-                    }
-                };
-                let Some(imported) = imported else {
-                    import_rejected(out, nlri.prefix);
-                    import_verdict(nlri.prefix, ImportVerdict::PolicyRejected);
-                    // An implicit withdraw of any previous path.
-                    if state.remove_learned(nlri) {
-                        affected.push(nlri.prefix);
-                    }
-                    continue;
-                };
-                let mut damped = false;
-                if let Some(dcfg) = damping_cfg {
-                    if state.damping.on_announce(nlri.prefix, now, &dcfg) {
-                        state.suppressed.insert(nlri.prefix);
-                        suppressed(out, nlri.prefix);
-                        damped = true;
-                    }
-                }
-                import_verdict(
-                    nlri.prefix,
-                    if damped {
-                        ImportVerdict::Damped
-                    } else {
-                        ImportVerdict::Accepted
-                    },
-                );
-                let path_id = nlri.path_id.unwrap_or(0);
-                state.adj_in.insert(Route {
-                    prefix: nlri.prefix,
-                    attrs: imported,
-                    peer: from,
-                    path_id,
-                    source: if peer_is_ibgp {
-                        RouteSource::Ibgp
-                    } else {
-                        RouteSource::Ebgp
-                    },
-                    igp_cost: state.cfg.igp_cost,
-                    learned_at: now,
-                    trace: cause,
-                });
-                if let Some(st) = &mut state.stale {
-                    st.keys.remove(&(nlri.prefix, path_id));
-                }
-                affected.push(nlri.prefix);
-            }
-        }
-        // Max-prefix enforcement (RFC 4486 §4): count what the peer now
-        // occupies in Adj-RIB-In, warn once per session at the soft
-        // threshold, Cease above the hard limit. The Cease path bypasses
-        // graceful restart — retaining a flooder's paths would preserve
-        // the very table pressure the limit exists to shed.
-        let mut ceased = false;
-        if let Some(mp) = state.cfg.max_prefix {
-            let count = state.adj_in.prefix_count();
-            if count >= mp.warn && count <= mp.limit && !state.max_prefix_warned {
-                state.max_prefix_warned = true;
-                telemetry.counter_inc("bgp.session.max_prefix_warn");
-            }
-            if count > mp.limit {
-                let (msgs, sess_events) = state.session.max_prefix_cease(now, mp.idle_hold);
-                out.extend(msgs.into_iter().map(|m| Output::Send(from, m)));
-                affected.extend(state.adj_in.clear());
-                ceased = true;
-                state.suppressed.clear();
-                state.stale = None;
-                state.max_prefix_warned = false;
-                state.pending.clear();
-                state.mrai_deadline = None;
-                telemetry.counter_inc("bgp.session.down");
-                for ev in sess_events {
-                    if let SessionEvent::Down { reason } = ev {
-                        out.push(Output::Event(SpeakerEvent::PeerDown(from, reason)));
-                    }
-                }
-            }
-        }
-        if ceased {
-            self.unsync_peer(from);
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        self.reconsider_with(&affected, now, cause, out);
-    }
-
-    /// End the graceful-restart window for a peer: sweep every retained
-    /// path the peer did not re-announce and re-decide those prefixes.
-    fn finish_graceful_restart(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return;
-        };
-        let Some(stale) = state.stale.take() else {
-            return;
-        };
-        // The keys are ordered by prefix, so `affected` comes out sorted.
-        let mut affected = Vec::new();
-        for (prefix, path_id) in stale.keys {
-            if state.adj_in.remove(&prefix, path_id).is_some() {
-                affected.push(prefix);
-            }
-        }
-        affected.dedup();
-        self.reconsider(&affected, now, out);
-    }
-
-    /// Tear down the transport with a peer (chaos: TCP reset, link cut
-    /// under the session). With retry configured the session reconnects
-    /// by itself; with graceful restart the peer's paths go stale rather
-    /// than vanishing.
-    pub fn reset_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
-            // An administratively disabled session has no connection to
-            // lose — and must not arm a reconnect.
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        self.drive_session(peer, now, &mut out, |s| {
-            (Vec::new(), s.drop_connection(now))
-        });
-        self.debug_check("reset_peer");
-        out
-    }
-
-    /// React to an unparseable message from a peer (chaos: corruption in
-    /// flight): NOTIFICATION out, session down.
-    pub fn on_corrupt_message(&mut self, from: PeerId, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.drive_session(from, now, &mut out, |s| s.on_corrupt(now));
-        self.debug_check("on_corrupt_message");
-        out
-    }
-
-    /// React to an UPDATE whose attributes are malformed in a way RFC
-    /// 7606 classifies as recoverable: the session stays Established and
-    /// the announced routes are handled as withdrawn (treat-as-withdraw)
-    /// instead of answering with a NOTIFICATION. Contrast with
-    /// [`on_corrupt_message`](Self::on_corrupt_message), which remains
-    /// the path for unrecoverable (framing-level) corruption.
-    pub fn on_malformed_update(
-        &mut self,
-        from: PeerId,
-        update: UpdateMessage,
-        now: SimTime,
-    ) -> Vec<Output> {
-        if self.peer_established(from) {
-            self.telemetry.counter_inc("bgp.session.treat_as_withdraw");
-        }
-        let mut out = Vec::new();
-        self.drive_session(from, now, &mut out, |s| s.on_malformed_update(update, now));
-        self.debug_check("on_malformed_update");
-        out
-    }
-
-    /// Replace a peer's import policy at runtime and re-filter the
-    /// peer's Adj-RIB-In under it, withdrawing anything the new policy
-    /// rejects. This is the quarantine lever: the containment engine
-    /// swaps in a reject-all policy and every route the peer had placed
-    /// is withdrawn from downstream peers.
-    pub fn set_peer_import(&mut self, peer: PeerId, policy: Policy, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        state.cfg.import = policy;
-        let mut affected: Vec<Prefix> = Vec::new();
-        let prefixes: Vec<Prefix> = state.adj_in.prefixes().copied().collect();
-        for p in prefixes {
-            let paths: Vec<(u32, Arc<PathAttributes>)> = state
-                .adj_in
-                .paths(&p)
-                .map(|r| (r.path_id, r.attrs.clone()))
-                .collect();
-            for (path_id, attrs) in paths {
-                let mut candidate = (*attrs).clone();
-                if !state.cfg.import.apply(&p, &mut candidate)
-                    && state.remove_learned(&Nlri::with_path_id(p, path_id))
-                {
-                    affected.push(p);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        self.reconsider(&affected, now, &mut out);
-        self.debug_check("set_peer_import");
-        out
-    }
-
-    /// Re-resolve a peer's export-group membership at runtime. This is
-    /// the containment lever on the export side: quarantining a tenant
-    /// moves it to a solo group so its churn can never touch the shared
-    /// base its former group-mates still read, and parole moves it back.
-    /// When the new group's fingerprint matches the old one the move is
-    /// pure bookkeeping — zero UPDATEs hit the wire (the staged exports
-    /// are identical, so the resync diff is empty); otherwise the peer's
-    /// advertised view is re-diffed against the new group's exports and
-    /// only the delta is emitted.
-    pub fn set_peer_export_grouping(
-        &mut self,
-        peer: PeerId,
-        grouping: ExportGrouping,
-        now: SimTime,
-    ) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        state.cfg.grouping = grouping;
-        self.reseat_peer_group(peer, now)
-    }
-
-    /// Swap a peer's export policy at runtime. The group fingerprint
-    /// includes the export policy, so this reseats the peer into the
-    /// group matching the new policy and resyncs its advertised view —
-    /// the same diff-against-sent-state machinery a grouping change
-    /// uses. The migration planner leans on this for policy rollouts:
-    /// the swap emits exactly the routes whose export verdict changed.
-    pub fn set_peer_export(&mut self, peer: PeerId, policy: Policy, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        state.cfg.export = policy;
-        self.reseat_peer_group(peer, now)
-    }
-
-    /// Re-resolve a peer's export group after a config change and, when
-    /// the group actually changes, resync the peer's advertised view by
-    /// diffing against what has been sent.
-    fn reseat_peer_group(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let Some(state) = self.peers.get(&peer) else {
-            return Vec::new();
-        };
-        let old_key = state.group;
-        let cfg = state.cfg.clone();
-        // Resolve *before* detaching: if the answer is the same group the
-        // membership (and its base) must survive untouched.
-        let new_key = self.resolve_group(&cfg);
-        if new_key == old_key {
-            return Vec::new();
-        }
-        self.telemetry.counter_inc("bgp.export.group_splits");
-        // Snapshot what this peer has actually been sent (old base minus
-        // its mask) before the detach below can clear the old base.
-        let snapshot = self.adj_rib_out(peer).unwrap_or_default();
-        self.detach_from_group(peer, old_key);
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        state.group = new_key;
-        state.mask.clear();
-        if !state.synced {
-            // Nothing has been sent on this session yet; the next full
-            // sync simply uses the new group.
-            return Vec::new();
-        }
-        // Resync: recompute this peer's exports under the new group and
-        // emit only the diff against the snapshot. No reject provenance
-        // here — a group move is not a routing decision; only actual
-        // emissions are recorded.
-        let mut out = Vec::new();
-        self.resync_member(peer, &snapshot, false, now, &mut out);
-        self.debug_check("export-group reseat");
-        out
-    }
-
-    /// Ask an established peer to re-send its table (ROUTE-REFRESH, RFC
-    /// 2918). Used when lifting a quarantine: the re-filtered routes were
-    /// dropped from Adj-RIB-In, so the peer must offer them again.
-    pub fn request_refresh(&mut self, peer: PeerId) -> Vec<Output> {
-        match self.peers.get(&peer) {
-            Some(state) if state.session.is_established() => {
-                vec![Output::Send(peer, BgpMessage::RouteRefresh)]
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Cold restart after a crash: every session drops to Idle, all
-    /// learned state is gone, only local originations survive (they live
-    /// in configuration). Callers restart sessions via
-    /// [`start_peer`](Self::start_peer) afterwards.
-    pub fn restart(&mut self, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        for (id, state) in self.peers.iter_mut() {
-            if state.session.is_established() {
-                out.push(Output::Event(SpeakerEvent::PeerDown(
-                    *id,
-                    "local restart".to_string(),
-                )));
-            }
-            state.session = Session::new(state.session.config().clone());
-            let _ = state.adj_in.clear();
-            state.mask.clear();
-            state.synced = false;
-            state.suppressed.clear();
-            state.damping = DampingState::new();
-            state.stale = None;
-            state.max_prefix_warned = false;
-            state.pending.clear();
-            state.mrai_deadline = None;
-        }
-        // No peer is synced any more, so no group base represents sent
-        // state: clear them all.
-        for group in self.groups.values_mut() {
-            let _ = group.base.clear();
-        }
-        self.loc_rib = LocRib::new();
-        let locals: Vec<Prefix> = self.local_routes.keys().copied().collect();
-        self.reconsider(&locals, now, &mut out);
-        self.debug_check("restart");
-        out
-    }
-
-    /// Re-run the decision process for `prefixes` and propagate changes.
-    fn reconsider(&mut self, prefixes: &[Prefix], now: SimTime, out: &mut Vec<Output>) {
-        self.reconsider_with(prefixes, now, None, out);
-    }
-
-    /// Like [`reconsider`](Self::reconsider), threading the provenance id
-    /// of the routing change that triggered the re-decision (used to tag
-    /// propagated withdrawals, which carry no route of their own).
-    /// `prefixes` are distinct and in the order their changes are emitted.
+    /// Re-run the decision process for `prefixes` and propagate changes,
+    /// threading the provenance id of the routing change that triggered
+    /// the re-decision, if one did (it tags propagated withdrawals, which
+    /// carry no route of their own). `prefixes` are distinct and in the
+    /// order their changes are emitted.
     fn reconsider_with(
         &mut self,
         prefixes: &[Prefix],
@@ -1731,8 +381,7 @@ impl Speaker {
         self.telemetry.counter_inc("bgp.decision.runs");
         self.telemetry
             .counter_add("bgp.decision.prefixes", prefixes.len() as u64);
-        let mut scratch = self.scratch.take().unwrap_or_default();
-        self.live_groups(&mut scratch.live);
+        let mut scratch = self.export.begin(&self.peers);
         // A best path that did not move leaves every BestOnly export as it
         // is — unless a provenance log is attached, which is owed each
         // member's reject verdicts again on every re-export. AllPaths
@@ -1781,277 +430,13 @@ impl Speaker {
             }
             self.export_prefix(&mut scratch, prefix, !same || observed, now, cause, out);
         }
-        scratch.clear();
-        self.scratch = Some(scratch);
+        self.export.end(scratch);
         self.note_rib_gauges();
     }
 
-    /// The export groups with an established member, in key order.
-    fn live_groups(&self, live: &mut Vec<LiveGroup>) {
-        live.clear();
-        let established = self.peers.values().filter(|s| s.session.is_established());
-        live.extend(established.map(|state| LiveGroup {
-            key: state.group,
-            all_paths: state.cfg.advertise == AdvertiseMode::AllPaths,
-            members: 1,
-            synced: state.synced,
-            staged_now: false,
-            staged: 0..0,
-            sent: 0..0,
-        }));
-        live.sort_unstable_by_key(|g| g.key);
-        live.dedup_by(|later, first| {
-            let same_group = later.key == first.key;
-            if same_group {
-                first.members += later.members;
-                first.synced |= later.synced;
-            }
-            same_group
-        });
-    }
-
-    /// The staging half of the engine over this Speaker's tables.
-    fn stager<'a>(&'a mut self, st: &'a mut Staging, now: SimTime) -> Stager<'a> {
-        Stager {
-            cfg: &self.cfg,
-            peers: &self.peers,
-            groups: &self.groups,
-            loc_rib: &self.loc_rib,
-            local_routes: &self.local_routes,
-            local_traces: &self.local_traces,
-            interner: &mut self.interner,
-            st,
-            now,
-        }
-    }
-
-    /// The member half of the engine, writing to `out`, beside the peers
-    /// and groups it works on.
-    fn emitter<'a>(
-        &'a mut self,
-        verdicts: &'a mut Vec<MemberPath>,
-        now: SimTime,
-        out: &'a mut Vec<Output>,
-    ) -> (
-        Emitter<'a>,
-        &'a mut BTreeMap<PeerId, PeerState>,
-        &'a mut BTreeMap<ExportGroupKey, ExportGroup>,
-    ) {
-        let em = Emitter {
-            cfg: &self.cfg,
-            prov: self.provenance.is_enabled().then_some(&self.provenance),
-            telemetry: &self.telemetry,
-            updates_sent: &mut self.updates_sent,
-            verdicts,
-            now,
-            out,
-        };
-        (em, &mut self.peers, &mut self.groups)
-    }
-
-    /// Re-export one prefix to the established peers after a routing
-    /// change. Each group's export is staged once and shared by its
-    /// established members; per-member work is the cheap delta filter and
-    /// the wire diff against the member's view (group base minus mask),
-    /// in peer-id order. Bases commit *after* the member loop so every
-    /// member diffs against the pre-change state. With `best_only` false
-    /// the best path did not move and only AllPaths groups take part.
-    fn export_prefix(
-        &mut self,
-        scratch: &mut ExportScratch,
-        prefix: Prefix,
-        best_only: bool,
-        now: SimTime,
-        cause: Option<TraceId>,
-        out: &mut Vec<Output>,
-    ) {
-        let ExportScratch {
-            live,
-            staging,
-            verdicts,
-        } = scratch;
-        staging.staged.clear();
-        staging.sent.clear();
-        let mut stager = self.stager(staging, now);
-        let (mut computed, mut shared) = (0, 0);
-        for g in live.iter_mut() {
-            g.staged_now = false;
-            if !(best_only || g.all_paths) {
-                continue;
-            }
-            let Some((group, staged)) = stager.stage(g.key, &prefix) else {
-                continue;
-            };
-            g.staged = staged;
-            let sent = stager.st.sent.len();
-            if g.synced {
-                let held = group.base.paths(&prefix);
-                stager
-                    .st
-                    .sent
-                    .extend(held.map(|r| (r.path_id, Arc::clone(&r.attrs))));
-            }
-            g.sent = sent..stager.st.sent.len();
-            g.staged_now = true;
-            computed += 1;
-            shared += g.members - 1;
-        }
-        if computed == 0 {
-            return;
-        }
-        self.telemetry
-            .counter_add("bgp.export.group_computed", computed);
-        if shared > 0 {
-            self.telemetry
-                .counter_add("bgp.export.group_shared", shared);
-        }
-        let (mut em, peers, groups) = self.emitter(verdicts, now, out);
-        for state in peers.values_mut() {
-            if !state.session.is_established() {
-                continue;
-            }
-            let Ok(i) = live.binary_search_by_key(&state.group, |g| g.key) else {
-                continue;
-            };
-            let g = &live[i];
-            if !g.staged_now {
-                continue;
-            }
-            // Nothing counts as sent until the initial table sync is done.
-            let sent: &[_] = if state.synced {
-                &staging.sent[g.sent.clone()]
-            } else {
-                &[]
-            };
-            let staged = &staging.staged[g.staged.clone()];
-            em.export_to_member(state, prefix, staged, sent, true, cause);
-        }
-        // The base only ever holds what has been sent to someone, so a
-        // routing change moves it exactly when a member is synced.
-        for g in live.iter().filter(|g| g.staged_now && g.synced) {
-            if let Some(group) = groups.get_mut(&g.key) {
-                let staged = &staging.staged[g.staged.clone()];
-                group.base.set_prefix(&prefix, base_routes(staged));
-            }
-        }
-    }
-
-    /// Bring `peer`'s advertised view in line with its group's exports,
-    /// prefix by prefix, against what it holds in `sent`: nothing at an
-    /// initial table sync ([`full_table_to`](Self::full_table_to)), the
-    /// pre-move snapshot at a group reseat. The member joins the group's
-    /// shared view: the walk fills the base only when no *other* member
-    /// keeps it live; otherwise the base is already authoritative and the
-    /// staged computation must agree with it.
-    fn resync_member(
-        &mut self,
-        peer: PeerId,
-        sent: &AdjRibOut,
-        record_rejects: bool,
-        now: SimTime,
-        out: &mut Vec<Output>,
-    ) {
-        let Some(key) = self.peers.get(&peer).map(|s| s.group) else {
-            return;
-        };
-        let mut prefixes = self.known_prefixes();
-        prefixes.extend(sent.prefixes().copied());
-        if prefixes.is_empty() {
-            return;
-        }
-        let others_synced = self.group_synced(key, Some(peer));
-        let mut scratch = self.scratch.take().unwrap_or_default();
-        let ExportScratch {
-            staging, verdicts, ..
-        } = &mut *scratch;
-        for prefix in prefixes {
-            staging.staged.clear();
-            let Some((_, staged)) = self.stager(staging, now).stage(key, &prefix) else {
-                break;
-            };
-            let staged = &staging.staged[staged];
-            staging.sent.clear();
-            let held = sent.paths(&prefix);
-            staging
-                .sent
-                .extend(held.map(|r| (r.path_id, Arc::clone(&r.attrs))));
-            let (mut em, peers, groups) = self.emitter(verdicts, now, out);
-            let (Some(state), Some(group)) = (peers.get_mut(&peer), groups.get_mut(&key)) else {
-                break;
-            };
-            em.export_to_member(state, prefix, staged, &staging.sent, record_rejects, None);
-            if !others_synced {
-                group.base.set_prefix(&prefix, base_routes(staged));
-            } else {
-                // Attribute values and path ids must match — `learned_at`
-                // may differ for local routes, whose timestamp is the
-                // staging time.
-                debug_assert!(
-                    {
-                        let view = |routes: &mut dyn Iterator<Item = &Route>| {
-                            routes
-                                .map(|r| (r.path_id, Arc::clone(&r.attrs)))
-                                .collect::<BTreeMap<_, _>>()
-                        };
-                        view(&mut group.base.paths(&prefix)) == view(&mut base_routes(staged))
-                    },
-                    "staged exports diverge from an already-synced group base"
-                );
-            }
-        }
-        scratch.clear();
-        self.scratch = Some(scratch);
-    }
-
-    /// Flush `id`'s staged MRAI batch (see [`Emitter::flush_mrai`]).
-    fn flush_mrai(&mut self, id: PeerId, now: SimTime, out: &mut Vec<Output>) {
-        let mut unused = Vec::new();
-        let (mut em, peers, _) = self.emitter(&mut unused, now, out);
-        if let Some(state) = peers.get_mut(&id) {
-            em.flush_mrai(state);
-        }
-    }
-
-    /// Every prefix with a local route or a learned path: the walk set
-    /// of a full-table export.
-    fn known_prefixes(&self) -> BTreeSet<Prefix> {
-        let mut prefixes: BTreeSet<Prefix> = self.local_routes.keys().copied().collect();
-        for state in self.peers.values() {
-            prefixes.extend(state.adj_in.prefixes().copied());
-        }
-        prefixes
-    }
-
-    /// Send the full table to a newly established (or refreshing) peer.
-    /// The peer is marked synced — joined to its group's shared view —
-    /// only after the walk, so every prefix diffs against an empty view
-    /// and everything staged is announced. If another member of the
-    /// group is already synced the shared base is authoritative and
-    /// untouched; otherwise the base was cleared on unsync and is
-    /// rebuilt prefix by prefix here.
-    fn full_table_to(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
-        self.resync_member(peer, &AdjRibOut::new(), true, now, out);
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return;
-        };
-        state.synced = true;
-        // Initial sync is not rate-limited: flush anything the per-prefix
-        // exports staged so the full table precedes the End-of-RIB marker.
-        self.flush_mrai(peer, now, out);
-        // End-of-RIB marker.
-        out.push(Output::Send(
-            peer,
-            BgpMessage::Update(UpdateMessage {
-                withdrawn: vec![],
-                attrs: None,
-                announced: vec![],
-                trace: None,
-            }),
-        ));
-    }
-
     /// Check cross-structure consistency: every per-peer session, RIB and
-    /// damping table, plus the Loc-RIB, must agree with each other. Cheap
+    /// damping table, the export side, and the Loc-RIB must agree with
+    /// each other. Cheap
     /// enough for `debug_assert!` after every message and tick; returns a
     /// description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -2070,28 +455,6 @@ impl Speaker {
                 .adj_in
                 .check_invariants()
                 .map_err(|e| format!("peer {id:?} adj-rib-in: {e}"))?;
-            let group = self
-                .groups
-                .get(&state.group)
-                .ok_or_else(|| format!("peer {id:?} references missing export group"))?;
-            if !group.members.contains(id) {
-                return Err(format!(
-                    "peer {id:?} not a member of its export group {:?}",
-                    state.group
-                ));
-            }
-            if state.synced && !state.session.is_established() {
-                return Err(format!("peer {id:?} is synced but not established"));
-            }
-            for (p, ids) in &state.mask {
-                for pid in ids {
-                    if group.base.get(p, *pid).is_none() {
-                        return Err(format!(
-                            "peer {id:?} masks path {pid} for {p} absent from its group base"
-                        ));
-                    }
-                }
-            }
             if !state.session.is_established() && !state.adj_in.is_empty() && state.stale.is_none()
             {
                 return Err(format!(
@@ -2110,39 +473,7 @@ impl Speaker {
                 ));
             }
         }
-        for (key, group) in &self.groups {
-            if group.members.is_empty() {
-                return Err(format!("export group {key:?} has no members"));
-            }
-            let mut any_synced = false;
-            for m in &group.members {
-                let p = self
-                    .peers
-                    .get(m)
-                    .ok_or_else(|| format!("export group {key:?} lists missing peer {m:?}"))?;
-                if p.group != *key {
-                    return Err(format!(
-                        "peer {m:?} listed in group {key:?} but points at {:?}",
-                        p.group
-                    ));
-                }
-                if GroupFingerprint::of(&self.cfg, &p.cfg) != group.fingerprint {
-                    return Err(format!(
-                        "peer {m:?} fingerprint diverged from its export group {key:?}"
-                    ));
-                }
-                any_synced |= p.synced;
-            }
-            group
-                .base
-                .check_invariants()
-                .map_err(|e| format!("group {key:?} adj-rib-out base: {e}"))?;
-            if !any_synced && !group.base.is_empty() {
-                return Err(format!(
-                    "export group {key:?} has a non-empty base but no synced member"
-                ));
-            }
-        }
+        self.export.check(&self.cfg, &self.peers)?;
         self.loc_rib.check_invariants()?;
         // Every Loc-RIB best must trace back to a live candidate: either a
         // locally originated route or a path still present in the learning
@@ -2189,10 +520,7 @@ impl Speaker {
 
 /// Candidate routes for a prefix: every unsuppressed Adj-RIB-In path, in
 /// peer-id order.
-fn candidates<'a>(
-    peers: &'a BTreeMap<PeerId, PeerState>,
-    prefix: &'a Prefix,
-) -> impl Iterator<Item = &'a Route> {
+fn candidates<'a>(peers: &'a Peers, prefix: &'a Prefix) -> impl Iterator<Item = &'a Route> {
     peers
         .values()
         .filter(move |state| !state.suppressed.contains(prefix))
@@ -2211,503 +539,16 @@ fn local_route(
     Some(Route::local(*prefix, Arc::clone(attrs), now).with_trace(trace))
 }
 
-/// The staging half of the export engine: what a group's export
-/// computation reads, borrowed from the [`Speaker`] field by field, and
-/// the scratch it writes. The per-route work that depends only on the
-/// group fingerprint (iBGP reflection class, well-known communities,
-/// export policy, mode transforms, path-id assignment) runs here, once
-/// per group, and is shared by every member. Member-dependent filters
-/// (split horizon, sender-side loop, route-server member blocks) are
-/// deferred to [`member_delta`].
-struct Stager<'a> {
-    cfg: &'a SpeakerConfig,
-    peers: &'a BTreeMap<PeerId, PeerState>,
-    groups: &'a BTreeMap<ExportGroupKey, ExportGroup>,
-    loc_rib: &'a LocRib,
-    local_routes: &'a BTreeMap<Prefix, Arc<PathAttributes>>,
-    local_traces: &'a BTreeMap<Prefix, TraceId>,
-    interner: &'a mut AttrInterner,
-    st: &'a mut Staging,
-    now: SimTime,
-}
-
-impl<'a> Stager<'a> {
-    /// Stage one prefix for one group: append the group-level outcome of
-    /// every source route — the best path, or for an AllPaths group every
-    /// usable path, best first — to the staged entries. Returns the group
-    /// and where its entries sit; `None` for an unknown group.
-    fn stage(
-        &mut self,
-        key: ExportGroupKey,
-        prefix: &Prefix,
-    ) -> Option<(&'a ExportGroup, Range<usize>)> {
-        let (groups, loc_rib) = (self.groups, self.loc_rib);
-        let group = groups.get(&key)?;
-        let start = self.st.staged.len();
-        match group.fingerprint.advertise {
-            AdvertiseMode::BestOnly => {
-                if let Some(best) = loc_rib.get(prefix) {
-                    let entry = self.stage_route(key, group, best);
-                    self.st.staged.push(entry);
-                }
-            }
-            AdvertiseMode::AllPaths => {
-                let mut sources = std::mem::take(&mut self.st.sources);
-                sources.extend(candidates(self.peers, prefix).cloned());
-                sources.extend(local_route(
-                    self.local_routes,
-                    self.local_traces,
-                    prefix,
-                    self.now,
-                ));
-                // Deterministic order: best first.
-                let decision = &self.cfg.decision;
-                sources.sort_by(|a, b| compare_routes(b, a, decision).then(Ordering::Equal));
-                for route in &sources {
-                    let entry = self.stage_route(key, group, route);
-                    self.st.staged.push(entry);
-                }
-                sources.clear();
-                self.st.sources = sources;
-            }
-        }
-        Some((group, start..self.st.staged.len()))
-    }
-
-    /// The group-level outcome for one source route: a fully transformed
-    /// route ready for the shared base, or the group-level rejection.
-    fn stage_route(
-        &mut self,
-        key: ExportGroupKey,
-        group: &ExportGroup,
-        route: &Route,
-    ) -> StagedEntry {
-        // With a prefix-free export policy the exported attributes are a
-        // function of (source attributes, learning peer, group); the
-        // interner is what makes the memoized allocation the very one a
-        // fresh computation would be handed.
-        let memo_key = (group.export_prefix_free && self.interner.is_enabled()).then_some((
-            Arc::as_ptr(&route.attrs) as usize,
-            route.peer,
-            key,
-        ));
-        let attrs = match memo_key.and_then(|k| self.st.memo.get(&k)) {
-            Some((_, staged)) => {
-                if staged.is_ok() {
-                    // The interner lookup this stands in for.
-                    self.interner.hits += 1;
-                }
-                staged.clone()
-            }
-            None => {
-                let staged = self.export_attrs(&group.fingerprint, route);
-                if let Some(k) = memo_key {
-                    self.st
-                        .memo
-                        .insert(k, (Arc::clone(&route.attrs), staged.clone()));
-                }
-                staged
-            }
-        };
-        let outcome = match attrs {
-            Err(verdict) => StagedOutcome::Reject(verdict),
-            Ok(attrs) => StagedOutcome::Export(Route {
-                prefix: route.prefix,
-                attrs,
-                peer: route.peer,
-                path_id: match group.fingerprint.advertise {
-                    AdvertiseMode::BestOnly => 0,
-                    // Stable, collision-free id: the learning peer's id + 1
-                    // (0 is reserved for the local/best path).
-                    AdvertiseMode::AllPaths if route.peer == PeerId::LOCAL => 0,
-                    AdvertiseMode::AllPaths => route.peer.0.wrapping_add(1),
-                },
-                source: route.source,
-                igp_cost: route.igp_cost,
-                learned_at: route.learned_at,
-                trace: route.trace,
-            }),
-        };
-        StagedEntry {
-            source_peer: route.peer,
-            source_attrs: Arc::clone(&route.attrs),
-            source_trace: route.trace,
-            outcome,
-        }
-    }
-
-    /// Apply the group-level export semantics to one source route's
-    /// attributes: the transformed, interned attributes, or the verdict
-    /// that rejects the route for the whole group.
-    fn export_attrs(&mut self, fp: &GroupFingerprint, route: &Route) -> StagedAttrs {
-        // iBGP-learned routes are not re-advertised to iBGP peers unless
-        // route reflection applies (RFC 4456): a route from a client is
-        // reflected to every iBGP peer; a route from a non-client is
-        // reflected to clients only.
-        if route.source == RouteSource::Ibgp && fp.ibgp {
-            let from_client = self.peers.get(&route.peer).is_some_and(|p| p.cfg.rr_client);
-            let reflect = from_client || fp.rr_client;
-            if !reflect {
-                return Err(ExportVerdict::IbgpNoReflect);
-            }
-        }
-        // Well-known communities.
-        if route.attrs.has_community(Community::NO_ADVERTISE) {
-            return Err(ExportVerdict::NoAdvertise);
-        }
-        // NO_EXPORT binds the *receiving* AS: routes we learned must not
-        // leave our AS, but a route we originate ourselves is still sent
-        // to the neighbor (who then keeps it inside their AS).
-        if !fp.ibgp
-            && route.source != RouteSource::Local
-            && route.attrs.has_community(Community::NO_EXPORT)
-        {
-            return Err(ExportVerdict::NoExport);
-        }
-        let mut attrs = (*route.attrs).clone();
-        if !fp.export.apply(&route.prefix, &mut attrs) {
-            return Err(ExportVerdict::PolicyRejected);
-        }
-        match self.cfg.mode {
-            SpeakerMode::RouteServer => {
-                // RFC 7947: transparent. Leave AS_PATH, NEXT_HOP, MED.
-            }
-            SpeakerMode::Normal => {
-                if fp.ibgp {
-                    // iBGP: keep next hop and path; ensure LOCAL_PREF set.
-                    if attrs.local_pref.is_none() {
-                        attrs.local_pref = Some(100);
-                    }
-                } else {
-                    attrs.as_path.prepend(self.cfg.asn, 1);
-                    attrs.next_hop = self.cfg.router_id;
-                    attrs.local_pref = None;
-                }
-            }
-        }
-        // Interning here means every member of every group holding this
-        // export (and every receiving speaker's Adj-RIB-In) shares one
-        // allocation; values are untouched, so digests are unchanged.
-        Ok(self.interner.intern(attrs))
-    }
-}
-
-/// Member-dependent export filter over a staged entry. Verdict
-/// precedence exactly mirrors the historical per-peer pipeline: split
-/// horizon, then the group-level reflection/community rejects, then the
-/// member's sender-side loop check (on the *source* path), then
-/// group-level policy rejection, then route-server member blocks. `Ok`
-/// borrows the staged route shared by the whole group.
-fn member_delta(
-    rs_member_blocks: bool,
-    member: PeerId,
-    member_asn: Asn,
-    entry: &StagedEntry,
-) -> Result<&Route, ExportVerdict> {
-    // Split horizon: never back to the peer it came from.
-    if entry.source_peer == member {
-        return Err(ExportVerdict::SplitHorizon);
-    }
-    if let StagedOutcome::Reject(v) = entry.outcome {
-        if matches!(
-            v,
-            ExportVerdict::IbgpNoReflect | ExportVerdict::NoAdvertise | ExportVerdict::NoExport
-        ) {
-            return Err(v);
-        }
-    }
-    // Sender-side loop check.
-    if entry.source_attrs.as_path.contains(member_asn) {
-        return Err(ExportVerdict::AsPathLoop);
-    }
-    match &entry.outcome {
-        StagedOutcome::Reject(v) => Err(*v),
-        StagedOutcome::Export(route) => {
-            // RFC 7947 member blocks: community `0:<member-as16>` on
-            // the source route keeps it away from that member. The
-            // check runs on the source attributes (the shared policy
-            // strips operator communities on the way out).
-            if rs_member_blocks
-                && entry
-                    .source_attrs
-                    .has_community(Community::new(0, as16(member_asn)))
-            {
-                return Err(ExportVerdict::PolicyRejected);
-            }
-            Ok(route)
-        }
-    }
-}
-
-/// The member half of the export engine and the one sink of the update
-/// path: the caller's `Vec<Output>` and the counters an emitted UPDATE
-/// moves, borrowed from the [`Speaker`] field by field so a member's
-/// [`PeerState`] can be held mutably beside them.
-struct Emitter<'a> {
-    cfg: &'a SpeakerConfig,
-    /// The provenance log, when one is attached.
-    prov: Option<&'a ProvenanceLog>,
-    telemetry: &'a Telemetry,
-    updates_sent: &'a mut u64,
-    verdicts: &'a mut Vec<MemberPath>,
-    now: SimTime,
-    out: &'a mut Vec<Output>,
-}
-
-impl Emitter<'_> {
-    /// The member diff — the only place desired and advertised state
-    /// meet. Desired is the group's staged export of `prefix` filtered by
-    /// the member's own delta (split horizon, sender-side loop, RS member
-    /// block); `sent` is what the member's view is drawn from, less the
-    /// paths its mask withholds. Exactly the difference is emitted (or
-    /// MRAI-staged): one withdrawal for the paths no longer desired, one
-    /// announcement per new or changed path. The member's mask becomes
-    /// the staged paths withheld from it.
-    ///
-    /// The callers differ only in their arguments. A routing change
-    /// ([`Speaker::export_prefix`]) diffs against the group's live base,
-    /// records rejects, and tags withdrawals with the causing trace. The
-    /// initial table sync diffs against nothing. A group reseat diffs
-    /// against the pre-move snapshot and records only what it emits.
-    fn export_to_member(
-        &mut self,
-        state: &mut PeerState,
-        prefix: Prefix,
-        staged: &[StagedEntry],
-        sent: &[(u32, Arc<PathAttributes>)],
-        record_rejects: bool,
-        cause: Option<TraceId>,
-    ) {
-        let (id, member_asn) = (state.cfg.id, state.cfg.asn);
-        let add_path = state.session.negotiated().is_some_and(|n| n.add_path_tx);
-        let nlri = |path_id: u32| {
-            if add_path {
-                Nlri::with_path_id(prefix, path_id)
-            } else {
-                Nlri::plain(prefix)
-            }
-        };
-        let (prov, now, local_asn) = (self.prov, self.now, self.cfg.asn);
-        let record_export = |trace, attrs: &PathAttributes, verdict| {
-            if let Some(prov) = prov {
-                prov.record(
-                    now,
-                    local_asn,
-                    ProvenanceEvent::Exported {
-                        to_peer: id,
-                        to_asn: member_asn,
-                        prefix,
-                        trace,
-                        as_path: attrs.as_path.asns().collect(),
-                        verdict,
-                    },
-                );
-            }
-        };
-        let mask = state.mask.get(&prefix);
-        let held = sent
-            .iter()
-            .filter(|(pid, _)| !mask.is_some_and(|withheld| withheld.contains(pid)));
-
-        let mut masked: BTreeSet<u32> = BTreeSet::new();
-        self.verdicts.clear();
-        for entry in staged {
-            let verdict = match member_delta(self.cfg.rs_member_blocks, id, member_asn, entry) {
-                Ok(route) => {
-                    let unchanged = held.clone().any(|(pid, attrs)| {
-                        *pid == route.path_id
-                            && (Arc::ptr_eq(attrs, &route.attrs) || **attrs == *route.attrs)
-                    });
-                    if unchanged {
-                        MemberPath::Unchanged
-                    } else {
-                        MemberPath::Announce
-                    }
-                }
-                Err(verdict) => {
-                    if let Some(route) = entry.exported() {
-                        masked.insert(route.path_id);
-                    }
-                    if record_rejects {
-                        record_export(entry.source_trace, &entry.source_attrs, verdict);
-                    }
-                    MemberPath::Withheld
-                }
-            };
-            self.verdicts.push(verdict);
-        }
-        let desired = || {
-            let wanted = staged.iter().zip(self.verdicts.iter());
-            wanted.filter_map(|(entry, verdict)| match verdict {
-                MemberPath::Withheld => None,
-                MemberPath::Unchanged | MemberPath::Announce => entry.exported(),
-            })
-        };
-        debug_assert_eq!(
-            desired().map(|r| r.path_id).collect::<BTreeSet<_>>().len(),
-            desired().count(),
-            "duplicate export path ids for one member"
-        );
-        // Withdraw paths no longer desired.
-        let withdrawals: Vec<Nlri> = held
-            .filter(|(pid, _)| !desired().any(|r| r.path_id == *pid))
-            .map(|(pid, _)| nlri(*pid))
-            .collect();
-        if masked.is_empty() {
-            state.mask.remove(&prefix);
-        } else {
-            state.mask.insert(prefix, masked);
-        }
-
-        if !withdrawals.is_empty() {
-            // `WithdrawSent` means the withdrawal hit the wire. Unpacked,
-            // that is right here; with MRAI packing the delta is only
-            // *staged* (and may be superseded by a later announce or
-            // dropped by a session reset before the flush), so the
-            // record is made in `flush_mrai` at actual emission time.
-            if let (None, Some(prov)) = (self.cfg.mrai, prov) {
-                prov.record(
-                    now,
-                    local_asn,
-                    ProvenanceEvent::WithdrawSent {
-                        to_peer: id,
-                        to_asn: member_asn,
-                        prefix,
-                        trace: cause,
-                    },
-                );
-            }
-            self.emit(state, withdrawals, PendingDelta::Withdraw { trace: cause });
-        }
-        // Announce new or changed paths.
-        for (i, entry) in staged.iter().enumerate() {
-            let (MemberPath::Announce, Some(route)) = (self.verdicts[i], entry.exported()) else {
-                continue;
-            };
-            record_export(route.trace, &route.attrs, ExportVerdict::Exported);
-            let delta = PendingDelta::Announce {
-                attrs: Arc::clone(&route.attrs),
-                trace: route.trace,
-            };
-            self.emit(state, vec![nlri(route.path_id)], delta);
-        }
-    }
-
-    /// Emit one export delta toward a member immediately, or stage it for
-    /// the member's MRAI flush when packing is configured. Counters track
-    /// emitted UPDATE messages, so they move to the flush in packed mode.
-    fn emit(&mut self, state: &mut PeerState, nlris: Vec<Nlri>, delta: PendingDelta) {
-        let Some(interval) = self.cfg.mrai else {
-            let update = match delta {
-                PendingDelta::Withdraw { trace } => {
-                    UpdateMessage::withdraw(nlris).with_trace(trace)
-                }
-                PendingDelta::Announce { attrs, trace } => {
-                    UpdateMessage::announce(attrs, nlris).with_trace(trace)
-                }
-            };
-            return self.send_update(state, update);
-        };
-        for nlri in nlris {
-            state.pending.insert(nlri, delta.clone());
-        }
-        // First staged delta arms the timer; later ones ride the
-        // existing deadline so a busy peer still flushes.
-        if state.mrai_deadline.is_none() {
-            state.mrai_deadline = Some(self.now + interval);
-        }
-    }
-
-    /// Put one UPDATE on the wire toward a peer: the single place emitted
-    /// UPDATEs are counted (session stats, `updates_sent`, telemetry),
-    /// shared by the immediate and the MRAI-flush path.
-    fn send_update(&mut self, state: &mut PeerState, update: UpdateMessage) {
-        state.session.note_update_sent();
-        *self.updates_sent += 1;
-        self.telemetry.counter_inc("bgp.speaker.updates_out");
-        self.out
-            .push(Output::Send(state.cfg.id, BgpMessage::Update(update)));
-    }
-
-    /// Flush a peer's staged export deltas as packed UPDATEs: withdrawals
-    /// grouped by provenance trace, announcements grouped by (attribute
-    /// allocation, trace), each group one multi-NLRI message. Iteration
-    /// is over a `BTreeMap` keyed by [`Nlri`] and group order is
-    /// first-seen, so the packing is deterministic. Send-side provenance
-    /// ([`ProvenanceEvent::WithdrawSent`]) is recorded here, at `now`,
-    /// because this is when the packed UPDATEs actually hit the wire —
-    /// a staged withdraw superseded before the flush is never recorded.
-    fn flush_mrai(&mut self, state: &mut PeerState) {
-        state.mrai_deadline = None;
-        if state.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut state.pending);
-        let (id, to_asn) = (state.cfg.id, state.cfg.asn);
-        let mut withdraw_groups: Vec<(Option<TraceId>, Vec<Nlri>)> = Vec::new();
-        let mut announce_groups: Vec<(Arc<PathAttributes>, Option<TraceId>, Vec<Nlri>)> =
-            Vec::new();
-        // Indexes are lookup-only (never iterated), so the HashMap does
-        // not enter any ordered output; group order comes from the Vecs.
-        let mut wd_index: HashMap<Option<u64>, usize> = HashMap::new();
-        let mut ann_index: HashMap<(usize, Option<u64>), usize> = HashMap::new();
-        for (nlri, delta) in pending {
-            match delta {
-                PendingDelta::Withdraw { trace } => {
-                    let slot = *wd_index.entry(trace.map(|t| t.0)).or_insert_with(|| {
-                        withdraw_groups.push((trace, Vec::new()));
-                        withdraw_groups.len() - 1
-                    });
-                    withdraw_groups[slot].1.push(nlri);
-                }
-                PendingDelta::Announce { attrs, trace } => {
-                    let key = (Arc::as_ptr(&attrs) as usize, trace.map(|t| t.0));
-                    let slot = *ann_index.entry(key).or_insert_with(|| {
-                        announce_groups.push((attrs, trace, Vec::new()));
-                        announce_groups.len() - 1
-                    });
-                    announce_groups[slot].2.push(nlri);
-                }
-            }
-        }
-        for (trace, nlris) in withdraw_groups {
-            if let Some(prov) = self.prov {
-                // One record per distinct prefix, mirroring the unpacked
-                // path's per-prefix granularity (ADD-PATH can put several
-                // NLRIs of one prefix in a group).
-                let mut last: Option<Prefix> = None;
-                for nlri in &nlris {
-                    if last == Some(nlri.prefix) {
-                        continue;
-                    }
-                    last = Some(nlri.prefix);
-                    prov.record(
-                        self.now,
-                        self.cfg.asn,
-                        ProvenanceEvent::WithdrawSent {
-                            to_peer: id,
-                            to_asn,
-                            prefix: nlri.prefix,
-                            trace,
-                        },
-                    );
-                }
-            }
-            self.send_update(state, UpdateMessage::withdraw(nlris).with_trace(trace));
-        }
-        for (attrs, trace, nlris) in announce_groups {
-            let update = UpdateMessage::announce(attrs, nlris).with_trace(trace);
-            self.send_update(state, update);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::AsPath;
-    use crate::message::NotifCode;
-    use crate::policy::{Action, Match};
+    use crate::damping::DampingConfig;
+    use crate::message::{NotifCode, UpdateMessage};
+    use crate::policy::{Action, Match, Policy};
+    use crate::rib::RouteSource;
+    use peering_netsim::SimDuration;
+    use std::net::Ipv4Addr;
 
     /// Deliver all queued outputs between two speakers until quiescent.
     fn settle(a: &mut Speaker, b: &mut Speaker, a_peer: PeerId, b_peer: PeerId, now: SimTime) {
@@ -3816,7 +1657,11 @@ mod tests {
     fn max_prefix_cease_drops_the_deltas_staged_for_the_ceased_peer() {
         let mut s = paced_with_a_staged_export();
         let flood: Vec<Prefix> = (1..=3).map(|i| Prefix::v4(10, i, 0, 0, 16)).collect();
-        let outs = s.on_message(PeerId(0), shared_attrs_update(&flood), SimTime::from_secs(2));
+        let outs = s.on_message(
+            PeerId(0),
+            shared_attrs_update(&flood),
+            SimTime::from_secs(2),
+        );
         assert!(!s.peer_established(PeerId(0)), "the flooder is ceased");
         assert_eq!(updates_to(&outs), vec![]);
         // Past the MRAI deadline the listener gets its batch; the staged
@@ -3844,10 +1689,9 @@ mod tests {
         let p = Prefix::v4(10, 1, 0, 0, 16);
         s.on_message(PeerId(0), shared_attrs_update(&[p]), SimTime::from_secs(1));
         let outs = s.remove_peer(PeerId(0), SimTime::from_secs(2));
-        assert!(outs.iter().any(|o| matches!(
-            o,
-            Output::Event(SpeakerEvent::PeerDown(PeerId(0), _))
-        )));
+        assert!(outs
+            .iter()
+            .any(|o| matches!(o, Output::Event(SpeakerEvent::PeerDown(PeerId(0), _)))));
         assert_eq!(updates_to(&outs), vec![PeerId(1)], "the route is withdrawn");
         let counters = telemetry.snapshot();
         assert_eq!(counters.counter("bgp.fsm.to_idle"), 1);
