@@ -337,19 +337,44 @@ impl Session {
         if self.state != FsmState::Idle {
             return Vec::new();
         }
-        // A manual start overrides any idle-hold penalty still pending.
+        self.enter_handshake(now).into_iter().collect()
+    }
+
+    /// Leave `Idle` for the handshake, ending any idle-hold penalty (a
+    /// manual start overrides one still pending): passive endpoints wait
+    /// in `Connect`, active ones return the OPEN to send.
+    fn enter_handshake(&mut self, now: SimTime) -> Option<BgpMessage> {
         self.idle_hold_until = SimTime::MAX;
         if self.cfg.passive {
             self.state = FsmState::Connect;
-            Vec::new()
-        } else {
-            self.state = FsmState::OpenSent;
-            self.stats.msgs_out += 1;
-            // If the OPEN is lost in transit, the retry timer (when
-            // configured) re-sends it rather than hanging in OpenSent.
-            self.arm_retry(now);
-            vec![self.open_message()]
+            return None;
         }
+        self.state = FsmState::OpenSent;
+        self.stats.msgs_out += 1;
+        // If the OPEN is lost in transit, the retry timer (when
+        // configured) re-sends it rather than hanging in OpenSent.
+        self.arm_retry(now);
+        Some(self.open_message())
+    }
+
+    /// Queue a NOTIFICATION and count it.
+    fn notify(&mut self, code: NotifCode, subcode: u8, out: &mut Vec<BgpMessage>) {
+        let notification = NotificationMessage::new(code, subcode);
+        out.push(BgpMessage::Notification(notification));
+        self.stats.msgs_out += 1;
+    }
+
+    /// The session failed on our side: tell the peer why and drop it.
+    fn fail(
+        &mut self,
+        (code, subcode): (NotifCode, u8),
+        reason: impl Into<String>,
+        now: SimTime,
+        out: &mut Vec<BgpMessage>,
+        events: &mut Vec<SessionEvent>,
+    ) {
+        self.notify(code, subcode, out);
+        self.go_down(reason, now, events);
     }
 
     /// Stop the session (ManualStop): emits a Cease and returns to Idle.
@@ -358,11 +383,7 @@ impl Session {
         let mut events = Vec::new();
         if self.state != FsmState::Idle {
             if self.state == FsmState::Established || self.state == FsmState::OpenConfirm {
-                out.push(BgpMessage::Notification(NotificationMessage::new(
-                    NotifCode::Cease,
-                    2, // administrative shutdown
-                )));
-                self.stats.msgs_out += 1;
+                self.notify(NotifCode::Cease, 2, &mut out); // administrative shutdown
             }
             if self.state == FsmState::Established {
                 events.push(SessionEvent::Down {
@@ -393,12 +414,9 @@ impl Session {
         let mut out = Vec::new();
         let mut events = Vec::new();
         if self.state != FsmState::Idle {
-            out.push(BgpMessage::Notification(NotificationMessage::new(
-                NotifCode::MessageHeaderError,
-                1, // connection not synchronized
-            )));
-            self.stats.msgs_out += 1;
-            self.go_down("corrupt message", now, &mut events);
+            // Subcode 1: connection not synchronized.
+            let header_error = (NotifCode::MessageHeaderError, 1);
+            self.fail(header_error, "corrupt message", now, &mut out, &mut events);
         }
         (out, events)
     }
@@ -442,12 +460,7 @@ impl Session {
             }
             state => {
                 let e = BgpError::FsmViolation(format!("update in {state:?}"));
-                let (code, sub) = e.notification();
-                out.push(BgpMessage::Notification(NotificationMessage::new(
-                    code, sub,
-                )));
-                self.stats.msgs_out += 1;
-                self.go_down(e.to_string(), now, &mut events);
+                self.fail(e.notification(), e.to_string(), now, &mut out, &mut events);
             }
         }
         (out, events)
@@ -469,11 +482,7 @@ impl Session {
             return (out, events);
         }
         let was_established = self.state == FsmState::Established;
-        out.push(BgpMessage::Notification(NotificationMessage::new(
-            NotifCode::Cease,
-            1, // maximum number of prefixes reached
-        )));
-        self.stats.msgs_out += 1;
+        self.notify(NotifCode::Cease, 1, &mut out); // maximum number of prefixes reached
         self.reset();
         // The penalty is a fixed duration — no jitter — so seeded runs
         // re-establish at exactly the same virtual instant.
@@ -590,14 +599,7 @@ impl Session {
                     self.stats.msgs_out += 2;
                     self.state = FsmState::OpenConfirm;
                 }
-                Err(e) => {
-                    let (code, sub) = e.notification();
-                    out.push(BgpMessage::Notification(NotificationMessage::new(
-                        code, sub,
-                    )));
-                    self.stats.msgs_out += 1;
-                    self.go_down(e.to_string(), now, &mut events);
-                }
+                Err(e) => self.fail(e.notification(), e.to_string(), now, &mut out, &mut events),
             },
             (FsmState::OpenSent, BgpMessage::Open(open)) => match self.validate_open(&open) {
                 Ok(()) => {
@@ -606,14 +608,7 @@ impl Session {
                     self.stats.msgs_out += 1;
                     self.state = FsmState::OpenConfirm;
                 }
-                Err(e) => {
-                    let (code, sub) = e.notification();
-                    out.push(BgpMessage::Notification(NotificationMessage::new(
-                        code, sub,
-                    )));
-                    self.stats.msgs_out += 1;
-                    self.go_down(e.to_string(), now, &mut events);
-                }
+                Err(e) => self.fail(e.notification(), e.to_string(), now, &mut out, &mut events),
             },
             (FsmState::OpenConfirm, BgpMessage::Keepalive) => {
                 self.state = FsmState::Established;
@@ -643,12 +638,7 @@ impl Session {
             (state, msg) => {
                 // Anything else is an FSM error: notify and drop.
                 let e = BgpError::FsmViolation(format!("{} in {:?}", msg.kind(), state));
-                let (code, sub) = e.notification();
-                out.push(BgpMessage::Notification(NotificationMessage::new(
-                    code, sub,
-                )));
-                self.stats.msgs_out += 1;
-                self.go_down(e.to_string(), now, &mut events);
+                self.fail(e.notification(), e.to_string(), now, &mut out, &mut events);
             }
         }
         (out, events)
@@ -663,15 +653,7 @@ impl Session {
         // re-enters the handshake once the penalty expires.
         if self.state == FsmState::Idle && self.idle_hold_until != SimTime::MAX {
             if now >= self.idle_hold_until {
-                self.idle_hold_until = SimTime::MAX;
-                if self.cfg.passive {
-                    self.state = FsmState::Connect;
-                } else {
-                    self.state = FsmState::OpenSent;
-                    out.push(self.open_message());
-                    self.stats.msgs_out += 1;
-                    self.arm_retry(now);
-                }
+                out.extend(self.enter_handshake(now));
             }
             return (out, events);
         }
@@ -692,12 +674,8 @@ impl Session {
             return (out, events);
         }
         if now >= self.hold_deadline {
-            out.push(BgpMessage::Notification(NotificationMessage::new(
-                NotifCode::HoldTimerExpired,
-                0,
-            )));
-            self.stats.msgs_out += 1;
-            self.go_down("hold timer expired", now, &mut events);
+            let expired = (NotifCode::HoldTimerExpired, 0);
+            self.fail(expired, "hold timer expired", now, &mut out, &mut events);
             return (out, events);
         }
         if now >= self.keepalive_due {
