@@ -22,7 +22,7 @@ use peering_bgp::{
     Speaker, SpeakerConfig, SpeakerEvent,
 };
 use peering_emulation::{Container, Emulation};
-use peering_netsim::{FaultPlan, LinkParams, SimDuration, SimRng, SimTime};
+use peering_netsim::{FaultPlan, LinkParams, SimRng, SimTime};
 use peering_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -613,8 +613,7 @@ impl MuxHarness {
     /// Run the harness under a fault schedule until `until`, ticking
     /// every simulated second so retry/hold timers fire.
     pub fn run_faults(&mut self, plan: &mut FaultPlan, until: SimTime) {
-        self.emu
-            .run_with_faults(plan, until, SimDuration::from_secs(1), usize::MAX);
+        self.emu.run_with_faults(plan, until, usize::MAX);
     }
 
     /// Arm the abuse containment engine: one escalation lane per client.
@@ -771,6 +770,7 @@ impl MuxHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peering_netsim::SimDuration;
 
     fn prefix(i: u32) -> Prefix {
         Prefix::v4(203, (i >> 8) as u8, (i & 0xff) as u8, 0, 24)

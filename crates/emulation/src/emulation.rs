@@ -39,6 +39,13 @@ enum Payload {
     Tick,
 }
 
+/// Simulated time between two ticks of [`Emulation::run_with_faults`]:
+/// how often due faults are applied and every daemon's timers (hold,
+/// keepalive, ConnectRetry, graceful restart, idle hold, MRAI) are
+/// serviced. A timer thus fires up to a second late, identically in every
+/// run of a seed.
+pub const TICK_EVERY: SimDuration = SimDuration::from_secs(1);
+
 /// The emulated network.
 pub struct Emulation {
     containers: Vec<Container>,
@@ -397,15 +404,9 @@ impl Emulation {
     /// The one delivery loop: pop and dispatch in-flight deliveries until
     /// idle or `limit`, returning how many were processed. A tick applies
     /// `plan`'s due faults, runs every daemon's timers, and re-arms itself
-    /// `tick_every` later while `until` lies ahead or `plan` has actions
+    /// [`TICK_EVERY`] later while `until` lies ahead or `plan` has actions
     /// left.
-    fn drain(
-        &mut self,
-        plan: &mut FaultPlan,
-        until: SimTime,
-        tick_every: SimDuration,
-        limit: usize,
-    ) -> usize {
+    fn drain(&mut self, plan: &mut FaultPlan, until: SimTime, limit: usize) -> usize {
         let mut steps = 0;
         while steps < limit {
             let Some((now, delivery)) = self.net.next() else {
@@ -419,7 +420,7 @@ impl Emulation {
                     }
                     self.tick_all();
                     if now < until || !plan.exhausted() {
-                        self.net.set_timer(NodeId(0), tick_every, Payload::Tick);
+                        self.net.set_timer(NodeId(0), TICK_EVERY, Payload::Tick);
                     }
                 }
                 Payload::Bgp { to_peer, msg } => {
@@ -441,12 +442,7 @@ impl Emulation {
         // No plan and a horizon already behind: a tick left over from a
         // `run_with_faults` that hit its limit still runs the timers, but
         // nothing re-arms it.
-        self.drain(
-            &mut FaultPlan::new(),
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            limit,
-        )
+        self.drain(&mut FaultPlan::new(), SimTime::ZERO, limit)
     }
 
     /// Apply one fault action at the current simulated time. Link-level
@@ -549,23 +545,16 @@ impl Emulation {
 
     /// Drive the emulation under a scripted fault plan.
     ///
-    /// A tick fires every `tick_every` of simulated time: due faults are
+    /// A tick fires every [`TICK_EVERY`] of simulated time: due faults are
     /// applied, then every daemon's timers run (hold/keepalive expiry,
     /// ConnectRetry reconnects, graceful-restart sweeps). The tick chain
     /// stops once `until` is reached and the plan is exhausted; remaining
     /// in-flight messages then drain. Returns deliveries processed,
     /// bounded by `limit`.
-    pub fn run_with_faults(
-        &mut self,
-        plan: &mut FaultPlan,
-        until: SimTime,
-        tick_every: SimDuration,
-        limit: usize,
-    ) -> usize {
-        assert!(!tick_every.is_zero(), "tick_every must be positive");
+    pub fn run_with_faults(&mut self, plan: &mut FaultPlan, until: SimTime, limit: usize) -> usize {
         self.net
             .set_timer(NodeId(0), SimDuration::ZERO, Payload::Tick);
-        self.drain(plan, until, tick_every, limit)
+        self.drain(plan, until, limit)
     }
 
     /// Drive every daemon's timers at the current time.
@@ -757,12 +746,7 @@ mod tests {
             SimTime::from_secs(10),
             FaultAction::SessionReset(NodeId(a as u32), NodeId(b as u32)),
         );
-        emu.run_with_faults(
-            &mut plan,
-            SimTime::from_secs(60),
-            SimDuration::from_secs(1),
-            100_000,
-        );
+        emu.run_with_faults(&mut plan, SimTime::from_secs(60), 100_000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
         assert!(
@@ -798,12 +782,7 @@ mod tests {
                 FaultAction::SessionReset(NodeId(a as u32), NodeId(b as u32)),
             );
         emu.control(a, |d, now| d.originate(Prefix::v4(10, 52, 0, 0, 16), now));
-        emu.run_with_faults(
-            &mut plan,
-            SimTime::from_secs(90),
-            SimDuration::from_secs(1),
-            100_000,
-        );
+        emu.run_with_faults(&mut plan, SimTime::from_secs(90), 100_000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());
@@ -830,12 +809,7 @@ mod tests {
                 SimTime::from_secs(20),
                 FaultAction::MuxRestart(NodeId(b as u32)),
             );
-        emu.run_with_faults(
-            &mut plan,
-            SimTime::from_secs(120),
-            SimDuration::from_secs(1),
-            200_000,
-        );
+        emu.run_with_faults(&mut plan, SimTime::from_secs(120), 200_000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
         // b relearned a's route after losing everything; a still has b's
@@ -871,7 +845,6 @@ mod tests {
         emu.run_with_faults(
             &mut FaultPlan::new(),
             emu.now() + SimDuration::from_secs(60),
-            SimDuration::from_secs(1),
             100_000,
         );
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
@@ -919,12 +892,7 @@ mod tests {
                 SimTime::from_secs(150),
                 FaultAction::HealAs(NodeId(b as u32)),
             );
-        emu.run_with_faults(
-            &mut plan,
-            SimTime::from_secs(400),
-            SimDuration::from_secs(1),
-            500_000,
-        );
+        emu.run_with_faults(&mut plan, SimTime::from_secs(400), 500_000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());
@@ -945,12 +913,7 @@ mod tests {
         );
         let p = Prefix::v4(10, 56, 0, 0, 16);
         emu.control(a, |d, now| d.originate(p, now));
-        emu.run_with_faults(
-            &mut plan,
-            SimTime::from_secs(60),
-            SimDuration::from_secs(1),
-            100_000,
-        );
+        emu.run_with_faults(&mut plan, SimTime::from_secs(60), 100_000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());
     }

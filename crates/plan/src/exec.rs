@@ -348,9 +348,7 @@ impl MigrationTestbed {
     /// `window`, applying `faults` when due, then drain.
     pub fn run_window(&mut self, faults: &mut FaultPlan, window: SimDuration) -> usize {
         let until = self.emu.now() + window;
-        let mut n = self
-            .emu
-            .run_with_faults(faults, until, SimDuration::from_secs(1), QUIET_LIMIT);
+        let mut n = self.emu.run_with_faults(faults, until, QUIET_LIMIT);
         n += self.emu.run_until_quiet(QUIET_LIMIT);
         n
     }

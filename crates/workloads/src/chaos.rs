@@ -223,12 +223,7 @@ fn run_faulted(topology: &ChaosTopology, seed: u64, mut emu: Emulation) -> Chaos
     let baseline_digest = rib_digest(&topology.build(seed));
     let mut plan = chaos_plan(topology, seed);
     let faults = plan.len();
-    emu.run_with_faults(
-        &mut plan,
-        SimTime::ZERO + HORIZON,
-        SimDuration::from_secs(1),
-        usize::MAX,
-    );
+    emu.run_with_faults(&mut plan, SimTime::ZERO + HORIZON, usize::MAX);
     emu.export_net_stats();
     ChaosReport {
         scenario: topology.name(),
