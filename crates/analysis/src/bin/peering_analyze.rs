@@ -50,8 +50,11 @@ fn main() -> ExitCode {
 
     if !quiet {
         println!(
-            "peering-analyze: {} files / {} lines scanned",
-            report.files_scanned, report.lines_scanned
+            "peering-analyze: {} files / {} lines scanned; largest {} ({} non-test lines)",
+            report.files_scanned,
+            report.lines_scanned,
+            report.largest_file.path,
+            report.largest_file.lines
         );
         for (id, counts) in &report.lints {
             println!(

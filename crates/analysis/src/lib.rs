@@ -26,7 +26,7 @@ pub mod source;
 
 use annotations::{parse_annotations, AllowEntry, AnnotationError};
 use lints::{check_file, lint_by_id, Finding, Severity, CATALOG};
-use report::{AnalysisReport, LintCounts, ReportAllow, ReportFinding, ReportProblem};
+use report::{AnalysisReport, LargestFile, LintCounts, ReportAllow, ReportFinding, ReportProblem};
 use source::SourceFile;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -44,6 +44,23 @@ pub struct ScanOutcome {
     pub files: usize,
     /// Lines scanned.
     pub lines: usize,
+    /// The file with the most non-test lines.
+    pub largest_file: LargestFile,
+}
+
+impl ScanOutcome {
+    /// Count one scanned file.
+    fn count(&mut self, sf: &SourceFile) {
+        self.files += 1;
+        self.lines += sf.line_count();
+        let lines = sf.shipped_line_count();
+        if lines > self.largest_file.lines {
+            self.largest_file = LargestFile {
+                path: sf.rel_path.clone(),
+                lines,
+            };
+        }
+    }
 }
 
 /// Scan a workspace rooted at `root` and assemble the report.
@@ -54,8 +71,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalysisReport> {
     for path in &files {
         let text = std::fs::read_to_string(root.join(path))?;
         let sf = SourceFile::parse(path, &text);
-        outcome.files += 1;
-        outcome.lines += sf.line_count();
+        outcome.count(&sf);
         outcome.findings.extend(check_file(&sf));
         let (allows, errors) = parse_annotations(&sf);
         outcome.allows.extend(allows);
@@ -116,6 +132,7 @@ pub fn assemble(outcome: ScanOutcome) -> AnalysisReport {
         annotation_errors,
         files,
         lines,
+        largest_file,
     } = outcome;
     findings.sort();
     allows.sort();
@@ -207,6 +224,7 @@ pub fn assemble(outcome: ScanOutcome) -> AnalysisReport {
         schema: "peering-analysis/v1",
         files_scanned: files,
         lines_scanned: lines,
+        largest_file,
         lints: lint_counts,
         unallowlisted,
         allowlist_size: allowlist.len(),
@@ -220,14 +238,15 @@ pub fn assemble(outcome: ScanOutcome) -> AnalysisReport {
 /// Analyze a single source string (fixtures and unit tests).
 pub fn analyze_str(rel_path: &str, text: &str) -> AnalysisReport {
     let sf = SourceFile::parse(rel_path, text);
-    let (allows, errors) = parse_annotations(&sf);
-    assemble(ScanOutcome {
+    let (allows, annotation_errors) = parse_annotations(&sf);
+    let mut outcome = ScanOutcome {
         findings: check_file(&sf),
         allows,
-        annotation_errors: errors,
-        files: 1,
-        lines: sf.line_count(),
-    })
+        annotation_errors,
+        ..ScanOutcome::default()
+    };
+    outcome.count(&sf);
+    assemble(outcome)
 }
 
 #[cfg(test)]
@@ -245,6 +264,10 @@ mod tests {
         assert!(r.ok, "{:?}", r);
         assert_eq!(r.allowlist_size, 1);
         assert_eq!(r.lints["nd-hash-iter"].allowed, 1);
+        assert_eq!(
+            (r.largest_file.path.as_str(), r.largest_file.lines),
+            ("x.rs", 5)
+        );
     }
 
     #[test]

@@ -54,6 +54,15 @@ pub struct ReportProblem {
     pub message: String,
 }
 
+/// The file with the most lines outside `#[cfg(test)]` items.
+#[derive(Debug, Clone, Default, Serialize, PartialEq, Eq)]
+pub struct LargestFile {
+    /// Workspace-relative path (the first in path order on a tie).
+    pub path: String,
+    /// Its non-test line count.
+    pub lines: usize,
+}
+
 /// The full analysis report.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
 pub struct AnalysisReport {
@@ -63,6 +72,9 @@ pub struct AnalysisReport {
     pub files_scanned: usize,
     /// Source lines scanned.
     pub lines_scanned: usize,
+    /// The largest scanned file, tests excluded: the ceiling on how much
+    /// one file asks a reader to hold.
+    pub largest_file: LargestFile,
     /// Per-lint counts, keyed by lint id.
     pub lints: BTreeMap<String, LintCounts>,
     /// Deny-severity findings with no allowlist cover (gate failures).

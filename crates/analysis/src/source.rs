@@ -213,6 +213,11 @@ impl SourceFile {
     pub fn line_count(&self) -> usize {
         self.code_lines.len()
     }
+
+    /// Number of lines outside `#[cfg(test)]` items: what ships.
+    pub fn shipped_line_count(&self) -> usize {
+        self.in_test.iter().filter(|test| !**test).count()
+    }
 }
 
 /// Mark every line belonging to a `#[cfg(test)]` item (attribute line
@@ -300,5 +305,6 @@ mod tests {
             "fn shipped() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn also_shipped() {}\n";
         let f = SourceFile::parse("t.rs", src);
         assert_eq!(f.in_test, vec![false, true, true, true, true, false]);
+        assert_eq!((f.line_count(), f.shipped_line_count()), (6, 2));
     }
 }

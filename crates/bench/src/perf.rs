@@ -197,6 +197,14 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("lines_scanned")]),
         gate: None,
     },
+    // The one source-size key that is gated: no file may outgrow the
+    // largest one (tests excluded), so a module split stays split.
+    Metric {
+        key: "analysis.largest_file_lines",
+        file: "BENCH_analysis.json",
+        extract: Extract::Path(&[Seg::Key("largest_file"), Seg::Key("lines")]),
+        gate: Some(Gate::LowerIsBetter(0)),
+    },
     Metric {
         key: "abuse.scenarios",
         file: "BENCH_abuse.json",
@@ -736,6 +744,7 @@ mod tests {
                 ("ok", Value::Bool(true)),
                 ("files_scanned", Value::U64(120)),
                 ("lines_scanned", Value::U64(40000)),
+                ("largest_file", map(vec![("lines", Value::U64(900))])),
             ]),
         );
         r.insert(
@@ -884,5 +893,20 @@ mod tests {
             }
         }
         assert!(build_report(&results, Some(&baseline)).ok());
+        // One file outgrowing the largest is.
+        let Value::Map(entries) = results.get_mut("BENCH_analysis.json").unwrap() else {
+            panic!()
+        };
+        entries.push((
+            "largest_file".to_string(),
+            map(vec![("lines", Value::U64(901))]),
+        ));
+        entries.swap_remove(
+            entries
+                .iter()
+                .position(|(k, _)| k == "largest_file")
+                .unwrap(),
+        );
+        assert!(!build_report(&results, Some(&baseline)).ok());
     }
 }
