@@ -17,15 +17,18 @@
 //! On top of that each speaker's wire history must add up to its own
 //! Adj-RIB-Out: a skipped re-export that should have emitted shows up as
 //! a peer holding something other than what the speaker believes it sent.
+//! And no speaker may ever put an UPDATE on a session that is not
+//! Established — what a lost session had staged dies with it, however the
+//! session was lost (reset, max-prefix Cease, restart, removal).
 
 use peering_bgp::{
-    Action, AsPath, Asn, BgpMessage, Community, Match, Nlri, OpenMessage, Output, PathAttributes,
-    PeerConfig, PeerId, Policy, Prefix, ProvenanceLog, Route, RouteSource, Speaker, SpeakerConfig,
-    UpdateMessage,
+    Action, AsPath, Asn, BgpMessage, Community, Match, MaxPrefixConfig, Nlri, OpenMessage, Output,
+    PathAttributes, PeerConfig, PeerId, Policy, Prefix, ProvenanceLog, Route, RouteSource, Speaker,
+    SpeakerConfig, SpeakerEvent, UpdateMessage,
 };
 use peering_netsim::{SimDuration, SimRng, SimTime, TraceId};
 use peering_telemetry::Telemetry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -42,6 +45,9 @@ const LISTENERS: [PeerId; 6] = [
 const GR_PEER: PeerId = PeerId(2);
 const GR_WINDOW_S: u64 = 30;
 const PREFIXES: u8 = 8;
+/// Feeder 1 may hold all prefixes but one, and once ceased for more stays
+/// down until the script starts it again.
+const FLOODER: PeerId = PeerId(1);
 
 fn p(n: u8) -> Prefix {
     Prefix::v4(10, n, 0, 0, 16)
@@ -72,8 +78,12 @@ fn peers() -> Vec<PeerConfig> {
     let listener = |id: PeerId, asn: u32| PeerConfig::new(id, Asn(asn));
     vec![
         // A prefix-free import policy: the verdict is per attribute set.
-        PeerConfig::new(FEEDERS[0], Asn(100))
-            .import(Policy::accept_all().rule(Match::HasCommunity(tagged()), vec![Action::Reject])),
+        PeerConfig::new(FLOODER, Asn(100))
+            .import(Policy::accept_all().rule(Match::HasCommunity(tagged()), vec![Action::Reject]))
+            .with_max_prefix(
+                MaxPrefixConfig::new(PREFIXES as usize - 1)
+                    .idle_hold(SimDuration::from_secs(1_000_000)),
+            ),
         PeerConfig::new(FEEDERS[1], Asn(200)).graceful_restart(SimDuration::from_secs(GR_WINDOW_S)),
         // A prefix-reading one: NLRIs of one UPDATE import differently.
         PeerConfig::new(FEEDERS[2], Asn(300)).import(Policy::accept_all().rule(
@@ -99,6 +109,8 @@ type Held = BTreeMap<(Prefix, u32), Arc<PathAttributes>>;
 struct Rig {
     s: Speaker,
     held: BTreeMap<PeerId, Held>,
+    /// Sessions that are Established, going by the events reported.
+    up: BTreeSet<PeerId>,
     telemetry: Telemetry,
 }
 
@@ -111,16 +123,33 @@ impl Rig {
         Rig {
             s,
             held: BTreeMap::new(),
+            up: BTreeSet::new(),
             telemetry,
         }
     }
 
-    /// Apply what the speaker sent to the receiving ends.
-    fn absorb(&mut self, outs: &[Output]) {
+    /// Apply what the speaker sent to the receiving ends, in order: an
+    /// UPDATE only ever travels on an Established session, and a far end
+    /// whose session went down forgets what it held.
+    fn absorb(&mut self, label: &str, outs: &[Output]) {
         for out in outs {
-            let Output::Send(peer, BgpMessage::Update(u)) = out else {
-                continue;
+            let (peer, u) = match out {
+                Output::Send(peer, BgpMessage::Update(u)) => (peer, u),
+                Output::Event(SpeakerEvent::PeerUp(peer)) => {
+                    self.up.insert(*peer);
+                    continue;
+                }
+                Output::Event(SpeakerEvent::PeerDown(peer, _)) => {
+                    self.up.remove(peer);
+                    self.held.remove(peer);
+                    continue;
+                }
+                _ => continue,
             };
+            assert!(
+                self.up.contains(peer),
+                "{label}: UPDATE toward {peer}, whose session is not Established: {u:?}"
+            );
             let held = self.held.entry(*peer).or_default();
             for nlri in &u.withdrawn {
                 held.remove(&(nlri.prefix, nlri.path_id.unwrap_or(0)));
@@ -204,8 +233,10 @@ impl Bench {
             let mut outs = f(&mut rig.s, now);
             outs.extend(rig.s.tick(now + SimDuration::from_millis(450)));
             outs.extend(rig.s.tick(now + SimDuration::from_millis(900)));
-            rig.absorb(&outs);
+            rig.absorb(label, &outs);
             assert_eq!(rig.s.check_invariants(), Ok(()), "{label}");
+            let established = rig.s.peer_ids().filter(|p| rig.s.peer_established(*p));
+            assert!(established.eq(rig.up.iter().copied()), "{label}: sessions");
             outs
         };
         let plain = drive(&mut self.production);
@@ -229,18 +260,6 @@ impl Bench {
             "{label}: MRAI packing changed what a peer ends up holding"
         );
         self.production.assert_wire_matches_rib(label);
-    }
-
-    /// A session loss as the far end sees it: it forgets what it held.
-    fn forget(&mut self, peer: PeerId) {
-        for rig in [
-            &mut self.production,
-            &mut self.spec,
-            &mut self.observed,
-            &mut self.paced,
-        ] {
-            rig.held.remove(&peer);
-        }
     }
 
     fn up(&mut self, peer: PeerId) {
@@ -324,16 +343,23 @@ fn run_script(seed: u64, steps: usize) {
     for &peer in &everyone {
         b.up(peer);
     }
-    let mut down: Vec<PeerId> = Vec::new();
     let mut last: BTreeMap<PeerId, UpdateMessage> = BTreeMap::new();
     for i in 0..steps {
         let tag = |what: String| format!("seed {seed} step {i}: {what}");
-        let feeders_up: Vec<PeerId> = FEEDERS
-            .iter()
-            .copied()
-            .filter(|f| !down.contains(f))
-            .collect();
-        match rng.index(16) {
+        // A session goes down by script or because the flooder tripped
+        // its limit on its own.
+        let is_up = |peer: &PeerId| b.production.up.contains(peer);
+        let mut down: Vec<PeerId> = everyone.iter().copied().filter(|p| !is_up(p)).collect();
+        let feeders_up: Vec<PeerId> = FEEDERS.iter().copied().filter(is_up).collect();
+        // An export staged toward every peer at the instant a session is
+        // lost: what the paced speaker must drop with the session.
+        let q = p(rng.index(PREFIXES as usize) as u8);
+        let stage_an_export = move |s: &mut Speaker, now| {
+            let mut outs = s.withdraw_origin(q, now);
+            outs.extend(s.originate(q, now));
+            outs
+        };
+        match rng.index(20) {
             // Announce / replace / losing challenger, sometimes delivered
             // twice at one instant: the second copy moves nothing at all.
             0..=5 if !feeders_up.is_empty() => {
@@ -374,11 +400,9 @@ fn run_script(seed: u64, steps: usize) {
             9 => {
                 let peer = *rng.pick(&everyone).expect("non-empty");
                 if !down.contains(&peer) {
-                    b.forget(peer);
                     b.step(&tag(format!("reset {peer}")), |s, now| {
                         s.reset_peer(peer, now)
                     });
-                    down.push(peer);
                 }
             }
             10 | 11 if !down.is_empty() => {
@@ -416,6 +440,43 @@ fn run_script(seed: u64, steps: usize) {
                         s.withdraw_origin(p(n), now)
                     });
                 }
+            }
+            // The flooder offers one prefix too many and is ceased.
+            16 if !down.contains(&FLOODER) => {
+                let attrs = PathAttributes {
+                    as_path: AsPath::from_asns(&[Asn(100)]),
+                    ..Default::default()
+                };
+                let all = (0..PREFIXES).map(|n| Nlri::plain(p(n))).collect();
+                let flood = BgpMessage::Update(UpdateMessage::announce(Arc::new(attrs), all));
+                b.step(&tag(format!("{FLOODER} floods")), |s, now| {
+                    let mut outs = stage_an_export(s, now);
+                    outs.extend(s.on_message(FLOODER, flood.clone(), now));
+                    outs
+                });
+                assert!(!b.production.s.peer_established(FLOODER), "ceased");
+            }
+            // The speaker restarts cold; every session comes back.
+            17 => {
+                b.step(&tag("restart".into()), |s, now| {
+                    let mut outs = stage_an_export(s, now);
+                    outs.extend(s.restart(now));
+                    outs
+                });
+                for &peer in &everyone {
+                    b.up(peer);
+                }
+            }
+            // A peer is deconfigured, and configured again from scratch.
+            18 => {
+                let peer = *rng.pick(&everyone).expect("non-empty");
+                let cfg = peers().into_iter().find(|c| c.id == peer).expect("scripted");
+                b.step(&tag(format!("remove {peer}")), |s, now| {
+                    let mut outs = stage_an_export(s, now);
+                    outs.extend(s.remove_peer(peer, now));
+                    s.add_peer(cfg.clone());
+                    outs
+                });
             }
             // Let a graceful-restart window run out.
             15 if down.contains(&GR_PEER) => {
