@@ -16,7 +16,7 @@
 //!   upstream's routes, distinguishable by path id.
 //!
 //! The `impl Speaker` is split along its seams, and each private
-//! submodule owns the state it is responsible for: [`config`] the knobs,
+//! submodule owns the state it is responsible for: `config` the knobs,
 //! `session` what drives a peer's FSM and what a session coming or going
 //! means, `import` the UPDATE-to-Adj-RIB-In path, `export` (with its
 //! children `stage`, `diff` and `mrai`) everything a peer has been sent.

@@ -3,7 +3,7 @@
 
 use super::super::PeerState;
 use super::mrai::{PendingDelta, Wire};
-use super::stage::{StagedEntry, StagedOutcome};
+use super::stage::StagedEntry;
 use crate::attrs::{Community, PathAttributes};
 use crate::message::Nlri;
 use crate::provenance::{ExportVerdict, ProvenanceEvent};
@@ -45,7 +45,7 @@ fn member_delta(
     if entry.source_peer == member {
         return Err(ExportVerdict::SplitHorizon);
     }
-    if let StagedOutcome::Reject(v) = entry.outcome {
+    if let Err(v) = entry.outcome {
         if matches!(
             v,
             ExportVerdict::IbgpNoReflect | ExportVerdict::NoAdvertise | ExportVerdict::NoExport
@@ -58,8 +58,8 @@ fn member_delta(
         return Err(ExportVerdict::AsPathLoop);
     }
     match &entry.outcome {
-        StagedOutcome::Reject(v) => Err(*v),
-        StagedOutcome::Export(route) => {
+        Err(v) => Err(*v),
+        Ok(route) => {
             // RFC 7947 member blocks: community `0:<member-as16>` on
             // the source route keeps it away from that member. The
             // check runs on the source attributes (the shared policy
@@ -86,7 +86,7 @@ fn member_delta(
 /// withheld from it.
 ///
 /// The callers differ only in their arguments. A routing change
-/// ([`Speaker::export_prefix`]) diffs against the group's live base,
+/// (`Speaker::export_prefix`) diffs against the group's live base,
 /// records rejects, and tags withdrawals with the causing trace. The
 /// initial table sync diffs against nothing. A group reseat diffs
 /// against the pre-move snapshot and records only what it emits.

@@ -13,15 +13,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Group-level outcome for one source route in a staged export.
-pub(super) enum StagedOutcome {
-    /// Exported by the group computation (policy applied, attributes
-    /// transformed and interned). Per-member deltas may still withhold it.
-    Export(Route),
-    /// Rejected at group level (same verdict for every member).
-    Reject(ExportVerdict),
-}
-
 /// One source route's staged export, retaining what the per-member
 /// delta checks (split horizon, sender-side loop, RS member blocks) and
 /// per-member provenance records need from the *source* route.
@@ -29,16 +20,16 @@ pub(super) struct StagedEntry {
     pub(super) source_peer: PeerId,
     pub(super) source_attrs: Arc<PathAttributes>,
     pub(super) source_trace: Option<TraceId>,
-    pub(super) outcome: StagedOutcome,
+    /// The route the group computation exports (policy applied,
+    /// attributes transformed and interned; per-member deltas may still
+    /// withhold it), or the verdict that rejects it for every member.
+    pub(super) outcome: Result<Route, ExportVerdict>,
 }
 
 impl StagedEntry {
     /// The route the group exports for this source, if it exports one.
     pub(super) fn exported(&self) -> Option<&Route> {
-        match &self.outcome {
-            StagedOutcome::Export(route) => Some(route),
-            StagedOutcome::Reject(_) => None,
-        }
+        self.outcome.as_ref().ok()
     }
 }
 
@@ -54,7 +45,7 @@ type StagedAttrs = Result<Arc<PathAttributes>, ExportVerdict>;
 
 /// Staged outcomes of groups whose export policy reads no prefix, keyed by
 /// (source attribute allocation, learning peer, group). The table lives
-/// for one engine call ([`Speaker::reconsider_with`] or a member resync)
+/// for one engine call (`Speaker::reconsider_with` or a member resync)
 /// and is emptied before the call returns: the Adj-RIB-Ins and local
 /// routes that own the source allocations are not touched while it
 /// exists, and each entry holds its source `Arc` besides, so a key cannot
@@ -175,25 +166,22 @@ impl Stager<'_> {
                 staged
             }
         };
-        let outcome = match attrs {
-            Err(verdict) => StagedOutcome::Reject(verdict),
-            Ok(attrs) => StagedOutcome::Export(Route {
-                prefix: route.prefix,
-                attrs,
-                peer: route.peer,
-                path_id: match group.fingerprint.advertise {
-                    AdvertiseMode::BestOnly => 0,
-                    // Stable, collision-free id: the learning peer's id + 1
-                    // (0 is reserved for the local/best path).
-                    AdvertiseMode::AllPaths if route.peer == PeerId::LOCAL => 0,
-                    AdvertiseMode::AllPaths => route.peer.0.wrapping_add(1),
-                },
-                source: route.source,
-                igp_cost: route.igp_cost,
-                learned_at: route.learned_at,
-                trace: route.trace,
-            }),
-        };
+        let outcome = attrs.map(|attrs| Route {
+            prefix: route.prefix,
+            attrs,
+            peer: route.peer,
+            path_id: match group.fingerprint.advertise {
+                AdvertiseMode::BestOnly => 0,
+                // Stable, collision-free id: the learning peer's id + 1
+                // (0 is reserved for the local/best path).
+                AdvertiseMode::AllPaths if route.peer == PeerId::LOCAL => 0,
+                AdvertiseMode::AllPaths => route.peer.0.wrapping_add(1),
+            },
+            source: route.source,
+            igp_cost: route.igp_cost,
+            learned_at: route.learned_at,
+            trace: route.trace,
+        });
         StagedEntry {
             source_peer: route.peer,
             source_attrs: Arc::clone(&route.attrs),

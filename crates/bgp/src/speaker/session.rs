@@ -28,7 +28,7 @@ impl Speaker {
     }
 
     /// Start (or restart) the session with a peer. A no-op while the
-    /// peer is administratively disabled (see [`PeerConfig::enabled`]).
+    /// peer is administratively disabled (see [`PeerConfig::enabled`](super::PeerConfig::enabled)).
     pub fn start_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
         if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
             return Vec::new();

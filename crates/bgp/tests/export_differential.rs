@@ -470,7 +470,10 @@ fn run_script(seed: u64, steps: usize) {
             // A peer is deconfigured, and configured again from scratch.
             18 => {
                 let peer = *rng.pick(&everyone).expect("non-empty");
-                let cfg = peers().into_iter().find(|c| c.id == peer).expect("scripted");
+                let cfg = peers()
+                    .into_iter()
+                    .find(|c| c.id == peer)
+                    .expect("scripted");
                 b.step(&tag(format!("remove {peer}")), |s, now| {
                     let mut outs = stage_an_export(s, now);
                     outs.extend(s.remove_peer(peer, now));
