@@ -245,8 +245,12 @@ impl Export {
         let Some(state) = peers.get_mut(&id) else {
             return;
         };
-        state.sent.synced = false;
         state.sent.mask.clear();
+        if !std::mem::replace(&mut state.sent.synced, false) {
+            // It kept no base live (a session coming up, or lost before
+            // its first table sync): nothing to look for.
+            return;
+        }
         let key = state.sent.group;
         self.maybe_clear_base(peers, key);
     }
