@@ -86,15 +86,17 @@ struct StaleState {
 
 struct PeerState {
     cfg: PeerConfig,
+    // The three timer holders sit together: `next_deadline` reads them
+    // for every peer after every event.
     session: Session,
-    adj_in: AdjRibIn,
+    /// Present while the peer is in a graceful-restart window.
+    stale: Option<StaleState>,
     /// What this peer has been sent; only `export` can look inside.
     sent: Member,
+    adj_in: AdjRibIn,
     damping: DampingState,
     /// Suppressed (damped) prefixes learned from this peer.
     suppressed: BTreeSet<Prefix>,
-    /// Present while the peer is in a graceful-restart window.
-    stale: Option<StaleState>,
     /// The max-prefix warning threshold already fired this session.
     max_prefix_warned: bool,
 }

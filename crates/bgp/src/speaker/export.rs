@@ -108,6 +108,8 @@ pub(super) struct ExportScratch {
 
 /// What one peer has been sent, as the export side keeps it.
 pub(super) struct Member {
+    /// When the pending batch flushes; `None` when nothing is staged.
+    mrai_deadline: Option<SimTime>,
     /// The export peer-group this peer currently belongs to.
     group: ExportGroupKey,
     /// Per-member delta vs the group base: `(prefix -> path ids)` present
@@ -121,8 +123,6 @@ pub(super) struct Member {
     synced: bool,
     /// Staged export deltas (MRAI packing); empty when `cfg.mrai` is off.
     pending: BTreeMap<Nlri, PendingDelta>,
-    /// When the pending batch flushes; `None` when nothing is staged.
-    mrai_deadline: Option<SimTime>,
 }
 
 impl Member {
@@ -241,7 +241,7 @@ impl Export {
     /// Forget what `id` holds: it no longer takes part in its group's base
     /// and the next table sync rebuilds its view. What is staged for it
     /// stays staged (a ROUTE-REFRESH keeps the session).
-    fn unsync(&mut self, peers: &mut Peers, id: PeerId) {
+    pub(super) fn unsync(&mut self, peers: &mut Peers, id: PeerId) {
         let Some(state) = peers.get_mut(&id) else {
             return;
         };
@@ -722,16 +722,15 @@ impl Speaker {
         }
     }
 
-    /// Send the full table to a newly established or refreshing peer.
-    /// Whatever it held before is forgotten first, so the diffing export
-    /// resends it. The peer is marked synced — joined to its group's
-    /// shared view — only after the walk, so every prefix diffs against
-    /// an empty view and everything staged is announced. If another
+    /// Send the full table to a newly established peer, or to a refreshing
+    /// one the caller has [unsynced](Export::unsync). The peer is marked
+    /// synced — joined to its group's shared view — only after the walk,
+    /// so every prefix diffs against an empty view and everything staged
+    /// is announced. If another
     /// member of the group is already synced the shared base is
     /// authoritative and untouched; otherwise the base was cleared on
     /// unsync and is rebuilt prefix by prefix here.
     pub(super) fn full_table_to(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
-        self.export.unsync(&mut self.peers, peer);
         self.resync_member(peer, &AdjRibOut::new(), true, now, out);
         let Some(state) = self.peers.get_mut(&peer) else {
             return;

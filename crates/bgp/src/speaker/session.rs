@@ -226,8 +226,12 @@ impl Speaker {
                 self.telemetry.counter_inc("bgp.speaker.updates_in");
                 self.process_update(peer, update, now, out);
             }
-            // RFC 2918: re-advertise the whole Adj-RIB-Out.
-            SessionEvent::RefreshRequested => self.full_table_to(peer, now, out),
+            SessionEvent::RefreshRequested => {
+                // RFC 2918: re-advertise the whole Adj-RIB-Out. Forget
+                // what was already sent so the diffing export resends it.
+                self.export.unsync(&mut self.peers, peer);
+                self.full_table_to(peer, now, out);
+            }
         }
     }
 
