@@ -14,11 +14,11 @@ use peering_bgp::wire::{
     WireConfig, MAX_MESSAGE,
 };
 use peering_bgp::{
-    AsPath, Asn, BgpMessage, Nlri, NotifCode, NotificationMessage, OpenMessage, PathAttributes,
-    Prefix, UpdateMessage,
+    AsPath, AsPathSegment, Asn, BgpMessage, Capability, Community, Ipv4Net, Ipv6Net, Nlri,
+    NotifCode, NotificationMessage, OpenMessage, Origin, PathAttributes, Prefix, UpdateMessage,
 };
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 fn arb_hold_time() -> impl Strategy<Value = u16> {
@@ -70,7 +70,122 @@ fn arb_notification() -> impl Strategy<Value = NotificationMessage> {
         })
 }
 
+fn arb_capability() -> impl Strategy<Value = Capability> {
+    prop_oneof![
+        Just(Capability::MpIpv4Unicast),
+        Just(Capability::MpIpv6Unicast),
+        Just(Capability::RouteRefresh),
+        any::<u32>().prop_map(|a| Capability::FourOctetAsn(Asn(a))),
+        (any::<bool>(), any::<bool>())
+            .prop_map(|(send, receive)| Capability::AddPathIpv4 { send, receive }),
+        any::<u16>().prop_map(|restart_time_s| Capability::GracefulRestart { restart_time_s }),
+    ]
+}
+
+fn arb_nlri() -> impl Strategy<Value = Nlri> {
+    let prefix = prop_oneof![
+        (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Prefix::V4(Ipv4Net::new(Ipv4Addr::from(a), l))),
+        (any::<u64>(), any::<u64>(), 0u8..=128).prop_map(|(hi, lo, l)| {
+            let addr = Ipv6Addr::from(u128::from(hi) << 64 | u128::from(lo));
+            Prefix::V6(Ipv6Net::new(addr, l))
+        }),
+    ];
+    (prefix, proptest::option::of(any::<u32>()))
+        .prop_map(|(prefix, path_id)| Nlri { prefix, path_id })
+}
+
+/// Attributes up to and past what one message can carry: long paths of
+/// both segment kinds, many communities, every optional attribute.
+fn arb_large_attrs() -> impl Strategy<Value = PathAttributes> {
+    let segment = (
+        any::<bool>(),
+        proptest::collection::vec(any::<u32>(), 0..700),
+    )
+        .prop_map(|(set, asns)| {
+            let asns = asns.into_iter().map(Asn).collect();
+            if set {
+                AsPathSegment::Set(asns)
+            } else {
+                AsPathSegment::Sequence(asns)
+            }
+        });
+    (
+        proptest::collection::vec(segment, 0..3),
+        any::<u32>(),
+        proptest::option::of(any::<u32>()),
+        proptest::option::of(any::<u32>()),
+        any::<bool>(),
+        proptest::option::of((any::<u32>(), any::<u32>())),
+        proptest::collection::vec(any::<u32>(), 0..80),
+    )
+        .prop_map(
+            |(segments, nh, med, local_pref, atomic_aggregate, aggregator, communities)| {
+                PathAttributes {
+                    origin: Origin::Incomplete,
+                    as_path: AsPath { segments },
+                    next_hop: Ipv4Addr::from(nh),
+                    med,
+                    local_pref,
+                    atomic_aggregate,
+                    aggregator: aggregator.map(|(a, ip)| (Asn(a), Ipv4Addr::from(ip))),
+                    communities: communities.into_iter().map(Community).collect(),
+                }
+            },
+        )
+}
+
+/// Any message, sized from empty to several times [`MAX_MESSAGE`].
+fn arb_message() -> impl Strategy<Value = BgpMessage> {
+    prop_oneof![
+        (
+            arb_open(),
+            proptest::collection::vec(arb_capability(), 0..80)
+        )
+            .prop_map(|(mut open, caps)| {
+                open.capabilities.extend(caps);
+                BgpMessage::Open(open)
+            }),
+        (arb_notification(), 0usize..5_000).prop_map(|(mut n, len)| {
+            n.data.resize(len, 0xA5);
+            BgpMessage::Notification(n)
+        }),
+        (
+            proptest::collection::vec(arb_nlri(), 0..400),
+            proptest::option::of(arb_large_attrs()),
+            proptest::collection::vec(arb_nlri(), 0..400),
+        )
+            .prop_map(|(withdrawn, attrs, announced)| {
+                BgpMessage::Update(UpdateMessage {
+                    withdrawn,
+                    attrs: attrs.map(Arc::new),
+                    announced,
+                    trace: None,
+                })
+            }),
+        Just(BgpMessage::Keepalive),
+        Just(BgpMessage::RouteRefresh),
+    ]
+}
+
 proptest! {
+    /// The encoder's contract with its own decoder: whatever it accepts
+    /// to encode, it frames so that `decode_message` reads back exactly
+    /// that many bytes — in one buffer of exactly that size. Oversized
+    /// input must be an `Err`, never a truncated length field.
+    #[test]
+    fn every_encoded_message_decodes(msg in arb_message(), add_path in any::<bool>()) {
+        let cfg = WireConfig { add_path };
+        if let Ok(bytes) = encode_message(&msg, cfg) {
+            prop_assert!(bytes.len() <= MAX_MESSAGE);
+            prop_assert_eq!(bytes.capacity(), bytes.len());
+            let decoded = decode_message(&bytes, cfg);
+            prop_assert!(decoded.is_ok(), "{} of {} bytes: {:?}", msg.kind(), bytes.len(), decoded);
+            if let Ok((_, used)) = decoded {
+                prop_assert_eq!(used, bytes.len());
+            }
+        }
+    }
+
     #[test]
     fn open_roundtrips_with_all_capability_combinations(open in arb_open()) {
         let cfg = WireConfig::default();
