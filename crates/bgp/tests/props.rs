@@ -125,13 +125,16 @@ fn decode_match(ops: &[u8]) -> Match {
 
 proptest! {
     /// encode -> decode is the identity on UPDATE messages (v4, no
-    /// ADD-PATH).
+    /// ADD-PATH), and the encoder sizes its buffer exactly: spare
+    /// capacity would be resident memory for every message a caller
+    /// keeps.
     #[test]
     fn update_codec_roundtrip(update in arb_update()) {
         let msg = BgpMessage::Update(update);
         let cfg = WireConfig::default();
         // Large updates are a legitimate encode error; skip those.
         if let Ok(bytes) = encode_message(&msg, cfg) {
+            prop_assert_eq!(bytes.capacity(), bytes.len());
             let (decoded, used) = decode_message(&bytes, cfg).expect("decode what we encode");
             prop_assert_eq!(used, bytes.len());
             prop_assert_eq!(decoded, msg);
@@ -171,6 +174,7 @@ proptest! {
                 .collect(),
         };
         if let Ok(bytes) = encode_message(&BgpMessage::Update(update.clone()), cfg) {
+            prop_assert_eq!(bytes.capacity(), bytes.len());
             let (decoded, _) = decode_message(&bytes, cfg).unwrap();
             prop_assert_eq!(decoded, BgpMessage::Update(update));
         }
