@@ -122,7 +122,8 @@ impl TestbedConfig {
 
 struct ActiveAnnouncement {
     experiment: ExperimentId,
-    spec: AnnouncementSpec,
+    /// Announcing sites; the i-th propagated announcement is `sites[i]`'s.
+    sites: Vec<usize>,
     result: PropagationResult,
 }
 
@@ -159,7 +160,6 @@ pub struct Testbed {
     cones: Vec<BTreeSet<AsIdx>>,
     announcements: BTreeMap<Prefix, ActiveAnnouncement>,
     now: SimTime,
-    rng: SimRng,
     next_exp: u32,
 }
 
@@ -298,7 +298,6 @@ impl Testbed {
             cones,
             announcements: BTreeMap::new(),
             now: SimTime::ZERO + SimDuration::from_secs(45 * 24 * 3600),
-            rng,
             next_exp: 1,
         }
     }
@@ -334,16 +333,23 @@ impl Testbed {
         &mut self,
         id: ExperimentId,
         kind: UpdateKind,
-        prefix: impl Into<Prefix>,
+        prefix: Prefix,
         reach: Option<usize>,
     ) {
         self.monitor.record(TelemetryEvent::Update(UpdateRecord {
             time: self.now,
             experiment: id,
             kind,
-            prefix: prefix.into(),
+            prefix,
             reach,
         }));
+    }
+
+    /// A provisioned experiment.
+    fn experiment(&mut self, id: ExperimentId) -> Result<&mut Experiment, TestbedError> {
+        self.experiments
+            .get_mut(&id)
+            .ok_or(TestbedError::UnknownExperiment(id))
     }
 
     // ------------------------------------------------------- experiments
@@ -388,17 +394,9 @@ impl Testbed {
             .experiments
             .remove(&id)
             .ok_or(TestbedError::UnknownExperiment(id))?;
-        let active: Vec<Ipv4Net> = exp.active.keys().copied().collect();
-        for p in active {
-            self.announcements.remove(&Prefix::V4(p));
-            self.safety.note_withdrawal(&p, self.now);
-            self.log_update(id, UpdateKind::Withdraw, p, None);
-        }
-        let active6: Vec<Ipv6Net> = exp.active_v6.keys().copied().collect();
-        for p in active6 {
-            self.announcements.remove(&Prefix::V6(p));
-            self.safety.note_withdrawal_v6(&p, self.now);
-            self.log_update(id, UpdateKind::Withdraw, p, None);
+        let v4 = exp.active.keys().copied().map(Prefix::V4);
+        for p in v4.chain(exp.active_v6.keys().copied().map(Prefix::V6)) {
+            self.withdrawn(id, p);
         }
         if let Some(v6) = exp.v6_prefix {
             self.allocator.release_v6(v6).map_err(TestbedError::Alloc)?;
@@ -444,91 +442,91 @@ impl Testbed {
         id: ExperimentId,
         spec: AnnouncementSpec,
     ) -> Result<usize, TestbedError> {
-        let exp = self
-            .experiments
-            .get(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?;
-        let owned = exp.prefix;
-        let origin = match exp.origin_asn {
+        let owned = Prefix::V4(self.experiment(id)?.prefix);
+        let ann = Announcement::simple(self.node, Prefix::V4(spec.prefix))
+            .prepended(spec.prepend)
+            .poisoned(spec.poison.clone());
+        let reach = self.announce_prefix(id, owned, ann, &spec.sites, &spec.select)?;
+        self.experiment(id)?.active.insert(spec.prefix, spec);
+        Ok(reach)
+    }
+
+    /// Withdraw a prefix.
+    pub fn withdraw(&mut self, id: ExperimentId, prefix: Ipv4Net) -> Result<(), TestbedError> {
+        if self.experiment(id)?.active.remove(&prefix).is_none() {
+            return Err(TestbedError::NotAnnounced(prefix));
+        }
+        self.withdrawn(id, Prefix::V4(prefix));
+        Ok(())
+    }
+
+    /// The announcement path of both families: check `ann` against the
+    /// safety filter as an announcement inside `owned`, then propagate
+    /// one copy per site from the PEERING node, restricted to that site's
+    /// selected neighbors — multi-site announcements are anycast and the
+    /// winning copy's index is the catchment.
+    fn announce_prefix(
+        &mut self,
+        id: ExperimentId,
+        owned: Prefix,
+        mut ann: Announcement,
+        sites: &[usize],
+        select: &PeerSelector,
+    ) -> Result<usize, TestbedError> {
+        let origin = match self.experiment(id)?.origin_asn {
             Some(asn) => asn,
             None => self.allocator.primary_asn().map_err(TestbedError::Alloc)?,
         };
         let verdict = self.safety.check_announcement(
             id.0,
-            &owned,
-            &spec.prefix,
+            owned,
+            ann.prefix,
             origin,
-            spec.prepend,
-            spec.poison.len(),
+            ann.prepend,
+            ann.poison.len(),
             self.now,
         );
-        // The stateless verdict must agree with the dynamic filter on
-        // everything it models (pool, ownership, origin, TE limits);
-        // damping and rate limiting are dynamic-only by design.
-        debug_assert!(
-            match &verdict {
-                SafetyVerdict::Allowed =>
-                    self.safety.cfg.static_check(&owned, &spec, origin).is_ok(),
-                SafetyVerdict::Blocked(
-                    v @ (Violation::Hijack(_)
-                    | Violation::NotYourPrefix(_)
-                    | Violation::BadOrigin(_)
-                    | Violation::ExcessivePrepend(_)
-                    | Violation::ExcessivePoison(_)),
-                ) => self.safety.cfg.static_check(&owned, &spec, origin) == Err(v.clone()),
-                SafetyVerdict::Blocked(_) => true,
-            },
-            "static_check disagrees with the dynamic safety filter"
-        );
         if let SafetyVerdict::Blocked(v) = verdict {
-            self.log_update(id, UpdateKind::Blocked, spec.prefix, None);
+            self.log_update(id, UpdateKind::Blocked, ann.prefix, None);
             return Err(TestbedError::Safety(v));
         }
-        // One topology announcement per site, all from the PEERING node,
-        // restricted to that site's selected neighbors — multi-site specs
-        // are anycast and the winning announcement index is the catchment.
-        let mut anns = Vec::new();
-        for &site in &spec.sites {
-            let neighbors = self.site_neighbors(site, &spec.select)?;
-            anns.push(
-                Announcement::simple(self.node, Prefix::V4(spec.prefix))
-                    .prepended(spec.prepend)
-                    .poisoned(spec.poison.clone())
-                    .only_to(neighbors),
-            );
+        // Partial v6 deployment: only dual-stacked ASes (plus ourselves)
+        // can carry v6 routes, and v6 sessions exist only with
+        // dual-stacked neighbors.
+        let v6 = !ann.prefix.is_v4();
+        let graph = &self.internet.graph;
+        let dual_stacked = |a: &AsIdx| !graph.info(*a).v6_prefixes.is_empty();
+        if v6 {
+            let carriers = graph.indices().filter(dual_stacked).chain([self.node]);
+            ann = ann.among(carriers.collect());
         }
-        let result = propagate(&self.internet.graph, &anns);
+        let mut anns = Vec::new();
+        for &site in sites {
+            let mut neighbors = self.site_neighbors(site, select)?;
+            neighbors.retain(|n| !v6 || dual_stacked(n));
+            anns.push(ann.clone().only_to(neighbors));
+        }
+        let result = propagate(graph, &anns);
         let reach = result.reach_count().saturating_sub(1); // exclude ourselves
-        self.log_update(id, UpdateKind::Announce, spec.prefix, Some(reach));
-        self.experiments
-            .get_mut(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?
-            .active
-            .insert(spec.prefix, spec.clone());
+        self.log_update(id, UpdateKind::Announce, ann.prefix, Some(reach));
         self.announcements.insert(
-            Prefix::V4(spec.prefix),
+            ann.prefix,
             ActiveAnnouncement {
                 experiment: id,
-                spec,
+                sites: sites.to_vec(),
                 result,
             },
         );
         Ok(reach)
     }
 
-    /// Withdraw a prefix.
-    pub fn withdraw(&mut self, id: ExperimentId, prefix: Ipv4Net) -> Result<(), TestbedError> {
-        let exp = self
-            .experiments
-            .get_mut(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?;
-        if exp.active.remove(&prefix).is_none() {
-            return Err(TestbedError::NotAnnounced(prefix));
-        }
-        self.announcements.remove(&Prefix::V4(prefix));
-        self.safety.note_withdrawal(&prefix, self.now);
+    /// The withdrawal path of both families, once the experiment's record
+    /// has let go of `prefix`: the route disappears, damping hears of it,
+    /// the monitor logs it.
+    fn withdrawn(&mut self, id: ExperimentId, prefix: Prefix) {
+        self.announcements.remove(&prefix);
+        self.safety.note_withdrawal(prefix, self.now);
         self.log_update(id, UpdateKind::Withdraw, prefix, None);
-        Ok(())
     }
 
     /// Assign a dedicated public origin ASN to an experiment from the
@@ -536,15 +534,11 @@ impl Testbed {
     /// public ASNs in the future"). The safety filter then accepts that
     /// ASN as a route origin for this experiment's announcements.
     pub fn assign_secondary_asn(&mut self, id: ExperimentId) -> Result<Asn, TestbedError> {
-        let exp = self
-            .experiments
-            .get_mut(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?;
-        if let Some(asn) = exp.origin_asn {
+        if let Some(asn) = self.experiment(id)?.origin_asn {
             return Ok(asn);
         }
         let asn = self.allocator.next_asn().map_err(TestbedError::Alloc)?;
-        exp.origin_asn = Some(asn);
+        self.experiment(id)?.origin_asn = Some(asn);
         if !self.safety.cfg.public_asns.contains(&asn) {
             self.safety.cfg.public_asns.push(asn);
         }
@@ -554,18 +548,14 @@ impl Testbed {
     /// Request an IPv6 /48 for an experiment ("we also plan to add
     /// support for IPv6", §3). Idempotent per experiment.
     pub fn enable_ipv6(&mut self, id: ExperimentId) -> Result<Ipv6Net, TestbedError> {
-        let exp = self
-            .experiments
-            .get_mut(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?;
-        if let Some(p) = exp.v6_prefix {
+        if let Some(p) = self.experiment(id)?.v6_prefix {
             return Ok(p);
         }
         let p = self
             .allocator
             .allocate_v6(id.0)
             .map_err(TestbedError::Alloc)?;
-        exp.v6_prefix = Some(p);
+        self.experiment(id)?.v6_prefix = Some(p);
         Ok(p)
     }
 
@@ -579,75 +569,24 @@ impl Testbed {
         sites: &[usize],
         select: &PeerSelector,
     ) -> Result<usize, TestbedError> {
-        let exp = self
-            .experiments
-            .get(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?;
-        let owned = exp.v6_prefix.ok_or(TestbedError::V6NotAvailable)?;
-        let origin = self.allocator.primary_asn().map_err(TestbedError::Alloc)?;
-        let verdict = self
-            .safety
-            .check_announcement_v6(id.0, &owned, &owned, origin, 0, 0, self.now);
-        if let SafetyVerdict::Blocked(v) = verdict {
-            self.log_update(id, UpdateKind::Blocked, owned, None);
-            return Err(TestbedError::Safety(v));
-        }
-        // Only dual-stacked ASes (plus ourselves) can carry v6 routes.
-        let mut participants: Vec<AsIdx> = self
-            .internet
-            .graph
-            .infos()
-            .filter(|(_, i)| !i.v6_prefixes.is_empty())
-            .map(|(idx, _)| idx)
-            .collect();
-        participants.push(self.node);
-        let mut anns = Vec::new();
-        for &site in sites {
-            // v6 sessions exist only with dual-stacked neighbors.
-            let neighbors: Vec<AsIdx> = self
-                .site_neighbors(site, select)?
-                .into_iter()
-                .filter(|&n| !self.internet.graph.info(n).v6_prefixes.is_empty())
-                .collect();
-            anns.push(
-                Announcement::simple(self.node, Prefix::V6(owned))
-                    .only_to(neighbors)
-                    .among(participants.clone()),
-            );
-        }
-        let result = propagate(&self.internet.graph, &anns);
-        let reach = result.reach_count().saturating_sub(1);
-        self.log_update(id, UpdateKind::Announce, owned, Some(reach));
-        let exp = self
-            .experiments
-            .get_mut(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?;
-        exp.active_v6.insert(owned, sites.to_vec());
-        let v4_prefix = exp.prefix;
-        self.announcements.insert(
-            Prefix::V6(owned),
-            ActiveAnnouncement {
-                experiment: id,
-                spec: AnnouncementSpec::everywhere(v4_prefix, sites.to_vec()),
-                result,
-            },
-        );
+        let owned = self
+            .experiment(id)?
+            .v6_prefix
+            .ok_or(TestbedError::V6NotAvailable)?;
+        let ann = Announcement::simple(self.node, Prefix::V6(owned));
+        let reach = self.announce_prefix(id, Prefix::V6(owned), ann, sites, select)?;
+        self.experiment(id)?.active_v6.insert(owned, sites.to_vec());
         Ok(reach)
     }
 
     /// Withdraw the experiment's IPv6 announcement.
     pub fn withdraw_v6(&mut self, id: ExperimentId) -> Result<(), TestbedError> {
-        let exp = self
-            .experiments
-            .get_mut(&id)
-            .ok_or(TestbedError::UnknownExperiment(id))?;
+        let exp = self.experiment(id)?;
         let owned = exp.v6_prefix.ok_or(TestbedError::V6NotAvailable)?;
         if exp.active_v6.remove(&owned).is_none() {
             return Err(TestbedError::V6NotAvailable);
         }
-        self.announcements.remove(&Prefix::V6(owned));
-        self.safety.note_withdrawal_v6(&owned, self.now);
-        self.log_update(id, UpdateKind::Withdraw, owned, None);
+        self.withdrawn(id, Prefix::V6(owned));
         Ok(())
     }
 
@@ -702,7 +641,6 @@ impl Testbed {
         let active = self.announcements.get(&Prefix::V4(*prefix))?;
         Some(
             active
-                .spec
                 .sites
                 .iter()
                 .enumerate()
@@ -857,11 +795,6 @@ impl Testbed {
             intradomain_bridging: true,
             concurrent_experiment_slots: self.allocator.available() + self.experiments.len(),
         }
-    }
-
-    /// Deterministic sub-RNG for workloads built on this testbed.
-    pub fn fork_rng(&self, label: &str) -> SimRng {
-        self.rng.fork(label)
     }
 }
 

@@ -69,7 +69,7 @@ proptest! {
         let mut filter = SafetyFilter::new(SafetyConfig::new(vec![pool], vec![Asn::PEERING]));
         let prefix = Ipv4Net::new(Ipv4Addr::from(addr), len);
         let verdict = filter.check_announcement(
-            1, &owned, &prefix, Asn::PEERING, 0, 0, SimTime::ZERO,
+            1, owned.into(), prefix.into(), Asn::PEERING, 0, 0, SimTime::ZERO,
         );
         if pool.covers(&prefix) && owned.covers(&prefix) {
             prop_assert!(verdict.is_allowed());
