@@ -18,7 +18,7 @@
 //! * a typed message network ([`MsgNet`]) that delivers messages between
 //!   simulated nodes in timestamp order, used to carry BGP messages between
 //!   speakers;
-//! * scripted fault injection ([`FaultPlan`]) and a bounded [`TraceLog`].
+//! * scripted fault injection ([`FaultPlan`]).
 //!
 //! Everything is synchronous and deterministic: there are no threads, no
 //! sockets, and no wall-clock reads anywhere in the simulation core.
@@ -49,6 +49,6 @@ pub use profile::{EngineProfile, ProfileConfig, ProfileSummary, ShardEpoch, Shar
 pub use queue::{EventQueue, SharedEventQueue};
 pub use rng::{Fnv1a, SimRng};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceId, TraceLog, TraceSink};
+pub use trace::TraceId;
 pub use transport::{Delivery, DeliveryKind, LinkStats, MsgNet, NodeId};
 pub use trie::{PrefixTrie, RadixTrie, TrieKey};

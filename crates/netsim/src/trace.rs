@@ -1,20 +1,8 @@
-//! A bounded in-memory event trace for debugging and experiment reports,
-//! plus the [`TraceId`] type that threads causal update provenance through
-//! the whole stack.
-//!
-//! The real testbed "automatically collect\[s\] regular control and data
-//! plane measurements"; the trace log is the simulated analog used by the
-//! monitoring layer to record BGP updates, packet events, and operator
-//! actions without unbounded memory growth. Higher layers (telemetry, the
-//! route collector) attach a [`TraceSink`] so that every record flows
-//! through **one** recording path: the log keeps its bounded ring buffer
-//! while the sink mirrors accepted events into richer streams.
+//! [`TraceId`]: the identity that threads causal update provenance
+//! through the whole stack.
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
-use std::rc::Rc;
 
 /// Identity of one originated routing change (announcement or withdrawal).
 ///
@@ -49,219 +37,9 @@ impl fmt::Display for TraceId {
     }
 }
 
-/// A single trace record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub time: SimTime,
-    /// Subsystem tag, e.g. `"bgp"`, `"dataplane"`, `"safety"`.
-    pub tag: &'static str,
-    /// Human-readable description.
-    pub detail: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} {}] {}", self.time, self.tag, self.detail)
-    }
-}
-
-/// A mirror for accepted trace records.
-///
-/// Implemented by `peering-telemetry`'s handle so a `TraceLog::record` call
-/// is the one recording path: ring buffer here, structured event stream
-/// there. Sinks only see records the log accepted (enabled, nonzero
-/// capacity), so the log's counters and the mirrored stream agree.
-pub trait TraceSink {
-    /// Observe one accepted trace record.
-    fn trace_event(&self, event: &TraceEvent);
-}
-
-/// A ring buffer of recent trace events.
-#[derive(Clone)]
-pub struct TraceLog {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    enabled: bool,
-    sink: Option<Rc<dyn TraceSink>>,
-    /// Records actually accepted (stored, possibly later evicted).
-    pub total: u64,
-    /// Records offered while the log was disabled or zero-capacity.
-    ///
-    /// Kept separate from `total` so that disabling the log mid-run no
-    /// longer drifts the accepted count away from what the buffer (and any
-    /// attached sink) actually saw.
-    pub suppressed: u64,
-}
-
-impl fmt::Debug for TraceLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceLog")
-            .field("events", &self.events)
-            .field("capacity", &self.capacity)
-            .field("enabled", &self.enabled)
-            .field("sink", &self.sink.as_ref().map(|_| "attached"))
-            .field("total", &self.total)
-            .field("suppressed", &self.suppressed)
-            .finish()
-    }
-}
-
-impl TraceLog {
-    /// Create a log holding up to `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        TraceLog {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            enabled: true,
-            sink: None,
-            total: 0,
-            suppressed: 0,
-        }
-    }
-
-    /// A disabled log that records nothing (for hot paths).
-    pub fn disabled() -> Self {
-        let mut l = TraceLog::new(0);
-        l.enabled = false;
-        l
-    }
-
-    /// Enable or disable recording.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Attach a mirror that observes every accepted record.
-    pub fn set_sink(&mut self, sink: Rc<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Detach the mirror, if any.
-    pub fn clear_sink(&mut self) {
-        self.sink = None;
-    }
-
-    /// Record an event, evicting the oldest when at capacity.
-    pub fn record(&mut self, time: SimTime, tag: &'static str, detail: impl Into<String>) {
-        if !self.enabled || self.capacity == 0 {
-            self.suppressed += 1;
-            return;
-        }
-        self.total += 1;
-        let event = TraceEvent {
-            time,
-            tag,
-            detail: detail.into(),
-        };
-        if let Some(sink) = &self.sink {
-            sink.trace_event(&event);
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-    }
-
-    /// All currently retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Retained events with a given tag.
-    pub fn with_tag<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.tag == tag)
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Drop all retained events (counters keep counting).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-
-    #[test]
-    fn records_and_iterates() {
-        let mut log = TraceLog::new(10);
-        log.record(SimTime::from_secs(1), "bgp", "update received");
-        log.record(SimTime::from_secs(2), "dataplane", "packet dropped");
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.total, 2);
-        let tags: Vec<_> = log.events().map(|e| e.tag).collect();
-        assert_eq!(tags, vec!["bgp", "dataplane"]);
-        assert_eq!(log.with_tag("bgp").count(), 1);
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut log = TraceLog::new(3);
-        for i in 0..5 {
-            log.record(SimTime::from_secs(i), "t", format!("e{i}"));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.total, 5);
-        let details: Vec<_> = log.events().map(|e| e.detail.clone()).collect();
-        assert_eq!(details, vec!["e2", "e3", "e4"]);
-    }
-
-    #[test]
-    fn disabled_log_suppresses_without_counting() {
-        let mut log = TraceLog::disabled();
-        log.record(SimTime::ZERO, "t", "x");
-        assert!(log.is_empty());
-        assert_eq!(log.total, 0);
-        assert_eq!(log.suppressed, 1);
-        // Toggling the log off mid-run must not drift `total` away from
-        // what was actually accepted.
-        let mut log2 = TraceLog::new(5);
-        log2.record(SimTime::ZERO, "t", "a");
-        log2.set_enabled(false);
-        log2.record(SimTime::ZERO, "t", "b");
-        log2.set_enabled(true);
-        log2.record(SimTime::ZERO, "t", "c");
-        assert_eq!(log2.total, 2);
-        assert_eq!(log2.suppressed, 1);
-        assert_eq!(log2.len(), 2);
-    }
-
-    #[test]
-    fn sink_mirrors_accepted_records_only() {
-        struct Mirror(RefCell<Vec<String>>);
-        impl TraceSink for Mirror {
-            fn trace_event(&self, event: &TraceEvent) {
-                self.0.borrow_mut().push(event.detail.clone());
-            }
-        }
-        let mirror = Rc::new(Mirror(RefCell::new(Vec::new())));
-        let mut log = TraceLog::new(2);
-        log.set_sink(mirror.clone());
-        log.record(SimTime::ZERO, "t", "a");
-        log.set_enabled(false);
-        log.record(SimTime::ZERO, "t", "hidden");
-        log.set_enabled(true);
-        log.record(SimTime::ZERO, "t", "b");
-        log.record(SimTime::ZERO, "t", "c");
-        // The sink saw every accepted record, even ones later evicted.
-        assert_eq!(*mirror.0.borrow(), vec!["a", "b", "c"]);
-        assert_eq!(log.len(), 2);
-        log.clear_sink();
-        log.record(SimTime::ZERO, "t", "d");
-        assert_eq!(mirror.0.borrow().len(), 3);
-    }
 
     #[test]
     fn trace_id_packs_origin_and_sequence() {
@@ -271,16 +49,5 @@ mod tests {
         assert_eq!(id.to_string(), "t65001-7");
         assert!(TraceId::new(65001, 7) < TraceId::new(65001, 8));
         assert!(TraceId::new(65001, 9) < TraceId::new(65002, 0));
-    }
-
-    #[test]
-    fn display_format() {
-        let mut log = TraceLog::new(1);
-        log.record(SimTime::from_secs(3), "safety", "hijack blocked");
-        let s = log.events().next().unwrap().to_string();
-        assert!(s.contains("safety"));
-        assert!(s.contains("hijack blocked"));
-        log.clear();
-        assert!(log.is_empty());
     }
 }

@@ -195,21 +195,6 @@ impl Telemetry {
     }
 }
 
-impl peering_netsim::TraceSink for Telemetry {
-    /// Mirror an accepted [`peering_netsim::TraceLog`] record into the
-    /// structured event stream. This is the unified recording path: code
-    /// writes to the bounded trace ring once, and an attached telemetry
-    /// handle sees the same record as a `netsim.trace.<tag>` event.
-    fn trace_event(&self, event: &peering_netsim::TraceEvent) {
-        self.counter_add("telemetry.trace.mirrored", 1);
-        self.event(
-            event.time,
-            &format!("netsim.trace.{}", event.tag),
-            &[("detail", FieldValue::from(event.detail.as_str()))],
-        );
-    }
-}
-
 /// An open timed region; see [`Telemetry::span`].
 #[derive(Debug)]
 pub struct Span {
@@ -299,27 +284,6 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.events.len(), DEFAULT_MAX_EVENTS);
         assert_eq!(s.dropped_events, 10);
-    }
-
-    #[test]
-    fn trace_log_mirrors_into_event_stream() {
-        use peering_netsim::TraceLog;
-        use std::rc::Rc;
-        let t = Telemetry::new();
-        let mut log = TraceLog::new(2);
-        log.set_sink(Rc::new(t.clone()));
-        log.record(SimTime::from_secs(1), "bgp", "update in");
-        log.set_enabled(false);
-        log.record(SimTime::from_secs(2), "bgp", "suppressed");
-        log.set_enabled(true);
-        log.record(SimTime::from_secs(3), "safety", "hijack blocked");
-        let s = t.snapshot();
-        assert_eq!(s.counter("telemetry.trace.mirrored"), 2);
-        assert_eq!(s.events.len(), 2);
-        assert_eq!(s.events[0].name, "netsim.trace.bgp");
-        assert_eq!(s.events[1].name, "netsim.trace.safety");
-        assert_eq!(log.total, 2);
-        assert_eq!(log.suppressed, 1);
     }
 
     #[test]
