@@ -18,7 +18,7 @@ use peering_bgp::{
     UpdateMessage,
 };
 use peering_emulation::Emulation;
-use peering_netsim::{Asn, SimTime};
+use peering_netsim::Asn;
 use peering_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -227,12 +227,6 @@ fn rib_path(
         originated_s: (route.learned_at.as_micros() / 1_000_000) as u32,
         update,
     })
-}
-
-/// Convenience for bins and tests: the dump timestamp a collector uses
-/// for `TABLE_DUMP_V2` records (whole sim-seconds).
-pub fn dump_timestamp(now: SimTime) -> u32 {
-    (now.as_micros() / 1_000_000) as u32
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! memory, and update fan-out — the E7 ablation.
 
 use crate::containment::{ContainmentConfig, ContainmentEngine, ContainmentState, UpdateVerdict};
-use crate::monitor::{ContainmentRecord, Monitor, SessionKind, SessionRecord, TelemetryEvent};
+use crate::monitor::{Monitor, SessionKind, SessionRecord, TelemetryEvent};
 use crate::safety::{SafetyConfig, Violation};
 use peering_bgp::{
     Asn, ConnectRetryConfig, ExportGrouping, MaxPrefixConfig, PeerConfig, PeerId, Policy, Prefix,
@@ -728,22 +728,6 @@ impl MuxHarness {
             }
             self.quarantine_applied[c] = quarantine;
             self.emu.run_until_quiet(usize::MAX);
-        }
-    }
-
-    /// Replay the engine's transition log into a [`Monitor`] stream.
-    pub fn containment_log_into(&self, monitor: &mut Monitor) {
-        let Some(engine) = self.containment.as_ref() else {
-            return;
-        };
-        for tr in engine.transitions() {
-            monitor.record(TelemetryEvent::Containment(ContainmentRecord {
-                time: tr.time,
-                client: tr.client,
-                from: tr.from,
-                to: tr.to,
-                cause: tr.cause.clone(),
-            }));
         }
     }
 

@@ -217,11 +217,6 @@ impl PacketProcessor {
         }
         PktVerdict::Deliver(pkt)
     }
-
-    /// Rules installed.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
 }
 
 #[cfg(test)]

@@ -144,18 +144,6 @@ impl ProvisionRequest {
             ..Default::default()
         }
     }
-
-    /// Place the experiment at `sites` instead of the proposed ones.
-    pub fn with_sites(mut self, sites: Vec<usize>) -> Self {
-        self.sites = Some(sites);
-        self
-    }
-
-    /// Append an operator note to the provisioning notification.
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
-        self.note = Some(note.into());
-        self
-    }
 }
 
 /// The portal: request intake, vetting, provisioning, notifications.

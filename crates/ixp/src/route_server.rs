@@ -43,12 +43,6 @@ pub fn block_community(member_asn: Asn) -> Community {
     Community::new(0, as16(member_asn))
 }
 
-/// The "announce only to `member`" (allow) community.
-pub fn allow_community(rs_asn: Asn, member_asn: Asn) -> Community {
-    let _ = rs_asn;
-    Community::new(as16(Asn(0xFFFF_0000)), as16(member_asn))
-}
-
 /// The export policy every RS member shares: honor the `0:0`
 /// withhold-from-all community, then strip the control communities
 /// before export. Because the policy is identical across members, all

@@ -9,7 +9,7 @@ use peering_bgp::{
 };
 use peering_core::{ConfigState, DeploySpec, ImportSel, SafetyConfig};
 use peering_emulation::{Container, Emulation};
-use peering_netsim::{FaultPlan, Ipv4Net, LinkParams, Prefix, SimDuration, SimRng, SimTime};
+use peering_netsim::{FaultPlan, LinkParams, Prefix, SimDuration, SimRng, SimTime};
 use peering_telemetry::Telemetry;
 use peering_workloads::chaos::rib_digest;
 use std::net::Ipv4Addr;
@@ -418,12 +418,6 @@ impl MigrationTestbed {
             converged: self.converged(),
         }
     }
-}
-
-/// Helper: the announced prefix of a deployment's client (tests and
-/// the CLI use this to phrase assertions).
-pub fn client_alloc(deploy: &DeploySpec, c: usize) -> Ipv4Net {
-    deploy.clients[c].alloc
 }
 
 #[cfg(test)]

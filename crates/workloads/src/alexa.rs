@@ -181,18 +181,6 @@ impl ContentCatalog {
         used.len()
     }
 
-    /// Distinct addresses behind the referenced FQDNs.
-    pub fn distinct_addresses(&self) -> BTreeSet<Ipv4Addr> {
-        let mut used: BTreeSet<usize> = BTreeSet::new();
-        for s in &self.sites {
-            used.insert(s.main_fqdn);
-            used.extend(s.resources.iter().copied());
-        }
-        used.iter()
-            .flat_map(|&f| self.fqdns[f].addrs.iter().copied())
-            .collect()
-    }
-
     /// §4.1 coverage stats against a set of peer-reachable ASes:
     /// `(sites_covered, resources, distinct_fqdns, distinct_ips,
     /// ips_covered)`.

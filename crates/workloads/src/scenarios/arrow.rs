@@ -10,7 +10,7 @@
 
 use crate::scenarios::pick_vantages;
 use peering_core::{Testbed, TestbedError};
-use peering_netsim::{Ipv4Net, Prefix, SimDuration};
+use peering_netsim::{Prefix, SimDuration};
 use peering_topology::routing::{propagate, Announcement, TraceOutcome};
 use peering_topology::AsIdx;
 use serde::{Deserialize, Serialize};
@@ -129,12 +129,6 @@ pub fn run(tb: &mut Testbed) -> Result<ArrowReport, TestbedError> {
         direct_latency: SimDuration::ZERO,
         detour_latency: SimDuration::ZERO,
     })
-}
-
-/// Convenience: the experiment prefix for leg-1 lookups (exposed for the
-/// example binary).
-pub fn tunnel_entry(tb: &Testbed) -> Option<Ipv4Net> {
-    tb.experiments.values().next().map(|e| e.prefix)
 }
 
 #[cfg(test)]
