@@ -314,6 +314,33 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("rib.interner_hit_permille")]),
         gate: Some(Gate::Drift(0)),
     },
+    // The same for one traced `plan_catalog` run: allocations per
+    // scenario may only fall; the simulated time to converge, the faults
+    // the chaos replays inject and the oracle's work may not move.
+    Metric {
+        key: "plan_catalog.alloc_count_per_op",
+        file: "BENCH_plan_catalog.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "plan_catalog.sim_converge_ms",
+        file: "BENCH_plan_catalog.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("sim_converge_ms")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "plan_catalog.faults_injected",
+        file: "BENCH_plan_catalog.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("plan.faults_injected")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "plan_catalog.oracle_checks",
+        file: "BENCH_plan_catalog.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("plan.oracle_checks")]),
+        gate: Some(Gate::Drift(0)),
+    },
 ];
 
 fn lookup<'a>(mut v: &'a Value, path: &[Seg]) -> Option<&'a Value> {
@@ -650,8 +677,9 @@ mod tests {
         ])
     }
 
-    /// A traced benchmark result file, cut down to what the import reads.
-    fn traced_router_feed(correct: bool) -> Value {
+    /// A traced benchmark result file, cut down to what the import reads:
+    /// `(name, kind, value)` per-layer metrics.
+    fn traced(workload: &str, correct: bool, per_layer: &[(&str, &str, f64)]) -> Value {
         let metric = |kind: &str, value: f64| {
             map(vec![
                 ("value", Value::F64(value)),
@@ -660,7 +688,7 @@ mod tests {
             ])
         };
         map(vec![
-            ("workload", Value::Str("router_feed".into())),
+            ("workload", Value::Str(workload.into())),
             ("seed", Value::U64(42)),
             ("correct", Value::Bool(correct)),
             ("failures", Value::Seq(vec![])),
@@ -670,19 +698,46 @@ mod tests {
             ),
             (
                 "per_layer",
-                map(vec![
-                    ("table_bytes_per_route", metric("exact", 298.152)),
-                    ("speaker.announce_ns_per_route", metric("timed", 1300.0)),
-                    ("speaker.out_msgs_per_route", metric("exact", 2.0)),
-                    ("speaker.out_bytes_per_route", metric("exact", 115.33)),
-                    ("rib.interner_distinct", metric("exact", 3280.0)),
-                    ("rib.interner_hit_permille", metric("exact", 994.0)),
-                    ("alloc.count_per_op", metric("exact", 6217.8)),
-                    ("alloc.bytes_per_op", metric("exact", 654066.4)),
-                    ("cpu.user_s", metric("timed", 8.7)),
-                ]),
+                map(per_layer
+                    .iter()
+                    .map(|&(name, kind, value)| (name, metric(kind, value)))
+                    .collect()),
             ),
         ])
+    }
+
+    fn traced_router_feed(correct: bool) -> Value {
+        traced(
+            "router_feed",
+            correct,
+            &[
+                ("table_bytes_per_route", "exact", 298.152),
+                ("speaker.announce_ns_per_route", "timed", 1300.0),
+                ("speaker.out_msgs_per_route", "exact", 2.0),
+                ("speaker.out_bytes_per_route", "exact", 115.33),
+                ("rib.interner_distinct", "exact", 3280.0),
+                ("rib.interner_hit_permille", "exact", 994.0),
+                ("alloc.count_per_op", "exact", 6217.8),
+                ("alloc.bytes_per_op", "exact", 654066.4),
+                ("cpu.user_s", "timed", 8.7),
+            ],
+        )
+    }
+
+    fn traced_plan_catalog() -> Value {
+        traced(
+            "plan_catalog",
+            true,
+            &[
+                ("sim_converge_ms", "exact", 200006.0),
+                ("plan.chaos_us", "timed", 3627.8),
+                ("plan.oracle_checks", "exact", 44.0),
+                ("plan.search_visited", "exact", 15.0),
+                ("plan.faults_injected", "exact", 84.0),
+                ("alloc.count_per_op", "exact", 19314.9),
+                ("alloc.bytes_per_op", "exact", 3935459.9),
+            ],
+        )
     }
 
     #[test]
@@ -697,12 +752,15 @@ mod tests {
             .iter()
             .any(|n| n.ends_with("_ns_per_route") || n.starts_with("cpu.")));
         assert!(lookup(&installed, &[Seg::Key("repeat_times")]).is_none());
-        // Every router_feed catalog entry finds its counter.
-        for m in CATALOG
-            .iter()
-            .filter(|m| m.file == "BENCH_router_feed.json")
-        {
-            assert!(extract(&installed, &m.extract).is_some(), "{}", m.key);
+        // Every catalog entry of an imported workload finds its counter.
+        let plan_catalog = exact_counters(&traced_plan_catalog()).unwrap();
+        for (file, installed) in [
+            ("BENCH_router_feed.json", &installed),
+            ("BENCH_plan_catalog.json", &plan_catalog),
+        ] {
+            for m in CATALOG.iter().filter(|m| m.file == file) {
+                assert!(extract(installed, &m.extract).is_some(), "{}", m.key);
+            }
         }
         // A run that failed its output checks installs nothing.
         assert!(exact_counters(&traced_router_feed(false)).is_err());
@@ -761,6 +819,10 @@ mod tests {
         r.insert(
             "BENCH_router_feed.json".to_string(),
             exact_counters(&traced_router_feed(true)).unwrap(),
+        );
+        r.insert(
+            "BENCH_plan_catalog.json".to_string(),
+            exact_counters(&traced_plan_catalog()).unwrap(),
         );
         r.insert(
             "BENCH_plan.json".to_string(),

@@ -166,6 +166,16 @@ impl Speaker {
             .unwrap_or(SimTime::MAX)
     }
 
+    /// Whether [`tick`](Self::tick) at `now` could do anything: false only
+    /// when it would be a no-op, so a host may skip the call. True once
+    /// [`next_deadline`](Self::next_deadline) is due, and for as long as
+    /// any prefix is damped: the release check rewrites each damped
+    /// prefix's decayed penalty on every tick, so skipping one would move
+    /// the floats off the path an every-tick host takes.
+    pub fn timers_due(&self, now: SimTime) -> bool {
+        self.next_deadline() <= now || self.peers.values().any(|p| !p.suppressed.is_empty())
+    }
+
     /// The session with `peer` is gone. The one place per-session state is
     /// dropped: what the peer was sent or had staged (the export side),
     /// its damping suppressions and max-prefix warning, and what it taught

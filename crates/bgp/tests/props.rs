@@ -1,13 +1,15 @@
 //! Property tests for the BGP implementation: codec inversions, AS-path
-//! algebra, decision-process order laws, and damping monotonicity.
+//! algebra, decision-process order laws, damping monotonicity, and the
+//! quiet-tick contract of `Speaker::timers_due`.
 
 use peering_bgp::damping::{DampingConfig, DampingState};
 use peering_bgp::wire::{decode_message, encode_message, encode_update_chunked, WireConfig};
 use peering_bgp::{
-    compare_routes, AsPath, BgpMessage, Community, DecisionConfig, Match, Nlri, Origin,
-    PathAttributes, PeerId, Prefix, Route, RouteSource, UpdateMessage,
+    compare_routes, AsPath, BgpMessage, Community, ConnectRetryConfig, DecisionConfig, Match,
+    MaxPrefixConfig, Nlri, OpenMessage, Origin, PathAttributes, PeerConfig, PeerId, Prefix, Route,
+    RouteSource, Speaker, SpeakerConfig, UpdateMessage,
 };
-use peering_netsim::{Asn, Ipv4Net, SimDuration, SimTime};
+use peering_netsim::{Asn, Ipv4Net, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::net::Ipv4Addr;
@@ -273,7 +275,6 @@ proptest! {
     #[test]
     fn speakers_converge_on_random_scripts(script in proptest::collection::vec(
         (0u8..200, any::<bool>()), 1..60)) {
-        use peering_bgp::{PeerConfig, Speaker, SpeakerConfig};
         let mut a = Speaker::new(SpeakerConfig::new(Asn(100), Ipv4Addr::new(10, 0, 0, 1)));
         a.add_peer(PeerConfig::new(PeerId(0), Asn(200)));
         let mut b = Speaker::new(SpeakerConfig::new(Asn(200), Ipv4Addr::new(10, 0, 0, 2)));
@@ -458,4 +459,287 @@ proptest! {
         }
         prop_assert!(attrs.communities.is_empty());
     }
+
+    /// `timers_due` may say "nothing due" only where `tick` is a no-op:
+    /// seeded session/route scripts under every mix of MRAI, damping and
+    /// graceful restart.
+    #[test]
+    fn ticks_with_nothing_due_are_no_ops(seed in any::<u64>(), mrai in 0usize..3,
+                                         damping in any::<bool>(), graceful_restart in any::<bool>()) {
+        let mrai = [None, Some(SimDuration::from_millis(300)), Some(SimDuration::from_millis(1500))][mrai];
+        let rig = TimerRig { mrai, damping, graceful_restart };
+        if let Err(e) = run_timer_script(seed, rig, rig) {
+            prop_assert!(false, "{e}");
+        }
+    }
+}
+
+/// The timer script's peers: a feeder with graceful restart (the active
+/// end), a passive feeder capped at three prefixes with a 7 s idle hold,
+/// and a listener that only receives exports.
+const GR_FEEDER: PeerId = PeerId(1);
+const CAPPED_FEEDER: PeerId = PeerId(2);
+const LISTENER: PeerId = PeerId(3);
+
+/// What a timer script's speaker is built with.
+#[derive(Debug, Clone, Copy)]
+struct TimerRig {
+    mrai: Option<SimDuration>,
+    /// Damping with a 20 s half-life, so suppressions end inside a script.
+    damping: bool,
+    /// Graceful restart toward [`GR_FEEDER`].
+    graceful_restart: bool,
+}
+
+impl TimerRig {
+    fn speaker(self, seed: u64) -> Speaker {
+        let mut cfg = SpeakerConfig::new(Asn(65000), Ipv4Addr::new(10, 0, 0, 1))
+            .with_connect_retry(ConnectRetryConfig::new(seed));
+        cfg.mrai = self.mrai;
+        if self.damping {
+            cfg = cfg.with_damping(DampingConfig {
+                half_life: SimDuration::from_secs(20),
+                ..DampingConfig::default()
+            });
+        }
+        let mut s = Speaker::new(cfg);
+        let mut gr = PeerConfig::new(GR_FEEDER, Asn(100));
+        if self.graceful_restart {
+            gr = gr.graceful_restart(SimDuration::from_secs(15));
+        }
+        s.add_peer(gr);
+        let cap = MaxPrefixConfig::new(3).idle_hold(SimDuration::from_secs(7));
+        s.add_peer(
+            PeerConfig::new(CAPPED_FEEDER, Asn(200))
+                .passive()
+                .with_max_prefix(cap),
+        );
+        s.add_peer(PeerConfig::new(LISTENER, Asn(300)));
+        s
+    }
+}
+
+/// One scripted operation; the far ends are played by the script.
+#[derive(Debug, Clone)]
+enum TimerOp {
+    /// Start the session, then OPEN (offering this hold time) and
+    /// KEEPALIVE from the peer.
+    Up(PeerId, u16),
+    Keepalive(PeerId),
+    Announce(PeerId, Vec<u8>, bool),
+    Withdraw(PeerId, Vec<u8>),
+    /// The graceful-restart feeder's End-of-RIB.
+    EndOfRib,
+    Reset(PeerId),
+    Originate(u8),
+    WithdrawOrigin(u8),
+    Restart,
+}
+
+fn timer_prefix(n: u8) -> Prefix {
+    Prefix::v4(10, n, 0, 0, 16)
+}
+
+/// An announcement from peer `from` of `s`, directly or through AS 901.
+fn timer_update(s: &Speaker, from: PeerId, prefixes: &[u8], long: bool) -> BgpMessage {
+    let asn = s.peer_asn(from).expect("scripted peer");
+    let path = if long { vec![asn, Asn(901)] } else { vec![asn] };
+    let attrs = PathAttributes {
+        as_path: AsPath::from_asns(&path),
+        next_hop: Ipv4Addr::new(192, 0, 2, from.0 as u8),
+        ..Default::default()
+    };
+    let nlri = prefixes
+        .iter()
+        .map(|n| Nlri::plain(timer_prefix(*n)))
+        .collect();
+    BgpMessage::Update(UpdateMessage::announce(Arc::new(attrs), nlri))
+}
+
+impl TimerOp {
+    fn random(rng: &mut SimRng, s: &Speaker) -> TimerOp {
+        let peers = [GR_FEEDER, CAPPED_FEEDER, LISTENER];
+        let feeders: Vec<PeerId> = [GR_FEEDER, CAPPED_FEEDER]
+            .into_iter()
+            .filter(|p| s.peer_established(*p))
+            .collect();
+        let some = |rng: &mut SimRng| -> Vec<u8> {
+            let count = 1 + rng.index(3);
+            let picked = rng.distinct_indices(6, count);
+            picked.into_iter().map(|n| n as u8).collect()
+        };
+        let peer = *rng.pick(&peers).expect("non-empty");
+        match rng.index(16) {
+            0..=2 if !s.peer_established(peer) => TimerOp::Up(peer, [0, 9, 30][rng.index(3)]),
+            3 | 4 => TimerOp::Keepalive(peer),
+            5..=7 if !feeders.is_empty() => {
+                let from = *rng.pick(&feeders).expect("non-empty");
+                TimerOp::Announce(from, some(rng), rng.chance(0.5))
+            }
+            8 | 9 if !feeders.is_empty() => {
+                TimerOp::Withdraw(*rng.pick(&feeders).expect("non-empty"), some(rng))
+            }
+            10 => TimerOp::EndOfRib,
+            11 => TimerOp::Reset(peer),
+            // The capped feeder offers one prefix too many.
+            12 if s.peer_established(CAPPED_FEEDER) => {
+                TimerOp::Announce(CAPPED_FEEDER, vec![0, 1, 2, 3], false)
+            }
+            13 => TimerOp::Originate(100 + rng.index(3) as u8),
+            14 => TimerOp::WithdrawOrigin(100 + rng.index(3) as u8),
+            15 if rng.chance(0.3) => TimerOp::Restart,
+            _ => TimerOp::Keepalive(peer),
+        }
+    }
+
+    /// Apply to `s`; the outputs go to the scripted far ends, which
+    /// ignore them.
+    fn apply(&self, s: &mut Speaker, now: SimTime) {
+        match self {
+            TimerOp::Up(peer, hold) => {
+                s.start_peer(*peer, now);
+                let asn = s.peer_asn(*peer).expect("scripted peer");
+                let mut open = OpenMessage::new(asn, *hold, Ipv4Addr::new(192, 0, 2, peer.0 as u8));
+                if *peer == GR_FEEDER {
+                    open = open.with_graceful_restart(15);
+                }
+                s.on_message(*peer, BgpMessage::Open(open), now);
+                s.on_message(*peer, BgpMessage::Keepalive, now);
+            }
+            TimerOp::Keepalive(peer) => {
+                s.on_message(*peer, BgpMessage::Keepalive, now);
+            }
+            TimerOp::Announce(from, prefixes, long) => {
+                let msg = timer_update(s, *from, prefixes, *long);
+                s.on_message(*from, msg, now);
+            }
+            TimerOp::Withdraw(from, prefixes) => {
+                let nlri = prefixes
+                    .iter()
+                    .map(|n| Nlri::plain(timer_prefix(*n)))
+                    .collect();
+                s.on_message(
+                    *from,
+                    BgpMessage::Update(UpdateMessage::withdraw(nlri)),
+                    now,
+                );
+            }
+            TimerOp::EndOfRib => {
+                let eor = BgpMessage::Update(UpdateMessage::withdraw(Vec::new()));
+                s.on_message(GR_FEEDER, eor, now);
+            }
+            TimerOp::Reset(peer) => {
+                s.reset_peer(*peer, now);
+            }
+            TimerOp::Originate(n) => {
+                s.originate(timer_prefix(*n), now);
+            }
+            TimerOp::WithdrawOrigin(n) => {
+                s.withdraw_origin(timer_prefix(*n), now);
+            }
+            TimerOp::Restart => {
+                s.restart(now);
+            }
+        }
+    }
+}
+
+/// How often a script probed a quiet instant, and a busy one.
+#[derive(Debug, Default)]
+struct TickProbes {
+    /// `timers_due` was false (and `tick` then did nothing).
+    quiet: usize,
+    /// `timers_due` was true and `tick` produced output.
+    busy: usize,
+}
+
+/// Drive a seeded script through a speaker built from `rig`, probing
+/// `tick` a few times between operations, each probe up to 1.5 s after
+/// the last (a host that ticks about once a second). At every probe the
+/// predicate is `timers_due` of a second speaker built from `judge` and
+/// fed the same script — the speaker itself when `judge == rig` — and
+/// where it says nothing is due, `tick` must return no outputs and leave
+/// `next_deadline()` and the Loc-RIB as they were.
+fn run_timer_script(seed: u64, rig: TimerRig, judge: TimerRig) -> Result<TickProbes, String> {
+    let mut rng = SimRng::new(seed);
+    let (mut s, mut j) = (rig.speaker(seed), judge.speaker(seed));
+    let mut now = SimTime::ZERO;
+    let mut probes = TickProbes::default();
+    for step in 0..60 {
+        let op = TimerOp::random(&mut rng, &s);
+        op.apply(&mut s, now);
+        op.apply(&mut j, now);
+        for _ in 0..1 + rng.index(4) {
+            now += SimDuration::from_millis(50 + rng.below(1450));
+            let due = j.timers_due(now);
+            let before = (
+                s.next_deadline(),
+                s.loc_rib().iter().cloned().collect::<Vec<_>>(),
+            );
+            let out = s.tick(now);
+            j.tick(now);
+            if due {
+                probes.busy += usize::from(!out.is_empty());
+                continue;
+            }
+            probes.quiet += 1;
+            let after = (
+                s.next_deadline(),
+                s.loc_rib().iter().cloned().collect::<Vec<_>>(),
+            );
+            if !out.is_empty() || after != before {
+                return Err(format!(
+                    "seed {seed} step {step} ({op:?}): tick at {now:?} with nothing due \
+                     returned {out:?}; next deadline {:?} -> {:?}, Loc-RIB {} -> {} routes",
+                    before.0,
+                    after.0,
+                    before.1.len(),
+                    after.1.len()
+                ));
+            }
+        }
+        // Now and then a long quiet stretch, so hold, idle-hold,
+        // restart and damping timers run out between two probes.
+        if rng.chance(0.1) {
+            now += SimDuration::from_secs(5 + rng.below(30));
+        }
+    }
+    Ok(probes)
+}
+
+/// The contract above can fail. A predicate blind to one timer class — a
+/// speaker fed the same script but built without MRAI, or without
+/// graceful restart, judging for one built with it — lets `tick` act
+/// where "nothing is due" was claimed, and the script notices.
+#[test]
+fn quiet_tick_contract_catches_a_blind_predicate() {
+    let full = TimerRig {
+        mrai: Some(SimDuration::from_millis(300)),
+        damping: false,
+        graceful_restart: true,
+    };
+    let mut probes = TickProbes::default();
+    for seed in 0..32 {
+        let run = run_timer_script(seed, full, full).expect("the real predicate holds");
+        probes.quiet += run.quiet;
+        probes.busy += run.busy;
+    }
+    assert!(
+        probes.quiet > 0 && probes.busy > 0,
+        "scripts probe both quiet and busy instants: {probes:?}"
+    );
+    let caught = |rig: TimerRig, judge: TimerRig| {
+        (0..32).any(|seed| run_timer_script(seed, rig, judge).is_err())
+    };
+    let blind_to_mrai = TimerRig { mrai: None, ..full };
+    assert!(caught(full, blind_to_mrai), "ignoring the MRAI deadline");
+    let immediate = TimerRig { mrai: None, ..full };
+    let blind_to_stale = TimerRig {
+        graceful_restart: false,
+        ..immediate
+    };
+    assert!(
+        caught(immediate, blind_to_stale),
+        "ignoring the graceful-restart deadline"
+    );
 }

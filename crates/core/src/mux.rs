@@ -610,8 +610,9 @@ impl MuxHarness {
         self.emu.run_until_quiet(usize::MAX);
     }
 
-    /// Run the harness under a fault schedule until `until`, ticking
-    /// every simulated second so retry/hold timers fire.
+    /// Run the harness under a fault schedule until `until`. A tick every
+    /// simulated second applies due faults and services each daemon
+    /// whose retry/hold (or other) timers are due.
     pub fn run_faults(&mut self, plan: &mut FaultPlan, until: SimTime) {
         self.emu.run_with_faults(plan, until, usize::MAX);
     }

@@ -40,10 +40,11 @@ enum Payload {
 }
 
 /// Simulated time between two ticks of [`Emulation::run_with_faults`]:
-/// how often due faults are applied and every daemon's timers (hold,
-/// keepalive, ConnectRetry, graceful restart, idle hold, MRAI) are
-/// serviced. A timer thus fires up to a second late, identically in every
-/// run of a seed.
+/// how often due faults are applied and daemons' due timers (hold,
+/// keepalive, ConnectRetry, graceful restart, idle hold, MRAI, damping
+/// release) are serviced; a daemon with nothing due is not ticked. A
+/// timer thus fires up to a second late, identically in every run of a
+/// seed.
 pub const TICK_EVERY: SimDuration = SimDuration::from_secs(1);
 
 /// The emulated network.
@@ -189,6 +190,12 @@ impl Emulation {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.net.now()
+    }
+
+    /// True if nothing is in flight: no message and no pending tick. A
+    /// run that stopped at its step limit leaves this false.
+    pub fn idle(&self) -> bool {
+        self.net.idle()
     }
 
     /// Add a container, returning its index.
@@ -403,9 +410,11 @@ impl Emulation {
 
     /// The one delivery loop: pop and dispatch in-flight deliveries until
     /// idle or `limit`, returning how many were processed. A tick applies
-    /// `plan`'s due faults, runs every daemon's timers, and re-arms itself
-    /// [`TICK_EVERY`] later while `until` lies ahead or `plan` has actions
-    /// left.
+    /// `plan`'s due faults, ticks the running daemons whose timers are due,
+    /// and re-arms itself [`TICK_EVERY`] later while `until` lies ahead or
+    /// `plan` has actions left. It fires whether or not any daemon is
+    /// due, so event order and delivery counts do not depend on the
+    /// daemons' timers.
     fn drain(&mut self, plan: &mut FaultPlan, until: SimTime, limit: usize) -> usize {
         let mut steps = 0;
         while steps < limit {
@@ -418,7 +427,11 @@ impl Emulation {
                     for action in plan.due(now) {
                         self.apply_fault(action);
                     }
-                    self.tick_all();
+                    for idx in 0..self.containers.len() {
+                        if self.daemon(idx).is_some_and(|d| d.timers_due(now)) {
+                            self.control(idx, |daemon, now| daemon.tick(now));
+                        }
+                    }
                     if now < until || !plan.exhausted() {
                         self.net.set_timer(NodeId(0), TICK_EVERY, Payload::Tick);
                     }
@@ -440,8 +453,8 @@ impl Emulation {
     /// Returns the number of deliveries processed.
     pub fn run_until_quiet(&mut self, limit: usize) -> usize {
         // No plan and a horizon already behind: a tick left over from a
-        // `run_with_faults` that hit its limit still runs the timers, but
-        // nothing re-arms it.
+        // `run_with_faults` that hit its limit still services due timers,
+        // but nothing re-arms it.
         self.drain(&mut FaultPlan::new(), SimTime::ZERO, limit)
     }
 
@@ -546,8 +559,10 @@ impl Emulation {
     /// Drive the emulation under a scripted fault plan.
     ///
     /// A tick fires every [`TICK_EVERY`] of simulated time: due faults are
-    /// applied, then every daemon's timers run (hold/keepalive expiry,
-    /// ConnectRetry reconnects, graceful-restart sweeps). The tick chain
+    /// applied, then each running daemon whose timers are due
+    /// ([`Speaker::timers_due`]: hold/keepalive expiry, ConnectRetry
+    /// reconnects, graceful-restart sweeps, MRAI flushes, damping
+    /// releases) is ticked; the rest would have done nothing. The tick chain
     /// stops once `until` is reached and the plan is exhausted; remaining
     /// in-flight messages then drain. Returns deliveries processed,
     /// bounded by `limit`.
@@ -555,13 +570,6 @@ impl Emulation {
         self.net
             .set_timer(NodeId(0), SimDuration::ZERO, Payload::Tick);
         self.drain(plan, until, limit)
-    }
-
-    /// Drive every daemon's timers at the current time.
-    pub fn tick_all(&mut self) {
-        for idx in 0..self.containers.len() {
-            self.on_running(idx, |daemon, now| daemon.tick(now));
-        }
     }
 
     /// Total estimated memory of the emulation.

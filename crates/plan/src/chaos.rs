@@ -36,7 +36,8 @@ pub struct ChaosReplayReport {
     pub seeds: Vec<u64>,
     /// Post-recovery digest of each replay, in seed order.
     pub digests: Vec<u64>,
-    /// Seeds whose post-recovery digest differed from fault-free.
+    /// Seeds whose replay did not converge or whose post-recovery
+    /// digest differed from fault-free.
     pub mismatches: Vec<u64>,
     /// Total faults injected across all replays.
     pub faults_injected: usize,
@@ -145,10 +146,10 @@ pub fn chaos_validate(
     let mut faults_injected = 0;
     for i in 0..n_replays {
         let seed = seed_rng.fork(&format!("replay/{i}")).seed();
-        let (digest, _, faults) =
+        let (digest, converged, faults) =
             replay_with_faults(deploy, current, plan, safety, build_seed, seed);
         faults_injected += faults;
-        if digest != baseline.final_digest {
+        if !converged || digest != baseline.final_digest {
             mismatches.push(seed);
         }
         seeds.push(seed);
@@ -188,6 +189,41 @@ mod tests {
             report.digests
         );
         assert!(report.faults_injected > 0);
+    }
+
+    #[test]
+    fn a_replay_that_did_not_converge_is_a_mismatch() {
+        use crate::step::PlanStep;
+        use peering_netsim::Ipv4Net;
+        use std::net::Ipv4Addr;
+        let deploy = DeploySpec::standard(1, 1);
+        let safety = SafetyConfig::peering_default();
+        let current = ConfigState::empty()
+            .session(0, 0)
+            .announce(0, deploy.clients[0].alloc);
+        // A prefix outside the client's allocation: the mux's safety
+        // import drops it, so no execution of this plan converges.
+        let plan = MigrationPlan {
+            scenario: "foreign-announce".into(),
+            seed: 0,
+            steps: vec![PlanStep::Announce {
+                client: 0,
+                prefix: Ipv4Net::new(Ipv4Addr::new(8, 8, 8, 0), 24),
+            }],
+            digests: Vec::new(),
+            oracle_checks: 0,
+            search_visited: 0,
+        };
+        let report = chaos_validate(&deploy, &current, &plan, &safety, 42, 1000, 2);
+        assert!(!report.fault_free_converged);
+        assert!(
+            report
+                .digests
+                .iter()
+                .all(|d| *d == report.fault_free_digest),
+            "every replay recovered the fault-free tables"
+        );
+        assert_eq!(report.mismatches, report.seeds, "yet none converged");
     }
 
     #[test]

@@ -363,10 +363,15 @@ impl MigrationTestbed {
         self.emu.now() + delta
     }
 
-    /// Check convergence of the realized state: every announced prefix
-    /// is present in the Loc-RIB of every mux its client has a session
-    /// to, and (being oracle-reachable) in every upstream's Loc-RIB.
+    /// Check convergence of the realized state: nothing is in flight (a
+    /// barrier that stopped at its delivery bound left the network
+    /// mid-flight), every announced prefix is present in the Loc-RIB of
+    /// every mux its client has a session to, and (being
+    /// oracle-reachable) in every upstream's Loc-RIB.
     pub fn converged(&self) -> bool {
+        if !self.emu.idle() {
+            return false;
+        }
         for (c, prefixes) in &self.state.announced {
             if self.state.import_of(*c) != ImportSel::Safety {
                 continue;
@@ -476,6 +481,27 @@ mod tests {
         assert_eq!(snap.counter("bgp.plan.session_down"), 1);
         assert!(snap.counter("core.plan.barriers") >= 2);
         assert_eq!(snap.validate(PLAN_COUNTERS), Ok(()));
+    }
+
+    #[test]
+    fn a_network_left_mid_flight_is_not_converged() {
+        let deploy = DeploySpec::standard(1, 1);
+        let safety = SafetyConfig::peering_default();
+        let alloc = deploy.clients[0].alloc;
+        let current = ConfigState::empty().session(0, 0).announce(0, alloc);
+        let mut tb = MigrationTestbed::build(&deploy, &current, &safety, 7, Telemetry::new());
+        assert!(tb.converged());
+        // Every announced prefix is still in place, but an upstream's new
+        // beacon is on the wire.
+        let beacon = Prefix::v4(11, 99, 0, 0, 16);
+        tb.emu
+            .control(tb.upstream_node(0), |d, now| d.originate(beacon, now));
+        assert!(!tb.converged(), "in-flight UPDATE counted as converged");
+        // A drain that stops at its bound leaves the network mid-flight.
+        assert_eq!(tb.emu.run_until_quiet(1), 1);
+        assert!(!tb.converged());
+        tb.barrier();
+        assert!(tb.converged());
     }
 
     #[test]

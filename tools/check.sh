@@ -141,6 +141,10 @@ echo "==> benchmark counters (router_feed traced: allocations, wire and table co
 double_run_cmp router_feed - results/BENCH_router_feed.json \
   bench_counters router_feed "{out}"
 
+echo "==> benchmark counters (plan_catalog traced: allocations, sim time, faults, oracle checks)"
+double_run_cmp plan_catalog - results/BENCH_plan_catalog.json \
+  bench_counters plan_catalog "{out}"
+
 echo "==> perf regression gate (BENCH suite vs checked-in baseline)"
 double_run_cmp perf - results/BENCH_PERF.json \
   cargo run --release -q -p peering-bench --bin perf_report -- \
