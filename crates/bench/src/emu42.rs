@@ -51,7 +51,8 @@ pub fn run(seed: u64, external_routes: usize) -> Emu42Result {
     let mut ext = Speaker::new(
         SpeakerConfig::new(Asn::PEERING, Ipv4Addr::new(80, 249, 208, 1)).route_server(),
     );
-    ext.add_peer(PeerConfig::new(PeerId(0), pe.asns[ams]).passive());
+    ext.add_peer(PeerConfig::new(PeerId(0), pe.asns[ams]).passive())
+        .expect("a fresh speaker has no peers");
     ext.start_peer(PeerId(0), peering_netsim::SimTime::ZERO);
 
     let convergence_steps = pe.converge(10_000_000);

@@ -52,7 +52,8 @@ fn speaker_with_peers(peers: usize, intern: bool) -> Speaker {
         let asn = Asn(100 + p as u32);
         // Export nothing back: we measure the receiving router's tables
         // the way the paper measured Quagga's.
-        s.add_peer(PeerConfig::new(PeerId(p as u32), asn).export(Policy::reject_all()));
+        s.add_peer(PeerConfig::new(PeerId(p as u32), asn).export(Policy::reject_all()))
+            .expect("feeder ids are distinct");
         let outs = s.start_peer(PeerId(p as u32), now);
         assert!(!outs.is_empty(), "active session emits OPEN");
         // Complete the handshake by hand.

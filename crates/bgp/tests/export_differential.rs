@@ -119,7 +119,9 @@ impl Rig {
         let mut s = Speaker::new(cfg);
         let telemetry = Telemetry::new();
         s.set_telemetry(telemetry.clone());
-        peers().into_iter().for_each(|peer| s.add_peer(peer));
+        peers()
+            .into_iter()
+            .for_each(|peer| s.add_peer(peer).expect("peer ids are distinct"));
         Rig {
             s,
             held: BTreeMap::new(),
@@ -477,7 +479,7 @@ fn run_script(seed: u64, steps: usize) {
                 b.step(&tag(format!("remove {peer}")), |s, now| {
                     let mut outs = stage_an_export(s, now);
                     outs.extend(s.remove_peer(peer, now));
-                    s.add_peer(cfg.clone());
+                    s.add_peer(cfg.clone()).expect("peer ids are distinct");
                     outs
                 });
             }

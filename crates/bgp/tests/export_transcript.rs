@@ -111,7 +111,9 @@ impl Script {
         let (log, telemetry) = (ProvenanceLog::new(), Telemetry::new());
         s.set_provenance(log.clone());
         s.set_telemetry(telemetry.clone());
-        peers.into_iter().for_each(|peer| s.add_peer(peer));
+        peers
+            .into_iter()
+            .for_each(|peer| s.add_peer(peer).expect("peer ids are distinct"));
         Script {
             s,
             log,

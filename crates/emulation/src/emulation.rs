@@ -246,17 +246,19 @@ impl Emulation {
     }
 
     /// Install `cfg` on container `idx`'s daemon and record where the
-    /// session's far end lives. Panics if the container has no daemon.
+    /// session's far end lives. Panics if the container has no daemon or
+    /// its daemon already has a peer with `cfg`'s id.
     fn add_session(&mut self, idx: usize, cfg: PeerConfig, end: SessionEnd) {
         self.sessions.insert((idx, cfg.id), end);
         let (daemon, _) = self.daemon_slot(idx).expect("container has a daemon");
-        daemon.add_peer(cfg);
+        daemon.add_peer(cfg).expect("peer id is free on the daemon");
     }
 
     /// Configure a BGP session between two router containers that share a
     /// link. `a_cfg` is installed on `a` (its view of `b`) and vice versa.
     ///
-    /// Panics if either container has no daemon.
+    /// Panics if either container has no daemon, or either daemon already
+    /// has a peer with the id its config names.
     pub fn connect_bgp(&mut self, a: usize, a_cfg: PeerConfig, b: usize, b_cfg: PeerConfig) {
         let (a_peer, b_peer) = (a_cfg.id, b_cfg.id);
         let end = |container, peer| SessionEnd::Internal { container, peer };
@@ -267,6 +269,7 @@ impl Emulation {
     /// Configure a session from `container` to an external party.
     /// Messages the daemon emits on this session queue on the returned
     /// handle; inject replies with [`inject_external`](Self::inject_external).
+    /// Panics as [`connect_bgp`](Self::connect_bgp) does.
     pub fn add_external_session(&mut self, container: usize, cfg: PeerConfig) -> ExternalHandle {
         let h = ExternalHandle(self.external_out.len());
         self.external_out.push(Vec::new());
@@ -647,7 +650,8 @@ mod tests {
         assert!(out.iter().any(|m| matches!(m, BgpMessage::Open(_))));
         // Build an external speaker, feed it, and bridge replies back.
         let mut ext = Speaker::new(SpeakerConfig::new(Asn(47065), Ipv4Addr::new(100, 64, 0, 1)));
-        ext.add_peer(PeerConfig::new(PeerId(0), Asn(65001)).passive());
+        ext.add_peer(PeerConfig::new(PeerId(0), Asn(65001)).passive())
+            .unwrap();
         ext.start_peer(PeerId(0), SimTime::ZERO);
         let mut inbound = out;
         for _ in 0..16 {

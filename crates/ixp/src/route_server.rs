@@ -62,7 +62,7 @@ pub fn shared_export_policy() -> Policy {
 
 /// Build a route-server speaker with every RS member configured as a
 /// passive peer. Peer ids equal member ids, so the caller can wire
-/// messages by member.
+/// messages by member. Panics if a member id repeats.
 pub fn route_server_speaker(
     cfg: &RouteServerConfig,
     members: impl IntoIterator<Item = (MemberId, IxpMember)>,
@@ -77,7 +77,8 @@ pub fn route_server_speaker(
             PeerConfig::new(PeerId(id.0), m.asn)
                 .passive()
                 .export(shared_export_policy()),
-        );
+        )
+        .expect("member ids are distinct");
     }
     rs
 }
@@ -108,7 +109,7 @@ mod tests {
             Asn(asn),
             Ipv4Addr::new(80, 249, 208, asn as u8),
         ));
-        s.add_peer(PeerConfig::new(PeerId(0), rs_asn));
+        s.add_peer(PeerConfig::new(PeerId(0), rs_asn)).unwrap();
         s
     }
 

@@ -227,7 +227,9 @@ impl ScaleTopo {
         let mut speaker = Speaker::new(spec.cfg.clone());
         let mut links = Vec::with_capacity(spec.peers.len());
         for (cfg, dest, remote, delay) in &spec.peers {
-            speaker.add_peer(cfg.clone());
+            speaker
+                .add_peer(cfg.clone())
+                .expect("a speaker's peer ids are distinct");
             links.push(Link {
                 dest: *dest,
                 remote: *remote,

@@ -18,9 +18,11 @@ struct ByteHarness {
 impl ByteHarness {
     fn new(loss: f64, seed: u64) -> Self {
         let mut a = Speaker::new(SpeakerConfig::new(Asn(100), Ipv4Addr::new(10, 0, 0, 1)));
-        a.add_peer(PeerConfig::new(PeerId(0), Asn(200)));
+        a.add_peer(PeerConfig::new(PeerId(0), Asn(200)))
+            .expect("a fresh speaker has no peers");
         let mut b = Speaker::new(SpeakerConfig::new(Asn(200), Ipv4Addr::new(10, 0, 0, 2)));
-        b.add_peer(PeerConfig::new(PeerId(0), Asn(100)).passive());
+        b.add_peer(PeerConfig::new(PeerId(0), Asn(100)).passive())
+            .expect("a fresh speaker has no peers");
         let mut net = MsgNet::new(SimRng::new(seed));
         net.add_link(
             NodeId(0),

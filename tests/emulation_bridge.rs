@@ -49,7 +49,8 @@ fn he_backbone_bridges_to_an_external_peer() {
         Asn::PEERING,
         Ipv4Addr::new(80, 249, 208, 1),
     ));
-    ext.add_peer(PeerConfig::new(PeerId(0), pe.asns[ams]).passive());
+    ext.add_peer(PeerConfig::new(PeerId(0), pe.asns[ams]).passive())
+        .expect("peer ids are distinct");
     ext.start_peer(PeerId(0), peering::netsim::SimTime::ZERO);
     pe.converge(usize::MAX);
     bridge(&mut pe, h, &mut ext);
