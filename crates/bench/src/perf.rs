@@ -341,6 +341,27 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("plan.oracle_checks")]),
         gate: Some(Gate::Drift(0)),
     },
+    // And for one traced `internet_full_bringup` run: allocations per
+    // event may only fall; the engine's event count and the simulated
+    // time to converge may not move.
+    Metric {
+        key: "internet_full_bringup.alloc_count_per_op",
+        file: "BENCH_internet_full_bringup.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "internet_full_bringup.engine_events",
+        file: "BENCH_internet_full_bringup.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("engine.events")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "internet_full_bringup.sim_converge_ms",
+        file: "BENCH_internet_full_bringup.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("sim_converge_ms")]),
+        gate: Some(Gate::Drift(0)),
+    },
 ];
 
 fn lookup<'a>(mut v: &'a Value, path: &[Seg]) -> Option<&'a Value> {
@@ -740,6 +761,20 @@ mod tests {
         )
     }
 
+    fn traced_internet_full_bringup() -> Value {
+        traced(
+            "internet_full_bringup",
+            true,
+            &[
+                ("sim_converge_ms", "exact", 44.0),
+                ("engine.events", "exact", 960528.0),
+                ("engine.ns_per_event", "timed", 5800.0),
+                ("alloc.count_per_op", "exact", 7.43),
+                ("alloc.bytes_per_op", "exact", 1726.1),
+            ],
+        )
+    }
+
     #[test]
     fn benchmark_import_keeps_exact_counters_only() {
         let installed = exact_counters(&traced_router_feed(true)).unwrap();
@@ -754,9 +789,11 @@ mod tests {
         assert!(lookup(&installed, &[Seg::Key("repeat_times")]).is_none());
         // Every catalog entry of an imported workload finds its counter.
         let plan_catalog = exact_counters(&traced_plan_catalog()).unwrap();
+        let bringup = exact_counters(&traced_internet_full_bringup()).unwrap();
         for (file, installed) in [
             ("BENCH_router_feed.json", &installed),
             ("BENCH_plan_catalog.json", &plan_catalog),
+            ("BENCH_internet_full_bringup.json", &bringup),
         ] {
             for m in CATALOG.iter().filter(|m| m.file == file) {
                 assert!(extract(installed, &m.extract).is_some(), "{}", m.key);
@@ -823,6 +860,10 @@ mod tests {
         r.insert(
             "BENCH_plan_catalog.json".to_string(),
             exact_counters(&traced_plan_catalog()).unwrap(),
+        );
+        r.insert(
+            "BENCH_internet_full_bringup.json".to_string(),
+            exact_counters(&traced_internet_full_bringup()).unwrap(),
         );
         r.insert(
             "BENCH_plan.json".to_string(),

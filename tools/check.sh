@@ -145,6 +145,10 @@ echo "==> benchmark counters (plan_catalog traced: allocations, sim time, faults
 double_run_cmp plan_catalog - results/BENCH_plan_catalog.json \
   bench_counters plan_catalog "{out}"
 
+echo "==> benchmark counters (internet_full_bringup traced: allocations, engine events, sim time)"
+double_run_cmp internet_full_bringup - results/BENCH_internet_full_bringup.json \
+  bench_counters internet_full_bringup "{out}"
+
 echo "==> perf regression gate (BENCH suite vs checked-in baseline)"
 double_run_cmp perf - results/BENCH_PERF.json \
   cargo run --release -q -p peering-bench --bin perf_report -- \
