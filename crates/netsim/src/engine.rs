@@ -27,22 +27,23 @@
 //! * **Re-sort on drain.** Cross-shard envelopes travel through
 //!   [`SharedEventQueue`] inboxes whose internal order depends on lock
 //!   acquisition; the receiving shard drains its inbox into its local
-//!   heap (keyed by the full `(time, from, seq)`) before each window,
-//!   erasing the arrival interleaving.
+//!   calendar (keyed by the full `(time, from, seq)`) before each
+//!   window, erasing the arrival interleaving.
 //!
 //! The primary oracle for all of this is differential: `run_parallel`
 //! must produce bitwise-identical checkpoint and final digests to
 //! `run_sequential` for every topology, seed, and shard count (see
 //! `peering-workloads`' differential tests and the scale bench).
 
+mod calendar;
 use crate::profile::{EngineProfile, ProfileConfig, ShardEpoch, ShardEpochWall, WallMark};
 use crate::queue::SharedEventQueue;
 use crate::rng::Fnv1a;
 use crate::sync::{Condvar, Mutex};
 use crate::time::{SimDuration, SimTime};
 use crate::transport::NodeId;
+use calendar::Calendar;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A node hosted by an engine. Implementations must be deterministic:
 /// outputs a pure function of construction arguments and the sequence of
@@ -129,7 +130,7 @@ impl<M> PartialOrd for SimEvent<M> {
 }
 impl<M> Ord for SimEvent<M> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed so BinaryHeap pops the smallest key first.
+        // Reversed: a sorted `Calendar` bucket pops the smallest key last.
         other.key().cmp(&self.key())
     }
 }
@@ -205,7 +206,7 @@ where
     let mut sent: u64 = 0;
     let mut nodes: Vec<N> = (0..n).map(|i| make_node(NodeId(i as u32))).collect();
     let mut seqs: Vec<u64> = vec![0; n];
-    let mut heap: BinaryHeap<SimEvent<N::Msg>> = BinaryHeap::new();
+    let mut calendar = Calendar::new();
     let mut out = Outbox::new();
 
     for (i, node) in nodes.iter_mut().enumerate() {
@@ -214,7 +215,7 @@ where
             let seq = seqs[i];
             seqs[i] += 1;
             sent += 1;
-            heap.push(SimEvent {
+            calendar.push(SimEvent {
                 time: SimTime::ZERO + delay,
                 from: NodeId(i as u32),
                 seq,
@@ -232,8 +233,7 @@ where
     };
     let mut next_ck = 0;
     loop {
-        let pending = heap.peek().map(|e| e.time);
-        let horizon = match pending {
+        let horizon = match calendar.peek_time() {
             Some(t) if t <= max_time => t,
             _ => SimTime::MAX,
         };
@@ -246,7 +246,7 @@ where
         if horizon == SimTime::MAX {
             break;
         }
-        let ev = heap.pop().expect("horizon came from a pending event");
+        let ev = calendar.pop().expect("horizon came from a pending event");
         run.events += 1;
         run.end_time = ev.time;
         let dst = ev.to.0 as usize;
@@ -255,7 +255,7 @@ where
             let seq = seqs[dst];
             seqs[dst] += 1;
             sent += 1;
-            heap.push(SimEvent {
+            calendar.push(SimEvent {
                 time: ev.time + delay,
                 from: ev.to,
                 seq,
@@ -613,7 +613,7 @@ fn run_shard<N, F>(
     let base = range.start;
     let mut nodes: Vec<N> = range.clone().map(|i| make_node(NodeId(i as u32))).collect();
     let mut seqs: Vec<u64> = vec![0; nodes.len()];
-    let mut heap: BinaryHeap<SimEvent<N::Msg>> = BinaryHeap::new();
+    let mut calendar = Calendar::new();
     let mut out = Outbox::new();
     let mut local_events: u64 = 0;
     let mut local_end = SimTime::ZERO;
@@ -629,7 +629,7 @@ fn run_shard<N, F>(
                  now: SimTime,
                  out: &mut Outbox<N::Msg>,
                  seqs: &mut Vec<u64>,
-                 heap: &mut BinaryHeap<SimEvent<N::Msg>>,
+                 calendar: &mut Calendar<N::Msg>,
                  stats: &mut SendStats| {
         for (to, delay, msg) in out.drain() {
             let seq = seqs[from_local];
@@ -644,7 +644,7 @@ fn run_shard<N, F>(
             let dest_shard = shard_of[to.0 as usize];
             if dest_shard == shard {
                 stats.local += 1;
-                heap.push(ev);
+                calendar.push(ev);
             } else {
                 if delay < lookahead {
                     let msg = format!(
@@ -671,7 +671,7 @@ fn run_shard<N, F>(
             SimTime::ZERO,
             &mut out,
             &mut seqs,
-            &mut heap,
+            &mut calendar,
             &mut stats,
         );
     }
@@ -686,15 +686,15 @@ fn run_shard<N, F>(
     shared.round_end.arrive_and_decide(|| ());
 
     loop {
-        // Drain the inbox into the locally-ordered heap: arrival
-        // interleaving is erased by the (time, from, seq) re-sort.
+        // Drain the inbox into the local calendar: arrival interleaving
+        // is erased by the (time, from, seq) sort of each bucket.
         let drain_mark = WallMark::now(wall_on);
         let mut drained: u64 = 0;
         while let Some((_, ev)) = shared.inboxes[shard].pop() {
-            heap.push(ev);
+            calendar.push(ev);
             drained += 1;
         }
-        let local_min = heap.peek().map_or(SimTime::MAX, |e| e.time);
+        let local_min = calendar.peek_time().unwrap_or(SimTime::MAX);
         lock(&shared.mins)[shard] = local_min;
         let drain_ns = drain_mark.elapsed_ns();
 
@@ -773,17 +773,17 @@ fn run_shard<N, F>(
         let flush_before = stats.flush_ns;
         let mut round_events: u64 = 0;
         let window_end = plan.window_end;
-        while heap
-            .peek()
-            .is_some_and(|e| e.time < window_end && e.time <= max_time)
+        while calendar
+            .peek_time()
+            .is_some_and(|t| t < window_end && t <= max_time)
         {
-            let ev = heap.pop().expect("peek said so");
+            let ev = calendar.pop().expect("peek said so");
             local_events += 1;
             round_events += 1;
             local_end = ev.time;
             let li = ev.to.0 as usize - base;
             nodes[li].on_event(ev.time, ev.from, ev.msg, &mut out);
-            route(li, ev.time, &mut out, &mut seqs, &mut heap, &mut stats);
+            route(li, ev.time, &mut out, &mut seqs, &mut calendar, &mut stats);
         }
         let decision_ns = decision_mark.elapsed_ns();
 
@@ -1015,6 +1015,83 @@ mod tests {
                 SimDuration::from_millis(10),
                 &cks,
                 max,
+            );
+            assert_eq!(seq, par, "shards={shards}");
+        }
+    }
+
+    /// Every node starts a token at time zero with a zero-delay send to
+    /// itself. A token hop schedules the next hop three nodes on (10 ms)
+    /// and two zero-delay echoes, one to the node itself and one to its
+    /// partner `id ^ 1`; each echo sends one more zero-delay echo to
+    /// itself. Partners share a shard at 1, 2 and 4 shards of 8 nodes,
+    /// so only the 10 ms hops cross shards.
+    struct ZeroDelayNode {
+        id: NodeId,
+        n: u32,
+        hops: u32,
+        acc: u64,
+    }
+
+    impl EngineNode for ZeroDelayNode {
+        /// `(hop, echo depth)`; depth 0 is the token itself.
+        type Msg = (u32, u32);
+
+        fn on_start(&mut self, out: &mut Outbox<(u32, u32)>) {
+            out.send(self.id, SimDuration::ZERO, (0, 0));
+        }
+
+        fn on_event(
+            &mut self,
+            now: SimTime,
+            from: NodeId,
+            (hop, depth): (u32, u32),
+            out: &mut Outbox<(u32, u32)>,
+        ) {
+            self.acc = self
+                .acc
+                .wrapping_mul(0x100_0000_01b3)
+                .wrapping_add((u64::from(hop) << 8) | u64::from(depth))
+                .wrapping_add(u64::from(from.0) << 32)
+                .wrapping_add(now.as_micros());
+            match depth {
+                0 if hop < self.hops => {
+                    let next = NodeId((self.id.0 + 3) % self.n);
+                    out.send(next, SimDuration::from_millis(10), (hop + 1, 0));
+                    out.send(self.id, SimDuration::ZERO, (hop, 1));
+                    out.send(NodeId(self.id.0 ^ 1), SimDuration::ZERO, (hop, 1));
+                }
+                1 => out.send(self.id, SimDuration::ZERO, (hop, 2)),
+                _ => {}
+            }
+        }
+
+        fn digest(&self) -> u64 {
+            self.acc ^ u64::from(self.id.0)
+        }
+    }
+
+    #[test]
+    fn zero_delay_sends_match_sequential() {
+        let hops = 20;
+        let nodes = move |id| ZeroDelayNode {
+            id,
+            n: 8,
+            hops,
+            acc: 0,
+        };
+        let cks = [SimTime::from_millis(50), SimTime::from_millis(95)];
+        let seq = run_sequential(8, nodes, &cks, SimTime::MAX);
+        // Per token: `hops` hops with four echoes each, and the last hop.
+        assert_eq!(seq.events, 8 * (5 * u64::from(hops) + 1));
+        for shards in [1, 2, 4] {
+            let par = run_parallel(
+                8,
+                nodes,
+                shards,
+                SimDuration::from_millis(10),
+                &cks,
+                SimTime::MAX,
             );
             assert_eq!(seq, par, "shards={shards}");
         }
