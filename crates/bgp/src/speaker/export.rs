@@ -710,7 +710,7 @@ impl Speaker {
     /// of a full-table export.
     fn known_prefixes(&self) -> BTreeSet<Prefix> {
         let mut prefixes: BTreeSet<Prefix> = self.local_routes.keys().copied().collect();
-        for state in self.peers.values() {
+        for state in self.learned.iter().filter_map(|id| self.peers.get(id)) {
             prefixes.extend(state.adj_in.prefixes().copied());
         }
         prefixes

@@ -2,7 +2,7 @@
 //! Adj-RIB-In changes (loop check, import policy, damping, max-prefix
 //! limits) and a re-decision of the prefixes it touched.
 
-use super::{Output, Speaker, SpeakerEvent, SpeakerMode};
+use super::{relist, Output, Speaker, SpeakerEvent, SpeakerMode};
 use crate::attrs::PathAttributes;
 use crate::fsm::SessionEvent;
 use crate::message::{Nlri, UpdateMessage};
@@ -28,6 +28,7 @@ impl Speaker {
         let Some(state) = self.peers.get_mut(&from) else {
             return;
         };
+        let was_empty = state.adj_in.is_empty();
         // The provenance id carried by this update is the *cause* of every
         // RIB change (and downstream export) it triggers here.
         let cause = update.trace;
@@ -190,6 +191,7 @@ impl Speaker {
                 affected.push(nlri.prefix);
             }
         }
+        relist(&mut self.learned, state, was_empty);
         // Max-prefix enforcement (RFC 4486 §4): count what the peer now
         // occupies in Adj-RIB-In, warn once per session at the soft
         // threshold, Cease above the hard limit. The Cease path bypasses
@@ -232,6 +234,7 @@ impl Speaker {
             return Vec::new();
         };
         state.cfg.import = policy;
+        let was_empty = state.adj_in.is_empty();
         let mut affected: Vec<Prefix> = Vec::new();
         let prefixes: Vec<Prefix> = state.adj_in.prefixes().copied().collect();
         for p in prefixes {
@@ -249,6 +252,7 @@ impl Speaker {
                 }
             }
         }
+        relist(&mut self.learned, state, was_empty);
         let mut out = Vec::new();
         self.reconsider_with(&affected, now, None, &mut out);
         self.debug_check("set_peer_import");

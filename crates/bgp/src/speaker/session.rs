@@ -2,7 +2,7 @@
 //! (messages, timers, administrative and fault entry points) and what a
 //! session coming up or going away means for the tables.
 
-use super::{retime, Output, PeerState, Speaker, SpeakerEvent, StaleState};
+use super::{relist, retime, Output, PeerState, Speaker, SpeakerEvent, StaleState};
 use crate::damping::DampingState;
 use crate::fsm::{FsmState, Session, SessionEvent};
 use crate::message::{BgpMessage, UpdateMessage};
@@ -190,6 +190,7 @@ impl Speaker {
         state.max_prefix_warned = false;
         let Some(deadline) = stale_until else {
             state.stale = None;
+            self.learned.remove(&peer);
             return state.adj_in.clear();
         };
         // A second loss inside the window keeps the original deadline so
@@ -255,12 +256,14 @@ impl Speaker {
             return;
         };
         // The keys are ordered by prefix, so `affected` comes out sorted.
+        let was_empty = state.adj_in.is_empty();
         let mut affected = Vec::new();
         for (prefix, path_id) in stale.keys {
             if state.adj_in.remove(&prefix, path_id).is_some() {
                 affected.push(prefix);
             }
         }
+        relist(&mut self.learned, state, was_empty);
         affected.dedup();
         self.reconsider_with(&affected, now, None, out);
     }
