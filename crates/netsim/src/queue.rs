@@ -109,13 +109,14 @@ impl<E> EventQueue<E> {
 
 /// A clonable, thread-shareable handle to an [`EventQueue`].
 ///
-/// This is the seam for the sharded parallel event engine (ROADMAP
-/// item 1): shard workers will push cross-shard events through a shared
-/// handle while the owning shard pops. The queue's determinism contract
-/// is unchanged — pops are non-decreasing in time and FIFO-stable among
-/// equal times *relative to the global `seq` order in which pushes
-/// acquired the lock* — so a parallel schedule is reproducible exactly
-/// when its lock-acquisition order is.
+/// This is the sharded parallel engine's cross-shard inbox: shard
+/// workers push events for a sibling's nodes through a shared handle,
+/// and the owning shard drains it into its own event calendar before
+/// each window, which discards this queue's order. The queue's
+/// determinism contract is unchanged — pops are non-decreasing in time
+/// and FIFO-stable among equal times *relative to the global `seq` order
+/// in which pushes acquired the lock* — so a parallel schedule is
+/// reproducible exactly when its lock-acquisition order is.
 ///
 /// Built on [`crate::sync`], so compiling with `--features loom` swaps
 /// in loom's model-checked `Arc`/`Mutex` and the concurrency tests can
