@@ -362,6 +362,57 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("sim_converge_ms")]),
         gate: Some(Gate::Drift(0)),
     },
+    // The same for the two traced `eval` runs, which carry a routing
+    // table; the sharded one also may not move its round count or how
+    // many sends cross shards.
+    Metric {
+        key: "internet_eval_table.alloc_count_per_op",
+        file: "BENCH_internet_eval_table.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "internet_eval_table.engine_events",
+        file: "BENCH_internet_eval_table.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("engine.events")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "internet_eval_table.sim_converge_ms",
+        file: "BENCH_internet_eval_table.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("sim_converge_ms")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "internet_eval_table_par2.alloc_count_per_op",
+        file: "BENCH_internet_eval_table_par2.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "internet_eval_table_par2.engine_events",
+        file: "BENCH_internet_eval_table_par2.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("engine.events")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "internet_eval_table_par2.sim_converge_ms",
+        file: "BENCH_internet_eval_table_par2.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("sim_converge_ms")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "internet_eval_table_par2.engine_epochs",
+        file: "BENCH_internet_eval_table_par2.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("engine.epochs")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "internet_eval_table_par2.engine_sent_remote",
+        file: "BENCH_internet_eval_table_par2.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("engine.sent_remote")]),
+        gate: Some(Gate::Drift(0)),
+    },
 ];
 
 fn lookup<'a>(mut v: &'a Value, path: &[Seg]) -> Option<&'a Value> {
@@ -761,18 +812,36 @@ mod tests {
         )
     }
 
-    fn traced_internet_full_bringup() -> Value {
-        traced(
-            "internet_full_bringup",
-            true,
-            &[
-                ("sim_converge_ms", "exact", 44.0),
-                ("engine.events", "exact", 960528.0),
-                ("engine.ns_per_event", "timed", 5800.0),
-                ("alloc.count_per_op", "exact", 7.43),
-                ("alloc.bytes_per_op", "exact", 1726.1),
-            ],
-        )
+    /// The engine workloads with exact counters: name, simulated time to
+    /// converge and event count.
+    const ENGINE_RUNS: [(&str, f64, f64); 3] = [
+        ("internet_full_bringup", 44.0, 960528.0),
+        ("internet_eval_table", 156.5, 353542.0),
+        ("internet_eval_table_par2", 156.5, 353542.0),
+    ];
+
+    /// Installed counters of every [`ENGINE_RUNS`] workload, by file.
+    fn traced_engine_runs() -> Vec<(String, Value)> {
+        ENGINE_RUNS
+            .iter()
+            .map(|&(workload, converge_ms, events)| {
+                let run = traced(
+                    workload,
+                    true,
+                    &[
+                        ("sim_converge_ms", "exact", converge_ms),
+                        ("engine.events", "exact", events),
+                        ("engine.epochs", "exact", 15.0),
+                        ("engine.sent_remote", "exact", 120629.0),
+                        ("engine.ns_per_event", "timed", 5800.0),
+                        ("alloc.count_per_op", "exact", 7.43),
+                        ("alloc.bytes_per_op", "exact", 1726.1),
+                    ],
+                );
+                let file = format!("BENCH_{workload}.json");
+                (file, exact_counters(&run).unwrap())
+            })
+            .collect()
     }
 
     #[test]
@@ -789,12 +858,10 @@ mod tests {
         assert!(lookup(&installed, &[Seg::Key("repeat_times")]).is_none());
         // Every catalog entry of an imported workload finds its counter.
         let plan_catalog = exact_counters(&traced_plan_catalog()).unwrap();
-        let bringup = exact_counters(&traced_internet_full_bringup()).unwrap();
-        for (file, installed) in [
-            ("BENCH_router_feed.json", &installed),
-            ("BENCH_plan_catalog.json", &plan_catalog),
-            ("BENCH_internet_full_bringup.json", &bringup),
-        ] {
+        let mut imported = traced_engine_runs();
+        imported.push(("BENCH_router_feed.json".to_string(), installed));
+        imported.push(("BENCH_plan_catalog.json".to_string(), plan_catalog));
+        for (file, installed) in &imported {
             for m in CATALOG.iter().filter(|m| m.file == file) {
                 assert!(extract(installed, &m.extract).is_some(), "{}", m.key);
             }
@@ -861,10 +928,7 @@ mod tests {
             "BENCH_plan_catalog.json".to_string(),
             exact_counters(&traced_plan_catalog()).unwrap(),
         );
-        r.insert(
-            "BENCH_internet_full_bringup.json".to_string(),
-            exact_counters(&traced_internet_full_bringup()).unwrap(),
-        );
+        r.extend(traced_engine_runs());
         r.insert(
             "BENCH_plan.json".to_string(),
             map(vec![

@@ -149,6 +149,14 @@ echo "==> benchmark counters (internet_full_bringup traced: allocations, engine 
 double_run_cmp internet_full_bringup - results/BENCH_internet_full_bringup.json \
   bench_counters internet_full_bringup "{out}"
 
+echo "==> benchmark counters (internet_eval_table traced: allocations, engine events, sim time)"
+double_run_cmp internet_eval_table - results/BENCH_internet_eval_table.json \
+  bench_counters internet_eval_table "{out}"
+
+echo "==> benchmark counters (internet_eval_table_par2 traced: the same plus epochs, cross-shard sends)"
+double_run_cmp internet_eval_table_par2 - results/BENCH_internet_eval_table_par2.json \
+  bench_counters internet_eval_table_par2 "{out}"
+
 echo "==> perf regression gate (BENCH suite vs checked-in baseline)"
 double_run_cmp perf - results/BENCH_PERF.json \
   cargo run --release -q -p peering-bench --bin perf_report -- \
