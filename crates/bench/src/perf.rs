@@ -413,6 +413,69 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("engine.sent_remote")]),
         gate: Some(Gate::Drift(0)),
     },
+    // And for the two traced mux runs: allocations per op may only
+    // fall; the deliveries, decision runs and UPDATEs out per op and the
+    // simulated time to converge may not move.
+    Metric {
+        key: "mux_tenant_churn.alloc_count_per_op",
+        file: "BENCH_mux_tenant_churn.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "mux_tenant_churn.deliveries_per_op",
+        file: "BENCH_mux_tenant_churn.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("mux.deliveries_per_op")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "mux_tenant_churn.decision_runs_per_op",
+        file: "BENCH_mux_tenant_churn.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("mux.decision_runs_per_op")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "mux_tenant_churn.updates_out_per_op",
+        file: "BENCH_mux_tenant_churn.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("mux.updates_out_per_op")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "mux_tenant_churn.sim_converge_ms",
+        file: "BENCH_mux_tenant_churn.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("sim_converge_ms")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "mux_upstream_fanout.alloc_count_per_op",
+        file: "BENCH_mux_upstream_fanout.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "mux_upstream_fanout.deliveries_per_op",
+        file: "BENCH_mux_upstream_fanout.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("mux.deliveries_per_op")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "mux_upstream_fanout.decision_runs_per_op",
+        file: "BENCH_mux_upstream_fanout.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("mux.decision_runs_per_op")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "mux_upstream_fanout.updates_out_per_op",
+        file: "BENCH_mux_upstream_fanout.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("mux.updates_out_per_op")]),
+        gate: Some(Gate::Drift(0)),
+    },
+    Metric {
+        key: "mux_upstream_fanout.sim_converge_ms",
+        file: "BENCH_mux_upstream_fanout.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("sim_converge_ms")]),
+        gate: Some(Gate::Drift(0)),
+    },
 ];
 
 fn lookup<'a>(mut v: &'a Value, path: &[Seg]) -> Option<&'a Value> {
@@ -844,6 +907,31 @@ mod tests {
             .collect()
     }
 
+    /// Installed counters of both mux workloads, by file.
+    fn traced_mux_runs() -> Vec<(String, Value)> {
+        ["mux_tenant_churn", "mux_upstream_fanout"]
+            .iter()
+            .map(|&workload| {
+                let run = traced(
+                    workload,
+                    true,
+                    &[
+                        ("sim_converge_ms", "exact", 2.0),
+                        ("mux.updates_in_per_op", "exact", 268.0),
+                        ("mux.updates_out_per_op", "exact", 268.0),
+                        ("mux.decision_runs_per_op", "exact", 269.0),
+                        ("mux.deliveries_per_op", "exact", 268.0),
+                        ("mux.tenant_update_us", "timed", 480.0),
+                        ("alloc.count_per_op", "exact", 2049.2),
+                        ("alloc.bytes_per_op", "exact", 653070.3),
+                    ],
+                );
+                let file = format!("BENCH_{workload}.json");
+                (file, exact_counters(&run).unwrap())
+            })
+            .collect()
+    }
+
     #[test]
     fn benchmark_import_keeps_exact_counters_only() {
         let installed = exact_counters(&traced_router_feed(true)).unwrap();
@@ -859,6 +947,7 @@ mod tests {
         // Every catalog entry of an imported workload finds its counter.
         let plan_catalog = exact_counters(&traced_plan_catalog()).unwrap();
         let mut imported = traced_engine_runs();
+        imported.extend(traced_mux_runs());
         imported.push(("BENCH_router_feed.json".to_string(), installed));
         imported.push(("BENCH_plan_catalog.json".to_string(), plan_catalog));
         for (file, installed) in &imported {
@@ -929,6 +1018,7 @@ mod tests {
             exact_counters(&traced_plan_catalog()).unwrap(),
         );
         r.extend(traced_engine_runs());
+        r.extend(traced_mux_runs());
         r.insert(
             "BENCH_plan.json".to_string(),
             map(vec![

@@ -24,11 +24,12 @@
 //!   pure function of simulation history, not of thread interleaving.
 //!   Both engines pop in this key order, so per-destination delivery
 //!   order — the only thing node state can depend on — is identical.
-//! * **Re-sort on drain.** Cross-shard envelopes travel through
-//!   [`SharedEventQueue`] inboxes whose internal order depends on lock
-//!   acquisition; the receiving shard drains its inbox into its local
-//!   calendar (keyed by the full `(time, from, seq)`) before each
-//!   window, erasing the arrival interleaving.
+//! * **Re-sort on drain.** Cross-shard envelopes are appended to the
+//!   destination shard's inbox, a plain `Vec` whose order depends on
+//!   lock acquisition; the receiving shard takes the whole inbox and
+//!   pushes it into its local calendar (keyed by the full
+//!   `(time, from, seq)`) before each window, erasing the arrival
+//!   interleaving.
 //!
 //! The primary oracle for all of this is differential: `run_parallel`
 //! must produce bitwise-identical checkpoint and final digests to
@@ -37,7 +38,6 @@
 
 mod calendar;
 use crate::profile::{EngineProfile, ProfileConfig, ShardEpoch, ShardEpochWall, WallMark};
-use crate::queue::SharedEventQueue;
 use crate::rng::Fnv1a;
 use crate::sync::{Condvar, Mutex};
 use crate::time::{SimDuration, SimTime};
@@ -91,8 +91,26 @@ impl<M> Outbox<M> {
         self.staged.push((to, delay, msg));
     }
 
-    fn drain(&mut self) -> std::vec::Drain<'_, (NodeId, SimDuration, M)> {
-        self.staged.drain(..)
+    /// Take the sends node `from` staged while handling time `now`, as
+    /// events numbered from its per-source counter `seq`, each with the
+    /// delay it was sent with.
+    fn stamp<'a>(
+        &'a mut self,
+        from: NodeId,
+        now: SimTime,
+        seq: &'a mut u64,
+    ) -> impl Iterator<Item = (SimDuration, SimEvent<M>)> + 'a {
+        self.staged.drain(..).map(move |(to, delay, msg)| {
+            let ev = SimEvent {
+                time: now + delay,
+                from,
+                seq: *seq,
+                to,
+                msg,
+            };
+            *seq += 1;
+            (delay, ev)
+        })
     }
 }
 
@@ -165,33 +183,21 @@ fn fold_digests(digests: &[u64]) -> u64 {
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> crate::sync::MutexGuard<'a, T> {
     // A poisoned lock means a sibling shard panicked; state under these
-    // locks is only ever replaced wholesale, so recover rather than
-    // cascade the panic into an opaque PoisonError.
+    // locks is only ever replaced wholesale or appended to, so recover
+    // rather than cascade the panic into an opaque PoisonError.
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Run the reference sequential engine over `n` nodes built by
 /// `make_node`, recording a digest at each requested checkpoint time and
 /// stopping at quiescence (or after `max_time`).
+///
+/// The returned [`EngineRun`] does not depend on `profile` — the
+/// profiler only counts, it never schedules — and the profile holds a
+/// single degenerate epoch (shard 0, window `[0, end_time]`): the
+/// sequential engine has no rounds, so there is nothing finer to
+/// attribute.
 pub fn run_sequential<N, F>(
-    n: usize,
-    make_node: F,
-    checkpoints: &[SimTime],
-    max_time: SimTime,
-) -> EngineRun
-where
-    N: EngineNode,
-    F: Fn(NodeId) -> N,
-{
-    run_sequential_profiled(n, make_node, checkpoints, max_time, ProfileConfig::off()).0
-}
-
-/// [`run_sequential`] with the engine profiler attached. The returned
-/// [`EngineRun`] is identical to an unprofiled run's — the profiler
-/// only counts, it never schedules — and the profile holds a single
-/// degenerate epoch (shard 0, window `[0, end_time]`): the sequential
-/// engine has no rounds, so there is nothing finer to attribute.
-pub fn run_sequential_profiled<N, F>(
     n: usize,
     make_node: F,
     checkpoints: &[SimTime],
@@ -203,7 +209,6 @@ where
     F: Fn(NodeId) -> N,
 {
     let wall_mark = WallMark::now(profile.wall_enabled());
-    let mut sent: u64 = 0;
     let mut nodes: Vec<N> = (0..n).map(|i| make_node(NodeId(i as u32))).collect();
     let mut seqs: Vec<u64> = vec![0; n];
     let mut calendar = Calendar::new();
@@ -211,17 +216,8 @@ where
 
     for (i, node) in nodes.iter_mut().enumerate() {
         node.on_start(&mut out);
-        for (to, delay, msg) in out.drain() {
-            let seq = seqs[i];
-            seqs[i] += 1;
-            sent += 1;
-            calendar.push(SimEvent {
-                time: SimTime::ZERO + delay,
-                from: NodeId(i as u32),
-                seq,
-                to,
-                msg,
-            });
+        for (_, ev) in out.stamp(NodeId(i as u32), SimTime::ZERO, &mut seqs[i]) {
+            calendar.push(ev);
         }
     }
 
@@ -251,17 +247,8 @@ where
         run.end_time = ev.time;
         let dst = ev.to.0 as usize;
         nodes[dst].on_event(ev.time, ev.from, ev.msg, &mut out);
-        for (to, delay, msg) in out.drain() {
-            let seq = seqs[dst];
-            seqs[dst] += 1;
-            sent += 1;
-            calendar.push(SimEvent {
-                time: ev.time + delay,
-                from: ev.to,
-                seq,
-                to,
-                msg,
-            });
+        for (_, sent) in out.stamp(ev.to, ev.time, &mut seqs[dst]) {
+            calendar.push(sent);
         }
     }
     let digests: Vec<u64> = nodes.iter().map(EngineNode::digest).collect();
@@ -280,7 +267,7 @@ where
             window_end_us: run.end_time.as_micros(),
             events: run.events,
             inbox_drained: 0,
-            sent_local: sent,
+            sent_local: seqs.iter().sum(),
             sent_remote: 0,
         });
     }
@@ -391,8 +378,9 @@ struct RoundPlan {
 
 /// Coordination state shared by all shards of one parallel run.
 struct ParShared<M> {
-    /// Per-shard cross-shard inboxes (the `SharedEventQueue` seam).
-    inboxes: Vec<SharedEventQueue<SimEvent<M>>>,
+    /// Per-shard cross-shard inboxes, in arrival order: senders append,
+    /// the owning shard takes the whole `Vec` before each window.
+    inboxes: Vec<Mutex<Vec<SimEvent<M>>>>,
     /// Per-shard minimum pending event time, republished every round.
     mins: Mutex<Vec<SimTime>>,
     /// Per-node digest slots, written only on `need_digests` rounds.
@@ -446,38 +434,13 @@ struct RunRecord {
 /// not be `Send`); `lookahead` must be positive and no larger than every
 /// cross-shard delivery delay — a cross-shard send below it panics,
 /// because it would break the barrier invariant silently otherwise.
+/// `shards` is clamped to `n`.
+///
+/// The profile holds one [`ShardEpoch`] per shard per processed round
+/// (the final, quiescent round plans no window and records nothing).
+/// The returned [`EngineRun`] does not depend on `profile` for any
+/// topology, seed, or shard count — profiling only counts.
 pub fn run_parallel<N, F>(
-    n: usize,
-    make_node: F,
-    shards: usize,
-    lookahead: SimDuration,
-    checkpoints: &[SimTime],
-    max_time: SimTime,
-) -> EngineRun
-where
-    N: EngineNode,
-    F: Fn(NodeId) -> N + Sync,
-    N::Msg: Send,
-{
-    run_parallel_profiled(
-        n,
-        make_node,
-        shards,
-        lookahead,
-        checkpoints,
-        max_time,
-        ProfileConfig::off(),
-    )
-    .0
-}
-
-/// [`run_parallel`] with the engine profiler attached: one
-/// [`ShardEpoch`] per shard per processed round (the final, quiescent
-/// round plans no window and records nothing). The returned
-/// [`EngineRun`] is identical to an unprofiled run's for every
-/// topology, seed, and shard count — profiling only counts.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_profiled<N, F>(
     n: usize,
     make_node: F,
     shards: usize,
@@ -504,7 +467,7 @@ where
         .collect();
 
     let shared: ParShared<N::Msg> = ParShared {
-        inboxes: (0..shards).map(|_| SharedEventQueue::new()).collect(),
+        inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         mins: Mutex::new(vec![SimTime::MAX; shards]),
         digests: Mutex::new(vec![0; n]),
         record: Mutex::new(RunRecord {
@@ -631,36 +594,27 @@ fn run_shard<N, F>(
                  seqs: &mut Vec<u64>,
                  calendar: &mut Calendar<N::Msg>,
                  stats: &mut SendStats| {
-        for (to, delay, msg) in out.drain() {
-            let seq = seqs[from_local];
-            seqs[from_local] += 1;
-            let ev = SimEvent {
-                time: now + delay,
-                from: NodeId((base + from_local) as u32),
-                seq,
-                to,
-                msg,
-            };
-            let dest_shard = shard_of[to.0 as usize];
+        let from = NodeId((base + from_local) as u32);
+        for (delay, ev) in out.stamp(from, now, &mut seqs[from_local]) {
+            let dest_shard = shard_of[ev.to.0 as usize];
             if dest_shard == shard {
                 stats.local += 1;
                 calendar.push(ev);
-            } else {
-                if delay < lookahead {
-                    let msg = format!(
-                        "cross-shard send below the lookahead breaks the barrier invariant \
-                         ({from} -> {to} delay {delay:?} < {lookahead:?})",
-                        from = ev.from,
-                        to = ev.to,
-                    );
-                    lock(&shared.violation).get_or_insert(msg.clone());
-                    panic!("{msg}");
-                }
-                stats.remote += 1;
-                let mark = WallMark::now(wall_on);
-                shared.inboxes[dest_shard].push(ev.time, ev);
-                stats.flush_ns += mark.elapsed_ns();
+                continue;
             }
+            if delay < lookahead {
+                let msg = format!(
+                    "cross-shard send below the lookahead breaks the barrier invariant \
+                     ({from} -> {to} delay {delay:?} < {lookahead:?})",
+                    to = ev.to,
+                );
+                lock(&shared.violation).get_or_insert(msg.clone());
+                panic!("{msg}");
+            }
+            stats.remote += 1;
+            let mark = WallMark::now(wall_on);
+            lock(&shared.inboxes[dest_shard]).push(ev);
+            stats.flush_ns += mark.elapsed_ns();
         }
     };
 
@@ -689,10 +643,10 @@ fn run_shard<N, F>(
         // Drain the inbox into the local calendar: arrival interleaving
         // is erased by the (time, from, seq) sort of each bucket.
         let drain_mark = WallMark::now(wall_on);
-        let mut drained: u64 = 0;
-        while let Some((_, ev)) = shared.inboxes[shard].pop() {
+        let inbox = std::mem::take(&mut *lock(&shared.inboxes[shard]));
+        let drained = inbox.len() as u64;
+        for ev in inbox {
             calendar.push(ev);
-            drained += 1;
         }
         let local_min = calendar.peek_time().unwrap_or(SimTime::MAX);
         lock(&shared.mins)[shard] = local_min;
@@ -880,6 +834,26 @@ mod tests {
         }
     }
 
+    /// Run `n` nodes from `make_node` on the sequential engine and on
+    /// the parallel one at every count in `shards`, assert that each
+    /// parallel run equals the sequential one, and return the latter.
+    fn assert_shards_match<N: EngineNode>(
+        n: usize,
+        make_node: impl Fn(NodeId) -> N + Sync,
+        shards: &[usize],
+        lookahead: SimDuration,
+        cks: &[SimTime],
+        max_time: SimTime,
+    ) -> EngineRun {
+        let off = ProfileConfig::off();
+        let (seq, _) = run_sequential(n, &make_node, cks, max_time, off);
+        for &s in shards {
+            let (par, _) = run_parallel(n, &make_node, s, lookahead, cks, max_time, off);
+            assert_eq!(seq, par, "shards={s} lookahead={lookahead:?}");
+        }
+        seq
+    }
+
     #[test]
     fn parallel_matches_sequential_on_ring() {
         let cks = [
@@ -887,19 +861,9 @@ mod tests {
             SimTime::from_millis(200),
             SimTime::from_secs(100),
         ];
-        let seq = run_sequential(8, ring(8, 40), &cks, SimTime::MAX);
+        let ms10 = SimDuration::from_millis(10);
+        let seq = assert_shards_match(8, ring(8, 40), &[1, 2, 3, 4, 8], ms10, &cks, SimTime::MAX);
         assert_eq!(seq.events, 41);
-        for shards in [1, 2, 3, 4, 8] {
-            let par = run_parallel(
-                8,
-                ring(8, 40),
-                shards,
-                SimDuration::from_millis(10),
-                &cks,
-                SimTime::MAX,
-            );
-            assert_eq!(seq, par, "shards={shards}");
-        }
     }
 
     /// Like [`RingNode`] but every ring delivery also schedules two
@@ -968,29 +932,12 @@ mod tests {
             SimTime::from_millis(13),
             SimTime::from_millis(45),
         ];
-        let seq = run_sequential(4, echo_ring(4, 40), &cks, SimTime::MAX);
-        for shards in [1, 2, 4] {
-            let par = run_parallel(
-                4,
-                echo_ring(4, 40),
-                shards,
-                SimDuration::from_millis(10),
-                &cks,
-                SimTime::MAX,
-            );
-            assert_eq!(seq, par, "shards={shards}");
-        }
+        let ms10 = SimDuration::from_millis(10);
+        assert_shards_match(4, echo_ring(4, 40), &[1, 2, 4], ms10, &cks, SimTime::MAX);
         // Single shard with a huge lookahead: the whole run is one
         // window unless checkpoints clamp it.
-        let par = run_parallel(
-            4,
-            echo_ring(4, 40),
-            1,
-            SimDuration::from_secs(3600),
-            &cks,
-            SimTime::MAX,
-        );
-        assert_eq!(seq, par, "one shard, horizon-sized window");
+        let hour = SimDuration::from_secs(3600);
+        assert_shards_match(4, echo_ring(4, 40), &[1], hour, &cks, SimTime::MAX);
     }
 
     #[test]
@@ -1001,23 +948,19 @@ mod tests {
         // late checkpoint then fires with the truncated final digest.
         let cks = [SimTime::from_millis(30), SimTime::from_secs(10)];
         let max = SimTime::from_millis(42);
-        let seq = run_sequential(4, echo_ring(4, 40), &cks, max);
-        let full = run_sequential(4, echo_ring(4, 40), &cks, SimTime::MAX);
+        let ms10 = SimDuration::from_millis(10);
+        let seq = assert_shards_match(4, echo_ring(4, 40), &[1, 2, 4], ms10, &cks, max);
+        let (full, _) = run_sequential(
+            4,
+            echo_ring(4, 40),
+            &cks,
+            SimTime::MAX,
+            ProfileConfig::off(),
+        );
         assert!(
             seq.events < full.events,
             "max_time must actually truncate the run"
         );
-        for shards in [1, 2, 4] {
-            let par = run_parallel(
-                4,
-                echo_ring(4, 40),
-                shards,
-                SimDuration::from_millis(10),
-                &cks,
-                max,
-            );
-            assert_eq!(seq, par, "shards={shards}");
-        }
     }
 
     /// Every node starts a token at time zero with a zero-delay send to
@@ -1081,45 +1024,24 @@ mod tests {
             acc: 0,
         };
         let cks = [SimTime::from_millis(50), SimTime::from_millis(95)];
-        let seq = run_sequential(8, nodes, &cks, SimTime::MAX);
+        let ms10 = SimDuration::from_millis(10);
+        let seq = assert_shards_match(8, nodes, &[1, 2, 4], ms10, &cks, SimTime::MAX);
         // Per token: `hops` hops with four echoes each, and the last hop.
         assert_eq!(seq.events, 8 * (5 * u64::from(hops) + 1));
-        for shards in [1, 2, 4] {
-            let par = run_parallel(
-                8,
-                nodes,
-                shards,
-                SimDuration::from_millis(10),
-                &cks,
-                SimTime::MAX,
-            );
-            assert_eq!(seq, par, "shards={shards}");
-        }
     }
 
     /// Cross-check one profiled run against its unprofiled twin and the
-    /// profile's internal accounting invariants.
+    /// profile's internal accounting invariants. `shards` above the
+    /// ring's 8 nodes is clamped to 8.
     fn assert_profile_consistent(shards: usize, profile: ProfileConfig) {
         let cks = [SimTime::from_millis(50), SimTime::from_millis(200)];
-        let bare = run_parallel(
-            8,
-            ring(8, 40),
-            shards,
-            SimDuration::from_millis(10),
-            &cks,
-            SimTime::MAX,
-        );
-        let (run, prof) = run_parallel_profiled(
-            8,
-            ring(8, 40),
-            shards,
-            SimDuration::from_millis(10),
-            &cks,
-            SimTime::MAX,
-            profile,
-        );
+        let ms10 = SimDuration::from_millis(10);
+        let run_with =
+            |profile| run_parallel(8, ring(8, 40), shards, ms10, &cks, SimTime::MAX, profile);
+        let (bare, _) = run_with(ProfileConfig::off());
+        let (run, prof) = run_with(profile);
         assert_eq!(run, bare, "profiling perturbed the run (shards={shards})");
-        assert_eq!(prof.shards as usize, shards);
+        assert_eq!(prof.shards as usize, shards.min(8));
         let s = prof.summary();
         assert_eq!(s.events, run.events, "record event sum != run events");
         assert_eq!(
@@ -1132,7 +1054,7 @@ mod tests {
             "at quiescence every cross-shard send must have been drained"
         );
         // Per shard, recorded windows are ascending and non-overlapping.
-        for sh in 0..shards as u32 {
+        for sh in 0..prof.shards {
             let mut last_end = 0u64;
             for r in prof.records.iter().filter(|r| r.shard == sh) {
                 assert!(r.window_start_us >= last_end, "windows overlap on {sh}");
@@ -1149,7 +1071,7 @@ mod tests {
 
     #[test]
     fn profiled_parallel_matches_unprofiled_and_balances() {
-        for shards in [1, 2, 4] {
+        for shards in [1, 2, 4, 16] {
             assert_profile_consistent(shards, ProfileConfig::sim());
         }
         assert_profile_consistent(2, ProfileConfig::sim_with_wall());
@@ -1157,23 +1079,16 @@ mod tests {
 
     #[test]
     fn profile_off_records_nothing() {
-        let (_, prof) = run_parallel_profiled(
-            8,
-            ring(8, 10),
-            2,
-            SimDuration::from_millis(10),
-            &[],
-            SimTime::MAX,
-            ProfileConfig::off(),
-        );
+        let ms10 = SimDuration::from_millis(10);
+        let off = ProfileConfig::off();
+        let (_, prof) = run_parallel(8, ring(8, 10), 2, ms10, &[], SimTime::MAX, off);
         assert!(prof.records.is_empty());
         assert!(prof.wall.is_empty());
     }
 
     #[test]
     fn sequential_profile_is_one_degenerate_epoch() {
-        let (run, prof) =
-            run_sequential_profiled(8, ring(8, 40), &[], SimTime::MAX, ProfileConfig::sim());
+        let (run, prof) = run_sequential(8, ring(8, 40), &[], SimTime::MAX, ProfileConfig::sim());
         assert_eq!(prof.shards, 1);
         assert_eq!(prof.records.len(), 1);
         let r = prof.records[0];
@@ -1190,7 +1105,7 @@ mod tests {
     #[test]
     fn checkpoints_cover_quiescence() {
         let cks = [SimTime::from_secs(1_000_000)];
-        let seq = run_sequential(4, ring(4, 5), &cks, SimTime::MAX);
+        let (seq, _) = run_sequential(4, ring(4, 5), &cks, SimTime::MAX, ProfileConfig::off());
         assert_eq!(seq.checkpoints.len(), 1);
         assert_eq!(seq.checkpoints[0].1, seq.final_digest);
     }
@@ -1198,13 +1113,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "breaks the barrier invariant")]
     fn cross_shard_send_below_lookahead_panics() {
+        let ms50 = SimDuration::from_millis(50);
         run_parallel(
             2,
             ring(2, 3),
             2,
-            SimDuration::from_millis(50),
+            ms50,
             &[],
             SimTime::MAX,
+            ProfileConfig::off(),
         );
     }
 
@@ -1231,13 +1148,15 @@ mod tests {
             }
         }
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let ms1 = SimDuration::from_millis(1);
             run_parallel(
                 4,
                 |id| Bomb { id },
                 2,
-                SimDuration::from_millis(1),
+                ms1,
                 &[],
                 SimTime::MAX,
+                ProfileConfig::off(),
             )
         }));
         assert!(r.is_err(), "the run must abort, not hang or succeed");
@@ -1254,16 +1173,8 @@ mod tests {
                 7
             }
         }
-        let seq = run_sequential(3, |_| Idle, &[SimTime::from_secs(1)], SimTime::MAX);
-        let par = run_parallel(
-            3,
-            |_| Idle,
-            2,
-            SimDuration::from_millis(1),
-            &[SimTime::from_secs(1)],
-            SimTime::MAX,
-        );
-        assert_eq!(seq, par);
+        let (ms1, cks) = (SimDuration::from_millis(1), [SimTime::from_secs(1)]);
+        let seq = assert_shards_match(3, |_| Idle, &[2], ms1, &cks, SimTime::MAX);
         assert_eq!(seq.events, 0);
     }
 }

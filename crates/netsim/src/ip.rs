@@ -13,19 +13,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
-/// Transport protocol selector (informational; the payload enum governs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum IpProto {
-    /// ICMP control messages.
-    Icmp,
-    /// UDP datagrams.
-    Udp,
-    /// TCP segments (modeled, not byte-accurate).
-    Tcp,
-    /// IP-in-IP encapsulation (tunnels).
-    Encap,
-}
-
 /// Packet payloads understood by the simulated data plane.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Payload {

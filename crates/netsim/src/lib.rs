@@ -20,8 +20,10 @@
 //!   speakers;
 //! * scripted fault injection ([`FaultPlan`]).
 //!
-//! Everything is synchronous and deterministic: there are no threads, no
-//! sockets, and no wall-clock reads anywhere in the simulation core.
+//! Everything is deterministic: there are no sockets and no wall-clock
+//! reads anywhere in the simulation core, and the only threads are the
+//! parallel [`engine`]'s shards, whose results equal the sequential
+//! engine's bit for bit.
 
 pub mod engine;
 pub mod fault;
@@ -38,15 +40,14 @@ pub mod transport;
 pub mod trie;
 
 pub use engine::{
-    run_parallel, run_parallel_profiled, run_sequential, run_sequential_profiled, EngineNode,
-    EngineRun, EpochBarrier, Outbox, SimEvent,
+    run_parallel, run_sequential, EngineNode, EngineRun, EpochBarrier, Outbox, SimEvent,
 };
 pub use fault::{FaultAction, FaultPlan};
-pub use ip::{ForwardingTable, IpPacket, IpProto, Payload};
+pub use ip::{ForwardingTable, IpPacket, Payload};
 pub use link::{Link, LinkParams};
 pub use net::{Asn, Ipv4Net, Ipv6Net, Prefix, PrefixParseError};
 pub use profile::{EngineProfile, ProfileConfig, ProfileSummary, ShardEpoch, ShardEpochWall};
-pub use queue::{EventQueue, SharedEventQueue};
+pub use queue::EventQueue;
 pub use rng::{Fnv1a, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceId;

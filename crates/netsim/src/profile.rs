@@ -33,7 +33,7 @@ pub struct ProfileConfig {
 }
 
 impl ProfileConfig {
-    /// Record nothing (the plain `run_*` entry points use this).
+    /// Record nothing: the run returns an empty profile.
     pub fn off() -> ProfileConfig {
         ProfileConfig {
             sim: false,
@@ -121,7 +121,7 @@ pub struct ShardEpoch {
     /// Cross-shard envelopes drained from this shard's inbox before the
     /// round was planned.
     pub inbox_drained: u64,
-    /// Messages sent to nodes on this shard (heap pushes). `on_start`
+    /// Messages sent to nodes on this shard (calendar pushes). `on_start`
     /// sends are attributed to epoch 0.
     pub sent_local: u64,
     /// Messages sent to sibling shards (inbox pushes).
@@ -141,7 +141,7 @@ pub struct ShardEpochWall {
     pub epoch: u64,
     /// Recording shard.
     pub shard: u32,
-    /// Draining the cross-shard inbox into the local heap.
+    /// Draining the cross-shard inbox into the local calendar.
     pub drain_ns: u64,
     /// Blocked at (or deciding under) the three epoch barriers.
     pub barrier_ns: u64,

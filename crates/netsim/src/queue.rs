@@ -1,4 +1,4 @@
-//! The event queue at the heart of the discrete-event engine.
+//! The timed event queue behind [`MsgNet`](crate::transport::MsgNet).
 //!
 //! Events are `(time, payload)` pairs popped in non-decreasing time order.
 //! Ties are broken by insertion order (FIFO), which keeps the simulation
@@ -107,85 +107,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A clonable, thread-shareable handle to an [`EventQueue`].
-///
-/// This is the sharded parallel engine's cross-shard inbox: shard
-/// workers push events for a sibling's nodes through a shared handle,
-/// and the owning shard drains it into its own event calendar before
-/// each window, which discards this queue's order. The queue's
-/// determinism contract is unchanged — pops are non-decreasing in time
-/// and FIFO-stable among equal times *relative to the global `seq` order
-/// in which pushes acquired the lock* — so a parallel schedule is
-/// reproducible exactly when its lock-acquisition order is.
-///
-/// Built on [`crate::sync`], so compiling with `--features loom` swaps
-/// in loom's model-checked `Arc`/`Mutex` and the concurrency tests can
-/// explore every interleaving.
-pub struct SharedEventQueue<E> {
-    inner: crate::sync::Arc<crate::sync::Mutex<EventQueue<E>>>,
-}
-
-impl<E> Clone for SharedEventQueue<E> {
-    fn clone(&self) -> Self {
-        SharedEventQueue {
-            inner: crate::sync::Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<E> Default for SharedEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> SharedEventQueue<E> {
-    /// Create an empty shared queue.
-    pub fn new() -> Self {
-        SharedEventQueue {
-            inner: crate::sync::Arc::new(crate::sync::Mutex::new(EventQueue::new())),
-        }
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&mut EventQueue<E>) -> R) -> R {
-        // A poisoned lock means a panicking sibling thread; the queue
-        // itself is still structurally sound (every mutation is a single
-        // heap operation), so recover the guard rather than cascade.
-        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        f(&mut guard)
-    }
-
-    /// Schedule `payload` at `time` (clamped to the queue's clock).
-    pub fn push(&self, time: SimTime, payload: E) {
-        self.with(|q| q.push(time, payload));
-    }
-
-    /// Remove and return the earliest event, advancing the clock.
-    pub fn pop(&self) -> Option<(SimTime, E)> {
-        self.with(EventQueue::pop)
-    }
-
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.with(|q| q.peek_time())
-    }
-
-    /// The time of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        self.with(|q| q.now())
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.with(|q| q.len())
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.with(|q| q.is_empty())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,31 +168,6 @@ mod tests {
         q.push(SimTime::from_secs(2), ());
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn shared_queue_clones_share_state() {
-        let q = SharedEventQueue::new();
-        let other = q.clone();
-        q.push(SimTime::from_secs(2), "b");
-        other.push(SimTime::from_secs(1), "a");
-        assert_eq!(q.len(), 2);
-        assert_eq!(other.pop(), Some((SimTime::from_secs(1), "a")));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-        assert!(q.is_empty() && other.is_empty());
-    }
-
-    #[test]
-    fn shared_queue_clock_is_shared() {
-        let q = SharedEventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_secs(5), ());
-        let other = q.clone();
-        other.pop();
-        assert_eq!(q.now(), SimTime::from_secs(5));
-        // Past pushes clamp against the shared clock, same as EventQueue.
-        q.push(SimTime::from_secs(1), ());
-        assert_eq!(q.pop(), Some((SimTime::from_secs(5), ())));
     }
 
     #[test]

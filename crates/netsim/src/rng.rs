@@ -115,15 +115,6 @@ impl SimRng {
         self.below(bound as u64) as usize
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        if lo >= hi {
-            lo
-        } else {
-            self.inner.gen_range(lo..=hi)
-        }
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -257,7 +248,6 @@ mod tests {
         let mut r = SimRng::new(5);
         assert_eq!(r.below(0), 0);
         assert_eq!(r.index(0), 0);
-        assert_eq!(r.range_inclusive(9, 3), 9);
     }
 
     #[test]

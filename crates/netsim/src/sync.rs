@@ -1,15 +1,13 @@
 //! Synchronization shim: std primitives normally, loom under `--features loom`.
 //!
-//! The simulation core is single-threaded and deterministic, but ROADMAP
-//! item 1 (the sharded parallel event engine) will move the event queue
-//! behind shared-state primitives. Everything that will cross a thread
-//! boundary must import `Arc`/`Mutex` from *this* module instead of
-//! `std::sync`, so the same code can be compiled against loom's
-//! model-checked primitives and exhaustively interleaved before the
-//! parallel engine lands. See DESIGN.md §13 for the gating rules.
+//! The parallel engine's cross-thread state — the shard barriers and the
+//! cross-shard inboxes — takes `Mutex`/`Condvar` from *this* module
+//! instead of `std::sync`, so the same code can be compiled against
+//! loom's model-checked primitives and its interleavings explored. See
+//! DESIGN.md §13 for the gating rules.
 
 #[cfg(feature = "loom")]
-pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard};
+pub use loom::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(feature = "loom"))]
-pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+pub use std::sync::{Condvar, Mutex, MutexGuard};

@@ -113,12 +113,6 @@ impl<M> MsgNet<M> {
         self.links.insert((b, a), Link::new(params));
     }
 
-    /// Remove the link between `a` and `b` in both directions.
-    pub fn remove_link(&mut self, a: NodeId, b: NodeId) {
-        self.links.remove(&(a, b));
-        self.links.remove(&(b, a));
-    }
-
     /// Set the operational state of the `a`->`b` and `b`->`a` link.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) {
         if let Some(l) = self.links.get_mut(&(a, b)) {
@@ -148,18 +142,6 @@ impl<M> MsgNet<M> {
                 link.set_up(up);
             }
         }
-    }
-
-    /// The nodes with a link to `node`, in ascending order.
-    pub fn neighbors_of(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .links
-            .keys()
-            .filter(|(a, _)| *a == node)
-            .map(|(_, b)| *b)
-            .collect();
-        out.sort();
-        out
     }
 
     /// Send `msg` of `size` bytes from `from` to `to` at the current time.
@@ -352,21 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_link_stops_traffic() {
-        let mut n = net();
-        n.add_link(NodeId(1), NodeId(2), LinkParams::default());
-        n.remove_link(NodeId(1), NodeId(2));
-        assert!(!n.send(NodeId(1), NodeId(2), 1, "x"));
-        assert!(!n.send(NodeId(2), NodeId(1), 1, "x"));
-    }
-
-    #[test]
     fn node_wide_link_toggle_partitions_and_heals() {
         let mut n = net();
         n.add_link(NodeId(1), NodeId(2), LinkParams::default());
         n.add_link(NodeId(1), NodeId(3), LinkParams::default());
         n.add_link(NodeId(2), NodeId(3), LinkParams::default());
-        assert_eq!(n.neighbors_of(NodeId(1)), vec![NodeId(2), NodeId(3)]);
         n.set_node_links_up(NodeId(1), false);
         assert!(!n.link_up(NodeId(1), NodeId(2)));
         assert!(!n.link_up(NodeId(3), NodeId(1)));

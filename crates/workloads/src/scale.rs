@@ -26,8 +26,8 @@ use peering_bgp::{
     Prefix, Speaker, SpeakerConfig,
 };
 use peering_netsim::{
-    run_parallel, run_parallel_profiled, run_sequential, run_sequential_profiled, EngineNode,
-    EngineProfile, EngineRun, Fnv1a, NodeId, Outbox, ProfileConfig, SimDuration, SimTime,
+    run_parallel, run_sequential, EngineNode, EngineProfile, EngineRun, Fnv1a, NodeId, Outbox,
+    ProfileConfig, SimDuration, SimTime,
 };
 use peering_topology::{AsIdx, Internet, Relationship};
 use std::collections::BTreeSet;
@@ -247,12 +247,8 @@ impl ScaleTopo {
 
     /// Run under the sequential reference engine.
     pub fn run_engine_sequential(&self, checkpoints: &[SimTime], max_time: SimTime) -> EngineRun {
-        run_sequential(
-            self.node_count(),
-            |id| self.make_node(id),
-            checkpoints,
-            max_time,
-        )
+        self.run_engine_sequential_profiled(checkpoints, max_time, ProfileConfig::off())
+            .0
     }
 
     /// Run under the sequential reference engine with profiling.
@@ -262,7 +258,7 @@ impl ScaleTopo {
         max_time: SimTime,
         profile: ProfileConfig,
     ) -> (EngineRun, EngineProfile) {
-        run_sequential_profiled(
+        run_sequential(
             self.node_count(),
             |id| self.make_node(id),
             checkpoints,
@@ -278,14 +274,8 @@ impl ScaleTopo {
         checkpoints: &[SimTime],
         max_time: SimTime,
     ) -> EngineRun {
-        run_parallel(
-            self.node_count(),
-            |id| self.make_node(id),
-            shards,
-            self.lookahead,
-            checkpoints,
-            max_time,
-        )
+        self.run_engine_parallel_profiled(shards, checkpoints, max_time, ProfileConfig::off())
+            .0
     }
 
     /// Run under the sharded parallel engine with profiling.
@@ -296,7 +286,7 @@ impl ScaleTopo {
         max_time: SimTime,
         profile: ProfileConfig,
     ) -> (EngineRun, EngineProfile) {
-        run_parallel_profiled(
+        run_parallel(
             self.node_count(),
             |id| self.make_node(id),
             shards,

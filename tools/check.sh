@@ -157,12 +157,20 @@ echo "==> benchmark counters (internet_eval_table_par2 traced: the same plus epo
 double_run_cmp internet_eval_table_par2 - results/BENCH_internet_eval_table_par2.json \
   bench_counters internet_eval_table_par2 "{out}"
 
+echo "==> benchmark counters (mux_tenant_churn traced: allocations, deliveries, decision runs, updates out, sim time)"
+double_run_cmp mux_tenant_churn - results/BENCH_mux_tenant_churn.json \
+  bench_counters mux_tenant_churn "{out}"
+
+echo "==> benchmark counters (mux_upstream_fanout traced: the same, for the upstream-to-tenants direction)"
+double_run_cmp mux_upstream_fanout - results/BENCH_mux_upstream_fanout.json \
+  bench_counters mux_upstream_fanout "{out}"
+
 echo "==> perf regression gate (BENCH suite vs checked-in baseline)"
 double_run_cmp perf - results/BENCH_PERF.json \
   cargo run --release -q -p peering-bench --bin perf_report -- \
   "{out}" results results/BENCH_PERF_BASELINE.json
 
-echo "==> loom model tests (shared event queue interleavings)"
-cargo test -q -p peering-netsim --features loom --test loom_queue
+echo "==> loom model tests (shard barrier and cross-shard inbox interleavings)"
+cargo test -q -p peering-netsim --features loom --test loom_barrier
 
 echo "==> all checks passed"
