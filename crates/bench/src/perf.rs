@@ -341,13 +341,19 @@ pub const CATALOG: &[Metric] = &[
         extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("plan.oracle_checks")]),
         gate: Some(Gate::Drift(0)),
     },
-    // And for one traced `internet_full_bringup` run: allocations per
-    // event may only fall; the engine's event count and the simulated
-    // time to converge may not move.
+    // And for one traced `internet_full_bringup` run: allocations and
+    // bytes allocated per event may only fall; the engine's event count
+    // and the simulated time to converge may not move.
     Metric {
         key: "internet_full_bringup.alloc_count_per_op",
         file: "BENCH_internet_full_bringup.json",
         extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.count_per_op")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "internet_full_bringup.alloc_bytes_per_op",
+        file: "BENCH_internet_full_bringup.json",
+        extract: Extract::Path(&[Seg::Key("counters"), Seg::Key("alloc.bytes_per_op")]),
         gate: Some(Gate::LowerIsBetter(10)),
     },
     Metric {
@@ -883,26 +889,37 @@ mod tests {
         ("internet_eval_table_par2", 156.5, 353542.0),
     ];
 
+    /// Installed counters of one engine workload allocating
+    /// `bytes_per_op` per event.
+    fn traced_engine_run(
+        workload: &str,
+        converge_ms: f64,
+        events: f64,
+        bytes_per_op: f64,
+    ) -> Value {
+        let run = traced(
+            workload,
+            true,
+            &[
+                ("sim_converge_ms", "exact", converge_ms),
+                ("engine.events", "exact", events),
+                ("engine.epochs", "exact", 15.0),
+                ("engine.sent_remote", "exact", 120629.0),
+                ("engine.ns_per_event", "timed", 5800.0),
+                ("alloc.count_per_op", "exact", 7.43),
+                ("alloc.bytes_per_op", "exact", bytes_per_op),
+            ],
+        );
+        exact_counters(&run).unwrap()
+    }
+
     /// Installed counters of every [`ENGINE_RUNS`] workload, by file.
     fn traced_engine_runs() -> Vec<(String, Value)> {
         ENGINE_RUNS
             .iter()
             .map(|&(workload, converge_ms, events)| {
-                let run = traced(
-                    workload,
-                    true,
-                    &[
-                        ("sim_converge_ms", "exact", converge_ms),
-                        ("engine.events", "exact", events),
-                        ("engine.epochs", "exact", 15.0),
-                        ("engine.sent_remote", "exact", 120629.0),
-                        ("engine.ns_per_event", "timed", 5800.0),
-                        ("alloc.count_per_op", "exact", 7.43),
-                        ("alloc.bytes_per_op", "exact", 1726.1),
-                    ],
-                );
-                let file = format!("BENCH_{workload}.json");
-                (file, exact_counters(&run).unwrap())
+                let run = traced_engine_run(workload, converge_ms, events, 1726.1);
+                (format!("BENCH_{workload}.json"), run)
             })
             .collect()
     }
@@ -1100,6 +1117,24 @@ mod tests {
             .find(|r| r.key == "scale.sequential_events")
             .unwrap();
         assert_eq!(r.status, Status::Regressed);
+    }
+
+    #[test]
+    fn bringup_bytes_per_event_may_only_fall() {
+        let key = "internet_full_bringup.alloc_bytes_per_op";
+        let mut results = full_results();
+        let baseline = build_report(&results, None).baseline_metrics();
+        assert_eq!(baseline.get(key), Some(&1726.1));
+        // Up 2 % against a 10 permille tolerance: a regression; down by
+        // a third: an improvement.
+        for (bytes, status) in [(1760.6, Status::Regressed), (1150.7, Status::Ok)] {
+            let (workload, converge_ms, events) = ENGINE_RUNS[0];
+            let run = traced_engine_run(workload, converge_ms, events, bytes);
+            results.insert(format!("BENCH_{workload}.json"), run);
+            let report = build_report(&results, Some(&baseline));
+            let reading = report.readings.iter().find(|r| r.key == key).unwrap();
+            assert_eq!(reading.status, status, "{bytes} bytes per event");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::attrs::{Community, Origin, PathAttributes};
 use peering_netsim::{Asn, Prefix};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A predicate over `(prefix, attributes)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -191,8 +192,10 @@ pub enum DefaultVerdict {
 /// An ordered rule list with a default verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Policy {
-    /// Rules evaluated first to last.
-    pub rules: Vec<PolicyRule>,
+    /// Rules evaluated first to last. Clones share them (a cloned
+    /// `PeerConfig`, an export group's fingerprint); the first
+    /// [`rule`](Self::rule) on a shared list copies it.
+    pub rules: Arc<Vec<PolicyRule>>,
     /// Verdict when no terminal action fires.
     pub default: DefaultVerdict,
 }
@@ -207,7 +210,7 @@ impl Policy {
     /// Accept everything unchanged.
     pub fn accept_all() -> Self {
         Policy {
-            rules: Vec::new(),
+            rules: Arc::default(),
             default: DefaultVerdict::Accept,
         }
     }
@@ -215,14 +218,14 @@ impl Policy {
     /// Reject everything.
     pub fn reject_all() -> Self {
         Policy {
-            rules: Vec::new(),
+            rules: Arc::default(),
             default: DefaultVerdict::Reject,
         }
     }
 
     /// Builder: append a rule.
     pub fn rule(mut self, matches: Match, actions: Vec<Action>) -> Self {
-        self.rules.push(PolicyRule::new(matches, actions));
+        Arc::make_mut(&mut self.rules).push(PolicyRule::new(matches, actions));
         self
     }
 
@@ -241,7 +244,7 @@ impl Policy {
     /// Apply the policy. Returns `true` to accept (with `attrs` possibly
     /// modified) or `false` to reject.
     pub fn apply(&self, prefix: &Prefix, attrs: &mut PathAttributes) -> bool {
-        for rule in &self.rules {
+        for rule in self.rules.iter() {
             if !rule.matches.matches(prefix, attrs) {
                 continue;
             }
@@ -498,5 +501,48 @@ mod tests {
         assert!(!policy.apply(&p, &mut tagged));
         let mut plain = attrs(&[1]);
         assert!(policy.apply(&p, &mut plain));
+    }
+
+    #[test]
+    fn clones_share_rules_until_one_is_extended() {
+        let base = Policy::accept_all().rule(Match::Any, vec![Action::SetMed(1)]);
+        let clone = base.clone();
+        assert!(Arc::ptr_eq(&base.rules, &clone.rules));
+        let extended = clone.rule(Match::Any, vec![Action::Reject]);
+        assert_eq!(base.rules.len(), 1);
+        assert_eq!(base.rules[0].actions, vec![Action::SetMed(1)]);
+        assert_eq!(extended.rules.len(), 2);
+        assert!(!Arc::ptr_eq(&base.rules, &extended.rules));
+    }
+
+    #[test]
+    fn debug_and_json_forms_are_pinned() {
+        // Export-group keys hash the `Debug` form, so sharing the rules
+        // must not change a byte of it, nor of the serialized policy.
+        let policy = Policy::reject_all()
+            .rule(
+                Match::HasCommunity(Community::new(47065, 1)),
+                vec![Action::SetLocalPref(200), Action::Accept],
+            )
+            .rule(
+                Match::PrefixIn(vec![Prefix::v4(184, 164, 224, 0, 19)]),
+                vec![Action::Prepend(Asn(47065), 2)],
+            );
+        assert_eq!(
+            format!("{policy:?}"),
+            "Policy { rules: [PolicyRule { matches: HasCommunity(Community(3084451841)), \
+             actions: [SetLocalPref(200), Accept] }, PolicyRule { matches: \
+             PrefixIn([184.164.224.0/19]), actions: [Prepend(Asn(47065), 2)] }], \
+             default: Reject }"
+        );
+        let json = serde_json::to_string(&policy).unwrap();
+        assert_eq!(
+            json,
+            r#"{"rules":[{"matches":{"HasCommunity":3084451841},"actions":"#.to_string()
+                + r#"[{"SetLocalPref":200},"Accept"]},{"matches":{"PrefixIn":"#
+                + r#"[{"V4":{"addr":3097812992,"len":19}}]},"actions":[{"Prepend":"#
+                + r#"[47065,2]}]}],"default":"Reject"}"#
+        );
+        assert_eq!(serde_json::from_str::<Policy>(&json).unwrap(), policy);
     }
 }

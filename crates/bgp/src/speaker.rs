@@ -140,7 +140,9 @@ impl PeerState {
     }
 }
 
-type Peers = BTreeMap<PeerId, PeerState>;
+/// Boxed, so a speaker's first peer does not allocate a B-tree leaf of
+/// eleven inline `PeerState`s: k peers cost about k states.
+type Peers = BTreeMap<PeerId, Box<PeerState>>;
 
 /// Every peer with a timer armed, ordered by `(deadline, peer)`.
 type Timers = BTreeSet<(SimTime, PeerId)>;
@@ -338,7 +340,7 @@ impl Speaker {
         if let Some(rt) = cfg.graceful_restart {
             scfg = scfg.graceful_restart(rt.as_micros().div_euclid(1_000_000).min(4095) as u16);
         }
-        let mut state = PeerState {
+        let mut state = Box::new(PeerState {
             session: Session::new(scfg),
             adj_in: AdjRibIn::new(),
             sent: self.export.join(&self.cfg, &cfg),
@@ -348,7 +350,7 @@ impl Speaker {
             armed: SimTime::MAX,
             max_prefix_warned: false,
             cfg,
-        };
+        });
         retime(&mut self.timers, &mut state);
         self.peers.insert(state.cfg.id, state);
         Ok(())
@@ -576,7 +578,7 @@ impl Speaker {
             ));
         }
         // The reference the index replaces: a scan of every peer.
-        let scan = self.peers.values().map(peer_deadline).min();
+        let scan = self.peers.values().map(|p| peer_deadline(p)).min();
         if self.next_deadline() != scan.unwrap_or(SimTime::MAX) {
             return Err(format!(
                 "next_deadline {:?} differs from the scan's {scan:?}",

@@ -29,6 +29,7 @@ use mrai::{PendingDelta, Wire};
 use peering_netsim::{Fnv1a, Prefix, SimTime, TraceId};
 use stage::{base_routes, Stager, Staging};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -54,6 +55,27 @@ impl GroupFingerprint {
             ibgp: peer.asn == cfg.asn,
             rr_client: peer.rr_client,
         }
+    }
+
+    /// FNV-1a over the fingerprint's canonical debug form: deterministic
+    /// across runs and platforms. The form is streamed into the hash, not
+    /// built as a string first.
+    fn hash(&self) -> u64 {
+        let mut h = HashWriter(Fnv1a::legacy());
+        // Writing into a hash cannot fail, and `Debug` of these fields
+        // never errors on its own.
+        let _ = write!(h, "{self:?}");
+        h.0.finish()
+    }
+}
+
+/// A [`fmt::Write`] sink that feeds every byte written into a hash.
+struct HashWriter(Fnv1a);
+
+impl fmt::Write for HashWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -164,10 +186,7 @@ impl Export {
         let fp = GroupFingerprint::of(cfg, peer);
         let mut key = match peer.grouping {
             ExportGrouping::Auto if cfg.export_groups => {
-                // FNV-1a over the fingerprint's canonical debug form:
-                // deterministic across runs and platforms.
-                let h = Fnv1a::legacy().write(format!("{fp:?}").as_bytes()).finish();
-                ExportGroupKey(h & !ExportGroupKey::SOLO_BIT)
+                ExportGroupKey(fp.hash() & !ExportGroupKey::SOLO_BIT)
             }
             _ => ExportGroupKey::solo(peer.id),
         };
@@ -745,5 +764,42 @@ impl Speaker {
         self.flush_mrai(peer, now, out);
         let end_of_rib = UpdateMessage::withdraw(Vec::new());
         out.push(Output::Send(peer, BgpMessage::Update(end_of_rib)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::attrs::Community;
+    use crate::policy::{Action, Match};
+    use peering_netsim::Asn;
+    use std::net::Ipv4Addr;
+
+    #[test]
+    fn streamed_group_key_hashes_the_formatted_fingerprint() {
+        let cfg = SpeakerConfig::new(Asn(65000), Ipv4Addr::new(10, 0, 0, 1));
+        // The Gao-Rexford export to a peer or provider: routes tagged as
+        // learned from a peer or a provider stay put.
+        let no_transit = Policy::accept_all().rule(
+            Match::AnyOf(vec![
+                Match::HasCommunity(Community::new(65000, 2)),
+                Match::HasCommunity(Community::new(65000, 3)),
+            ]),
+            vec![Action::Reject],
+        );
+        let peers = [
+            PeerConfig::new(PeerId(1), Asn(65001)),
+            PeerConfig::new(PeerId(2), Asn(65002)).export(no_transit),
+            PeerConfig::new(PeerId(3), Asn(65003)).all_paths(),
+            PeerConfig::new(PeerId(4), Asn(65000)).rr_client(),
+        ];
+        let mut keys = BTreeSet::new();
+        for peer in &peers {
+            let fp = GroupFingerprint::of(&cfg, peer);
+            let formatted = Fnv1a::legacy().write(format!("{fp:?}").as_bytes()).finish();
+            assert_eq!(fp.hash(), formatted, "{fp:?}");
+            keys.insert(formatted);
+        }
+        assert_eq!(keys.len(), peers.len(), "each fingerprint has its own key");
     }
 }

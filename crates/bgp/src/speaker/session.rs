@@ -2,7 +2,7 @@
 //! (messages, timers, administrative and fault entry points) and what a
 //! session coming up or going away means for the tables.
 
-use super::{relist, retime, Output, PeerState, Speaker, SpeakerEvent, StaleState};
+use super::{relist, retime, Output, Speaker, SpeakerEvent, StaleState};
 use crate::damping::DampingState;
 use crate::fsm::{FsmState, Session, SessionEvent};
 use crate::message::{BgpMessage, UpdateMessage};
@@ -140,8 +140,8 @@ impl Speaker {
             }
             // MRAI timer: flush the staged batch once the interval is up
             // (read last: the re-decisions above may have armed it).
-            let mrai_due = |p: &PeerState| now >= p.sent.mrai_deadline();
-            if self.peers.get(&id).is_some_and(mrai_due) {
+            let mrai_due = self.peers.get(&id).map(|p| p.sent.mrai_deadline());
+            if mrai_due.is_some_and(|due| now >= due) {
                 self.flush_mrai(id, now, &mut out);
             }
             // The stale sweep above clears a deadline without retiming.
