@@ -10,8 +10,8 @@
 //! topology, and MinineXt forwarded routes from emulated PoPs out...
 //! The emulation ran on a commodity desktop using 8GB RAM."
 
-use peering_bgp::{Asn, BgpMessage, Output, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
-use peering_emulation::{build_from_pops, place_containers};
+use peering_bgp::{Asn, Input, Output, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
+use peering_emulation::{build_from_pops, place_containers, PopEmulation};
 use peering_topology::hurricane_electric;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -53,48 +53,42 @@ pub fn run(seed: u64, external_routes: usize) -> Emu42Result {
     );
     ext.add_peer(PeerConfig::new(PeerId(0), pe.asns[ams]).passive())
         .expect("a fresh speaker has no peers");
-    ext.start_peer(PeerId(0), peering_netsim::SimTime::ZERO);
+    let start = Input::StartPeer(PeerId(0));
+    ext.apply(start, peering_netsim::SimTime::ZERO, &mut Vec::new());
 
     let convergence_steps = pe.converge(10_000_000);
 
-    // Bridge the external session until quiescent.
-    let bridge = |pe: &mut peering_emulation::PopEmulation, ext: &mut Speaker| {
+    // Apply `inputs` to the external speaker, then bridge the session
+    // both ways until quiescent.
+    let bridge = |pe: &mut PopEmulation, ext: &mut Speaker, mut inputs: Vec<Input>| {
         for _ in 0..64 {
+            let mut replies = Vec::new();
+            let now = pe.emu.now();
+            for input in inputs.drain(..) {
+                ext.apply(input, now, &mut replies);
+            }
+            for o in replies {
+                if let Output::Send(_, msg) = o {
+                    pe.emu.inject_external(h, msg);
+                }
+            }
+            pe.emu.run_until_quiet(10_000_000);
             let outbound = pe.emu.drain_external(h);
             if outbound.is_empty() {
                 break;
             }
-            let mut replies: Vec<BgpMessage> = Vec::new();
-            let now = pe.emu.now();
-            for m in outbound {
-                for o in ext.on_message(PeerId(0), m, now) {
-                    if let Output::Send(_, msg) = o {
-                        replies.push(msg);
-                    }
-                }
-            }
-            for m in replies {
-                pe.emu.inject_external(h, m);
-            }
-            pe.emu.run_until_quiet(10_000_000);
+            inputs.extend(outbound.into_iter().map(|m| Input::Message(PeerId(0), m)));
         }
     };
-    bridge(&mut pe, &mut ext);
+    bridge(&mut pe, &mut ext, Vec::new());
     assert!(ext.peer_established(PeerId(0)), "external session up");
 
     // Inject AMS-IX routes inward.
-    let now = pe.emu.now();
-    for i in 0..external_routes {
+    let routes = (0..external_routes).map(|i| {
         let p = Prefix::v4(60 + (i >> 16) as u8, (i >> 8) as u8, i as u8, 0, 24);
-        let outs = ext.originate(p, now);
-        for o in outs {
-            if let Output::Send(_, msg) = o {
-                pe.emu.inject_external(h, msg);
-            }
-        }
-    }
-    pe.emu.run_until_quiet(10_000_000);
-    bridge(&mut pe, &mut ext);
+        Input::Originate(p, Vec::new())
+    });
+    bridge(&mut pe, &mut ext, routes.collect());
 
     // Count external routes at the PoP farthest from Amsterdam.
     let far = pe

@@ -10,7 +10,7 @@
 //! ablation shows why shared path attributes keep the curve sane.
 
 use peering_bgp::{
-    AsPath, BgpMessage, Nlri, PathAttributes, PeerConfig, PeerId, Policy, Prefix, Speaker,
+    AsPath, BgpMessage, Input, Nlri, PathAttributes, PeerConfig, PeerId, Policy, Prefix, Speaker,
     SpeakerConfig, UpdateMessage,
 };
 use peering_netsim::{Asn, SimTime};
@@ -54,7 +54,8 @@ fn speaker_with_peers(peers: usize, intern: bool) -> Speaker {
         // the way the paper measured Quagga's.
         s.add_peer(PeerConfig::new(PeerId(p as u32), asn).export(Policy::reject_all()))
             .expect("feeder ids are distinct");
-        let outs = s.start_peer(PeerId(p as u32), now);
+        let mut outs = Vec::new();
+        s.apply(Input::StartPeer(PeerId(p as u32)), now, &mut outs);
         assert!(!outs.is_empty(), "active session emits OPEN");
         // Complete the handshake by hand.
         let open = peering_bgp::message::OpenMessage::new(
@@ -62,8 +63,9 @@ fn speaker_with_peers(peers: usize, intern: bool) -> Speaker {
             90,
             Ipv4Addr::new(10, 1, (p >> 8) as u8, p as u8),
         );
-        s.on_message(PeerId(p as u32), BgpMessage::Open(open), now);
-        s.on_message(PeerId(p as u32), BgpMessage::Keepalive, now);
+        for msg in [BgpMessage::Open(open), BgpMessage::Keepalive] {
+            s.apply(Input::Message(PeerId(p as u32), msg), now, &mut outs);
+        }
         assert!(s.peer_established(PeerId(p as u32)));
     }
     s
@@ -103,10 +105,11 @@ fn fill_tables(s: &mut Speaker, peers: usize, routes: usize) {
                     ))
                 })
                 .collect();
-            s.on_message(
-                PeerId(p as u32),
-                BgpMessage::Update(UpdateMessage::announce(attrs, nlri)),
+            let update = BgpMessage::Update(UpdateMessage::announce(attrs, nlri));
+            s.apply(
+                Input::Message(PeerId(p as u32), update),
                 now,
+                &mut Vec::new(),
             );
             i += n;
         }

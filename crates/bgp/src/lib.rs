@@ -60,8 +60,8 @@ pub use rib::{
     digest_routes, AdjRibIn, AdjRibOut, AttrInterner, LocRib, PeerId, Route, RouteSource,
 };
 pub use speaker::{
-    AdvertiseMode, ExportGroupKey, ExportGrouping, MaxPrefixConfig, Output, PeerConfig, PeerExists,
-    Speaker, SpeakerConfig, SpeakerEvent, SpeakerMode,
+    AdvertiseMode, ExportGroupKey, ExportGrouping, Input, MaxPrefixConfig, Output, PeerConfig,
+    PeerExists, Speaker, SpeakerConfig, SpeakerEvent, SpeakerMode,
 };
 
 // Re-export the substrate identifiers so downstream crates can use one path.

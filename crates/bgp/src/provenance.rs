@@ -1,7 +1,7 @@
 //! Causal update provenance: the side-channel record of *why* routes moved.
 //!
 //! Every originated announcement or withdrawal is minted a
-//! [`TraceId`](peering_netsim::TraceId) at its origin speaker. The id rides
+//! [`peering_netsim::TraceId`] at its origin speaker. The id rides
 //! along — out of band of the wire encoding — through Adj-RIB-In, the
 //! decision process, and Adj-RIB-Out at every hop, so a collector can later
 //! reconstruct the full propagation DAG of one routing change: which AS

@@ -37,7 +37,8 @@ use crate::attrs::{Community, PathAttributes};
 use crate::damping::DampingState;
 use crate::decision::best_route;
 use crate::fsm::{ConnectRetryConfig, Session, SessionConfig};
-use crate::message::{BgpMessage, Nlri};
+use crate::message::{BgpMessage, Nlri, UpdateMessage};
+use crate::policy::Policy;
 use crate::provenance::{ProvenanceEvent, ProvenanceLog};
 use crate::rib::{AdjRibIn, AttrInterner, LocRib, PeerId, Route};
 use export::{Export, Member};
@@ -74,6 +75,58 @@ pub enum Output {
     Send(PeerId, BgpMessage),
     /// Surface an event.
     Event(SpeakerEvent),
+}
+
+/// One thing that happens to a speaker: a message, a timer, a fault or a
+/// reconfiguration. [`Speaker::apply`] is the one way in.
+#[derive(Debug, Clone)]
+pub enum Input {
+    /// A message from a peer.
+    Message(PeerId, BgpMessage),
+    /// Serve every due timer: session, graceful-restart and MRAI
+    /// deadlines, and damping releases (see [`Speaker::timers_due`]).
+    Tick,
+    /// Start (or restart) the session with a peer; a no-op while the peer
+    /// is disabled (see [`PeerConfig::enabled`]).
+    StartPeer(PeerId),
+    /// Administratively stop the session with a peer.
+    StopPeer(PeerId),
+    /// Flip a peer's administrative state. Disabling stops the session
+    /// (Cease) and pins it down: retries never arm and starts no-op, even
+    /// after a daemon restart. Enabling starts the session.
+    SetPeerEnabled(PeerId, bool),
+    /// Tear down the transport under a session (chaos: TCP reset, link
+    /// cut). With retry configured it reconnects by itself; with graceful
+    /// restart the peer's paths go stale rather than vanishing.
+    ResetPeer(PeerId),
+    /// An unparseable message from a peer: NOTIFICATION out, session down.
+    CorruptMessage(PeerId),
+    /// An UPDATE malformed in a way RFC 7606 calls recoverable: the
+    /// session stays up and the announced routes are treated as withdrawn.
+    MalformedUpdate(PeerId, UpdateMessage),
+    /// Ask an established peer to re-send its table (ROUTE-REFRESH, RFC
+    /// 2918), as lifting a quarantine needs.
+    RequestRefresh(PeerId),
+    /// Cold restart after a crash: every session drops to Idle and all
+    /// learned state goes; local originations (configuration) survive.
+    Restart,
+    /// Originate a prefix carrying the given communities.
+    Originate(Prefix, Vec<Community>),
+    /// Withdraw a locally originated prefix.
+    WithdrawOrigin(Prefix),
+    /// Deconfigure a peer: its session goes down like any other loss.
+    RemovePeer(PeerId),
+    /// Swap a peer's import policy and re-filter its Adj-RIB-In, withdrawing
+    /// what the new policy rejects: the quarantine lever.
+    SetPeerImport(PeerId, Policy),
+    /// Swap a peer's export policy: the peer moves to the group matching it
+    /// and is sent exactly the routes whose verdict changed.
+    SetPeerExport(PeerId, Policy),
+    /// Re-resolve a peer's export group (quarantine moves a tenant to a
+    /// solo group, parole moves it back). A move to an identical
+    /// fingerprint sends nothing; otherwise only the diff against what the
+    /// peer was sent goes out.
+    SetPeerExportGrouping(PeerId, ExportGrouping),
 }
 
 /// [`Speaker::add_peer`] refused an id that is already configured.
@@ -312,11 +365,10 @@ impl Speaker {
             .unwrap_or(false)
     }
 
-    /// Register a peer. The session starts in Idle; call
-    /// [`start_peer`](Self::start_peer) to bring it up. An id that is
-    /// already configured is refused: to reconfigure a peer,
-    /// [`remove_peer`](Self::remove_peer) it first, so what it taught us
-    /// is withdrawn like any other loss.
+    /// Register a peer. The session starts in Idle; [`Input::StartPeer`]
+    /// brings it up. An id that is already configured is refused: to
+    /// reconfigure a peer, [`Input::RemovePeer`] it first, so what it
+    /// taught us is withdrawn like any other loss.
     pub fn add_peer(&mut self, cfg: PeerConfig) -> Result<(), PeerExists> {
         if self.peers.contains_key(&cfg.id) {
             return Err(PeerExists(cfg.id));
@@ -356,44 +408,97 @@ impl Speaker {
         Ok(())
     }
 
-    /// Remove a peer entirely, rerunning decisions for its routes.
-    pub fn remove_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        // Take the session down like any other loss (Cease, `PeerDown`,
-        // FSM accounting), then drop the configuration.
-        let mut out = self.stop_peer(peer, now);
-        // Graceful restart kept the paths as stale; a removed peer's go now.
-        let affected = self.session_lost(peer, None);
-        self.reconsider_with(&affected, now, None, &mut out);
-        let key = self.export_group_of(peer);
-        if let (Some(key), Some(state)) = (key, self.peers.remove(&peer)) {
-            self.timers.remove(&(state.armed, peer));
-            self.export.leave(&self.peers, peer, key);
+    /// Apply one input at `now`, appending what it produces to `out`.
+    /// Debug builds re-check every cross-structure invariant afterwards.
+    pub fn apply(&mut self, input: Input, now: SimTime, out: &mut Vec<Output>) {
+        match input {
+            Input::Message(from, msg) => {
+                self.drive_session(from, now, out, |s| s.on_message(msg, now))
+            }
+            Input::Tick => self.tick_timers(now, out),
+            Input::StartPeer(peer) => self.start_session(peer, now, out),
+            Input::StopPeer(peer) => self.drive_session(peer, now, out, |s| s.stop(now)),
+            Input::SetPeerEnabled(peer, enabled) => self.set_enabled(peer, enabled, now, out),
+            Input::ResetPeer(peer) => self.reset_transport(peer, now, out),
+            Input::CorruptMessage(from) => {
+                self.drive_session(from, now, out, |s| s.on_corrupt(now))
+            }
+            Input::MalformedUpdate(from, update) => self.malformed_update(from, update, now, out),
+            Input::RequestRefresh(peer) => {
+                if self.peer_established(peer) {
+                    out.push(Output::Send(peer, BgpMessage::RouteRefresh));
+                }
+            }
+            Input::Restart => self.restart_cold(now, out),
+            Input::Originate(prefix, communities) => self.originate(prefix, communities, now, out),
+            Input::WithdrawOrigin(prefix) => self.withdraw_origin(prefix, now, out),
+            Input::RemovePeer(peer) => self.remove_peer(peer, now, out),
+            Input::SetPeerImport(peer, policy) => self.set_import(peer, policy, now, out),
+            Input::SetPeerExport(peer, policy) => {
+                self.reseat_peer_group(peer, now, out, |cfg| cfg.export = policy)
+            }
+            Input::SetPeerExportGrouping(peer, grouping) => {
+                self.reseat_peer_group(peer, now, out, |cfg| cfg.grouping = grouping)
+            }
         }
+        self.debug_check();
+    }
+
+    /// [`Input::Message`] through [`apply`](Self::apply), into a new vector.
+    /// This and the next two forwards remain for the router benchmark.
+    pub fn on_message(&mut self, from: PeerId, msg: BgpMessage, now: SimTime) -> Vec<Output> {
+        let mut out = Vec::new();
+        self.apply(Input::Message(from, msg), now, &mut out);
         out
     }
 
-    /// Debug builds re-check cross-structure consistency after every
-    /// externally driven mutation.
-    fn debug_check(&self, after: &str) {
+    /// [`Input::Tick`] through [`apply`](Self::apply), into a new vector.
+    pub fn tick(&mut self, now: SimTime) -> Vec<Output> {
+        let mut out = Vec::new();
+        self.apply(Input::Tick, now, &mut out);
+        out
+    }
+
+    /// [`Input::StartPeer`] through [`apply`](Self::apply), into a new vector.
+    pub fn start_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
+        let mut out = Vec::new();
+        self.apply(Input::StartPeer(peer), now, &mut out);
+        out
+    }
+
+    fn remove_peer(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
+        // Take the session down like any other loss (Cease, `PeerDown`,
+        // FSM accounting), then drop the configuration.
+        self.drive_session(peer, now, out, |s| s.stop(now));
+        // Graceful restart kept the paths as stale; a removed peer's go now.
+        let affected = self.session_lost(peer, None);
+        self.reconsider_with(&affected, now, None, out);
+        let key = self.export_group_of(peer);
+        if let (Some(key), Some(state)) = (key, self.peers.remove(&peer)) {
+            self.timers.remove(&(state.armed, peer));
+            // Set by a start, cleared at Established: a peer removed
+            // mid-handshake still has one.
+            self.session_started.remove(&peer);
+            self.export.leave(&self.peers, peer, key);
+        }
+    }
+
+    /// Debug builds re-check cross-structure consistency after every input.
+    fn debug_check(&self) {
         debug_assert_eq!(
             self.check_invariants(),
             Ok(()),
-            "speaker invariant violated after {after}"
+            "speaker invariant violated"
         );
     }
 
-    /// Originate a prefix with default attributes.
-    pub fn originate(&mut self, prefix: Prefix, now: SimTime) -> Vec<Output> {
-        self.originate_with(prefix, Vec::new(), now)
-    }
-
-    /// Originate a prefix carrying the given communities.
-    pub fn originate_with(
+    fn originate(
         &mut self,
         prefix: Prefix,
         communities: Vec<Community>,
         now: SimTime,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         let mut attrs = PathAttributes::originate(self.cfg.router_id);
         for c in communities {
             attrs.add_community(c);
@@ -402,20 +507,15 @@ impl Speaker {
         self.local_routes.insert(prefix, attrs);
         let trace = self.mint_origination(prefix, false, now);
         self.local_traces.insert(prefix, trace);
-        let mut out = Vec::new();
-        self.reconsider_with(&[prefix], now, Some(trace), &mut out);
-        out
+        self.reconsider_with(&[prefix], now, Some(trace), out);
     }
 
-    /// Withdraw a locally originated prefix.
-    pub fn withdraw_origin(&mut self, prefix: Prefix, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
+    fn withdraw_origin(&mut self, prefix: Prefix, now: SimTime, out: &mut Vec<Output>) {
         if self.local_routes.remove(&prefix).is_some() {
             self.local_traces.remove(&prefix);
             let trace = self.mint_origination(prefix, true, now);
-            self.reconsider_with(&[prefix], now, Some(trace), &mut out);
+            self.reconsider_with(&[prefix], now, Some(trace), out);
         }
-        out
     }
 
     /// Mint the next deterministic trace id for a local routing change and
@@ -559,6 +659,15 @@ impl Speaker {
                 ));
             }
         }
+        if let Some(peer) = self
+            .session_started
+            .keys()
+            .find(|p| !self.peers.contains_key(p))
+        {
+            return Err(format!(
+                "session start time kept for unconfigured peer {peer:?}"
+            ));
+        }
         let armed = self
             .peers
             .values()
@@ -656,47 +765,61 @@ mod tests {
     use super::*;
     use crate::attrs::AsPath;
     use crate::damping::DampingConfig;
-    use crate::message::{NotifCode, UpdateMessage};
-    use crate::policy::{Action, Match, Policy};
+    use crate::fsm::FsmState;
+    use crate::message::NotifCode;
+    use crate::policy::{Action, Match};
     use crate::rib::RouteSource;
     use peering_netsim::SimDuration;
     use std::net::Ipv4Addr;
 
-    /// Deliver all queued outputs between two speakers until quiescent.
-    fn settle(a: &mut Speaker, b: &mut Speaker, a_peer: PeerId, b_peer: PeerId, now: SimTime) {
-        // a_peer: b's id in a; b_peer: a's id in b.
-        let mut to_b: Vec<BgpMessage> = Vec::new();
-        let mut to_a: Vec<BgpMessage> = Vec::new();
-        let drain = |outs: Vec<Output>, target: PeerId, sink: &mut Vec<BgpMessage>| {
-            for o in outs {
-                if let Output::Send(p, m) = o {
-                    assert_eq!(p, target, "single-peer harness");
-                    sink.push(m);
-                }
-            }
+    /// Apply `input` to `a` at `now`, then carry messages both ways on the
+    /// session between `a`'s peer `a_peer` and `b`'s peer `b_peer` until it
+    /// is quiet; what either sends any other peer is dropped. Returns
+    /// everything `b` output.
+    fn relay(
+        a: &mut Speaker,
+        a_peer: PeerId,
+        input: Input,
+        b: &mut Speaker,
+        b_peer: PeerId,
+        now: SimTime,
+    ) -> Vec<Output> {
+        let sent_on = |outs: &[Output], peer: PeerId| -> Vec<BgpMessage> {
+            let on = |o: &Output| match o {
+                Output::Send(p, m) if *p == peer => Some(m.clone()),
+                _ => None,
+            };
+            outs.iter().filter_map(on).collect()
         };
-        drain(a.start_peer(a_peer, now), a_peer, &mut to_b);
-        drain(b.start_peer(b_peer, now), b_peer, &mut to_a);
-        // Fire any due ConnectRetry timers (reconnecting sessions sit in
-        // Connect, where `start` is a no-op).
-        drain(a.tick(now), a_peer, &mut to_b);
-        drain(b.tick(now), b_peer, &mut to_a);
+        let (mut a_out, mut b_out) = (Vec::new(), Vec::new());
+        a.apply(input, now, &mut a_out);
+        let (mut a_read, mut b_read) = (0, 0);
         for _ in 0..64 {
+            let to_b = sent_on(&a_out[a_read..], a_peer);
+            let to_a = sent_on(&b_out[b_read..], b_peer);
+            (a_read, b_read) = (a_out.len(), b_out.len());
             if to_a.is_empty() && to_b.is_empty() {
-                break;
+                return b_out;
             }
-            let mut next_to_a = Vec::new();
-            let mut next_to_b = Vec::new();
-            for m in to_b.drain(..) {
-                drain(b.on_message(b_peer, m, now), b_peer, &mut next_to_a);
+            for m in to_b {
+                b.apply(Input::Message(b_peer, m), now, &mut b_out);
             }
-            for m in to_a.drain(..) {
-                drain(a.on_message(a_peer, m, now), a_peer, &mut next_to_b);
+            for m in to_a {
+                a.apply(Input::Message(a_peer, m), now, &mut a_out);
             }
-            to_a = next_to_a;
-            to_b = next_to_b;
         }
-        assert!(to_a.is_empty() && to_b.is_empty(), "did not converge");
+        panic!("the session did not go quiet");
+    }
+
+    /// Bring up the session between `a`'s peer `a_peer` and the passive
+    /// `b`'s peer `b_peer` at `now`. The tick fires a due ConnectRetry
+    /// timer: a reconnecting session sits in Connect, where a start is a
+    /// no-op.
+    fn settle(a: &mut Speaker, b: &mut Speaker, a_peer: PeerId, b_peer: PeerId, now: SimTime) {
+        b.apply(Input::StartPeer(b_peer), now, &mut Vec::new());
+        relay(a, a_peer, Input::StartPeer(a_peer), b, b_peer, now);
+        relay(a, a_peer, Input::Tick, b, b_peer, now);
+        assert!(a.peer_established(a_peer) && b.peer_established(b_peer));
     }
 
     fn speaker(asn: u32) -> Speaker {
@@ -704,6 +827,10 @@ mod tests {
             Asn(asn),
             Ipv4Addr::new(10, 0, 0, asn as u8),
         ))
+    }
+
+    fn originate(p: Prefix) -> Input {
+        Input::Originate(p, Vec::new())
     }
 
     #[test]
@@ -714,7 +841,7 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         let best = b.loc_rib().get(&p).expect("b learned the route");
         assert_eq!(best.attrs.as_path.to_string(), "1");
@@ -734,7 +861,7 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         let snap = telemetry.snapshot();
         // Both sessions reached Established, and the UPDATE counters
@@ -772,12 +899,13 @@ mod tests {
         let before = telemetry.snapshot();
         // A transport reset and a corrupt frame are session losses like
         // any other: Established -> Idle, one transition each.
-        a.reset_peer(PeerId(0), SimTime::from_secs(1));
+        let t = SimTime::from_secs(1);
+        a.apply(Input::ResetPeer(PeerId(0)), t, &mut Vec::new());
         assert_eq!(
             telemetry.snapshot().counter("bgp.fsm.to_idle"),
             before.counter("bgp.fsm.to_idle") + 1
         );
-        b.on_corrupt_message(PeerId(0), SimTime::from_secs(1));
+        b.apply(Input::CorruptMessage(PeerId(0)), t, &mut Vec::new());
         let after = telemetry.snapshot();
         assert_eq!(
             after.counter("bgp.fsm.to_idle"),
@@ -798,15 +926,11 @@ mod tests {
             .unwrap();
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         let p = Prefix::v4(10, 20, 0, 0, 16);
-        let outs = a.originate(p, SimTime::from_secs(1));
-        let mut delivered = false;
-        for o in outs {
-            if let Output::Send(_, m) = o {
-                b.on_message(PeerId(0), m, SimTime::from_secs(1));
-                delivered = true;
-            }
-        }
-        assert!(delivered);
+        let t = SimTime::from_secs(1);
+        let outs = relay(&mut a, PeerId(0), originate(p), &mut b, PeerId(0), t);
+        assert!(outs
+            .iter()
+            .any(|o| matches!(o, Output::Event(SpeakerEvent::BestChanged { .. }))));
         assert!(b.loc_rib().get(&p).is_some());
     }
 
@@ -818,14 +942,18 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.loc_rib().get(&p).is_some());
-        for o in a.withdraw_origin(p, SimTime::from_secs(2)) {
-            if let Output::Send(_, m) = o {
-                b.on_message(PeerId(0), m, SimTime::from_secs(2));
-            }
-        }
+        let t = SimTime::from_secs(2);
+        relay(
+            &mut a,
+            PeerId(0),
+            Input::WithdrawOrigin(p),
+            &mut b,
+            PeerId(0),
+            t,
+        );
         assert!(b.loc_rib().get(&p).is_none());
         assert!(b.adj_rib_in(PeerId(0)).unwrap().is_empty());
     }
@@ -842,45 +970,10 @@ mod tests {
         c.add_peer(PeerConfig::new(PeerId(0), Asn(2)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         // Now connect b<->c; b should pass the route along with its ASN.
-        let mut to_c: Vec<BgpMessage> = Vec::new();
-        let mut to_b: Vec<BgpMessage> = Vec::new();
-        for o in b.start_peer(PeerId(1), SimTime::ZERO) {
-            if let Output::Send(_, m) = o {
-                to_c.push(m);
-            }
-        }
-        for o in c.start_peer(PeerId(0), SimTime::ZERO) {
-            if let Output::Send(_, m) = o {
-                to_b.push(m);
-            }
-        }
-        for _ in 0..64 {
-            if to_b.is_empty() && to_c.is_empty() {
-                break;
-            }
-            let mut nb = Vec::new();
-            let mut nc = Vec::new();
-            for m in to_c.drain(..) {
-                for o in c.on_message(PeerId(0), m, SimTime::ZERO) {
-                    if let Output::Send(_, m) = o {
-                        nb.push(m);
-                    }
-                }
-            }
-            for m in to_b.drain(..) {
-                for o in b.on_message(PeerId(1), m, SimTime::ZERO) {
-                    if let Output::Send(p, m) = o {
-                        assert_eq!(p, PeerId(1));
-                        nc.push(m);
-                    }
-                }
-            }
-            to_b = nb;
-            to_c = nc;
-        }
+        settle(&mut b, &mut c, PeerId(1), PeerId(0), SimTime::ZERO);
         let best = c.loc_rib().get(&p).expect("c learned the route");
         assert_eq!(best.attrs.as_path.to_string(), "2 1");
         assert_eq!(best.attrs.next_hop, Ipv4Addr::new(10, 0, 0, 2));
@@ -901,11 +994,10 @@ mod tests {
             ..Default::default()
         });
         let p = Prefix::v4(10, 66, 0, 0, 16);
-        let outs = b.on_message(
-            PeerId(0),
-            BgpMessage::Update(UpdateMessage::announce(poisoned, vec![Nlri::plain(p)])),
-            SimTime::from_secs(1),
-        );
+        let update = UpdateMessage::announce(poisoned, vec![Nlri::plain(p)]);
+        let mut outs = Vec::new();
+        let input = Input::Message(PeerId(0), BgpMessage::Update(update));
+        b.apply(input, SimTime::from_secs(1), &mut outs);
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Event(SpeakerEvent::ImportRejected(_, _)))));
@@ -914,7 +1006,6 @@ mod tests {
 
     #[test]
     fn import_policy_rejection_is_implicit_withdraw() {
-        use crate::policy::{Action, Match};
         let mut a = speaker(1);
         let mut b = speaker(2);
         a.add_peer(PeerConfig::new(PeerId(0), Asn(2))).unwrap();
@@ -929,20 +1020,21 @@ mod tests {
         )
         .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.loc_rib().get(&p).is_some());
         // Re-announce with the bad community: b must drop the route.
-        for o in a.withdraw_origin(p, SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                b.on_message(PeerId(0), m, SimTime::from_secs(1));
-            }
-        }
-        for o in a.originate_with(p, vec![Community::new(1, 666)], SimTime::from_secs(2)) {
-            if let Output::Send(_, m) = o {
-                b.on_message(PeerId(0), m, SimTime::from_secs(2));
-            }
-        }
+        let t = SimTime::from_secs(1);
+        relay(
+            &mut a,
+            PeerId(0),
+            Input::WithdrawOrigin(p),
+            &mut b,
+            PeerId(0),
+            t,
+        );
+        let tagged = Input::Originate(p, vec![Community::new(1, 666)]);
+        relay(&mut a, PeerId(0), tagged, &mut b, PeerId(0), t);
         assert!(b.loc_rib().get(&p).is_none());
     }
 
@@ -955,7 +1047,8 @@ mod tests {
             .unwrap();
         b.add_peer(PeerConfig::new(PeerId(1), Asn(3))).unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate_with(p, vec![Community::NO_EXPORT], SimTime::ZERO);
+        let no_export = Input::Originate(p, vec![Community::NO_EXPORT]);
+        a.apply(no_export, SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.loc_rib().get(&p).is_some(), "b itself uses the route");
         // b must not have queued it for AS3 even once the session is up.
@@ -976,28 +1069,21 @@ mod tests {
         settle(&mut a, &mut c, PeerId(0), PeerId(10), SimTime::ZERO);
         settle(&mut b, &mut c, PeerId(0), PeerId(20), SimTime::ZERO);
         let p = Prefix::v4(10, 10, 0, 0, 16);
+        let announce = |from: u32, path: &[u32], hop: u8| {
+            let attrs = Arc::new(PathAttributes {
+                as_path: AsPath::from_asns(&path.iter().copied().map(Asn).collect::<Vec<_>>()),
+                next_hop: Ipv4Addr::new(10, 0, 0, hop),
+                ..Default::default()
+            });
+            let update = UpdateMessage::announce(attrs, vec![Nlri::plain(p)]);
+            Input::Message(PeerId(from), BgpMessage::Update(update))
+        };
         // AS1 announces with a long path; AS2 with a short one.
-        let long = Arc::new(PathAttributes {
-            as_path: crate::attrs::AsPath::from_asns(&[Asn(1), Asn(9), Asn(8), Asn(7)]),
-            next_hop: Ipv4Addr::new(10, 0, 0, 1),
-            ..Default::default()
-        });
-        c.on_message(
-            PeerId(10),
-            BgpMessage::Update(UpdateMessage::announce(long, vec![Nlri::plain(p)])),
-            SimTime::from_secs(1),
-        );
+        let long = announce(10, &[1, 9, 8, 7], 1);
+        c.apply(long, SimTime::from_secs(1), &mut Vec::new());
         assert_eq!(c.loc_rib().get(&p).unwrap().attrs.as_path.hop_count(), 4);
-        let short = Arc::new(PathAttributes {
-            as_path: crate::attrs::AsPath::from_asns(&[Asn(2), Asn(7)]),
-            next_hop: Ipv4Addr::new(10, 0, 0, 2),
-            ..Default::default()
-        });
-        let outs = c.on_message(
-            PeerId(20),
-            BgpMessage::Update(UpdateMessage::announce(short, vec![Nlri::plain(p)])),
-            SimTime::from_secs(2),
-        );
+        let mut outs = Vec::new();
+        c.apply(announce(20, &[2, 7], 2), SimTime::from_secs(2), &mut outs);
         assert_eq!(c.loc_rib().get(&p).unwrap().peer, PeerId(20));
         assert!(outs
             .iter()
@@ -1012,10 +1098,11 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.loc_rib().get(&p).is_some());
-        let outs = b.stop_peer(PeerId(0), SimTime::from_secs(5));
+        let mut outs = Vec::new();
+        b.apply(Input::StopPeer(PeerId(0)), SimTime::from_secs(5), &mut outs);
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Event(SpeakerEvent::PeerDown(_, _)))));
@@ -1039,14 +1126,11 @@ mod tests {
         settle(&mut m1, &mut rs, PeerId(0), PeerId(1), SimTime::ZERO);
         settle(&mut m2, &mut rs, PeerId(0), PeerId(2), SimTime::ZERO);
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        for o in m1.originate(p, SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                for o2 in rs.on_message(PeerId(1), m, SimTime::from_secs(1)) {
-                    if let Output::Send(to, msg) = o2 {
-                        assert_eq!(to, PeerId(2), "split horizon: only the other member");
-                        m2.on_message(PeerId(0), msg, SimTime::from_secs(1));
-                    }
-                }
+        let t = SimTime::from_secs(1);
+        for o in relay(&mut m1, PeerId(0), originate(p), &mut rs, PeerId(1), t) {
+            if let Output::Send(to, msg) = o {
+                assert_eq!(to, PeerId(2), "split horizon: only the other member");
+                m2.apply(Input::Message(PeerId(0), msg), t, &mut Vec::new());
             }
         }
         let best = m2.loc_rib().get(&p).expect("member 2 learned via RS");
@@ -1090,25 +1174,11 @@ mod tests {
             SimTime::ZERO,
         );
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        let mut to_server: Vec<BgpMessage> = Vec::new();
-        for o in u1.originate(p, SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                to_server.push(m);
-            }
-        }
-        for m in to_server.drain(..) {
-            for o in server.on_message(PeerId(1), m, SimTime::from_secs(1)) {
+        for (u, at, t) in [(&mut u1, PeerId(1), 1), (&mut u2, PeerId(2), 2)] {
+            let t = SimTime::from_secs(t);
+            for o in relay(u, PeerId(0), originate(p), &mut server, at, t) {
                 if let Output::Send(PeerId(9), msg) = o {
-                    client.on_message(PeerId(0), msg, SimTime::from_secs(1));
-                }
-            }
-        }
-        for o in u2.originate(p, SimTime::from_secs(2)) {
-            if let Output::Send(_, m) = o {
-                for o2 in server.on_message(PeerId(2), m, SimTime::from_secs(2)) {
-                    if let Output::Send(PeerId(9), msg) = o2 {
-                        client.on_message(PeerId(0), msg, SimTime::from_secs(2));
-                    }
+                    client.apply(Input::Message(PeerId(0), msg), t, &mut Vec::new());
                 }
             }
         }
@@ -1140,41 +1210,27 @@ mod tests {
         let p = Prefix::v4(10, 10, 0, 0, 16);
         let mut now = SimTime::ZERO;
         let mut suppressed_seen = false;
-        for _ in 0..4 {
+        for flap in 0..8 {
             now += SimDuration::from_secs(10);
-            for o in a.originate(p, now) {
-                if let Output::Send(_, m) = o {
-                    for o2 in b.on_message(PeerId(0), m, now) {
-                        if matches!(o2, Output::Event(SpeakerEvent::Suppressed(_, _))) {
-                            suppressed_seen = true;
-                        }
-                    }
-                }
-            }
-            now += SimDuration::from_secs(10);
-            for o in a.withdraw_origin(p, now) {
-                if let Output::Send(_, m) = o {
-                    for o2 in b.on_message(PeerId(0), m, now) {
-                        if matches!(o2, Output::Event(SpeakerEvent::Suppressed(_, _))) {
-                            suppressed_seen = true;
-                        }
-                    }
-                }
-            }
+            let input = if flap % 2 == 0 {
+                originate(p)
+            } else {
+                Input::WithdrawOrigin(p)
+            };
+            let outs = relay(&mut a, PeerId(0), input, &mut b, PeerId(0), now);
+            suppressed_seen |= outs
+                .iter()
+                .any(|o| matches!(o, Output::Event(SpeakerEvent::Suppressed(_, _))));
         }
         assert!(suppressed_seen, "flapping must trigger suppression");
         // Announce once more: route installs to adj-in but is suppressed
         // from the decision process.
         now += SimDuration::from_secs(10);
-        for o in a.originate(p, now) {
-            if let Output::Send(_, m) = o {
-                b.on_message(PeerId(0), m, now);
-            }
-        }
+        relay(&mut a, PeerId(0), originate(p), &mut b, PeerId(0), now);
         assert!(b.loc_rib().get(&p).is_none(), "suppressed from Loc-RIB");
         // After the penalty decays, a tick releases the route.
         let much_later = now + SimDuration::from_secs(3 * 3600);
-        b.tick(much_later);
+        b.apply(Input::Tick, much_later, &mut Vec::new());
         assert!(
             b.loc_rib().get(&p).is_some(),
             "released after damping decay"
@@ -1192,11 +1248,8 @@ mod tests {
         let empty = b.table_memory();
         for i in 0..100u32 {
             let p = Prefix::v4(10, (i >> 8) as u8, (i & 0xff) as u8, 0, 24);
-            for o in a.originate(p, SimTime::from_secs(1)) {
-                if let Output::Send(_, m) = o {
-                    b.on_message(PeerId(0), m, SimTime::from_secs(1));
-                }
-            }
+            let t = SimTime::from_secs(1);
+            relay(&mut a, PeerId(0), originate(p), &mut b, PeerId(0), t);
         }
         let full = b.table_memory();
         assert!(full > empty, "memory must grow: {empty} -> {full}");
@@ -1214,9 +1267,11 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
-        let outs = a.on_message(PeerId(0), BgpMessage::RouteRefresh, SimTime::from_secs(1));
+        let mut outs = Vec::new();
+        let refresh = Input::Message(PeerId(0), BgpMessage::RouteRefresh);
+        a.apply(refresh, SimTime::from_secs(1), &mut outs);
         // Adj-RIB-Out is unchanged so the diff suppresses re-sending; the
         // refresh still produces the End-of-RIB marker.
         assert!(outs
@@ -1232,12 +1287,32 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.loc_rib().get(&p).is_some());
-        b.remove_peer(PeerId(0), SimTime::from_secs(1));
+        b.apply(
+            Input::RemovePeer(PeerId(0)),
+            SimTime::from_secs(1),
+            &mut Vec::new(),
+        );
         assert!(b.loc_rib().get(&p).is_none());
         assert_eq!(b.peer_count(), 0);
+    }
+
+    #[test]
+    fn removing_a_peer_mid_handshake_forgets_when_it_started() {
+        let mut s = speaker(1);
+        s.add_peer(PeerConfig::new(PeerId(0), Asn(2))).unwrap();
+        s.apply(Input::StartPeer(PeerId(0)), SimTime::ZERO, &mut Vec::new());
+        assert_eq!(s.peers[&PeerId(0)].session.state(), FsmState::OpenSent);
+        s.apply(
+            Input::RemovePeer(PeerId(0)),
+            SimTime::from_secs(1),
+            &mut Vec::new(),
+        );
+        // Checked here too: release builds skip `apply`'s own check.
+        assert!(s.session_started.is_empty());
+        assert_eq!(s.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -1250,7 +1325,7 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         let again = b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive());
         assert_eq!(again, Err(PeerExists(PeerId(0))));
@@ -1259,48 +1334,15 @@ mod tests {
         assert_eq!(b.adj_rib_in(PeerId(0)).unwrap().len(), 1);
         assert!(b.loc_rib().get(&p).is_some());
         // The supported way to reconfigure: remove (a loss), then add.
-        b.remove_peer(PeerId(0), SimTime::from_secs(1));
+        b.apply(
+            Input::RemovePeer(PeerId(0)),
+            SimTime::from_secs(1),
+            &mut Vec::new(),
+        );
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         assert!(b.loc_rib().get(&p).is_none());
         assert_eq!(b.check_invariants(), Ok(()));
-    }
-
-    /// Establish a session between two multi-peer speakers by shuttling
-    /// messages directly (no single-peer assertion like `settle`).
-    fn establish_pair(
-        a: &mut Speaker,
-        a_peer: PeerId,
-        b: &mut Speaker,
-        b_peer: PeerId,
-        now: SimTime,
-    ) {
-        let filter = |outs: Vec<Output>, want: PeerId| -> Vec<BgpMessage> {
-            outs.into_iter()
-                .filter_map(|o| match o {
-                    Output::Send(p, m) if p == want => Some(m),
-                    _ => None,
-                })
-                .collect()
-        };
-        let mut to_b = filter(a.start_peer(a_peer, now), a_peer);
-        let mut to_a = filter(b.start_peer(b_peer, now), b_peer);
-        for _ in 0..32 {
-            if to_a.is_empty() && to_b.is_empty() {
-                break;
-            }
-            let mut na = Vec::new();
-            let mut nb = Vec::new();
-            for m in to_b.drain(..) {
-                na.extend(filter(b.on_message(b_peer, m, now), b_peer));
-            }
-            for m in to_a.drain(..) {
-                nb.extend(filter(a.on_message(a_peer, m, now), a_peer));
-            }
-            to_a = na;
-            to_b = nb;
-        }
-        assert!(a.peer_established(a_peer) && b.peer_established(b_peer));
     }
 
     /// Hub-and-spoke iBGP: two spokes connected only to a hub router in
@@ -1322,24 +1364,26 @@ mod tests {
         s1.add_peer(PeerConfig::new(PeerId(0), asn)).unwrap();
         let mut s2 = Speaker::new(SpeakerConfig::new(asn, Ipv4Addr::new(10, 9, 0, 3)));
         s2.add_peer(PeerConfig::new(PeerId(0), asn)).unwrap();
-        establish_pair(&mut s1, PeerId(0), &mut hub, PeerId(1), SimTime::ZERO);
-        establish_pair(&mut s2, PeerId(0), &mut hub, PeerId(2), SimTime::ZERO);
+        settle(&mut s1, &mut hub, PeerId(0), PeerId(1), SimTime::ZERO);
+        settle(&mut s2, &mut hub, PeerId(0), PeerId(2), SimTime::ZERO);
         (hub, s1, s2)
+    }
+
+    /// `s1` originates `p`; what the hub sends on toward `s2` reaches it.
+    fn announce_through_the_hub(hub: &mut Speaker, s1: &mut Speaker, s2: &mut Speaker, p: Prefix) {
+        let t = SimTime::from_secs(1);
+        for o in relay(s1, PeerId(0), originate(p), hub, PeerId(1), t) {
+            if let Output::Send(PeerId(2), msg) = o {
+                s2.apply(Input::Message(PeerId(0), msg), t, &mut Vec::new());
+            }
+        }
     }
 
     #[test]
     fn without_route_reflection_ibgp_does_not_transit_the_hub() {
         let (mut hub, mut s1, mut s2) = ibgp_hub_and_spokes(false);
         let p = Prefix::v4(10, 80, 0, 0, 16);
-        for o in s1.originate(p, SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                for o2 in hub.on_message(PeerId(1), m, SimTime::from_secs(1)) {
-                    if let Output::Send(PeerId(2), msg) = o2 {
-                        s2.on_message(PeerId(0), msg, SimTime::from_secs(1));
-                    }
-                }
-            }
-        }
+        announce_through_the_hub(&mut hub, &mut s1, &mut s2, p);
         assert!(hub.loc_rib().get(&p).is_some(), "hub itself learns it");
         assert!(
             s2.loc_rib().get(&p).is_none(),
@@ -1351,15 +1395,7 @@ mod tests {
     fn route_reflection_lets_spokes_see_each_other() {
         let (mut hub, mut s1, mut s2) = ibgp_hub_and_spokes(true);
         let p = Prefix::v4(10, 81, 0, 0, 16);
-        for o in s1.originate(p, SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                for o2 in hub.on_message(PeerId(1), m, SimTime::from_secs(1)) {
-                    if let Output::Send(PeerId(2), msg) = o2 {
-                        s2.on_message(PeerId(0), msg, SimTime::from_secs(1));
-                    }
-                }
-            }
-        }
+        announce_through_the_hub(&mut hub, &mut s1, &mut s2, p);
         let r = s2.loc_rib().get(&p).expect("reflected to the other client");
         // iBGP preserves the path: no ASN was prepended inside the AS.
         assert_eq!(r.attrs.as_path.hop_count(), 0);
@@ -1378,16 +1414,24 @@ mod tests {
             .unwrap();
         assert_eq!(a.check_invariants(), Ok(()));
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert_eq!(a.check_invariants(), Ok(()));
         assert_eq!(b.check_invariants(), Ok(()));
-        for o in a.withdraw_origin(p, SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                b.on_message(PeerId(0), m, SimTime::from_secs(1));
-            }
-        }
-        b.stop_peer(PeerId(0), SimTime::from_secs(2));
+        let t = SimTime::from_secs(1);
+        relay(
+            &mut a,
+            PeerId(0),
+            Input::WithdrawOrigin(p),
+            &mut b,
+            PeerId(0),
+            t,
+        );
+        b.apply(
+            Input::StopPeer(PeerId(0)),
+            SimTime::from_secs(2),
+            &mut Vec::new(),
+        );
         assert_eq!(b.check_invariants(), Ok(()));
         // Corrupt the Loc-RIB directly: a best route pointing at a peer
         // path that does not exist must be reported.
@@ -1431,14 +1475,15 @@ mod tests {
     fn graceful_restart_retains_stale_paths_until_end_of_rib() {
         let (mut a, mut b) = resilient_pair();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.loc_rib().get(&p).is_some());
 
         // Transport loss at t=5s: no forwarding gap — the route stays in
         // b's Loc-RIB even though the session is down.
         let t1 = SimTime::from_secs(5);
-        let outs = b.reset_peer(PeerId(0), t1);
+        let mut outs = Vec::new();
+        b.apply(Input::ResetPeer(PeerId(0)), t1, &mut outs);
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Event(SpeakerEvent::PeerDown(_, _)))));
@@ -1450,7 +1495,7 @@ mod tests {
 
         // The far end also saw the loss and retries; re-establish and
         // resync at t=20s.
-        a.reset_peer(PeerId(0), t1);
+        a.apply(Input::ResetPeer(PeerId(0)), t1, &mut Vec::new());
         let t2 = SimTime::from_secs(20);
         settle(&mut a, &mut b, PeerId(0), PeerId(0), t2);
         assert!(b.peer_established(PeerId(0)));
@@ -1465,17 +1510,18 @@ mod tests {
         let (mut a, mut b) = resilient_pair();
         let p1 = Prefix::v4(10, 10, 0, 0, 16);
         let p2 = Prefix::v4(10, 20, 0, 0, 16);
-        a.originate(p1, SimTime::ZERO);
-        a.originate(p2, SimTime::ZERO);
+        a.apply(originate(p1), SimTime::ZERO, &mut Vec::new());
+        a.apply(originate(p2), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert_eq!(b.loc_rib().len(), 2);
 
         let t1 = SimTime::from_secs(5);
-        b.reset_peer(PeerId(0), t1);
-        a.reset_peer(PeerId(0), t1);
+        b.apply(Input::ResetPeer(PeerId(0)), t1, &mut Vec::new());
+        a.apply(Input::ResetPeer(PeerId(0)), t1, &mut Vec::new());
         // While down, the far end loses one origination: after resync the
         // stale copy of p2 must be swept by the End-of-RIB.
-        a.withdraw_origin(p2, SimTime::from_secs(6));
+        let t2 = SimTime::from_secs(6);
+        a.apply(Input::WithdrawOrigin(p2), t2, &mut Vec::new());
         assert!(b.loc_rib().get(&p2).is_some(), "still stale before resync");
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::from_secs(20));
         assert!(b.loc_rib().get(&p1).is_some());
@@ -1490,14 +1536,15 @@ mod tests {
     fn restart_timer_expiry_flushes_stale_paths() {
         let (mut a, mut b) = resilient_pair();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         let t1 = SimTime::from_secs(5);
-        b.reset_peer(PeerId(0), t1);
+        b.apply(Input::ResetPeer(PeerId(0)), t1, &mut Vec::new());
         assert!(b.loc_rib().get(&p).is_some());
         // The peer never comes back: at the 120 s restart deadline the
         // stale paths are flushed.
-        let outs = b.tick(SimTime::from_secs(126));
+        let mut outs = Vec::new();
+        b.apply(Input::Tick, SimTime::from_secs(126), &mut outs);
         assert!(outs.iter().any(|o| matches!(
             o,
             Output::Event(SpeakerEvent::BestChanged { new: None, .. })
@@ -1512,13 +1559,14 @@ mod tests {
         let (mut a, mut b) = resilient_pair();
         let pa = Prefix::v4(10, 10, 0, 0, 16);
         let pb = Prefix::v4(10, 30, 0, 0, 16);
-        a.originate(pa, SimTime::ZERO);
-        b.originate(pb, SimTime::ZERO);
+        a.apply(originate(pa), SimTime::ZERO, &mut Vec::new());
+        b.apply(originate(pb), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert_eq!(b.loc_rib().len(), 2);
 
         let t1 = SimTime::from_secs(5);
-        let outs = b.restart(t1);
+        let mut outs = Vec::new();
+        b.apply(Input::Restart, t1, &mut outs);
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Event(SpeakerEvent::PeerDown(_, _)))));
@@ -1529,7 +1577,7 @@ mod tests {
 
         // The far end noticed (transport died with the process), both
         // sides reconverge.
-        a.reset_peer(PeerId(0), t1);
+        a.apply(Input::ResetPeer(PeerId(0)), t1, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::from_secs(30));
         assert!(b.loc_rib().get(&pa).is_some());
         assert!(a.loc_rib().get(&pb).is_some());
@@ -1542,7 +1590,7 @@ mod tests {
         // Established and the affected routes are withdrawn.
         let (mut a, mut b) = resilient_pair();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.loc_rib().get(&p).is_some());
         let t1 = SimTime::from_secs(5);
@@ -1553,7 +1601,8 @@ mod tests {
             ..Default::default()
         });
         let mangled = UpdateMessage::announce(attrs, vec![Nlri::plain(p)]);
-        let outs = b.on_malformed_update(PeerId(0), mangled, t1);
+        let mut outs = Vec::new();
+        b.apply(Input::MalformedUpdate(PeerId(0), mangled), t1, &mut outs);
         assert!(
             !outs
                 .iter()
@@ -1570,22 +1619,15 @@ mod tests {
         assert_eq!(b.check_invariants(), Ok(()));
         // The peer can simply re-announce — no session recycling needed.
         let t2 = SimTime::from_secs(6);
-        let mut msgs: Vec<BgpMessage> = Vec::new();
-        msgs.extend(
-            a.withdraw_origin(p, t1)
-                .into_iter()
-                .filter_map(|o| match o {
-                    Output::Send(_, m) => Some(m),
-                    _ => None,
-                }),
+        relay(
+            &mut a,
+            PeerId(0),
+            Input::WithdrawOrigin(p),
+            &mut b,
+            PeerId(0),
+            t2,
         );
-        msgs.extend(a.originate(p, t2).into_iter().filter_map(|o| match o {
-            Output::Send(_, m) => Some(m),
-            _ => None,
-        }));
-        for m in msgs {
-            b.on_message(PeerId(0), m, t2);
-        }
+        relay(&mut a, PeerId(0), originate(p), &mut b, PeerId(0), t2);
         assert!(b.loc_rib().get(&p).is_some());
     }
 
@@ -1595,10 +1637,11 @@ mod tests {
         // the blanket NOTIFICATION-and-drop path remains.
         let (mut a, mut b) = resilient_pair();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         let t1 = SimTime::from_secs(5);
-        let outs = b.on_corrupt_message(PeerId(0), t1);
+        let mut outs = Vec::new();
+        b.apply(Input::CorruptMessage(PeerId(0)), t1, &mut outs);
         assert!(
             outs.iter()
                 .any(|o| matches!(o, Output::Send(_, BgpMessage::Notification(_)))),
@@ -1607,7 +1650,7 @@ mod tests {
         assert!(!b.peer_established(PeerId(0)));
         // GR keeps the path while the session recycles.
         assert!(b.loc_rib().get(&p).is_some());
-        a.reset_peer(PeerId(0), t1);
+        a.apply(Input::ResetPeer(PeerId(0)), t1, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::from_secs(20));
         assert!(b.peer_established(PeerId(0)));
         assert!(b.loc_rib().get(&p).is_some());
@@ -1625,23 +1668,27 @@ mod tests {
         )
         .unwrap();
         for i in 0..3u8 {
-            a.originate(Prefix::v4(10, i, 0, 0, 16), SimTime::ZERO);
+            a.apply(
+                originate(Prefix::v4(10, i, 0, 0, 16)),
+                SimTime::ZERO,
+                &mut Vec::new(),
+            );
         }
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert!(b.peer_established(PeerId(0)), "at the warn threshold");
         assert_eq!(b.loc_rib().len(), 3);
         // Two more prefixes push the count past the hard limit.
         let t1 = SimTime::from_secs(5);
-        let mut pending: Vec<BgpMessage> = Vec::new();
-        for pfx in [Prefix::v4(10, 10, 0, 0, 16), Prefix::v4(10, 11, 0, 0, 16)] {
-            pending.extend(a.originate(pfx, t1).into_iter().filter_map(|o| match o {
-                Output::Send(_, m) => Some(m),
-                _ => None,
-            }));
-        }
         let mut ceased = Vec::new();
-        for m in pending {
-            ceased.extend(b.on_message(PeerId(0), m, t1));
+        for pfx in [Prefix::v4(10, 10, 0, 0, 16), Prefix::v4(10, 11, 0, 0, 16)] {
+            ceased.extend(relay(
+                &mut a,
+                PeerId(0),
+                originate(pfx),
+                &mut b,
+                PeerId(0),
+                t1,
+            ));
         }
         assert!(
             ceased.iter().any(|o| matches!(
@@ -1661,13 +1708,18 @@ mod tests {
         let (mut a, mut b) = resilient_pair();
         let p1 = Prefix::v4(10, 10, 0, 0, 16);
         let p2 = Prefix::v4(10, 20, 0, 0, 16);
-        a.originate(p1, SimTime::ZERO);
-        a.originate(p2, SimTime::ZERO);
+        a.apply(originate(p1), SimTime::ZERO, &mut Vec::new());
+        a.apply(originate(p2), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert_eq!(b.loc_rib().len(), 2);
         // Quarantine: reject everything the peer offers.
         let t1 = SimTime::from_secs(5);
-        let outs = b.set_peer_import(PeerId(0), Policy::reject_all(), t1);
+        let mut outs = Vec::new();
+        b.apply(
+            Input::SetPeerImport(PeerId(0), Policy::reject_all()),
+            t1,
+            &mut outs,
+        );
         assert!(outs.iter().any(|o| matches!(
             o,
             Output::Event(SpeakerEvent::BestChanged { new: None, .. })
@@ -1679,32 +1731,16 @@ mod tests {
         );
         // Lift the quarantine: restore the policy and ask for a refresh.
         let t2 = SimTime::from_secs(10);
-        b.set_peer_import(PeerId(0), Policy::accept_all(), t2);
-        let refresh = b.request_refresh(PeerId(0));
+        let accept = Input::SetPeerImport(PeerId(0), Policy::accept_all());
+        b.apply(accept, t2, &mut Vec::new());
+        let mut refresh = Vec::new();
+        b.apply(Input::RequestRefresh(PeerId(0)), t2, &mut refresh);
         assert_eq!(
             refresh,
             vec![Output::Send(PeerId(0), BgpMessage::RouteRefresh)]
         );
-        let mut pending: Vec<BgpMessage> = vec![BgpMessage::RouteRefresh];
-        for _ in 0..8 {
-            if pending.is_empty() {
-                break;
-            }
-            let mut back: Vec<BgpMessage> = Vec::new();
-            for m in pending.drain(..) {
-                back.extend(
-                    a.on_message(PeerId(0), m, t2)
-                        .into_iter()
-                        .filter_map(|o| match o {
-                            Output::Send(_, m) => Some(m),
-                            _ => None,
-                        }),
-                );
-            }
-            for m in back {
-                b.on_message(PeerId(0), m, t2);
-            }
-        }
+        let refresh = Input::Message(PeerId(0), BgpMessage::RouteRefresh);
+        relay(&mut a, PeerId(0), refresh, &mut b, PeerId(0), t2);
         assert_eq!(b.loc_rib().len(), 2, "refresh restores the routes");
         assert_eq!(b.check_invariants(), Ok(()));
     }
@@ -1716,7 +1752,7 @@ mod tests {
             .unwrap();
         let mut l = speaker(asn);
         l.add_peer(PeerConfig::new(PeerId(0), Asn(2))).unwrap();
-        establish_pair(&mut l, PeerId(0), b, PeerId(id), now);
+        settle(&mut l, b, PeerId(0), PeerId(id), now);
         l
     }
 
@@ -1724,9 +1760,13 @@ mod tests {
     fn full_table_sends_stale_paths_until_the_sweep() {
         let (mut a, mut b) = resilient_pair();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
-        b.reset_peer(PeerId(0), SimTime::from_secs(5));
+        b.apply(
+            Input::ResetPeer(PeerId(0)),
+            SimTime::from_secs(5),
+            &mut Vec::new(),
+        );
         assert!(!b.peer_established(PeerId(0)));
         // Inside the restart window the stale path still forwards, so a
         // session coming up now is sent it.
@@ -1736,7 +1776,7 @@ mod tests {
             "stale path in the full table"
         );
         // The restart deadline sweeps it; a later session gets nothing.
-        b.tick(SimTime::from_secs(126));
+        b.apply(Input::Tick, SimTime::from_secs(126), &mut Vec::new());
         assert!(b.adj_rib_in(PeerId(0)).unwrap().is_empty());
         let d = listener(&mut b, 2, 4, SimTime::from_secs(127));
         assert!(d.loc_rib().is_empty(), "swept path left the full table");
@@ -1748,11 +1788,12 @@ mod tests {
         let (mut a, mut b) = resilient_pair();
         let learned = Prefix::v4(10, 10, 0, 0, 16);
         let local = Prefix::v4(10, 30, 0, 0, 16);
-        a.originate(learned, SimTime::ZERO);
-        b.originate(local, SimTime::ZERO);
+        a.apply(originate(learned), SimTime::ZERO, &mut Vec::new());
+        b.apply(originate(local), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         assert_eq!(b.loc_rib().len(), 2);
-        b.set_peer_import(PeerId(0), Policy::reject_all(), SimTime::from_secs(5));
+        let quarantine = Input::SetPeerImport(PeerId(0), Policy::reject_all());
+        b.apply(quarantine, SimTime::from_secs(5), &mut Vec::new());
         assert!(b.adj_rib_in(PeerId(0)).unwrap().is_empty());
         let c = listener(&mut b, 1, 3, SimTime::from_secs(6));
         let got: Vec<Prefix> = c.loc_rib().iter().map(|r| r.prefix).collect();
@@ -1768,10 +1809,11 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
         // No keepalives flow; push time past the hold deadline.
-        let outs = b.tick(SimTime::from_secs(300));
+        let mut outs = Vec::new();
+        b.apply(Input::Tick, SimTime::from_secs(300), &mut outs);
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Event(SpeakerEvent::PeerDown(_, _)))));
@@ -1792,7 +1834,7 @@ mod tests {
         b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
             .unwrap();
         let p = Prefix::v4(10, 10, 0, 0, 16);
-        a.originate(p, SimTime::ZERO);
+        a.apply(originate(p), SimTime::ZERO, &mut Vec::new());
         settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
 
         let log = ProvenanceLog::new();
@@ -1807,7 +1849,8 @@ mod tests {
         // Staging records nothing: the withdrawal has not been sent.
         // (All times stay well inside the 90 s hold timer.)
         let t1 = SimTime::from_secs(1);
-        let outs = a.withdraw_origin(p, t1);
+        let mut outs = Vec::new();
+        a.apply(Input::WithdrawOrigin(p), t1, &mut outs);
         assert!(
             !outs.iter().any(|o| matches!(o, Output::Send(_, _))),
             "packed withdraw must stage, not send"
@@ -1816,7 +1859,8 @@ mod tests {
 
         // Flushing records it, stamped with the flush time.
         let t2 = t1 + mrai;
-        let outs = a.tick(t2);
+        let mut outs = Vec::new();
+        a.apply(Input::Tick, t2, &mut outs);
         assert!(outs.iter().any(
             |o| matches!(o, Output::Send(_, BgpMessage::Update(u)) if !u.withdrawn.is_empty())
         ));
@@ -1831,12 +1875,21 @@ mod tests {
         // A withdraw superseded by a re-announce before the deadline
         // never hits the wire, so it is never recorded as sent.
         let t3 = SimTime::from_secs(20);
-        a.originate(p, t3);
-        a.tick(t3 + mrai);
+        a.apply(originate(p), t3, &mut Vec::new());
+        a.apply(Input::Tick, t3 + mrai, &mut Vec::new());
         let t4 = SimTime::from_secs(40);
-        a.withdraw_origin(p, t4);
-        a.originate(p, t4 + SimDuration::from_secs(1));
-        let outs = a.tick(t4 + mrai + SimDuration::from_secs(1));
+        a.apply(Input::WithdrawOrigin(p), t4, &mut Vec::new());
+        a.apply(
+            originate(p),
+            t4 + SimDuration::from_secs(1),
+            &mut Vec::new(),
+        );
+        let mut outs = Vec::new();
+        a.apply(
+            Input::Tick,
+            t4 + mrai + SimDuration::from_secs(1),
+            &mut outs,
+        );
         assert!(
             outs.iter().any(
                 |o| matches!(o, Output::Send(_, BgpMessage::Update(u)) if !u.announced.is_empty())
@@ -1868,7 +1921,12 @@ mod tests {
             PeerConfig::new(PeerId(0), Asn(100)).with_max_prefix(MaxPrefixConfig::new(2)),
             PeerConfig::new(PeerId(1), Asn(200)),
         );
-        let staged = s.originate(Prefix::v4(10, 9, 0, 0, 16), SimTime::from_secs(1));
+        let mut staged = Vec::new();
+        s.apply(
+            originate(Prefix::v4(10, 9, 0, 0, 16)),
+            SimTime::from_secs(1),
+            &mut staged,
+        );
         assert_eq!(updates_to(&staged), vec![], "paced exports stage");
         assert_eq!(s.next_deadline(), SimTime::from_secs(30), "keepalive first");
         s
@@ -1878,16 +1936,15 @@ mod tests {
     fn max_prefix_cease_drops_the_deltas_staged_for_the_ceased_peer() {
         let mut s = paced_with_a_staged_export();
         let flood: Vec<Prefix> = (1..=3).map(|i| Prefix::v4(10, i, 0, 0, 16)).collect();
-        let outs = s.on_message(
-            PeerId(0),
-            shared_attrs_update(&flood),
-            SimTime::from_secs(2),
-        );
+        let mut outs = Vec::new();
+        let flood = Input::Message(PeerId(0), shared_attrs_update(&flood));
+        s.apply(flood, SimTime::from_secs(2), &mut outs);
         assert!(!s.peer_established(PeerId(0)), "the flooder is ceased");
         assert_eq!(updates_to(&outs), vec![]);
         // Past the MRAI deadline the listener gets its batch; the staged
         // export toward the ceased session died with it.
-        let flushed = s.tick(SimTime::from_secs(32));
+        let mut flushed = Vec::new();
+        s.apply(Input::Tick, SimTime::from_secs(32), &mut flushed);
         assert_eq!(updates_to(&flushed), vec![PeerId(1)]);
         assert_eq!(s.check_invariants(), Ok(()));
     }
@@ -1895,9 +1952,11 @@ mod tests {
     #[test]
     fn restart_drops_every_staged_delta() {
         let mut s = paced_with_a_staged_export();
-        s.restart(SimTime::from_secs(2));
+        s.apply(Input::Restart, SimTime::from_secs(2), &mut Vec::new());
         assert!(!s.peer_established(PeerId(0)) && !s.peer_established(PeerId(1)));
-        assert_eq!(updates_to(&s.tick(SimTime::from_secs(32))), vec![]);
+        let mut outs = Vec::new();
+        s.apply(Input::Tick, SimTime::from_secs(32), &mut outs);
+        assert_eq!(updates_to(&outs), vec![]);
         assert_eq!(s.next_deadline(), SimTime::MAX, "no timer left armed");
         assert_eq!(s.check_invariants(), Ok(()));
     }
@@ -1908,8 +1967,14 @@ mod tests {
         let telemetry = Telemetry::new();
         s.set_telemetry(telemetry.clone());
         let p = Prefix::v4(10, 1, 0, 0, 16);
-        s.on_message(PeerId(0), shared_attrs_update(&[p]), SimTime::from_secs(1));
-        let outs = s.remove_peer(PeerId(0), SimTime::from_secs(2));
+        let update = Input::Message(PeerId(0), shared_attrs_update(&[p]));
+        s.apply(update, SimTime::from_secs(1), &mut Vec::new());
+        let mut outs = Vec::new();
+        s.apply(
+            Input::RemovePeer(PeerId(0)),
+            SimTime::from_secs(2),
+            &mut outs,
+        );
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Event(SpeakerEvent::PeerDown(PeerId(0), _)))));
@@ -1942,28 +2007,39 @@ mod tests {
         for id in 0..1000 {
             let (now, asn) = (SimTime::from_millis(u64::from(id)), Asn(100 + id));
             s.add_peer(peer_cfg(id)).unwrap();
-            s.start_peer(PeerId(id), now);
             let open = crate::message::OpenMessage::new(asn, 90, Ipv4Addr::new(10, 1, 0, 1));
-            s.on_message(PeerId(id), BgpMessage::Open(open), now);
-            s.on_message(PeerId(id), BgpMessage::Keepalive, now);
+            for input in [
+                Input::StartPeer(PeerId(id)),
+                Input::Message(PeerId(id), BgpMessage::Open(open)),
+                Input::Message(PeerId(id), BgpMessage::Keepalive),
+            ] {
+                s.apply(input, now, &mut Vec::new());
+            }
         }
         let step = |s: &Speaker, at: &str, due: SimTime| {
             assert_eq!(s.next_deadline(), due, "{at}");
             assert_eq!(s.check_invariants(), Ok(()), "{at}");
         };
         step(&s, "peer 0's keepalive", SimTime::from_secs(30));
-        s.originate(Prefix::v4(10, 9, 0, 0, 16), SimTime::from_secs(1));
+        let p = Prefix::v4(10, 9, 0, 0, 16);
+        s.apply(originate(p), SimTime::from_secs(1), &mut Vec::new());
         step(&s, "the listener's MRAI", SimTime::from_secs(6));
-        s.reset_peer(gr, SimTime::from_secs(2));
+        s.apply(Input::ResetPeer(gr), SimTime::from_secs(2), &mut Vec::new());
         step(&s, "the GR peer's stale paths", SimTime::from_secs(5));
-        s.remove_peer(gr, SimTime::from_secs(3));
+        s.apply(
+            Input::RemovePeer(gr),
+            SimTime::from_secs(3),
+            &mut Vec::new(),
+        );
         step(&s, "the earliest removed", SimTime::from_secs(6));
         assert_eq!(s.add_peer(peer_cfg(500)), Err(PeerExists(listener)));
         s.add_peer(peer_cfg(7)).unwrap();
         step(&s, "a refused and an idle add", SimTime::from_secs(6));
-        assert_eq!(updates_to(&s.tick(SimTime::from_secs(6))), vec![listener]);
+        let mut flushed = Vec::new();
+        s.apply(Input::Tick, SimTime::from_secs(6), &mut flushed);
+        assert_eq!(updates_to(&flushed), vec![listener]);
         step(&s, "MRAI flushed", SimTime::from_secs(30));
-        s.restart(SimTime::from_secs(7));
+        s.apply(Input::Restart, SimTime::from_secs(7), &mut Vec::new());
         step(&s, "every session idle", SimTime::MAX);
     }
 
@@ -1984,13 +2060,17 @@ mod tests {
         listener: PeerConfig,
     ) -> Speaker {
         for peer in [feeder, listener] {
-            let (id, asn) = (peer.id.0, peer.asn.0);
+            let (id, asn) = (peer.id, peer.asn);
             s.add_peer(peer).unwrap();
-            s.start_peer(PeerId(id), SimTime::ZERO);
-            let open = crate::message::OpenMessage::new(Asn(asn), 90, Ipv4Addr::new(10, 1, 0, 1));
-            s.on_message(PeerId(id), BgpMessage::Open(open), SimTime::ZERO);
-            s.on_message(PeerId(id), BgpMessage::Keepalive, SimTime::ZERO);
-            assert!(s.peer_established(PeerId(id)));
+            let open = crate::message::OpenMessage::new(asn, 90, Ipv4Addr::new(10, 1, 0, 1));
+            for input in [
+                Input::StartPeer(id),
+                Input::Message(id, BgpMessage::Open(open)),
+                Input::Message(id, BgpMessage::Keepalive),
+            ] {
+                s.apply(input, SimTime::ZERO, &mut Vec::new());
+            }
+            assert!(s.peer_established(id));
         }
         s
     }
@@ -2021,11 +2101,9 @@ mod tests {
         assert!(!reads_prefix.is_prefix_free());
         for order in [[kept, dropped], [dropped, kept]] {
             let mut s = feeder_and_listener(reads_prefix.clone());
-            let outs = s.on_message(
-                PeerId(0),
-                shared_attrs_update(&order),
-                SimTime::from_secs(1),
-            );
+            let mut outs = Vec::new();
+            let update = Input::Message(PeerId(0), shared_attrs_update(&order));
+            s.apply(update, SimTime::from_secs(1), &mut outs);
             let sent: Vec<(Prefix, usize)> = outs
                 .iter()
                 .filter_map(|o| match o {
@@ -2054,11 +2132,8 @@ mod tests {
         assert!(tag.is_prefix_free());
         let mut s = feeder_and_listener(tag);
         let before = s.interner_stats();
-        s.on_message(
-            PeerId(0),
-            shared_attrs_update(&[a, b]),
-            SimTime::from_secs(1),
-        );
+        let update = Input::Message(PeerId(0), shared_attrs_update(&[a, b]));
+        s.apply(update, SimTime::from_secs(1), &mut Vec::new());
         let out = s.adj_rib_out(PeerId(1)).unwrap();
         let (ra, rb) = (out.get(&a, 0).unwrap(), out.get(&b, 0).unwrap());
         assert!(Arc::ptr_eq(&ra.attrs, &rb.attrs));

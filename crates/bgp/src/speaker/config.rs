@@ -234,10 +234,10 @@ pub struct PeerConfig {
     /// Export peer-group assignment (see [`ExportGrouping`]).
     pub grouping: ExportGrouping,
     /// Administrative state. A disabled peer keeps its configuration but
-    /// [`Speaker::start_peer`](super::Speaker::start_peer) is a no-op until it is re-enabled — this
-    /// is what lets a daemon restart bring back *configured* sessions
-    /// without resurrecting ones an operator (or a migration plan) has
-    /// deliberately torn down.
+    /// [`Input::StartPeer`](super::Input::StartPeer) is a no-op until it
+    /// is re-enabled — this is what lets a daemon restart bring back
+    /// *configured* sessions without resurrecting ones an operator (or a
+    /// migration plan) has deliberately torn down.
     pub enabled: bool,
 }
 

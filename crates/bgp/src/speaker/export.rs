@@ -6,10 +6,10 @@
 //! [`Member`] state (group, mask, sync flag, staged MRAI batch). The
 //! fields are private here, so the rest of the Speaker reaches them only
 //! through the entry points: [`Export::join`] / [`Export::leave`] and the
-//! reseat behind [`Speaker::set_peer_export`] (membership),
-//! [`Export::forget`] (the session is gone), [`Speaker::full_table_to`]
-//! (table sync), [`Speaker::export_prefix`] (a routing change) and
-//! [`Speaker::flush_mrai`]. The rule they keep between them: a group's
+//! reseat behind [`Input::SetPeerExport`](super::Input::SetPeerExport)
+//! (membership), [`Export::forget`] (the session is gone),
+//! [`Speaker::full_table_to`] (table sync), [`Speaker::export_prefix`] (a
+//! routing change) and [`Speaker::flush_mrai`]. The rule they keep between them: a group's
 //! base holds exactly what its *synced* members have been sent.
 
 mod diff;
@@ -478,45 +478,18 @@ impl Speaker {
         self.export.groups.get(&key).map_or(0, |g| g.members.len())
     }
 
-    /// Re-resolve a peer's export-group membership at runtime. This is
-    /// the containment lever on the export side: quarantining a tenant
-    /// moves it to a solo group so its churn can never touch the shared
-    /// base its former group-mates still read, and parole moves it back.
-    /// When the new group's fingerprint matches the old one the move is
-    /// pure bookkeeping — zero UPDATEs hit the wire (the staged exports
-    /// are identical, so the resync diff is empty); otherwise the peer's
-    /// advertised view is re-diffed against the new group's exports and
-    /// only the delta is emitted.
-    pub fn set_peer_export_grouping(
-        &mut self,
-        peer: PeerId,
-        grouping: ExportGrouping,
-        now: SimTime,
-    ) -> Vec<Output> {
-        self.reseat_peer_group(peer, now, |cfg| cfg.grouping = grouping)
-    }
-
-    /// Swap a peer's export policy at runtime. The group fingerprint
-    /// includes the export policy, so this reseats the peer into the
-    /// group matching the new policy and resyncs its advertised view —
-    /// the same diff-against-sent-state machinery a grouping change
-    /// uses. The migration planner leans on this for policy rollouts:
-    /// the swap emits exactly the routes whose export verdict changed.
-    pub fn set_peer_export(&mut self, peer: PeerId, policy: Policy, now: SimTime) -> Vec<Output> {
-        self.reseat_peer_group(peer, now, |cfg| cfg.export = policy)
-    }
-
     /// Apply `change` to a peer's configuration, re-resolve its export
     /// group and, when the group actually changes, resync the peer's
     /// advertised view by diffing against what has been sent.
-    fn reseat_peer_group(
+    pub(super) fn reseat_peer_group(
         &mut self,
         peer: PeerId,
         now: SimTime,
+        out: &mut Vec<Output>,
         change: impl FnOnce(&mut PeerConfig),
-    ) -> Vec<Output> {
+    ) {
         let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
+            return;
         };
         change(&mut state.cfg);
         let old_key = state.sent.group;
@@ -524,7 +497,7 @@ impl Speaker {
         // membership (and its base) must survive untouched.
         let new_key = self.export.resolve(&self.cfg, &state.cfg);
         if new_key == old_key {
-            return Vec::new();
+            return;
         }
         self.telemetry.counter_inc("bgp.export.group_splits");
         // Snapshot what this peer has actually been sent (old base minus
@@ -532,23 +505,20 @@ impl Speaker {
         let snapshot = self.adj_rib_out(peer).unwrap_or_default();
         self.export.leave(&self.peers, peer, old_key);
         let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
+            return;
         };
         state.sent.group = new_key;
         state.sent.mask.clear();
         if !state.sent.synced {
             // Nothing has been sent on this session yet; the next full
             // sync simply uses the new group.
-            return Vec::new();
+            return;
         }
         // Resync: recompute this peer's exports under the new group and
         // emit only the diff against the snapshot. No reject provenance
         // here — a group move is not a routing decision; only actual
         // emissions are recorded.
-        let mut out = Vec::new();
-        self.resync_member(peer, &snapshot, false, now, &mut out);
-        self.debug_check("export-group reseat");
-        out
+        self.resync_member(peer, &snapshot, false, now, out);
     }
 
     /// Re-export one prefix to the established peers after a routing

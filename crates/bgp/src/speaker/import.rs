@@ -224,14 +224,15 @@ impl Speaker {
         self.reconsider_with(&affected, now, cause, out);
     }
 
-    /// Replace a peer's import policy at runtime and re-filter the
-    /// peer's Adj-RIB-In under it, withdrawing anything the new policy
-    /// rejects. This is the quarantine lever: the containment engine
-    /// swaps in a reject-all policy and every route the peer had placed
-    /// is withdrawn from downstream peers.
-    pub fn set_peer_import(&mut self, peer: PeerId, policy: Policy, now: SimTime) -> Vec<Output> {
+    pub(super) fn set_import(
+        &mut self,
+        peer: PeerId,
+        policy: Policy,
+        now: SimTime,
+        out: &mut Vec<Output>,
+    ) {
         let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
+            return;
         };
         state.cfg.import = policy;
         let was_empty = state.adj_in.is_empty();
@@ -253,9 +254,6 @@ impl Speaker {
             }
         }
         relist(&mut self.learned, state, was_empty);
-        let mut out = Vec::new();
-        self.reconsider_with(&affected, now, None, &mut out);
-        self.debug_check("set_peer_import");
-        out
+        self.reconsider_with(&affected, now, None, out);
     }
 }

@@ -27,23 +27,12 @@ impl Speaker {
         self.telemetry.counter_inc(to);
     }
 
-    /// Start (or restart) the session with a peer. A no-op while the
-    /// peer is administratively disabled (see [`PeerConfig::enabled`](super::PeerConfig::enabled)).
-    pub fn start_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
+    pub(super) fn start_session(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
         if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
-            return Vec::new();
+            return;
         }
         self.session_started.insert(peer, now);
-        let mut out = Vec::new();
-        self.drive_session(peer, now, &mut out, |s| (s.start(now), Vec::new()));
-        out
-    }
-
-    /// Administratively stop the session with a peer.
-    pub fn stop_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.drive_session(peer, now, &mut out, |s| s.stop(now));
-        out
+        self.drive_session(peer, now, out, |s| (s.start(now), Vec::new()));
     }
 
     /// The one way a session is driven: run `drive` on `peer`'s session,
@@ -80,40 +69,31 @@ impl Speaker {
         }
     }
 
-    /// Flip a peer's administrative state. Disabling stops the session
-    /// (Cease) and pins it down: retries never arm and
-    /// [`start_peer`](Self::start_peer) no-ops, so even a full daemon
-    /// restart leaves the session torn down until it is re-enabled.
-    /// Enabling restores normal operation and starts the session.
-    pub fn set_peer_enabled(&mut self, peer: PeerId, enabled: bool, now: SimTime) -> Vec<Output> {
+    pub(super) fn set_enabled(
+        &mut self,
+        peer: PeerId,
+        enabled: bool,
+        now: SimTime,
+        out: &mut Vec<Output>,
+    ) {
         let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
+            return;
         };
         if state.cfg.enabled == enabled {
-            return Vec::new();
+            return;
         }
         state.cfg.enabled = enabled;
         if enabled {
-            self.start_peer(peer, now)
+            self.start_session(peer, now, out);
         } else {
-            self.stop_peer(peer, now)
+            self.drive_session(peer, now, out, |s| s.stop(now));
         }
     }
 
-    /// Process a message from a peer.
-    pub fn on_message(&mut self, from: PeerId, msg: BgpMessage, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.drive_session(from, now, &mut out, |s| s.on_message(msg, now));
-        self.debug_check("on_message");
-        out
-    }
-
-    /// Drive timers for every peer session.
-    pub fn tick(&mut self, now: SimTime) -> Vec<Output> {
+    pub(super) fn tick_timers(&mut self, now: SimTime, out: &mut Vec<Output>) {
         let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        let mut out = Vec::new();
         for id in ids {
-            self.drive_session(id, now, &mut out, |s| s.tick(now));
+            self.drive_session(id, now, out, |s| s.tick(now));
             let Some(state) = self.peers.get_mut(&id) else {
                 continue;
             };
@@ -131,26 +111,24 @@ impl Speaker {
             }
             let stale_expired = state.stale.as_ref().is_some_and(|st| now >= st.deadline);
             if !released.is_empty() {
-                self.reconsider_with(&released, now, None, &mut out);
+                self.reconsider_with(&released, now, None, out);
             }
             // Graceful-restart timer: the peer never came back (or never
             // finished re-syncing) in time, so flush its stale paths.
             if stale_expired {
-                self.finish_graceful_restart(id, now, &mut out);
+                self.finish_graceful_restart(id, now, out);
             }
             // MRAI timer: flush the staged batch once the interval is up
             // (read last: the re-decisions above may have armed it).
             let mrai_due = self.peers.get(&id).map(|p| p.sent.mrai_deadline());
             if mrai_due.is_some_and(|due| now >= due) {
-                self.flush_mrai(id, now, &mut out);
+                self.flush_mrai(id, now, out);
             }
             // The stale sweep above clears a deadline without retiming.
             if let Some(state) = self.peers.get_mut(&id) {
                 retime(&mut self.timers, state);
             }
         }
-        self.debug_check("tick");
-        out
     }
 
     /// The earliest time any peer's session, graceful-restart or MRAI
@@ -159,8 +137,9 @@ impl Speaker {
         self.timers.first().map_or(SimTime::MAX, |&(due, _)| due)
     }
 
-    /// Whether [`tick`](Self::tick) at `now` could do anything: false only
-    /// when it would be a no-op, so a host may skip the call. True once
+    /// Whether [`Input::Tick`](super::Input::Tick) at `now` could do
+    /// anything: false only when it would be a no-op, so a host may skip
+    /// the input. True once
     /// [`next_deadline`](Self::next_deadline) is due, and for as long as
     /// any prefix is damped: the release check rewrites each damped
     /// prefix's decayed penalty on every tick, so skipping one would move
@@ -268,72 +247,28 @@ impl Speaker {
         self.reconsider_with(&affected, now, None, out);
     }
 
-    /// Tear down the transport with a peer (chaos: TCP reset, link cut
-    /// under the session). With retry configured the session reconnects
-    /// by itself; with graceful restart the peer's paths go stale rather
-    /// than vanishing.
-    pub fn reset_peer(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
-            // An administratively disabled session has no connection to
-            // lose — and must not arm a reconnect.
-            return Vec::new();
+    pub(super) fn reset_transport(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
+        // A disabled session has no connection to lose, and must not arm
+        // a reconnect.
+        if self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
+            self.drive_session(peer, now, out, |s| (Vec::new(), s.drop_connection(now)));
         }
-        let mut out = Vec::new();
-        self.drive_session(peer, now, &mut out, |s| {
-            (Vec::new(), s.drop_connection(now))
-        });
-        self.debug_check("reset_peer");
-        out
     }
 
-    /// React to an unparseable message from a peer (chaos: corruption in
-    /// flight): NOTIFICATION out, session down.
-    pub fn on_corrupt_message(&mut self, from: PeerId, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.drive_session(from, now, &mut out, |s| s.on_corrupt(now));
-        self.debug_check("on_corrupt_message");
-        out
-    }
-
-    /// React to an UPDATE whose attributes are malformed in a way RFC
-    /// 7606 classifies as recoverable: the session stays Established and
-    /// the announced routes are handled as withdrawn (treat-as-withdraw)
-    /// instead of answering with a NOTIFICATION. Contrast with
-    /// [`on_corrupt_message`](Self::on_corrupt_message), which remains
-    /// the path for unrecoverable (framing-level) corruption.
-    pub fn on_malformed_update(
+    pub(super) fn malformed_update(
         &mut self,
         from: PeerId,
         update: UpdateMessage,
         now: SimTime,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         if self.peer_established(from) {
             self.telemetry.counter_inc("bgp.session.treat_as_withdraw");
         }
-        let mut out = Vec::new();
-        self.drive_session(from, now, &mut out, |s| s.on_malformed_update(update, now));
-        self.debug_check("on_malformed_update");
-        out
+        self.drive_session(from, now, out, |s| s.on_malformed_update(update, now));
     }
 
-    /// Ask an established peer to re-send its table (ROUTE-REFRESH, RFC
-    /// 2918). Used when lifting a quarantine: the re-filtered routes were
-    /// dropped from Adj-RIB-In, so the peer must offer them again.
-    pub fn request_refresh(&mut self, peer: PeerId) -> Vec<Output> {
-        match self.peers.get(&peer) {
-            Some(state) if state.session.is_established() => {
-                vec![Output::Send(peer, BgpMessage::RouteRefresh)]
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Cold restart after a crash: every session drops to Idle, all
-    /// learned state is gone, only local originations survive (they live
-    /// in configuration). Callers restart sessions via
-    /// [`start_peer`](Self::start_peer) afterwards.
-    pub fn restart(&mut self, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
+    pub(super) fn restart_cold(&mut self, now: SimTime, out: &mut Vec<Output>) {
         let ids: Vec<PeerId> = self.peers.keys().copied().collect();
         for id in ids {
             // The Loc-RIB goes wholesale below, so which prefixes lost a
@@ -352,8 +287,6 @@ impl Speaker {
         }
         self.loc_rib = LocRib::new();
         let locals: Vec<Prefix> = self.local_routes.keys().copied().collect();
-        self.reconsider_with(&locals, now, None, &mut out);
-        self.debug_check("restart");
-        out
+        self.reconsider_with(&locals, now, None, out);
     }
 }

@@ -22,9 +22,9 @@
 //! session was lost (reset, max-prefix Cease, restart, removal).
 
 use peering_bgp::{
-    Action, AsPath, Asn, BgpMessage, Community, Match, MaxPrefixConfig, Nlri, OpenMessage, Output,
-    PathAttributes, PeerConfig, PeerId, Policy, Prefix, ProvenanceLog, Route, RouteSource, Speaker,
-    SpeakerConfig, SpeakerEvent, UpdateMessage,
+    Action, AsPath, Asn, BgpMessage, Community, Input, Match, MaxPrefixConfig, Nlri, OpenMessage,
+    Output, PathAttributes, PeerConfig, PeerId, Policy, Prefix, ProvenanceLog, Route, RouteSource,
+    Speaker, SpeakerConfig, SpeakerEvent, UpdateMessage,
 };
 use peering_netsim::{SimDuration, SimRng, SimTime, TraceId};
 use peering_telemetry::Telemetry;
@@ -225,16 +225,21 @@ impl Bench {
         }
     }
 
-    /// One step: `f` on every speaker at the next whole second, then two
-    /// ticks each past the MRAI interval — the second flushes what a
+    /// One step: `inputs` to every speaker at the next whole second, then
+    /// two ticks each past the MRAI interval — the second flushes what a
     /// timer firing in the first one staged — then every check.
-    fn step(&mut self, label: &str, f: impl Fn(&mut Speaker, SimTime) -> Vec<Output>) {
+    fn step(&mut self, label: &str, inputs: &[Input]) {
         self.t += 1;
         let now = SimTime::from_secs(self.t);
         let drive = |rig: &mut Rig| {
-            let mut outs = f(&mut rig.s, now);
-            outs.extend(rig.s.tick(now + SimDuration::from_millis(450)));
-            outs.extend(rig.s.tick(now + SimDuration::from_millis(900)));
+            let mut outs = Vec::new();
+            for input in inputs {
+                rig.s.apply(input.clone(), now, &mut outs);
+            }
+            for ms in [450, 900] {
+                let at = now + SimDuration::from_millis(ms);
+                rig.s.apply(Input::Tick, at, &mut outs);
+            }
             rig.absorb(label, &outs);
             assert_eq!(rig.s.check_invariants(), Ok(()), "{label}");
             let established = rig.s.peer_ids().filter(|p| rig.s.peer_established(*p));
@@ -273,24 +278,25 @@ impl Bench {
         if peer == GR_PEER {
             open = open.with_graceful_restart(GR_WINDOW_S as u16);
         }
-        self.step(&format!("start {peer}"), |s, now| s.start_peer(peer, now));
-        self.step(&format!("OPEN {peer}"), |s, now| {
-            s.on_message(peer, BgpMessage::Open(open.clone()), now)
-        });
-        self.step(&format!("KEEPALIVE {peer}"), |s, now| {
-            s.on_message(peer, BgpMessage::Keepalive, now)
-        });
+        self.step(&format!("start {peer}"), &[Input::StartPeer(peer)]);
+        let open = Input::Message(peer, BgpMessage::Open(open));
+        self.step(&format!("OPEN {peer}"), &[open]);
+        let keepalive = Input::Message(peer, BgpMessage::Keepalive);
+        self.step(&format!("KEEPALIVE {peer}"), &[keepalive]);
         assert!(self.production.s.peer_established(peer), "{peer} up");
     }
 
+    /// Configure `cfg` on every speaker again, after its removal.
+    fn add_peer(&mut self, cfg: &PeerConfig) {
+        let rigs = [&mut self.production, &mut self.spec, &mut self.observed];
+        for rig in rigs.into_iter().chain([&mut self.paced]) {
+            rig.s.add_peer(cfg.clone()).expect("peer ids are distinct");
+        }
+    }
+
     fn feed(&mut self, label: &str, from: PeerId, update: &UpdateMessage, times: usize) {
-        self.step(label, |s, now| {
-            let mut outs = Vec::new();
-            for _ in 0..times {
-                outs.extend(s.on_message(from, BgpMessage::Update(update.clone()), now));
-            }
-            outs
-        });
+        let update = Input::Message(from, BgpMessage::Update(update.clone()));
+        self.step(label, &vec![update; times]);
     }
 }
 
@@ -356,11 +362,7 @@ fn run_script(seed: u64, steps: usize) {
         // An export staged toward every peer at the instant a session is
         // lost: what the paced speaker must drop with the session.
         let q = p(rng.index(PREFIXES as usize) as u8);
-        let stage_an_export = move |s: &mut Speaker, now| {
-            let mut outs = s.withdraw_origin(q, now);
-            outs.extend(s.originate(q, now));
-            outs
-        };
+        let stage_an_export = [Input::WithdrawOrigin(q), Input::Originate(q, Vec::new())];
         match rng.index(20) {
             // Announce / replace / losing challenger, sometimes delivered
             // twice at one instant: the second copy moves nothing at all.
@@ -402,9 +404,7 @@ fn run_script(seed: u64, steps: usize) {
             9 => {
                 let peer = *rng.pick(&everyone).expect("non-empty");
                 if !down.contains(&peer) {
-                    b.step(&tag(format!("reset {peer}")), |s, now| {
-                        s.reset_peer(peer, now)
-                    });
+                    b.step(&tag(format!("reset {peer}")), &[Input::ResetPeer(peer)]);
                 }
             }
             10 | 11 if !down.is_empty() => {
@@ -418,29 +418,24 @@ fn run_script(seed: u64, steps: usize) {
             12 => {
                 let peer = *rng.pick(&LISTENERS).expect("non-empty");
                 if !down.contains(&peer) {
-                    b.step(&tag(format!("ROUTE-REFRESH {peer}")), |s, now| {
-                        s.on_message(peer, BgpMessage::RouteRefresh, now)
-                    });
+                    let refresh = Input::Message(peer, BgpMessage::RouteRefresh);
+                    b.step(&tag(format!("ROUTE-REFRESH {peer}")), &[refresh]);
                 }
             }
             13 => {
                 let peer = *rng.pick(&LISTENERS).expect("non-empty");
                 let policy = export_policy(rng.index(5));
-                b.step(
-                    &tag(format!("set_peer_export {peer} {policy:?}")),
-                    |s, now| s.set_peer_export(peer, policy.clone(), now),
-                );
+                let label = tag(format!("set_peer_export {peer} {policy:?}"));
+                b.step(&label, &[Input::SetPeerExport(peer, policy)]);
             }
             14 => {
                 let n = rng.index(PREFIXES as usize) as u8;
                 if rng.chance(0.6) {
-                    b.step(&tag(format!("originate {}", p(n))), |s, now| {
-                        s.originate(p(n), now)
-                    });
+                    let originate = Input::Originate(p(n), Vec::new());
+                    b.step(&tag(format!("originate {}", p(n))), &[originate]);
                 } else {
-                    b.step(&tag(format!("withdraw origin {}", p(n))), |s, now| {
-                        s.withdraw_origin(p(n), now)
-                    });
+                    let withdraw = Input::WithdrawOrigin(p(n));
+                    b.step(&tag(format!("withdraw origin {}", p(n))), &[withdraw]);
                 }
             }
             // The flooder offers one prefix too many and is ceased.
@@ -451,20 +446,18 @@ fn run_script(seed: u64, steps: usize) {
                 };
                 let all = (0..PREFIXES).map(|n| Nlri::plain(p(n))).collect();
                 let flood = BgpMessage::Update(UpdateMessage::announce(Arc::new(attrs), all));
-                b.step(&tag(format!("{FLOODER} floods")), |s, now| {
-                    let mut outs = stage_an_export(s, now);
-                    outs.extend(s.on_message(FLOODER, flood.clone(), now));
-                    outs
-                });
+                let [withdraw, originate] = stage_an_export;
+                let flood = [withdraw, originate, Input::Message(FLOODER, flood)];
+                b.step(&tag(format!("{FLOODER} floods")), &flood);
                 assert!(!b.production.s.peer_established(FLOODER), "ceased");
             }
             // The speaker restarts cold; every session comes back.
             17 => {
-                b.step(&tag("restart".into()), |s, now| {
-                    let mut outs = stage_an_export(s, now);
-                    outs.extend(s.restart(now));
-                    outs
-                });
+                let [withdraw, originate] = stage_an_export;
+                b.step(
+                    &tag("restart".into()),
+                    &[withdraw, originate, Input::Restart],
+                );
                 for &peer in &everyone {
                     b.up(peer);
                 }
@@ -476,19 +469,15 @@ fn run_script(seed: u64, steps: usize) {
                     .into_iter()
                     .find(|c| c.id == peer)
                     .expect("scripted");
-                b.step(&tag(format!("remove {peer}")), |s, now| {
-                    let mut outs = stage_an_export(s, now);
-                    outs.extend(s.remove_peer(peer, now));
-                    s.add_peer(cfg.clone()).expect("peer ids are distinct");
-                    outs
-                });
+                let [withdraw, originate] = stage_an_export;
+                let remove = [withdraw, originate, Input::RemovePeer(peer)];
+                b.step(&tag(format!("remove {peer}")), &remove);
+                b.add_peer(&cfg);
             }
             // Let a graceful-restart window run out.
             15 if down.contains(&GR_PEER) => {
                 b.t += GR_WINDOW_S;
-                b.step(&tag("wait out the restart window".into()), |s, now| {
-                    s.tick(now)
-                });
+                b.step(&tag("wait out the restart window".into()), &[Input::Tick]);
             }
             _ => {}
         }

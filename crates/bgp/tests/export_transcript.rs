@@ -11,7 +11,7 @@
 //! file byte-identical.
 
 use peering_bgp::{
-    Action, AdvertiseMode, AsPath, Asn, BgpMessage, Community, ExportGrouping, Match, Nlri,
+    Action, AdvertiseMode, AsPath, Asn, BgpMessage, Community, ExportGrouping, Input, Match, Nlri,
     OpenMessage, Output, PathAttributes, PeerConfig, PeerId, Policy, Prefix, ProvenanceLog,
     Speaker, SpeakerConfig, TraceId, UpdateMessage,
 };
@@ -138,22 +138,17 @@ impl Script {
         assert_eq!(self.s.check_invariants(), Ok(()), "after {label}");
     }
 
-    /// Apply `f` at the next whole second, then tick.
-    fn at_next_second(
-        &mut self,
-        label: &str,
-        f: impl FnOnce(&mut Speaker, SimTime) -> Vec<Output>,
-    ) {
+    /// Apply `input` at the next whole second, then tick.
+    fn at_next_second(&mut self, label: &str, input: Input) {
         self.t += 1;
         let now = SimTime::from_secs(self.t);
-        let outs = f(&mut self.s, now);
+        let mut outs = Vec::new();
+        self.s.apply(input, now, &mut outs);
         self.render(&format!("t={}s {label}", self.t), outs);
-        let outs = self.s.tick(now + SimDuration::from_millis(500));
+        let mut outs = Vec::new();
+        let later = now + SimDuration::from_millis(500);
+        self.s.apply(Input::Tick, later, &mut outs);
         self.render(&format!("t={}.5s tick", self.t), outs);
-    }
-
-    fn feed(&mut self, label: &str, from: PeerId, msg: BgpMessage) {
-        self.at_next_second(label, |s, now| s.on_message(from, msg, now));
     }
 
     /// `update` as coming from `from`, traced as a fresh routing change.
@@ -163,65 +158,65 @@ impl Script {
         update.with_trace(Some(TraceId::new(asn, self.seq)))
     }
 
+    /// What `step` feeds the speaker, each input with its label.
+    fn lower(&mut self, step: &Step) -> Vec<(String, Input)> {
+        let update = |from, update| Input::Message(from, BgpMessage::Update(update));
+        let input = match step.clone() {
+            Up(peer) => {
+                // Hold time 0 disables the session timers, so ticks
+                // only ever show export-engine output. Peer 2 restarts
+                // gracefully, peer 3 sends ADD-PATH, and every peer
+                // accepts ADD-PATH from the speaker.
+                let asn = self.s.peer_asn(peer).expect("scripted peer");
+                let router_id = Ipv4Addr::new(192, 0, 2, peer.0 as u8);
+                let mut open =
+                    OpenMessage::new(asn, 0, router_id).with_add_path(peer == PeerId(3), true);
+                if peer == PeerId(2) {
+                    open = open.with_graceful_restart(30);
+                }
+                let open = Input::Message(peer, BgpMessage::Open(open));
+                let keepalive = Input::Message(peer, BgpMessage::Keepalive);
+                return vec![
+                    (format!("{step:?}"), Input::StartPeer(peer)),
+                    ("  OPEN".into(), open),
+                    ("  KEEPALIVE".into(), keepalive),
+                ];
+            }
+            Announce(from, path, list, tweak) => {
+                update(from, self.traced(from, announcement(path, list, tweak)))
+            }
+            Withdraw(from, list) => update(
+                from,
+                self.traced(from, UpdateMessage::withdraw(nlris(list))),
+            ),
+            Malformed(from, path, list) => {
+                let announced = announcement(path, list, Tweak::Plain);
+                Input::MalformedUpdate(from, self.traced(from, announced))
+            }
+            EndOfRib(from) => update(from, UpdateMessage::withdraw(Vec::new())),
+            RouteRefresh(from) => Input::Message(from, BgpMessage::RouteRefresh),
+            SetExport(peer, policy) => Input::SetPeerExport(peer, policy),
+            SetGrouping(peer, g) => Input::SetPeerExportGrouping(peer, g),
+            Reset(peer) => Input::ResetPeer(peer),
+            Corrupt(peer) => Input::CorruptMessage(peer),
+            Stop(peer) => Input::StopPeer(peer),
+            Originate(n, c) => Input::Originate(p(n), vec![c]),
+            WithdrawOrigin(n) => Input::WithdrawOrigin(p(n)),
+            Wait(secs) => {
+                self.t += secs;
+                Input::Tick
+            }
+        };
+        vec![(format!("{step:?}"), input)]
+    }
+
     fn run(mut self, script: &[Step]) -> String {
         for step in script {
-            let label = format!("{step:?}");
-            match step.clone() {
-                Up(peer) => {
-                    // Hold time 0 disables the session timers, so ticks
-                    // only ever show export-engine output. Peer 2 restarts
-                    // gracefully, peer 3 sends ADD-PATH, and every peer
-                    // accepts ADD-PATH from the speaker.
-                    let asn = self.s.peer_asn(peer).expect("scripted peer");
-                    let router_id = Ipv4Addr::new(192, 0, 2, peer.0 as u8);
-                    let mut open =
-                        OpenMessage::new(asn, 0, router_id).with_add_path(peer == PeerId(3), true);
-                    if peer == PeerId(2) {
-                        open = open.with_graceful_restart(30);
-                    }
-                    self.at_next_second(&label, |s, now| s.start_peer(peer, now));
-                    self.feed("  OPEN", peer, BgpMessage::Open(open));
-                    self.feed("  KEEPALIVE", peer, BgpMessage::Keepalive);
-                    assert!(self.s.peer_established(peer), "{peer} established");
-                }
-                Announce(from, path, list, tweak) => {
-                    let update = self.traced(from, announcement(path, list, tweak));
-                    self.feed(&label, from, BgpMessage::Update(update));
-                }
-                Withdraw(from, list) => {
-                    let update = self.traced(from, UpdateMessage::withdraw(nlris(list)));
-                    self.feed(&label, from, BgpMessage::Update(update));
-                }
-                Malformed(from, path, list) => {
-                    let update = self.traced(from, announcement(path, list, Tweak::Plain));
-                    self.at_next_second(&label, |s, now| s.on_malformed_update(from, update, now));
-                }
-                EndOfRib(from) => {
-                    let eor = UpdateMessage::withdraw(Vec::new());
-                    self.feed(&label, from, BgpMessage::Update(eor));
-                }
-                RouteRefresh(from) => self.feed(&label, from, BgpMessage::RouteRefresh),
-                SetExport(peer, policy) => {
-                    self.at_next_second(&label, |s, now| s.set_peer_export(peer, policy, now));
-                }
-                SetGrouping(peer, g) => {
-                    self.at_next_second(&label, |s, now| s.set_peer_export_grouping(peer, g, now));
-                }
-                Reset(peer) => self.at_next_second(&label, |s, now| s.reset_peer(peer, now)),
-                Corrupt(peer) => {
-                    self.at_next_second(&label, |s, now| s.on_corrupt_message(peer, now));
-                }
-                Stop(peer) => self.at_next_second(&label, |s, now| s.stop_peer(peer, now)),
-                Originate(n, c) => {
-                    self.at_next_second(&label, |s, now| s.originate_with(p(n), vec![c], now));
-                }
-                WithdrawOrigin(n) => {
-                    self.at_next_second(&label, |s, now| s.withdraw_origin(p(n), now));
-                }
-                Wait(secs) => {
-                    self.t += secs;
-                    self.at_next_second(&label, |s, now| s.tick(now));
-                }
+            for (label, input) in self.lower(step) {
+                self.at_next_second(&label, input);
+            }
+            if let Up(peer) = step {
+                assert!(self.s.peer_established(*peer), "{peer} established");
             }
         }
         self.final_state()

@@ -5,9 +5,9 @@
 use peering_bgp::damping::{DampingConfig, DampingState};
 use peering_bgp::wire::{decode_message, encode_message, encode_update_chunked, WireConfig};
 use peering_bgp::{
-    compare_routes, AsPath, BgpMessage, Community, ConnectRetryConfig, DecisionConfig, Match,
-    MaxPrefixConfig, Nlri, OpenMessage, Origin, PathAttributes, PeerConfig, PeerId, Prefix, Route,
-    RouteSource, Speaker, SpeakerConfig, UpdateMessage,
+    compare_routes, AsPath, BgpMessage, Community, ConnectRetryConfig, DecisionConfig, Input,
+    Match, MaxPrefixConfig, Nlri, OpenMessage, Origin, Output, PathAttributes, PeerConfig, PeerId,
+    Prefix, Route, RouteSource, Speaker, SpeakerConfig, UpdateMessage,
 };
 use peering_netsim::{Asn, Ipv4Net, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -279,34 +279,25 @@ proptest! {
         a.add_peer(PeerConfig::new(PeerId(0), Asn(200))).expect("peer ids are distinct");
         let mut b = Speaker::new(SpeakerConfig::new(Asn(200), Ipv4Addr::new(10, 0, 0, 2)));
         b.add_peer(PeerConfig::new(PeerId(0), Asn(100)).passive()).expect("peer ids are distinct");
-        // Handshake.
-        let mut to_b: Vec<BgpMessage> = a
-            .start_peer(PeerId(0), SimTime::ZERO)
-            .into_iter()
-            .filter_map(|o| match o {
-                peering_bgp::Output::Send(_, m) => Some(m),
-                _ => None,
-            })
-            .collect();
-        b.start_peer(PeerId(0), SimTime::ZERO);
+        // Handshake: what each end sends goes to the other until both
+        // are quiet.
+        let sent = |outs: Vec<Output>| {
+            let message = |o| match o {
+                Output::Send(_, m) => Some(Input::Message(PeerId(0), m)),
+                Output::Event(_) => None,
+            };
+            outs.into_iter().filter_map(message).collect::<Vec<_>>()
+        };
+        b.apply(Input::StartPeer(PeerId(0)), SimTime::ZERO, &mut Vec::new());
+        let mut to_b = Vec::new();
+        a.apply(Input::StartPeer(PeerId(0)), SimTime::ZERO, &mut to_b);
         for _ in 0..8 {
             let mut to_a = Vec::new();
-            for m in to_b.drain(..) {
-                for o in b.on_message(PeerId(0), m, SimTime::ZERO) {
-                    if let peering_bgp::Output::Send(_, msg) = o {
-                        to_a.push(msg);
-                    }
-                }
+            for input in sent(std::mem::take(&mut to_b)) {
+                b.apply(input, SimTime::ZERO, &mut to_a);
             }
-            if to_a.is_empty() {
-                break;
-            }
-            for m in to_a {
-                for o in a.on_message(PeerId(0), m, SimTime::ZERO) {
-                    if let peering_bgp::Output::Send(_, msg) = o {
-                        to_b.push(msg);
-                    }
-                }
+            for input in sent(to_a) {
+                a.apply(input, SimTime::ZERO, &mut to_b);
             }
         }
         prop_assume!(a.peer_established(PeerId(0)) && b.peer_established(PeerId(0)));
@@ -315,17 +306,17 @@ proptest! {
         for (i, (slot, announce)) in script.iter().enumerate() {
             let p = Prefix::v4(10, 77, *slot, 0, 24);
             let now = SimTime::from_secs(i as u64 + 1);
-            let outs = if *announce {
+            let input = if *announce {
                 live.insert(p);
-                a.originate(p, now)
+                Input::Originate(p, Vec::new())
             } else {
                 live.remove(&p);
-                a.withdraw_origin(p, now)
+                Input::WithdrawOrigin(p)
             };
-            for o in outs {
-                if let peering_bgp::Output::Send(_, m) = o {
-                    b.on_message(PeerId(0), m, now);
-                }
+            let mut outs = Vec::new();
+            a.apply(input, now, &mut outs);
+            for input in sent(outs) {
+                b.apply(input, now, &mut Vec::new());
             }
         }
         prop_assert_eq!(b.loc_rib().len(), live.len());
@@ -594,54 +585,38 @@ impl TimerOp {
         }
     }
 
-    /// Apply to `s`; the outputs go to the scripted far ends, which
-    /// ignore them.
-    fn apply(&self, s: &mut Speaker, now: SimTime) {
+    /// What `s` is fed; the far ends are played by the script.
+    fn inputs(&self, s: &Speaker) -> Vec<Input> {
+        let update = |from, msg| vec![Input::Message(from, BgpMessage::Update(msg))];
         match self {
             TimerOp::Up(peer, hold) => {
-                s.start_peer(*peer, now);
                 let asn = s.peer_asn(*peer).expect("scripted peer");
                 let mut open = OpenMessage::new(asn, *hold, Ipv4Addr::new(192, 0, 2, peer.0 as u8));
                 if *peer == GR_FEEDER {
                     open = open.with_graceful_restart(15);
                 }
-                s.on_message(*peer, BgpMessage::Open(open), now);
-                s.on_message(*peer, BgpMessage::Keepalive, now);
+                vec![
+                    Input::StartPeer(*peer),
+                    Input::Message(*peer, BgpMessage::Open(open)),
+                    Input::Message(*peer, BgpMessage::Keepalive),
+                ]
             }
-            TimerOp::Keepalive(peer) => {
-                s.on_message(*peer, BgpMessage::Keepalive, now);
-            }
+            TimerOp::Keepalive(peer) => vec![Input::Message(*peer, BgpMessage::Keepalive)],
             TimerOp::Announce(from, prefixes, long) => {
-                let msg = timer_update(s, *from, prefixes, *long);
-                s.on_message(*from, msg, now);
+                vec![Input::Message(
+                    *from,
+                    timer_update(s, *from, prefixes, *long),
+                )]
             }
             TimerOp::Withdraw(from, prefixes) => {
-                let nlri = prefixes
-                    .iter()
-                    .map(|n| Nlri::plain(timer_prefix(*n)))
-                    .collect();
-                s.on_message(
-                    *from,
-                    BgpMessage::Update(UpdateMessage::withdraw(nlri)),
-                    now,
-                );
+                let nlri = prefixes.iter().map(|n| Nlri::plain(timer_prefix(*n)));
+                update(*from, UpdateMessage::withdraw(nlri.collect()))
             }
-            TimerOp::EndOfRib => {
-                let eor = BgpMessage::Update(UpdateMessage::withdraw(Vec::new()));
-                s.on_message(GR_FEEDER, eor, now);
-            }
-            TimerOp::Reset(peer) => {
-                s.reset_peer(*peer, now);
-            }
-            TimerOp::Originate(n) => {
-                s.originate(timer_prefix(*n), now);
-            }
-            TimerOp::WithdrawOrigin(n) => {
-                s.withdraw_origin(timer_prefix(*n), now);
-            }
-            TimerOp::Restart => {
-                s.restart(now);
-            }
+            TimerOp::EndOfRib => update(GR_FEEDER, UpdateMessage::withdraw(Vec::new())),
+            TimerOp::Reset(peer) => vec![Input::ResetPeer(*peer)],
+            TimerOp::Originate(n) => vec![Input::Originate(timer_prefix(*n), Vec::new())],
+            TimerOp::WithdrawOrigin(n) => vec![Input::WithdrawOrigin(timer_prefix(*n))],
+            TimerOp::Restart => vec![Input::Restart],
         }
     }
 }
@@ -671,8 +646,10 @@ fn run_timer_script(seed: u64, rig: TimerRig, judge: TimerRig) -> Result<TickPro
     let mut probes = TickProbes::default();
     for step in 0..60 {
         let op = TimerOp::random(&mut rng, &s);
-        op.apply(&mut s, now);
-        op.apply(&mut j, now);
+        for input in op.inputs(&s) {
+            s.apply(input.clone(), now, &mut Vec::new());
+            j.apply(input, now, &mut Vec::new());
+        }
         let check = |s: &Speaker, at: &str| {
             s.check_invariants()
                 .map_err(|e| format!("seed {seed} step {step} ({op:?}) {at}: {e}"))
@@ -686,8 +663,9 @@ fn run_timer_script(seed: u64, rig: TimerRig, judge: TimerRig) -> Result<TickPro
                 s.next_deadline(),
                 s.loc_rib().iter().cloned().collect::<Vec<_>>(),
             );
-            let out = s.tick(now);
-            j.tick(now);
+            let mut out = Vec::new();
+            s.apply(Input::Tick, now, &mut out);
+            j.apply(Input::Tick, now, &mut Vec::new());
             check(&s, "after a tick")?;
             check(&j, "judge after a tick")?;
             if due {

@@ -13,7 +13,7 @@
 //! renders the propagation tree of AS65001's announcement. Same seed,
 //! same answer, bit for bit.
 
-use peering_bgp::{Asn, Prefix};
+use peering_bgp::{Asn, Input, Prefix};
 use peering_collector::{Collector, LookingGlass};
 use peering_emulation::{flat_mesh, Emulation};
 use std::process::ExitCode;
@@ -32,9 +32,10 @@ fn collected_ring(nodes: usize, seed: u64) -> (Emulation, Collector) {
     collector.attach(&mut emu);
     emu.start_all();
     for i in 0..nodes {
-        emu.control(i, |d, now| {
-            d.originate(Prefix::v4(10, 60, i as u8, 0, 24), now)
-        });
+        emu.control(
+            i,
+            Input::Originate(Prefix::v4(10, 60, i as u8, 0, 24), vec![]),
+        );
     }
     emu.run_until_quiet(usize::MAX);
     (emu, collector)

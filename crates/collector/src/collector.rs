@@ -233,7 +233,7 @@ fn rib_path(
 mod tests {
     use super::*;
     use crate::mrt::{decode_all, MRT_TYPE_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE};
-    use peering_bgp::Prefix;
+    use peering_bgp::{Input, Prefix};
     use peering_emulation::flat_mesh;
 
     /// A 3-node line: r0 — r1 — r2, each originating one prefix.
@@ -241,9 +241,10 @@ mod tests {
         let mut emu = flat_mesh("line", 3, &[(0, 1), (1, 2)], seed);
         emu.start_all();
         for i in 0..3 {
-            emu.control(i, |d, now| {
-                d.originate(Prefix::v4(10, 60, i as u8, 0, 24), now)
-            });
+            emu.control(
+                i,
+                Input::Originate(Prefix::v4(10, 60, i as u8, 0, 24), vec![]),
+            );
         }
         emu
     }

@@ -166,6 +166,7 @@ impl<'a> LookingGlass<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peering_bgp::Input;
     use peering_emulation::flat_mesh;
 
     /// r0 — r1 — r2 line, collected from AS65003; r0 originates.
@@ -176,7 +177,7 @@ mod tests {
         collector.attach(&mut emu);
         emu.start_all();
         let prefix = Prefix::v4(10, 60, 0, 0, 24);
-        emu.control(0, |d, now| d.originate(prefix, now));
+        emu.control(0, Input::Originate(prefix, vec![]));
         emu.run_until_quiet(usize::MAX);
         (emu, collector, prefix)
     }

@@ -18,8 +18,8 @@ use crate::containment::{ContainmentConfig, ContainmentEngine, ContainmentState,
 use crate::monitor::{Monitor, SessionKind, SessionRecord, TelemetryEvent};
 use crate::safety::{SafetyConfig, Violation};
 use peering_bgp::{
-    Asn, ConnectRetryConfig, ExportGrouping, MaxPrefixConfig, PeerConfig, PeerId, Policy, Prefix,
-    Speaker, SpeakerConfig, SpeakerEvent,
+    Asn, ConnectRetryConfig, ExportGrouping, Input, MaxPrefixConfig, PeerConfig, PeerId, Policy,
+    Prefix, Speaker, SpeakerConfig, SpeakerEvent,
 };
 use peering_emulation::{Container, Emulation};
 use peering_netsim::{FaultPlan, LinkParams, SimRng, SimTime};
@@ -403,15 +403,14 @@ impl MuxHarness {
     /// Originate `prefix` at upstream `u` and run to convergence.
     pub fn announce_from_upstream(&mut self, u: usize, prefix: Prefix) {
         self.emu
-            .control(self.upstream_nodes[u], |d, now| d.originate(prefix, now));
+            .control(self.upstream_nodes[u], Input::Originate(prefix, vec![]));
         self.emu.run_until_quiet(usize::MAX);
     }
 
     /// Withdraw `prefix` at upstream `u` and run to convergence.
     pub fn withdraw_from_upstream(&mut self, u: usize, prefix: Prefix) {
-        self.emu.control(self.upstream_nodes[u], |d, now| {
-            d.withdraw_origin(prefix, now)
-        });
+        self.emu
+            .control(self.upstream_nodes[u], Input::WithdrawOrigin(prefix));
         self.emu.run_until_quiet(usize::MAX);
     }
 
@@ -432,12 +431,10 @@ impl MuxHarness {
             match change {
                 RouteChange::Announce(prefix) => self
                     .emu
-                    .control(self.client_nodes[c], |d, now| d.originate(prefix, now)),
-                RouteChange::Withdraw(prefix) => {
-                    self.emu.control(self.client_nodes[c], |d, now| {
-                        d.withdraw_origin(prefix, now)
-                    })
-                }
+                    .control(self.client_nodes[c], Input::Originate(prefix, vec![])),
+                RouteChange::Withdraw(prefix) => self
+                    .emu
+                    .control(self.client_nodes[c], Input::WithdrawOrigin(prefix)),
             }
             self.emu.run_until_quiet(usize::MAX);
         }
@@ -711,20 +708,16 @@ impl MuxHarness {
             let peer = self.client_peer(c);
             for m in self.mux_nodes.clone() {
                 if quarantine {
-                    self.emu.control(m, |d, now| {
-                        d.set_peer_import(peer, Policy::reject_all(), now)
-                    });
-                    self.emu.control(m, |d, now| {
-                        d.set_peer_export_grouping(peer, ExportGrouping::Solo, now)
-                    });
+                    self.emu
+                        .control(m, Input::SetPeerImport(peer, Policy::reject_all()));
+                    self.emu
+                        .control(m, Input::SetPeerExportGrouping(peer, ExportGrouping::Solo));
                 } else {
-                    self.emu.control(m, |d, now| {
-                        d.set_peer_import(peer, self.client_import.clone(), now)
-                    });
-                    self.emu.control(m, |d, now| {
-                        d.set_peer_export_grouping(peer, ExportGrouping::Auto, now)
-                    });
-                    self.emu.control(m, |d, _| d.request_refresh(peer));
+                    self.emu
+                        .control(m, Input::SetPeerImport(peer, self.client_import.clone()));
+                    self.emu
+                        .control(m, Input::SetPeerExportGrouping(peer, ExportGrouping::Auto));
+                    self.emu.control(m, Input::RequestRefresh(peer));
                 }
             }
             self.quarantine_applied[c] = quarantine;
@@ -966,7 +959,7 @@ mod tests {
         let healthy = Prefix::v4(184, 164, 226, 0, 24);
         for (c, p) in [(0, abuser), (1, healthy)] {
             h.emu
-                .control(h.client_nodes[c], |d, now| d.originate(p, now));
+                .control(h.client_nodes[c], Input::Originate(p, vec![]));
         }
         h.emu.run_until_quiet(usize::MAX);
         assert!(!h.mux_has_route(&abuser), "quarantine held across restart");
@@ -1029,7 +1022,7 @@ mod tests {
         // Clean time paroles the client; ROUTE-REFRESH restores the
         // table it still holds on its side.
         h.emu
-            .control(h.client_nodes[0], |d, now| d.originate(abuser, now));
+            .control(h.client_nodes[0], Input::Originate(abuser, vec![]));
         h.emu.run_until_quiet(usize::MAX);
         assert!(!h.mux_has_route(&abuser), "still quarantined");
         let mut plan = FaultPlan::new();

@@ -11,7 +11,9 @@
 use crate::container::Container;
 use crate::emulation::{Emulation, ExternalHandle};
 use crate::igp::Spf;
-use peering_bgp::{Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
+use peering_bgp::{
+    Asn, ConnectRetryConfig, Input, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig,
+};
 use peering_netsim::{LinkParams, SimDuration, SimRng};
 use peering_topology::PopTopology;
 use std::net::Ipv4Addr;
@@ -131,7 +133,7 @@ impl PopEmulation {
         let mut steps = self.emu.run_until_quiet(step_limit);
         for (i, &r) in self.routers.iter().enumerate() {
             self.emu
-                .control(r, |d, now| d.originate(self.prefixes[i], now));
+                .control(r, Input::Originate(self.prefixes[i], vec![]));
         }
         steps += self.emu.run_until_quiet(step_limit);
         steps

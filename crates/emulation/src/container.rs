@@ -103,9 +103,12 @@ mod tests {
         let mut d = daemon();
         let empty = Container::router("r", daemon()).memory(&model);
         for i in 0..200u32 {
-            d.originate(
-                peering_bgp::Prefix::v4(10, (i >> 8) as u8, i as u8, 0, 24),
-                peering_netsim::SimTime::ZERO,
+            let p = peering_bgp::Prefix::v4(10, (i >> 8) as u8, i as u8, 0, 24);
+            let now = peering_netsim::SimTime::ZERO;
+            d.apply(
+                peering_bgp::Input::Originate(p, vec![]),
+                now,
+                &mut Vec::new(),
             );
         }
         let full = Container::router("r", d).memory(&model);

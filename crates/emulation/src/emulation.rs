@@ -2,7 +2,9 @@
 //! loop that moves messages between hosted daemons.
 
 use crate::container::{Container, ResourceModel};
-use peering_bgp::{BgpMessage, Output, PeerConfig, PeerId, ProvenanceLog, Speaker, SpeakerEvent};
+use peering_bgp::{
+    BgpMessage, Input, Output, PeerConfig, PeerId, ProvenanceLog, Speaker, SpeakerEvent,
+};
 use peering_netsim::{
     FaultAction, FaultPlan, LinkParams, MsgNet, NodeId, SimDuration, SimRng, SimTime,
 };
@@ -318,22 +320,23 @@ impl Emulation {
         }
     }
 
-    /// The one control entry: run `f` on container `idx`'s daemon at the
-    /// current simulated time and route what it returns (messages onto
-    /// the emulated wire, session events into [`events`](Self::events)).
-    /// Every `Speaker` method that returns `Vec<Output>` is driven this
-    /// way, e.g. `emu.control(i, |d, now| d.originate(prefix, now))`.
+    /// The one control entry: apply `input` to container `idx`'s daemon
+    /// at the current simulated time and route what it produces (messages
+    /// onto the emulated wire, session events into
+    /// [`events`](Self::events)), e.g.
+    /// `emu.control(i, Input::Originate(prefix, vec![]))`.
     ///
     /// Configuration reaches a daemon whether it is running or crashed:
-    /// a crashed daemon keeps its configuration for the restart, so `f`
-    /// still runs on it, but it has no transport, so its outputs are
-    /// dropped. A container without a daemon is skipped.
-    pub fn control(&mut self, idx: usize, f: impl FnOnce(&mut Speaker, SimTime) -> Vec<Output>) {
+    /// a crashed daemon keeps its configuration for the restart, so the
+    /// input still applies to it, but it has no transport, so its outputs
+    /// are dropped. A container without a daemon is skipped.
+    pub fn control(&mut self, idx: usize, input: Input) {
         let now = self.net.now();
         let Some((daemon, running)) = self.daemon_slot(idx) else {
             return;
         };
-        let outputs = f(daemon, now);
+        let mut outputs = Vec::new();
+        daemon.apply(input, now, &mut outputs);
         if running {
             self.route_outputs(idx, outputs);
         }
@@ -342,22 +345,19 @@ impl Emulation {
     /// [`control`](Self::control) for what arrives over the transport —
     /// deliveries, timers, connection starts and resets: these reach a
     /// running daemon only, never one stashed by a crash.
-    fn on_running(&mut self, idx: usize, f: impl FnOnce(&mut Speaker, SimTime) -> Vec<Output>) {
+    fn on_running(&mut self, idx: usize, input: Input) {
         if self.containers[idx].daemon.is_some() {
-            self.control(idx, f);
+            self.control(idx, input);
         }
     }
 
     /// Start every configured session on a container.
     pub fn start_container(&mut self, idx: usize) {
-        self.on_running(idx, |daemon, now| {
-            let peers: Vec<PeerId> = daemon.peer_ids().collect();
-            let mut outputs = Vec::new();
-            for p in peers {
-                outputs.extend(daemon.start_peer(p, now));
-            }
-            outputs
-        });
+        let daemon = self.containers[idx].daemon.as_ref();
+        let peers: Vec<PeerId> = daemon.into_iter().flat_map(|d| d.peer_ids()).collect();
+        for peer in peers {
+            self.on_running(idx, Input::StartPeer(peer));
+        }
     }
 
     /// Start every session on every container.
@@ -371,7 +371,7 @@ impl Emulation {
     /// crashed daemon's transport is gone, so the message is dropped.
     pub fn inject_external(&mut self, h: ExternalHandle, msg: BgpMessage) {
         let (container, peer) = self.external_home[h.0];
-        self.on_running(container, |daemon, now| daemon.on_message(peer, msg, now));
+        self.on_running(container, Input::Message(peer, msg));
     }
 
     /// Drain messages the emulation wants to send out on a handle.
@@ -397,18 +397,12 @@ impl Emulation {
             self.telemetry
                 .counter_inc("emulation.net.corrupt_attr_deliveries");
         }
-        self.on_running(to, |daemon, now| {
-            if corrupted {
-                daemon.on_corrupt_message(to_peer, now)
-            } else if corrupt_attrs {
-                let BgpMessage::Update(update) = msg else {
-                    unreachable!("corrupt_attrs implies an UPDATE payload");
-                };
-                daemon.on_malformed_update(to_peer, update, now)
-            } else {
-                daemon.on_message(to_peer, msg, now)
-            }
-        });
+        let input = match msg {
+            _ if corrupted => Input::CorruptMessage(to_peer),
+            BgpMessage::Update(update) if corrupt_attrs => Input::MalformedUpdate(to_peer, update),
+            msg => Input::Message(to_peer, msg),
+        };
+        self.on_running(to, input);
     }
 
     /// The one delivery loop: pop and dispatch in-flight deliveries until
@@ -432,7 +426,7 @@ impl Emulation {
                     }
                     for idx in 0..self.containers.len() {
                         if self.daemon(idx).is_some_and(|d| d.timers_due(now)) {
-                            self.control(idx, |daemon, now| daemon.tick(now));
+                            self.control(idx, Input::Tick);
                         }
                     }
                     if now < until || !plan.exhausted() {
@@ -525,7 +519,7 @@ impl Emulation {
             })
             .collect();
         for (c, pid) in ends {
-            self.on_running(c, |daemon, now| daemon.reset_peer(pid, now));
+            self.on_running(c, Input::ResetPeer(pid));
         }
     }
 
@@ -555,7 +549,7 @@ impl Emulation {
         };
         self.telemetry.counter_inc("emulation.daemon.restarts");
         self.containers[idx].daemon = Some(daemon);
-        self.on_running(idx, |daemon, now| daemon.restart(now));
+        self.on_running(idx, Input::Restart);
         self.start_container(idx);
     }
 
@@ -614,7 +608,7 @@ mod tests {
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
         let p = Prefix::v4(10, 50, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(p, now));
+        emu.control(a, Input::Originate(p, vec![]));
         emu.run_until_quiet(1000);
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());
         // PeerUp events were logged for both ends.
@@ -633,7 +627,7 @@ mod tests {
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 60, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(p, now));
+        emu.control(a, Input::Originate(p, vec![]));
         emu.run_until_quiet(10_000);
         let at_c = emu.daemon(c).unwrap().loc_rib().get(&p).expect("c learned");
         assert_eq!(at_c.attrs.as_path.to_string(), "65002 65001");
@@ -652,40 +646,32 @@ mod tests {
         let mut ext = Speaker::new(SpeakerConfig::new(Asn(47065), Ipv4Addr::new(100, 64, 0, 1)));
         ext.add_peer(PeerConfig::new(PeerId(0), Asn(65001)).passive())
             .unwrap();
-        ext.start_peer(PeerId(0), SimTime::ZERO);
-        let mut inbound = out;
-        for _ in 0..16 {
-            if inbound.is_empty() {
-                break;
-            }
-            let mut replies = Vec::new();
-            for m in inbound.drain(..) {
-                for o in ext.on_message(PeerId(0), m, SimTime::ZERO) {
-                    if let Output::Send(_, msg) = o {
-                        replies.push(msg);
+        // Apply `inputs` to `ext`, then carry what it sends in and what
+        // the emulation sends back out until both ends are quiet.
+        let bridge = |emu: &mut Emulation, ext: &mut Speaker, mut inputs: Vec<Input>| {
+            for _ in 0..16 {
+                let mut replies = Vec::new();
+                for input in inputs.drain(..) {
+                    ext.apply(input, SimTime::ZERO, &mut replies);
+                }
+                for o in replies {
+                    if let Output::Send(_, m) = o {
+                        emu.inject_external(h, m);
                     }
                 }
+                emu.run_until_quiet(1000);
+                let inbound = emu.drain_external(h).into_iter();
+                inputs.extend(inbound.map(|m| Input::Message(PeerId(0), m)));
             }
-            for m in replies {
-                emu.inject_external(h, m);
-            }
-            emu.run_until_quiet(1000);
-            inbound = emu.drain_external(h);
-        }
+        };
+        let mut inputs = vec![Input::StartPeer(PeerId(0))];
+        inputs.extend(out.into_iter().map(|m| Input::Message(PeerId(0), m)));
+        bridge(&mut emu, &mut ext, inputs);
         assert!(ext.peer_established(PeerId(0)));
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(9)));
         // Routes originated externally reach the emulation.
         let p = Prefix::v4(203, 0, 113, 0, 24);
-        let mut outs = Vec::new();
-        for o in ext.originate(p, SimTime::ZERO) {
-            if let Output::Send(_, m) = o {
-                outs.push(m);
-            }
-        }
-        for m in outs {
-            emu.inject_external(h, m);
-        }
-        emu.run_until_quiet(1000);
+        bridge(&mut emu, &mut ext, vec![Input::Originate(p, vec![])]);
         assert!(emu.daemon(a).unwrap().loc_rib().get(&p).is_some());
     }
 
@@ -696,7 +682,7 @@ mod tests {
         emu.set_telemetry(telemetry.clone());
         emu.start_all();
         emu.run_until_quiet(1000);
-        emu.control(a, |d, now| d.originate(Prefix::v4(10, 50, 0, 0, 16), now));
+        emu.control(a, Input::Originate(Prefix::v4(10, 50, 0, 0, 16), vec![]));
         emu.run_until_quiet(1000);
         emu.export_net_stats();
         let snap = telemetry.snapshot();
@@ -725,9 +711,10 @@ mod tests {
         let (mut emu, a, _b) = pair();
         let before = emu.total_memory();
         for i in 0..100u32 {
-            emu.control(a, |d, now| {
-                d.originate(Prefix::v4(10, 70, i as u8, 0, 24), now)
-            });
+            emu.control(
+                a,
+                Input::Originate(Prefix::v4(10, 70, i as u8, 0, 24), vec![]),
+            );
         }
         let after = emu.total_memory();
         assert!(after > before);
@@ -750,7 +737,7 @@ mod tests {
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 50, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(p, now));
+        emu.control(a, Input::Originate(p, vec![]));
         emu.run_until_quiet(10_000);
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());
 
@@ -780,7 +767,7 @@ mod tests {
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 51, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(p, now));
+        emu.control(a, Input::Originate(p, vec![]));
         emu.run_until_quiet(10_000);
 
         // Corrupt the next a->b message, then originate so one flows.
@@ -793,7 +780,7 @@ mod tests {
                 SimTime::from_secs(6),
                 FaultAction::SessionReset(NodeId(a as u32), NodeId(b as u32)),
             );
-        emu.control(a, |d, now| d.originate(Prefix::v4(10, 52, 0, 0, 16), now));
+        emu.control(a, Input::Originate(Prefix::v4(10, 52, 0, 0, 16), vec![]));
         emu.run_with_faults(&mut plan, SimTime::from_secs(90), 100_000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().peer_established(PeerId(0)));
@@ -807,8 +794,8 @@ mod tests {
         emu.run_until_quiet(10_000);
         let pa = Prefix::v4(10, 53, 0, 0, 16);
         let pb = Prefix::v4(10, 54, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(pa, now));
-        emu.control(b, |d, now| d.originate(pb, now));
+        emu.control(a, Input::Originate(pa, vec![]));
+        emu.control(b, Input::Originate(pb, vec![]));
         emu.run_until_quiet(10_000);
         assert!(emu.daemon(a).unwrap().loc_rib().get(&pb).is_some());
 
@@ -837,7 +824,7 @@ mod tests {
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 57, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(p, now));
+        emu.control(a, Input::Originate(p, vec![]));
         emu.run_until_quiet(10_000);
         emu.crash_daemon(b);
         emu.run_until_quiet(10_000);
@@ -846,9 +833,10 @@ mod tests {
         // Its transport is gone: an external message is dropped, and a
         // reconfiguration's outputs go nowhere...
         emu.inject_external(h, BgpMessage::Keepalive);
-        emu.control(b, |d, now| {
-            d.set_peer_import(PeerId(0), peering_bgp::Policy::reject_all(), now)
-        });
+        emu.control(
+            b,
+            Input::SetPeerImport(PeerId(0), peering_bgp::Policy::reject_all()),
+        );
         assert_eq!(emu.run_until_quiet(10_000), 0);
         assert!(emu.drain_external(h).is_empty());
 
@@ -876,9 +864,9 @@ mod tests {
         assert_eq!(before, 8, "one PeerUp per session end");
         let p = Prefix::v4(10, 58, 0, 0, 16);
         for _ in 0..200 {
-            emu.control(0, |d, now| d.originate(p, now));
+            emu.control(0, Input::Originate(p, vec![]));
             emu.run_until_quiet(usize::MAX);
-            emu.control(0, |d, now| d.withdraw_origin(p, now));
+            emu.control(0, Input::WithdrawOrigin(p));
             emu.run_until_quiet(usize::MAX);
         }
         assert_eq!(emu.events.len(), before);
@@ -890,7 +878,7 @@ mod tests {
         emu.start_all();
         emu.run_until_quiet(10_000);
         let p = Prefix::v4(10, 55, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(p, now));
+        emu.control(a, Input::Originate(p, vec![]));
         emu.run_until_quiet(10_000);
 
         // Partition b long enough for its hold timer (90 s) to expire,
@@ -924,7 +912,7 @@ mod tests {
             ),
         );
         let p = Prefix::v4(10, 56, 0, 0, 16);
-        emu.control(a, |d, now| d.originate(p, now));
+        emu.control(a, Input::Originate(p, vec![]));
         emu.run_with_faults(&mut plan, SimTime::from_secs(60), 100_000);
         assert!(emu.daemon(a).unwrap().peer_established(PeerId(0)));
         assert!(emu.daemon(b).unwrap().loc_rib().get(&p).is_some());

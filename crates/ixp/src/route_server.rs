@@ -86,9 +86,10 @@ pub fn route_server_speaker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peering_bgp::{BgpMessage, Output, Prefix};
+    use peering_bgp::{BgpMessage, Input, Output, Prefix};
     use peering_netsim::SimTime;
     use peering_topology::{AsIdx, PeeringPolicy};
+    use std::collections::VecDeque;
 
     fn member(id: u32, asn: u32) -> (MemberId, IxpMember) {
         (
@@ -113,46 +114,62 @@ mod tests {
         s
     }
 
-    /// Bring one member's session with the RS up.
-    fn establish(rs: &mut Speaker, member: &mut Speaker, member_id: MemberId) {
-        let mut to_rs: Vec<BgpMessage> = Vec::new();
-        let mut to_m: Vec<BgpMessage> = Vec::new();
-        for o in member.start_peer(PeerId(0), SimTime::ZERO) {
-            if let Output::Send(_, m) = o {
-                to_rs.push(m);
+    /// Apply `input` at `now` to the route server (`from` is `None`) or
+    /// to client `i` (`Some(i)`), then carry every message between the
+    /// route server and the clients until all are quiet. Client `i` is the
+    /// route server's peer `i` and reaches it on its own peer 0. Returns
+    /// the peers the route server sent UPDATEs to, in order.
+    fn relay(
+        rs: &mut Speaker,
+        clients: &mut [Speaker],
+        from: Option<usize>,
+        input: Input,
+        now: SimTime,
+    ) -> Vec<PeerId> {
+        let mut queue = VecDeque::from([(from, input)]);
+        let mut updates = Vec::new();
+        while let Some((at, input)) = queue.pop_front() {
+            let mut outs = Vec::new();
+            match at {
+                None => rs.apply(input, now, &mut outs),
+                Some(i) => clients[i].apply(input, now, &mut outs),
             }
-        }
-        for o in rs.start_peer(PeerId(member_id.0), SimTime::ZERO) {
-            if let Output::Send(_, m) = o {
-                to_m.push(m);
-            }
-        }
-        for _ in 0..16 {
-            if to_rs.is_empty() && to_m.is_empty() {
-                break;
-            }
-            let mut nm = Vec::new();
-            let mut nrs = Vec::new();
-            for m in to_rs.drain(..) {
-                for o in rs.on_message(PeerId(member_id.0), m, SimTime::ZERO) {
-                    if let Output::Send(p, msg) = o {
-                        if p == PeerId(member_id.0) {
-                            nm.push(msg);
+            for o in outs {
+                let Output::Send(peer, msg) = o else {
+                    continue;
+                };
+                let next = match at {
+                    Some(i) => (None, Input::Message(PeerId(i as u32), msg)),
+                    None => {
+                        if matches!(msg, BgpMessage::Update(_)) {
+                            updates.push(peer);
                         }
+                        if peer.0 as usize >= clients.len() {
+                            continue;
+                        }
+                        (Some(peer.0 as usize), Input::Message(PeerId(0), msg))
                     }
-                }
+                };
+                queue.push_back(next);
             }
-            for m in to_m.drain(..) {
-                for o in member.on_message(PeerId(0), m, SimTime::ZERO) {
-                    if let Output::Send(_, msg) = o {
-                        nrs.push(msg);
-                    }
-                }
-            }
-            to_rs = nrs;
-            to_m = nm;
         }
-        assert!(rs.peer_established(PeerId(member_id.0)));
+        updates
+    }
+
+    /// Bring each client's session with the route server up, in order.
+    fn establish(rs: &mut Speaker, clients: &mut [Speaker]) {
+        for i in 0..clients.len() {
+            let member = PeerId(i as u32);
+            relay(rs, clients, None, Input::StartPeer(member), SimTime::ZERO);
+            relay(
+                rs,
+                clients,
+                Some(i),
+                Input::StartPeer(PeerId(0)),
+                SimTime::ZERO,
+            );
+            assert!(rs.peer_established(member));
+        }
     }
 
     #[test]
@@ -174,25 +191,23 @@ mod tests {
         let n = 20usize;
         let mut rs = route_server_speaker(&cfg, (0..n as u32).map(|i| member(i, 64600 + i)));
         let mut clients: Vec<Speaker> = (0..n as u32).map(|i| client(64600 + i, cfg.asn)).collect();
-        for (i, c) in clients.iter_mut().enumerate() {
-            establish(&mut rs, c, MemberId(i as u32));
-        }
+        establish(&mut rs, &mut clients);
         // Member 0 announces one prefix; the RS fans it to all others.
         let p = Prefix::v4(185, 0, 0, 0, 24);
-        let mut fanout = 0;
-        for o in clients[0].originate(p, SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                for o2 in rs.on_message(PeerId(0), m, SimTime::from_secs(1)) {
-                    if let Output::Send(to, msg) = o2 {
-                        assert_ne!(to, PeerId(0), "split horizon");
-                        fanout += 1;
-                        let idx = to.0 as usize;
-                        clients[idx].on_message(PeerId(0), msg, SimTime::from_secs(1));
-                    }
-                }
-            }
-        }
-        assert_eq!(fanout, n - 1, "announcement reaches all other members");
+        let announce = Input::Originate(p, vec![]);
+        let fanout = relay(
+            &mut rs,
+            &mut clients,
+            Some(0),
+            announce,
+            SimTime::from_secs(1),
+        );
+        assert!(!fanout.contains(&PeerId(0)), "split horizon");
+        assert_eq!(
+            fanout.len(),
+            n - 1,
+            "announcement reaches all other members"
+        );
         for (i, c) in clients.iter().enumerate().skip(1) {
             let r = c.loc_rib().get(&p).unwrap_or_else(|| panic!("client {i}"));
             // Transparent: path is just the announcer.
@@ -207,31 +222,21 @@ mod tests {
             &cfg,
             vec![member(0, 64600), member(1, 64601), member(2, 64602)],
         );
-        let mut c0 = client(64600, cfg.asn);
-        let mut c1 = client(64601, cfg.asn);
-        let mut c2 = client(64602, cfg.asn);
-        establish(&mut rs, &mut c0, MemberId(0));
-        establish(&mut rs, &mut c1, MemberId(1));
-        establish(&mut rs, &mut c2, MemberId(2));
+        let mut clients = [64600, 64601, 64602].map(|asn| client(asn, cfg.asn));
+        establish(&mut rs, &mut clients);
         // c0 announces tagged "do not send to 64601".
         let p = Prefix::v4(185, 1, 0, 0, 24);
-        let outs = c0.originate_with(p, vec![block_community(Asn(64601))], SimTime::from_secs(1));
-        let mut went_to = Vec::new();
-        for o in outs {
-            if let Output::Send(_, m) = o {
-                for o2 in rs.on_message(PeerId(0), m, SimTime::from_secs(1)) {
-                    if let Output::Send(to, msg) = o2 {
-                        went_to.push(to);
-                        if to == PeerId(2) {
-                            c2.on_message(PeerId(0), msg, SimTime::from_secs(1));
-                        }
-                    }
-                }
-            }
-        }
+        let tagged = Input::Originate(p, vec![block_community(Asn(64601))]);
+        let went_to = relay(
+            &mut rs,
+            &mut clients,
+            Some(0),
+            tagged,
+            SimTime::from_secs(1),
+        );
         assert_eq!(went_to, vec![PeerId(2)], "member 1 must be skipped");
         // And the control community was stripped on the way out.
-        let r = c2.loc_rib().get(&p).expect("c2 got the route");
+        let r = clients[2].loc_rib().get(&p).expect("c2 got the route");
         assert!(!r.attrs.has_community(block_community(Asn(64601))));
     }
 
@@ -239,20 +244,18 @@ mod tests {
     fn block_all_community_withholds_from_everyone() {
         let cfg = RouteServerConfig::default();
         let mut rs = route_server_speaker(&cfg, vec![member(0, 64600), member(1, 64601)]);
-        let mut c0 = client(64600, cfg.asn);
-        let mut c1 = client(64601, cfg.asn);
-        establish(&mut rs, &mut c0, MemberId(0));
-        establish(&mut rs, &mut c1, MemberId(1));
+        let mut clients = [64600, 64601].map(|asn| client(asn, cfg.asn));
+        establish(&mut rs, &mut clients);
         let p = Prefix::v4(185, 2, 0, 0, 24);
-        for o in c0.originate_with(p, vec![Community::new(0, 0)], SimTime::from_secs(1)) {
-            if let Output::Send(_, m) = o {
-                let outs = rs.on_message(PeerId(0), m, SimTime::from_secs(1));
-                assert!(
-                    !outs.iter().any(|o| matches!(o, Output::Send(_, _))),
-                    "0:0 must suppress all exports"
-                );
-            }
-        }
-        assert!(c1.loc_rib().get(&p).is_none());
+        let tagged = Input::Originate(p, vec![Community::new(0, 0)]);
+        let went_to = relay(
+            &mut rs,
+            &mut clients,
+            Some(0),
+            tagged,
+            SimTime::from_secs(1),
+        );
+        assert!(went_to.is_empty(), "0:0 must suppress all exports");
+        assert!(clients[1].loc_rib().get(&p).is_none());
     }
 }

@@ -5,7 +5,8 @@
 use crate::oracle::{export_policy, import_policy};
 use crate::step::PlanStep;
 use peering_bgp::{
-    Action, Asn, ConnectRetryConfig, Match, PeerConfig, PeerId, Policy, Speaker, SpeakerConfig,
+    Action, Asn, ConnectRetryConfig, Input, Match, PeerConfig, PeerId, Policy, Speaker,
+    SpeakerConfig,
 };
 use peering_core::{ConfigState, DeploySpec, ImportSel, SafetyConfig};
 use peering_emulation::{Container, Emulation};
@@ -207,16 +208,17 @@ impl MigrationTestbed {
         // muxes demonstrably stop importing.
         for u in 0..deploy.upstreams {
             let n = testbed.upstream_node(u);
-            testbed.emu.control(n, |d, now| {
-                d.originate(Prefix::v4(11, u as u8, 0, 0, 16), now)
-            });
+            testbed.emu.control(
+                n,
+                Input::Originate(Prefix::v4(11, u as u8, 0, 0, 16), vec![]),
+            );
         }
         for (c, prefixes) in &current.announced {
             let n = testbed.client_node(*c);
             for p in prefixes {
                 testbed
                     .emu
-                    .control(n, |d, now| d.originate(Prefix::V4(*p), now));
+                    .control(n, Input::Originate(Prefix::V4(*p), vec![]));
             }
         }
 
@@ -240,12 +242,10 @@ impl MigrationTestbed {
                 // Passive (client) end first, so the mux's connect
                 // attempt finds it listening.
                 let (cn, mn) = (self.client_node(client), self.mux_node(mux));
-                self.emu.control(cn, |d, now| {
-                    d.set_peer_enabled(PeerId(mux as u32), true, now)
-                });
-                self.emu.control(mn, |d, now| {
-                    d.set_peer_enabled(PeerId(client as u32), true, now)
-                });
+                self.emu
+                    .control(cn, Input::SetPeerEnabled(PeerId(mux as u32), true));
+                self.emu
+                    .control(mn, Input::SetPeerEnabled(PeerId(client as u32), true));
             }
             PlanStep::SessionDown { client, mux } => {
                 t.counter_inc("bgp.plan.session_down");
@@ -253,39 +253,40 @@ impl MigrationTestbed {
                 // runs, so neither end's retry logic resurrects the
                 // session when the other's Cease arrives.
                 let (cn, mn) = (self.client_node(client), self.mux_node(mux));
-                self.emu.control(mn, |d, now| {
-                    d.set_peer_enabled(PeerId(client as u32), false, now)
-                });
-                self.emu.control(cn, |d, now| {
-                    d.set_peer_enabled(PeerId(mux as u32), false, now)
-                });
+                self.emu
+                    .control(mn, Input::SetPeerEnabled(PeerId(client as u32), false));
+                self.emu
+                    .control(cn, Input::SetPeerEnabled(PeerId(mux as u32), false));
             }
             PlanStep::Announce { client, prefix } => {
                 t.counter_inc("bgp.plan.announce");
-                self.emu.control(self.client_node(client), |d, now| {
-                    d.originate(Prefix::V4(prefix), now)
-                });
+                self.emu.control(
+                    self.client_node(client),
+                    Input::Originate(Prefix::V4(prefix), vec![]),
+                );
             }
             PlanStep::Withdraw { client, prefix } => {
                 t.counter_inc("bgp.plan.withdraw");
-                self.emu.control(self.client_node(client), |d, now| {
-                    d.withdraw_origin(Prefix::V4(prefix), now)
-                });
+                self.emu.control(
+                    self.client_node(client),
+                    Input::WithdrawOrigin(Prefix::V4(prefix)),
+                );
             }
             PlanStep::SwapImport { client, to } => {
                 t.counter_inc("bgp.plan.import_swaps");
                 let policy = import_policy(&self.safety, to);
                 for m in 0..self.deploy.muxes {
                     let mn = self.mux_node(m);
-                    self.emu.control(mn, |d, now| {
-                        d.set_peer_import(PeerId(client as u32), policy.clone(), now)
-                    });
+                    self.emu.control(
+                        mn,
+                        Input::SetPeerImport(PeerId(client as u32), policy.clone()),
+                    );
                     if to == ImportSel::Safety {
                         // Relaxing re-admits nothing by itself: routes
                         // the old policy dropped were never stored.
                         // Ask the client to resend its table.
                         self.emu
-                            .control(mn, |d, _| d.request_refresh(PeerId(client as u32)));
+                            .control(mn, Input::RequestRefresh(PeerId(client as u32)));
                     }
                 }
             }
@@ -297,7 +298,7 @@ impl MigrationTestbed {
                         let mn = self.mux_node(mux);
                         let peer = self.upstream_peer(u);
                         self.emu
-                            .control(mn, |d, now| d.set_peer_export(peer, policy.clone(), now));
+                            .control(mn, Input::SetPeerExport(peer, policy.clone()));
                     }
                 }
                 // A drained mux records the selection only; Undrain
@@ -308,12 +309,10 @@ impl MigrationTestbed {
                 for u in 0..self.deploy.upstreams {
                     let mn = self.mux_node(mux);
                     let peer = self.upstream_peer(u);
-                    self.emu.control(mn, |d, now| {
-                        d.set_peer_export(peer, Policy::reject_all(), now)
-                    });
-                    self.emu.control(mn, |d, now| {
-                        d.set_peer_import(peer, Policy::reject_all(), now)
-                    });
+                    self.emu
+                        .control(mn, Input::SetPeerExport(peer, Policy::reject_all()));
+                    self.emu
+                        .control(mn, Input::SetPeerImport(peer, Policy::reject_all()));
                 }
             }
             PlanStep::Undrain { mux } => {
@@ -327,11 +326,10 @@ impl MigrationTestbed {
                     let mn = self.mux_node(mux);
                     let peer = self.upstream_peer(u);
                     self.emu
-                        .control(mn, |d, now| d.set_peer_export(peer, export.clone(), now));
-                    self.emu.control(mn, |d, now| {
-                        d.set_peer_import(peer, Policy::accept_all(), now)
-                    });
-                    self.emu.control(mn, |d, _| d.request_refresh(peer));
+                        .control(mn, Input::SetPeerExport(peer, export.clone()));
+                    self.emu
+                        .control(mn, Input::SetPeerImport(peer, Policy::accept_all()));
+                    self.emu.control(mn, Input::RequestRefresh(peer));
                 }
             }
         }
@@ -495,7 +493,7 @@ mod tests {
         // beacon is on the wire.
         let beacon = Prefix::v4(11, 99, 0, 0, 16);
         tb.emu
-            .control(tb.upstream_node(0), |d, now| d.originate(beacon, now));
+            .control(tb.upstream_node(0), Input::Originate(beacon, vec![]));
         assert!(!tb.converged(), "in-flight UPDATE counted as converged");
         // A drain that stops at its bound leaves the network mid-flight.
         assert_eq!(tb.emu.run_until_quiet(1), 1);

@@ -1,11 +1,11 @@
 //! Structured trace events and spans.
 //!
 //! Events are point-in-time moments ("fault applied", "session
-//! established") stamped with the caller's [`SimTime`] and carrying a small
-//! list of typed fields. Spans are timed regions with a begin and an end.
-//! Both live in bounded insertion-ordered streams inside the registry —
-//! the order of calls *is* the order in the snapshot, which is what makes
-//! same-seed runs byte-identical.
+//! established") stamped with the caller's [`SimTime`](crate::SimTime)
+//! and carrying a small list of typed fields. Spans are timed regions with
+//! a begin and an end. Both live in bounded insertion-ordered streams
+//! inside the registry — the order of calls *is* the order in the
+//! snapshot, which is what makes same-seed runs byte-identical.
 
 use serde::{Deserialize, Serialize};
 

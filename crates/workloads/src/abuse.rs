@@ -17,7 +17,7 @@
 //!   (same FNV digest technique as the chaos campaign, excluding
 //!   `learned_at` so timing shifts cannot alias as damage).
 
-use peering_bgp::{digest_routes, MaxPrefixConfig};
+use peering_bgp::{digest_routes, Input, MaxPrefixConfig};
 use peering_core::containment::TokenBucketConfig;
 use peering_core::{
     ContainmentConfig, ContainmentState, MuxDesign, MuxHarness, MuxScaleConfig, RouteChange,
@@ -225,7 +225,7 @@ fn drive_abuse(scenario: AbuseScenario, h: &mut MuxHarness) {
             let abuser_node = h.client_node(ABUSER);
             let emu = h.emulation_mut();
             for i in 0..10 {
-                emu.control(abuser_node, |d, now| d.originate(blowup_prefix(i), now));
+                emu.control(abuser_node, Input::Originate(blowup_prefix(i), vec![]));
             }
             emu.run_until_quiet(usize::MAX);
             settle(h, 30);

@@ -12,7 +12,7 @@
 //! reshuffles *when* routes arrive, and the decision process is
 //! age-independent, so converged content must not depend on timing.
 
-use peering_bgp::{digest_routes, Prefix};
+use peering_bgp::{digest_routes, Input, Prefix};
 use peering_collector::Collector;
 use peering_emulation::{flat_mesh, Emulation};
 use peering_netsim::{FaultAction, FaultPlan, Fnv1a, NodeId, SimDuration, SimRng, SimTime};
@@ -90,7 +90,7 @@ impl ChaosTopology {
 fn launch(emu: &mut Emulation) {
     emu.start_all();
     for i in 0..emu.container_count() {
-        emu.control(i, |d, now| d.originate(origin_prefix(i), now));
+        emu.control(i, Input::Originate(origin_prefix(i), vec![]));
     }
     emu.run_until_quiet(usize::MAX);
 }
@@ -382,7 +382,7 @@ mod tests {
         let topo = ChaosTopology::Ring(4);
         let base = topo.build(7);
         let mut changed = topo.build(7);
-        changed.control(0, |d, now| d.originate(Prefix::v4(10, 99, 0, 0, 24), now));
+        changed.control(0, Input::Originate(Prefix::v4(10, 99, 0, 0, 24), vec![]));
         changed.run_until_quiet(usize::MAX);
         assert_ne!(rib_digest(&base), rib_digest(&changed));
     }

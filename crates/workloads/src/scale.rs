@@ -22,8 +22,8 @@
 
 use crate::chaos::{origin_prefix, ChaosTopology};
 use peering_bgp::{
-    digest_routes, Action, Asn, BgpMessage, Community, Match, Output, PeerConfig, PeerId, Policy,
-    Prefix, Speaker, SpeakerConfig,
+    digest_routes, Action, Asn, BgpMessage, Community, Input, Match, Output, PeerConfig, PeerId,
+    Policy, Prefix, Speaker, SpeakerConfig,
 };
 use peering_netsim::{
     run_parallel, run_sequential, EngineNode, EngineProfile, EngineRun, Fnv1a, NodeId, Outbox,
@@ -385,8 +385,8 @@ struct BgpNode {
 
 impl BgpNode {
     /// Route speaker outputs onto links, then service any timer
-    /// deadline that is already due and schedule a wake-up for the
-    /// next future one.
+    /// deadline that is already due (its outputs refill the drained
+    /// vector) and schedule a wake-up for the next future one.
     fn service(&mut self, now: SimTime, mut outputs: Vec<Output>, out: &mut Outbox<ScaleMsg>) {
         loop {
             for o in outputs.drain(..) {
@@ -397,7 +397,7 @@ impl BgpNode {
             }
             let deadline = self.speaker.next_deadline();
             if deadline <= now {
-                outputs = self.speaker.tick(now);
+                self.speaker.apply(Input::Tick, now, &mut outputs);
                 if outputs.is_empty() && self.speaker.next_deadline() <= now {
                     // A due deadline `tick` cannot clear would spin; the
                     // speaker never does this (every timer fires or
@@ -428,23 +428,26 @@ impl EngineNode for BgpNode {
         let now = SimTime::ZERO;
         let mut outputs = Vec::new();
         for p in std::mem::take(&mut self.origins) {
-            outputs.extend(self.speaker.originate(p, now));
+            let originate = Input::Originate(p, Vec::new());
+            self.speaker.apply(originate, now, &mut outputs);
         }
         let ids: Vec<PeerId> = self.speaker.peer_ids().collect();
         for id in ids {
-            outputs.extend(self.speaker.start_peer(id, now));
+            self.speaker.apply(Input::StartPeer(id), now, &mut outputs);
         }
         self.service(now, outputs, out);
     }
 
     fn on_event(&mut self, now: SimTime, _from: NodeId, msg: ScaleMsg, out: &mut Outbox<ScaleMsg>) {
-        let outputs = match msg {
-            ScaleMsg::Bgp(pid, m) => self.speaker.on_message(pid, m, now),
+        let input = match msg {
+            ScaleMsg::Bgp(pid, m) => Input::Message(pid, m),
             ScaleMsg::Tick => {
                 self.ticks.remove(&now);
-                self.speaker.tick(now)
+                Input::Tick
             }
         };
+        let mut outputs = Vec::new();
+        self.speaker.apply(input, now, &mut outputs);
         self.service(now, outputs, out);
     }
 

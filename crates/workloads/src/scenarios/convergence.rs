@@ -11,6 +11,7 @@
 //! The scenario builds rings of message-level speakers, originates a
 //! prefix, withdraws it, and measures the control-plane storm.
 
+use peering_bgp::Input;
 use peering_emulation::{build_from_pops, PopEmulation};
 use peering_topology::small_ring;
 use serde::{Deserialize, Serialize};
@@ -55,13 +56,12 @@ fn measure(size: usize, seed: u64) -> ConvergencePoint {
     // Announce a single prefix at router 0 and converge.
     let prefix = peering_netsim::Prefix::v4(10, 200, 0, 0, 16);
     pe.emu
-        .control(pe.routers[0], |d, now| d.originate(prefix, now));
+        .control(pe.routers[0], Input::Originate(prefix, vec![]));
     let announce_msgs = pe.emu.run_until_quiet(usize::MAX);
     // Withdraw it; the rest of the ring explores ever-longer paths
     // through each other before accepting unreachability.
     let t0 = pe.emu.now();
-    pe.emu
-        .control(pe.routers[0], |d, now| d.withdraw_origin(prefix, now));
+    pe.emu.control(pe.routers[0], Input::WithdrawOrigin(prefix));
     let withdraw_msgs = pe.emu.run_until_quiet(usize::MAX);
     let withdraw_time_us = pe.emu.now().since(t0).as_micros();
     // Everyone ended with no route (convergence is *correct*).

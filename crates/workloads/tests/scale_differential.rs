@@ -8,7 +8,7 @@
 //! cycle must return every speaker's attribute arena to empty, and
 //! disabling interning entirely must not change any digest.
 
-use peering_bgp::{digest_routes, Asn};
+use peering_bgp::{digest_routes, Asn, Input};
 use peering_netsim::{Fnv1a, ProfileConfig, SimDuration, SimTime};
 use peering_telemetry::{chrome_trace, record_engine_profile, Telemetry};
 use peering_topology::{Internet, InternetConfig};
@@ -270,7 +270,7 @@ fn interner_arena_returns_to_baseline_after_withdraw_all() {
     );
 
     for i in 0..n {
-        emu.control(i, |d, now| d.withdraw_origin(origin_prefix(i), now));
+        emu.control(i, Input::WithdrawOrigin(origin_prefix(i)));
     }
     emu.run_until_quiet(usize::MAX);
 

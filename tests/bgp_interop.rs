@@ -3,7 +3,7 @@
 //! separate router processes would.
 
 use peering::bgp::wire::{decode_message, encode_message, WireConfig};
-use peering::bgp::{Output, PeerConfig, PeerId, Speaker, SpeakerConfig};
+use peering::bgp::{Input, Output, PeerConfig, PeerId, Speaker, SpeakerConfig};
 use peering::netsim::{LinkParams, MsgNet, NodeId, SimRng};
 use peering::prelude::*;
 use std::net::Ipv4Addr;
@@ -32,31 +32,32 @@ impl ByteHarness {
         ByteHarness { a, b, net }
     }
 
-    fn dispatch(&mut self, from: usize, outs: Vec<Output>) {
-        for o in outs {
+    /// Apply `input` to speaker `to` (0 = a, 1 = b) at the transport's
+    /// clock and put what it sends on the link, encoded; returns all of
+    /// its outputs.
+    fn apply(&mut self, to: usize, input: Input) -> Vec<Output> {
+        let speaker = if to == 0 { &mut self.a } else { &mut self.b };
+        let mut outs = Vec::new();
+        speaker.apply(input, self.net.now(), &mut outs);
+        for o in &outs {
             if let Output::Send(_, msg) = o {
-                let bytes = encode_message(&msg, WireConfig::default()).expect("encode");
-                let (na, nb) = (NodeId(from as u32), NodeId(1 - from as u32));
+                let bytes = encode_message(msg, WireConfig::default()).expect("encode");
+                let (na, nb) = (NodeId(to as u32), NodeId(1 - to as u32));
                 self.net.send(na, nb, bytes.len(), bytes);
             }
         }
+        outs
     }
 
     /// Run the event loop, decoding bytes at each delivery.
     fn run(&mut self, limit: usize) {
         for _ in 0..limit {
-            let Some((now, delivery)) = self.net.next() else {
+            let Some((_, delivery)) = self.net.next() else {
                 break;
             };
             let (msg, used) = decode_message(&delivery.msg, WireConfig::default()).expect("decode");
             assert_eq!(used, delivery.msg.len());
-            let to = delivery.to.0 as usize;
-            let outs = if to == 0 {
-                self.a.on_message(PeerId(0), msg, now)
-            } else {
-                self.b.on_message(PeerId(0), msg, now)
-            };
-            self.dispatch(to, outs);
+            self.apply(delivery.to.0 as usize, Input::Message(PeerId(0), msg));
         }
     }
 }
@@ -64,10 +65,8 @@ impl ByteHarness {
 #[test]
 fn session_establishes_over_encoded_bytes() {
     let mut h = ByteHarness::new(0.0, 1);
-    let outs = h.a.start_peer(PeerId(0), h.net.now());
-    h.dispatch(0, outs);
-    let outs = h.b.start_peer(PeerId(0), h.net.now());
-    h.dispatch(1, outs);
+    h.apply(0, Input::StartPeer(PeerId(0)));
+    h.apply(1, Input::StartPeer(PeerId(0)));
     h.run(100);
     assert!(h.a.peer_established(PeerId(0)));
     assert!(h.b.peer_established(PeerId(0)));
@@ -76,16 +75,13 @@ fn session_establishes_over_encoded_bytes() {
 #[test]
 fn routes_survive_the_byte_roundtrip() {
     let mut h = ByteHarness::new(0.0, 2);
-    let outs = h.a.start_peer(PeerId(0), h.net.now());
-    h.dispatch(0, outs);
-    let outs = h.b.start_peer(PeerId(0), h.net.now());
-    h.dispatch(1, outs);
+    h.apply(0, Input::StartPeer(PeerId(0)));
+    h.apply(1, Input::StartPeer(PeerId(0)));
     h.run(100);
     // Announce 50 prefixes from a.
     for i in 0..50u32 {
         let p = Prefix::v4(10, 50, i as u8, 0, 24);
-        let outs = h.a.originate(p, h.net.now());
-        h.dispatch(0, outs);
+        h.apply(0, Input::Originate(p, vec![]));
     }
     h.run(1000);
     assert_eq!(h.b.loc_rib().len(), 50);
@@ -101,20 +97,15 @@ fn lossy_link_delays_but_timers_recover_the_session() {
     // retry loop at the application layer must still converge.
     let mut h = ByteHarness::new(0.3, 3);
     for attempt in 0..50 {
-        let outs = h.a.start_peer(PeerId(0), h.net.now());
-        h.dispatch(0, outs);
-        let outs = h.b.start_peer(PeerId(0), h.net.now());
-        h.dispatch(1, outs);
+        h.apply(0, Input::StartPeer(PeerId(0)));
+        h.apply(1, Input::StartPeer(PeerId(0)));
         h.run(200);
         if h.a.peer_established(PeerId(0)) && h.b.peer_established(PeerId(0)) {
             return; // converged despite loss
         }
         // Reset both ends and try again (BGP's connect-retry analog).
-        let now = h.net.now();
-        let outs = h.a.stop_peer(PeerId(0), now);
-        h.dispatch(0, outs);
-        let outs = h.b.stop_peer(PeerId(0), now);
-        h.dispatch(1, outs);
+        h.apply(0, Input::StopPeer(PeerId(0)));
+        h.apply(1, Input::StopPeer(PeerId(0)));
         h.run(100);
         let _ = attempt;
     }
@@ -124,18 +115,16 @@ fn lossy_link_delays_but_timers_recover_the_session() {
 #[test]
 fn hold_timer_fires_when_the_link_dies() {
     let mut h = ByteHarness::new(0.0, 4);
-    let outs = h.a.start_peer(PeerId(0), h.net.now());
-    h.dispatch(0, outs);
-    let outs = h.b.start_peer(PeerId(0), h.net.now());
-    h.dispatch(1, outs);
+    h.apply(0, Input::StartPeer(PeerId(0)));
+    h.apply(1, Input::StartPeer(PeerId(0)));
     h.run(100);
     assert!(h.a.peer_established(PeerId(0)));
     // Kill the link; drive time far past the hold deadline via timers.
     h.net.set_link_up(NodeId(0), NodeId(1), false);
     h.net
         .set_timer(NodeId(0), SimDuration::from_secs(300), Vec::new());
-    let (now, _) = h.net.next().expect("timer");
-    let outs = h.a.tick(now);
+    h.net.next().expect("timer");
+    let outs = h.apply(0, Input::Tick);
     assert!(outs
         .iter()
         .any(|o| matches!(o, Output::Event(peering::bgp::SpeakerEvent::PeerDown(_, _)))));

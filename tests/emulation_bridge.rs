@@ -2,37 +2,37 @@
 //! "controlling intradomain topology and routing" capability, across the
 //! emulation, bgp, and topology crates.
 
-use peering::bgp::{BgpMessage, Output, PeerConfig, PeerId, Speaker, SpeakerConfig};
+use peering::bgp::{Input, Output, PeerConfig, PeerId, Speaker, SpeakerConfig};
 use peering::emulation::{build_from_pops, place_containers};
 use peering::prelude::*;
 use peering::topology::{hurricane_electric, small_ring};
 use std::net::Ipv4Addr;
 
-/// Drive the external session between a PopEmulation and a speaker until
-/// quiescent.
+/// Apply `inputs` to the speaker, then drive the external session between
+/// it and a PopEmulation until quiescent.
 fn bridge(
     pe: &mut peering::emulation::PopEmulation,
     h: peering::emulation::ExternalHandle,
     ext: &mut Speaker,
+    mut inputs: Vec<Input>,
 ) {
     for _ in 0..128 {
+        let now = pe.emu.now();
+        let mut replies = Vec::new();
+        for input in inputs.drain(..) {
+            ext.apply(input, now, &mut replies);
+        }
+        for o in replies {
+            if let Output::Send(_, m) = o {
+                pe.emu.inject_external(h, m);
+            }
+        }
+        pe.emu.run_until_quiet(usize::MAX);
         let outbound = pe.emu.drain_external(h);
         if outbound.is_empty() {
             break;
         }
-        let now = pe.emu.now();
-        let mut replies: Vec<BgpMessage> = Vec::new();
-        for m in outbound {
-            for o in ext.on_message(PeerId(0), m, now) {
-                if let Output::Send(_, msg) = o {
-                    replies.push(msg);
-                }
-            }
-        }
-        for m in replies {
-            pe.emu.inject_external(h, m);
-        }
-        pe.emu.run_until_quiet(usize::MAX);
+        inputs.extend(outbound.into_iter().map(|m| Input::Message(PeerId(0), m)));
     }
 }
 
@@ -51,23 +51,21 @@ fn he_backbone_bridges_to_an_external_peer() {
     ));
     ext.add_peer(PeerConfig::new(PeerId(0), pe.asns[ams]).passive())
         .expect("peer ids are distinct");
-    ext.start_peer(PeerId(0), peering::netsim::SimTime::ZERO);
+    let start = Input::StartPeer(PeerId(0));
+    ext.apply(start, peering::netsim::SimTime::ZERO, &mut Vec::new());
     pe.converge(usize::MAX);
-    bridge(&mut pe, h, &mut ext);
+    bridge(&mut pe, h, &mut ext, Vec::new());
     assert!(ext.peer_established(PeerId(0)));
     // All 24 PoP prefixes flow out to the external peer...
     assert_eq!(ext.loc_rib().len(), 24);
     // ...and external routes flow all the way across the backbone.
     let external = Prefix::v4(203, 0, 113, 0, 24);
-    let now = pe.emu.now();
-    let outs = ext.originate(external, now);
-    for o in outs {
-        if let Output::Send(_, m) = o {
-            pe.emu.inject_external(h, m);
-        }
-    }
-    pe.emu.run_until_quiet(usize::MAX);
-    bridge(&mut pe, h, &mut ext);
+    bridge(
+        &mut pe,
+        h,
+        &mut ext,
+        vec![Input::Originate(external, vec![])],
+    );
     let hongkong = topo.pop_by_city("Hong Kong").unwrap();
     let d = pe.emu.daemon(pe.routers[hongkong]).unwrap();
     let r = d.loc_rib().get(&external).expect("HK learned the route");
@@ -96,10 +94,8 @@ fn link_failure_inside_the_emulation_reroutes() {
     // cascade toward the rest of the ring must flow through the
     // emulation for everyone to reconverge.
     pe.emu.set_link_up(pe.routers[0], pe.routers[1], false);
-    pe.emu
-        .control(pe.routers[0], |d, now| d.stop_peer(PeerId(1), now));
-    pe.emu
-        .control(pe.routers[1], |d, now| d.stop_peer(PeerId(0), now));
+    pe.emu.control(pe.routers[0], Input::StopPeer(PeerId(1)));
+    pe.emu.control(pe.routers[1], Input::StopPeer(PeerId(0)));
     pe.emu.run_until_quiet(usize::MAX);
     // 0 still reaches 3 the long way round.
     let d = pe.emu.daemon(pe.routers[0]).unwrap();

@@ -79,6 +79,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Intra-doc links must resolve: a moved or privatized item cannot leave a
+# dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
