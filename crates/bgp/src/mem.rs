@@ -57,11 +57,18 @@ impl DeepSize for Route {
 }
 
 impl DeepSize for AdjRib {
+    /// A model of the table's old two-level layout, a `BTreeMap` of
+    /// per-prefix `BTreeMap`s: each outer entry and each (path id, route)
+    /// entry is charged its bytes plus [`BTREE_ENTRY_OVERHEAD`]. The path
+    /// sets are sorted `Vec`s now, and the counting allocator measures
+    /// 233 B per one-path prefix (`tests/rib_memory.rs`) where the model
+    /// charges 180 B and the old inner leaf cost 1,257 B. The charges are
+    /// left as they were so that `router_feed.table_bytes_per_route` and
+    /// `results/fig2.json` do not move; ROADMAP item 1(d) decides whether
+    /// Fig. 2 keeps this model or takes the allocator's count instead.
     fn deep_size(&self) -> usize {
         let mut sz = size_of::<AdjRib>();
-        // prefix -> BTreeMap entries in the outer BTreeMap
         sz += self.prefix_count() * (size_of::<peering_netsim::Prefix>() + BTREE_ENTRY_OVERHEAD);
-        // (path_id, Route) entries in the inner BTreeMaps
         sz += self.len() * (size_of::<u32>() + size_of::<Route>() + BTREE_ENTRY_OVERHEAD);
         sz
     }

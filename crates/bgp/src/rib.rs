@@ -10,6 +10,7 @@
 use crate::attrs::PathAttributes;
 use peering_netsim::{Fnv1a, Prefix, PrefixTrie, SimTime, TraceId};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -111,14 +112,18 @@ impl Route {
 /// One peer's Adj-RIB (used for both In and Out directions): the set of
 /// routes exchanged with that peer, keyed by prefix and ADD-PATH id.
 ///
-/// Both levels are `BTreeMap` so every iteration surface
-/// ([`iter`](Self::iter), [`prefixes`](Self::prefixes),
-/// [`clear`](Self::clear)) yields prefix-then-path-id order — a
-/// determinism-contract requirement (`nd-hash-iter`): Adj-RIB walks
-/// feed digests, MRT dumps, and the decision process.
+/// A `BTreeMap` from prefix to that prefix's paths, held in a `Vec`
+/// sorted by path id. Most prefixes have one path (path id 0), which
+/// costs one exactly-sized allocation of one [`Route`]; an inner
+/// `BTreeMap` would spend an eleven-slot leaf on it. Every iteration
+/// surface ([`iter`](Self::iter), [`paths`](Self::paths),
+/// [`prefixes`](Self::prefixes), [`clear`](Self::clear)) yields
+/// prefix-then-path-id order — a determinism-contract requirement
+/// (`nd-hash-iter`): Adj-RIB walks feed digests, MRT dumps, and the
+/// decision process.
 #[derive(Debug, Clone, Default)]
 pub struct AdjRib {
-    routes: BTreeMap<Prefix, BTreeMap<u32, Route>>,
+    routes: BTreeMap<Prefix, Vec<Route>>,
     entries: usize,
 }
 
@@ -126,6 +131,24 @@ pub struct AdjRib {
 pub type AdjRibIn = AdjRib;
 /// Adj-RIB-Out: routes advertised to a peer, after export policy.
 pub type AdjRibOut = AdjRib;
+
+/// Where `path_id` sits in a prefix's path set: `Ok` at its index, or
+/// `Err` at the index that keeps the set sorted.
+fn find(paths: &[Route], path_id: u32) -> Result<usize, usize> {
+    paths.binary_search_by_key(&path_id, |r| r.path_id)
+}
+
+/// Insert or replace `route` in a sorted path set, returning the route
+/// it replaced.
+fn upsert(paths: &mut Vec<Route>, route: Route) -> Option<Route> {
+    match find(paths, route.path_id) {
+        Ok(i) => Some(std::mem::replace(&mut paths[i], route)),
+        Err(i) => {
+            paths.insert(i, route);
+            None
+        }
+    }
+}
 
 impl AdjRib {
     /// Create an empty table.
@@ -135,11 +158,13 @@ impl AdjRib {
 
     /// Insert or replace a route (keyed by `prefix` + `path_id`).
     pub fn insert(&mut self, route: Route) -> Option<Route> {
-        let old = self
-            .routes
-            .entry(route.prefix)
-            .or_default()
-            .insert(route.path_id, route);
+        let old = match self.routes.entry(route.prefix) {
+            Entry::Vacant(slot) => {
+                slot.insert(vec![route]);
+                None
+            }
+            Entry::Occupied(slot) => upsert(slot.into_mut(), route),
+        };
         if old.is_none() {
             self.entries += 1;
         }
@@ -149,40 +174,35 @@ impl AdjRib {
     /// Remove one path for a prefix.
     pub fn remove(&mut self, prefix: &Prefix, path_id: u32) -> Option<Route> {
         let paths = self.routes.get_mut(prefix)?;
-        let old = paths.remove(&path_id);
-        if old.is_some() {
-            self.entries -= 1;
-            if paths.is_empty() {
-                self.routes.remove(prefix);
-            }
+        let old = paths.remove(find(paths, path_id).ok()?);
+        self.entries -= 1;
+        if paths.is_empty() {
+            self.routes.remove(prefix);
         }
-        old
+        Some(old)
     }
 
-    /// Remove every path for a prefix (plain withdraw).
+    /// Remove every path for a prefix (plain withdraw), in path-id order.
     pub fn remove_prefix(&mut self, prefix: &Prefix) -> Vec<Route> {
-        match self.routes.remove(prefix) {
-            Some(paths) => {
-                self.entries -= paths.len();
-                paths.into_values().collect()
-            }
-            None => Vec::new(),
-        }
+        let paths = self.routes.remove(prefix).unwrap_or_default();
+        self.entries -= paths.len();
+        paths
     }
 
-    /// All paths currently held for a prefix.
+    /// All paths currently held for a prefix, in path-id order.
     pub fn paths(&self, prefix: &Prefix) -> impl Iterator<Item = &Route> {
-        self.routes.get(prefix).into_iter().flat_map(|m| m.values())
+        self.routes.get(prefix).into_iter().flatten()
     }
 
     /// A specific path.
     pub fn get(&self, prefix: &Prefix, path_id: u32) -> Option<&Route> {
-        self.routes.get(prefix)?.get(&path_id)
+        let paths = self.routes.get(prefix)?;
+        find(paths, path_id).ok().map(|i| &paths[i])
     }
 
     /// All `(prefix, route)` entries.
     pub fn iter(&self) -> impl Iterator<Item = &Route> {
-        self.routes.values().flat_map(|m| m.values())
+        self.routes.values().flatten()
     }
 
     /// Distinct prefixes present.
@@ -207,29 +227,42 @@ impl AdjRib {
 
     /// Replace every path held for `prefix` with `routes` in one step.
     /// The peer-group export engine uses this to commit a staged export
-    /// computation into the group's shared Adj-RIB-Out base. Paths that
-    /// stay are overwritten where they sit, so the common commit — one
-    /// path replaced by its successor — allocates nothing.
+    /// computation into the group's shared Adj-RIB-Out base. A prefix's
+    /// new path set starts exactly sized; in a held one, paths that stay
+    /// are overwritten where they sit, so the common commit — one path
+    /// replaced by its successor — allocates nothing.
     pub fn set_prefix<'a>(
         &mut self,
         prefix: &Prefix,
         routes: impl Iterator<Item = &'a Route> + Clone,
     ) {
-        if routes.clone().next().is_none() {
-            if let Some(old) = self.routes.remove(prefix) {
-                self.entries -= old.len();
-            }
+        let mut rest = routes.clone();
+        let Some(first) = rest.next() else {
+            self.remove_prefix(prefix);
             return;
+        };
+        debug_assert!(
+            routes.clone().all(|r| r.prefix == *prefix),
+            "route committed under wrong prefix"
+        );
+        match self.routes.entry(*prefix) {
+            Entry::Vacant(slot) => {
+                let paths = slot.insert(vec![first.clone()]);
+                for route in rest {
+                    upsert(paths, route.clone());
+                }
+                self.entries += paths.len();
+            }
+            Entry::Occupied(slot) => {
+                let paths = slot.into_mut();
+                let before = paths.len();
+                paths.retain(|held| routes.clone().any(|r| r.path_id == held.path_id));
+                for route in routes {
+                    upsert(paths, route.clone());
+                }
+                self.entries = self.entries - before + paths.len();
+            }
         }
-        let paths = self.routes.entry(*prefix).or_default();
-        let before = paths.len();
-        paths.retain(|path_id, _| routes.clone().any(|r| r.path_id == *path_id));
-        for route in routes {
-            debug_assert_eq!(route.prefix, *prefix, "route committed under wrong prefix");
-            paths.insert(route.path_id, route.clone());
-        }
-        let after = paths.len();
-        self.entries = self.entries - before + after;
     }
 
     /// Drop everything, returning the affected prefixes (for re-decision).
@@ -247,23 +280,23 @@ impl AdjRib {
         let mut counted = 0;
         for (prefix, paths) in &self.routes {
             if paths.is_empty() {
-                return Err(format!("empty path map retained for {prefix}"));
+                return Err(format!("empty path set retained for {prefix}"));
             }
-            for (path_id, route) in paths {
+            for route in paths {
                 if route.prefix != *prefix {
                     return Err(format!(
                         "route keyed under {prefix} carries prefix {}",
                         route.prefix
                     ));
                 }
-                if route.path_id != *path_id {
-                    return Err(format!(
-                        "route keyed under path id {path_id} carries id {}",
-                        route.path_id
-                    ));
-                }
-                counted += 1;
             }
+            if let Some(pair) = paths.windows(2).find(|w| w[0].path_id >= w[1].path_id) {
+                return Err(format!(
+                    "path ids under {prefix} not strictly increasing: {} then {}",
+                    pair[0].path_id, pair[1].path_id
+                ));
+            }
+            counted += paths.len();
         }
         if counted != self.entries {
             return Err(format!(
@@ -564,7 +597,7 @@ mod tests {
         assert_eq!(rib.len(), 3);
         assert_eq!(rib.prefix_count(), 1);
         assert_eq!(rib.paths(&p).count(), 3);
-        // Paths iterate in path-id order (BTreeMap).
+        // Paths iterate in path-id order.
         let ids: Vec<u32> = rib.paths(&p).map(|r| r.path_id).collect();
         assert_eq!(ids, vec![1, 2, 3]);
         let removed = rib.remove_prefix(&p);
@@ -681,6 +714,19 @@ mod tests {
         let mut loc = LocRib::new();
         loc.set_best(route(p, 0, 1));
         loc.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn adj_rib_invariants_reject_unsorted_path_ids() {
+        let p = Prefix::v4(10, 0, 0, 0, 8);
+        for ids in [[2, 1], [1, 1]] {
+            let rib = AdjRib {
+                routes: BTreeMap::from([(p, ids.map(|id| route(p, id, 1)).to_vec())]),
+                entries: 2,
+            };
+            let err = rib.check_invariants().unwrap_err();
+            assert!(err.contains("not strictly increasing"), "{ids:?}: {err}");
+        }
     }
 
     #[test]

@@ -65,12 +65,13 @@ static GLOBAL: Counting = Counting;
 
 /// Calls that handed out memory on this thread so far (`alloc`,
 /// `alloc_zeroed` and `realloc`).
+// Not every binary that installs the allocator reads both counters.
+#[allow(dead_code)]
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
 /// Bytes this thread has allocated and not freed, net of what it freed.
-// Not every binary that installs the allocator reads both counters.
 #[allow(dead_code)]
 pub fn live_bytes() -> i64 {
     LIVE.with(Cell::get)

@@ -1,8 +1,10 @@
 //! Property tests for the BGP implementation: codec inversions, AS-path
-//! algebra, decision-process order laws, damping monotonicity, and the
-//! quiet-tick contract of `Speaker::timers_due`.
+//! algebra, decision-process order laws, damping monotonicity, the
+//! quiet-tick contract of `Speaker::timers_due`, and the Adj-RIB against a
+//! flat-map model.
 
 use peering_bgp::damping::{DampingConfig, DampingState};
+use peering_bgp::rib::AdjRib;
 use peering_bgp::wire::{decode_message, encode_message, encode_update_chunked, WireConfig};
 use peering_bgp::{
     compare_routes, AsPath, BgpMessage, Community, ConnectRetryConfig, DecisionConfig, Input,
@@ -12,6 +14,7 @@ use peering_bgp::{
 use peering_netsim::{Asn, Ipv4Net, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -732,4 +735,127 @@ fn quiet_tick_contract_catches_a_blind_predicate() {
         caught(immediate, blind_to_stale),
         "ignoring the graceful-restart deadline"
     );
+}
+
+/// One step of an Adj-RIB script. Prefix slots and path ids come from
+/// small ranges so steps collide on the same entries, and path ids arrive
+/// in any order; `tag` tells a replacement from the route it replaced.
+#[derive(Debug, Clone)]
+enum RibOp {
+    Insert { slot: u8, path_id: u32, tag: u32 },
+    Remove { slot: u8, path_id: u32 },
+    RemovePrefix { slot: u8 },
+    SetPrefix { slot: u8, paths: Vec<(u32, u32)> },
+    Clear,
+}
+
+const RIB_SLOTS: u8 = 4;
+const RIB_PATH_IDS: u32 = 4;
+
+fn arb_rib_op() -> impl Strategy<Value = RibOp> {
+    (
+        0u8..12,
+        0..RIB_SLOTS,
+        0..RIB_PATH_IDS,
+        0u32..1_000,
+        proptest::collection::vec((0..RIB_PATH_IDS, 0u32..1_000), 0..4),
+    )
+        .prop_map(|(kind, slot, path_id, tag, paths)| match kind {
+            0..=4 => RibOp::Insert { slot, path_id, tag },
+            5..=7 => RibOp::Remove { slot, path_id },
+            8 => RibOp::RemovePrefix { slot },
+            9 | 10 => RibOp::SetPrefix { slot, paths },
+            _ => RibOp::Clear,
+        })
+}
+
+fn rib_prefix(slot: u8) -> Prefix {
+    Prefix::v4(10, slot, 0, 0, 24)
+}
+
+fn rib_route(slot: u8, path_id: u32, tag: u32) -> Route {
+    Route {
+        prefix: rib_prefix(slot),
+        attrs: Arc::new(PathAttributes::default()),
+        peer: PeerId(1),
+        path_id,
+        source: RouteSource::Ebgp,
+        igp_cost: tag,
+        learned_at: SimTime::ZERO,
+        trace: None,
+    }
+}
+
+/// What a route is to the model: its key and the tag it was stored with.
+fn rib_key(r: &Route) -> (Prefix, u32, u32) {
+    (r.prefix, r.path_id, r.igp_cost)
+}
+
+proptest! {
+    /// `AdjRib` behaves as a flat map keyed by (prefix, path id) under
+    /// random scripts of every mutator: each returns what the model
+    /// returns, and after every step iteration order, counts, per-prefix
+    /// paths and point lookups agree, and the table's own invariants hold.
+    #[test]
+    fn adj_rib_matches_a_flat_map_model(script in proptest::collection::vec(arb_rib_op(), 1..60)) {
+        let mut rib = AdjRib::new();
+        let mut model: BTreeMap<(Prefix, u32), Route> = BTreeMap::new();
+        for op in &script {
+            match op {
+                RibOp::Insert { slot, path_id, tag } => {
+                    let r = rib_route(*slot, *path_id, *tag);
+                    let want = model.insert((r.prefix, r.path_id), r.clone());
+                    prop_assert_eq!(rib.insert(r).map(|o| rib_key(&o)), want.map(|o| rib_key(&o)));
+                }
+                RibOp::Remove { slot, path_id } => {
+                    let p = rib_prefix(*slot);
+                    let want = model.remove(&(p, *path_id));
+                    prop_assert_eq!(rib.remove(&p, *path_id).map(|o| rib_key(&o)), want.map(|o| rib_key(&o)));
+                }
+                RibOp::RemovePrefix { slot } => {
+                    let p = rib_prefix(*slot);
+                    let want: Vec<_> = model.range((p, 0)..=(p, u32::MAX)).map(|(_, r)| rib_key(r)).collect();
+                    model.retain(|(q, _), _| *q != p);
+                    let got: Vec<_> = rib.remove_prefix(&p).iter().map(rib_key).collect();
+                    prop_assert_eq!(got, want);
+                }
+                RibOp::SetPrefix { slot, paths } => {
+                    let p = rib_prefix(*slot);
+                    let routes: Vec<Route> = paths.iter().map(|&(id, tag)| rib_route(*slot, id, tag)).collect();
+                    model.retain(|(q, _), _| *q != p);
+                    for r in &routes {
+                        model.insert((p, r.path_id), r.clone());
+                    }
+                    rib.set_prefix(&p, routes.iter());
+                }
+                RibOp::Clear => {
+                    let mut want: Vec<Prefix> = model.keys().map(|(p, _)| *p).collect();
+                    want.dedup();
+                    model.clear();
+                    prop_assert_eq!(rib.clear(), want);
+                }
+            }
+            prop_assert_eq!(rib.check_invariants(), Ok(()), "after {:?}", op);
+            let got: Vec<_> = rib.iter().map(rib_key).collect();
+            let want: Vec<_> = model.values().map(rib_key).collect();
+            prop_assert_eq!(got, want, "iteration order after {:?}", op);
+            prop_assert_eq!(rib.len(), model.len());
+            let mut held: Vec<Prefix> = model.keys().map(|(p, _)| *p).collect();
+            held.dedup();
+            prop_assert_eq!(rib.prefix_count(), held.len());
+            prop_assert_eq!(rib.prefixes().copied().collect::<Vec<_>>(), held);
+            for slot in 0..RIB_SLOTS {
+                let p = rib_prefix(slot);
+                let got: Vec<_> = rib.paths(&p).map(rib_key).collect();
+                let want: Vec<_> = model.range((p, 0)..=(p, u32::MAX)).map(|(_, r)| rib_key(r)).collect();
+                prop_assert_eq!(got, want, "paths of {} after {:?}", p, op);
+                for path_id in 0..RIB_PATH_IDS {
+                    prop_assert_eq!(
+                        rib.get(&p, path_id).map(rib_key),
+                        model.get(&(p, path_id)).map(rib_key)
+                    );
+                }
+            }
+        }
+    }
 }
