@@ -7,6 +7,21 @@
 //! (including hold-time, 4-octet ASN, and ADD-PATH capabilities),
 //! keepalive scheduling at one third of the negotiated hold time, hold
 //! timer expiry producing a NOTIFICATION, and session teardown semantics.
+//!
+//! A [`Session`] has one way in, [`Session::apply`], which appends what
+//! an input produces to the caller's two sinks (`Down` is surfaced only
+//! when an Established session drops):
+//!
+//! | input | RFC 4271 §8.1 event | may send | may surface |
+//! |---|---|---|---|
+//! | `Start` | ManualStart (1) | OPEN | — |
+//! | `Stop` | ManualStop (2) | Cease | `Down` |
+//! | `ConnectionLost` | TcpConnectionFails (18) | — | `Down` |
+//! | `Corrupt` | BGPHeaderErr (21) | NOTIFICATION | `Down` |
+//! | `Message` | BGPOpen, NotifMsg, KeepAliveMsg, UpdateMsg (19, 25–27); ROUTE-REFRESH (RFC 2918) | OPEN, KEEPALIVE, NOTIFICATION | any |
+//! | `MalformedUpdate` | UpdateMsgErr (28), treat-as-withdraw (RFC 7606 §2) | NOTIFICATION | `Update` |
+//! | `MaxPrefixCease` | Cease, maximum prefixes reached (RFC 4486 §4) | Cease | `Down` |
+//! | `Tick` | ConnectRetry, Hold, Keepalive timer expiry (9–11); idle-hold end | OPEN, KEEPALIVE, NOTIFICATION | `Down` |
 
 use crate::error::BgpError;
 use crate::message::{BgpMessage, NotifCode, NotificationMessage, OpenMessage, UpdateMessage};
@@ -166,6 +181,32 @@ pub enum SessionEvent {
     Update(UpdateMessage),
     /// The peer asked us to re-advertise our Adj-RIB-Out.
     RefreshRequested,
+}
+
+/// One event of the session state machine, named as in RFC 4271 §8.1.
+/// [`Session::apply`] is the one way in.
+#[derive(Debug, Clone)]
+pub enum SessionInput {
+    /// ManualStart (Event 1); it also ends a pending idle-hold penalty.
+    Start,
+    /// ManualStop (Event 2): a Cease from `OpenConfirm` on, then `Idle`.
+    Stop,
+    /// TcpConnectionFails (Event 18): no NOTIFICATION can be sent.
+    ConnectionLost,
+    /// BGPHeaderErr (Event 21): bytes that do not parse as a message.
+    Corrupt,
+    /// BGPOpen, NotifMsg, KeepAliveMsg or UpdateMsg (Events 19, 25–27),
+    /// or a ROUTE-REFRESH (RFC 2918).
+    Message(BgpMessage),
+    /// UpdateMsgErr (Event 28) that RFC 7606 §2 treats as withdraw: the
+    /// announced routes are withdrawn and the session stays up.
+    MalformedUpdate(UpdateMessage),
+    /// Cease, maximum number of prefixes reached (RFC 4486 §4): then
+    /// `Idle` for this fixed idle-hold penalty.
+    MaxPrefixCease(SimDuration),
+    /// ConnectRetryTimer, HoldTimer or KeepaliveTimer expiry (Events
+    /// 9–11), or the end of an idle-hold penalty.
+    Tick,
 }
 
 /// Per-session statistics.
@@ -331,13 +372,61 @@ impl Session {
         }
     }
 
-    /// Start the session (ManualStart). Active endpoints emit their OPEN
-    /// immediately; passive endpoints wait in `Connect`.
-    pub fn start(&mut self, now: SimTime) -> Vec<BgpMessage> {
-        if self.state != FsmState::Idle {
-            return Vec::new();
+    /// Apply one input at `now`, appending the messages to send to `msgs`
+    /// and what the owner must act on to `events`. Both are sinks: what
+    /// they already hold is left as it is.
+    pub fn apply(
+        &mut self,
+        input: SessionInput,
+        now: SimTime,
+        msgs: &mut Vec<BgpMessage>,
+        events: &mut Vec<SessionEvent>,
+    ) {
+        match input {
+            SessionInput::Start => {
+                if self.state == FsmState::Idle {
+                    msgs.extend(self.enter_handshake(now));
+                }
+            }
+            SessionInput::Stop => {
+                if matches!(self.state, FsmState::OpenConfirm | FsmState::Established) {
+                    self.notify(NotifCode::Cease, 2, msgs); // administrative shutdown
+                }
+                if self.state == FsmState::Established {
+                    let reason = "administrative stop".into();
+                    events.push(SessionEvent::Down { reason });
+                }
+                self.reset();
+                self.retry_attempt = 0;
+            }
+            SessionInput::Message(msg) => self.on_message(msg, now, msgs, events),
+            SessionInput::MalformedUpdate(update) => {
+                self.on_malformed_update(update, now, msgs, events)
+            }
+            SessionInput::Tick => self.tick(now, msgs, events),
+            // A session that is down has no connection to lose or corrupt
+            // and no prefixes to cease over.
+            _ if self.state == FsmState::Idle => {}
+            SessionInput::ConnectionLost => self.go_down("connection lost", now, events),
+            SessionInput::Corrupt => {
+                // Subcode 1: connection not synchronized.
+                let header_error = (NotifCode::MessageHeaderError, 1);
+                self.fail(header_error, "corrupt message", now, msgs, events);
+            }
+            SessionInput::MaxPrefixCease(penalty) => {
+                let was_established = self.state == FsmState::Established;
+                self.notify(NotifCode::Cease, 1, msgs); // maximum number of prefixes reached
+                self.reset();
+                // The penalty is a fixed duration — no jitter — so seeded
+                // runs re-establish at exactly the same virtual instant.
+                self.idle_hold_until = now + penalty;
+                self.retry_attempt = 0;
+                if was_established {
+                    let reason = "max prefixes reached".into();
+                    events.push(SessionEvent::Down { reason });
+                }
+            }
         }
-        self.enter_handshake(now).into_iter().collect()
     }
 
     /// Leave `Idle` for the handshake, ending any idle-hold penalty (a
@@ -377,64 +466,14 @@ impl Session {
         self.go_down(reason, now, events);
     }
 
-    /// Stop the session (ManualStop): emits a Cease and returns to Idle.
-    pub fn stop(&mut self, _now: SimTime) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        if self.state != FsmState::Idle {
-            if self.state == FsmState::Established || self.state == FsmState::OpenConfirm {
-                self.notify(NotifCode::Cease, 2, &mut out); // administrative shutdown
-            }
-            if self.state == FsmState::Established {
-                events.push(SessionEvent::Down {
-                    reason: "administrative stop".into(),
-                });
-            }
-        }
-        self.reset();
-        self.retry_attempt = 0;
-        (out, events)
-    }
-
-    /// The transport under the session failed without a BGP message (TCP
-    /// reset, peer process crash, tunnel flap). No NOTIFICATION can be
-    /// sent; retry-enabled endpoints schedule a reconnect.
-    pub fn drop_connection(&mut self, now: SimTime) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        if self.state != FsmState::Idle {
-            self.go_down("connection lost", now, &mut events);
-        }
-        events
-    }
-
-    /// The transport delivered bytes that do not parse as a BGP message:
-    /// notify the peer the header is bad and drop the session (RFC 4271
-    /// §6.1).
-    pub fn on_corrupt(&mut self, now: SimTime) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        if self.state != FsmState::Idle {
-            // Subcode 1: connection not synchronized.
-            let header_error = (NotifCode::MessageHeaderError, 1);
-            self.fail(header_error, "corrupt message", now, &mut out, &mut events);
-        }
-        (out, events)
-    }
-
-    /// An UPDATE arrived whose attributes are malformed in a way RFC 7606
-    /// classifies as *treat-as-withdraw*: the NLRI parsed, so instead of
-    /// tearing the session down the announced routes are handled as if
-    /// they had been withdrawn, and the session stays Established.
-    ///
-    /// Outside Established the message is an FSM error exactly as a
-    /// well-formed UPDATE would be (RFC 7606 does not soften §8 rules).
-    pub fn on_malformed_update(
+    /// RFC 7606 treat-as-withdraw; see [`SessionInput::MalformedUpdate`].
+    fn on_malformed_update(
         &mut self,
         update: UpdateMessage,
         now: SimTime,
-    ) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
+        out: &mut Vec<BgpMessage>,
+        events: &mut Vec<SessionEvent>,
+    ) {
         self.stats.msgs_in += 1;
         match self.state {
             FsmState::Idle => {}
@@ -460,40 +499,9 @@ impl Session {
             }
             state => {
                 let e = BgpError::FsmViolation(format!("update in {state:?}"));
-                self.fail(e.notification(), e.to_string(), now, &mut out, &mut events);
+                self.fail(e.notification(), e.to_string(), now, out, events);
             }
         }
-        (out, events)
-    }
-
-    /// The peer exceeded its configured maximum prefix count: emit a
-    /// Cease NOTIFICATION with subcode 1 ("maximum number of prefixes
-    /// reached", RFC 4486) and fall back to Idle, where the session
-    /// serves a deterministic idle-hold `penalty` before `tick`
-    /// automatically re-enters the handshake.
-    pub fn max_prefix_cease(
-        &mut self,
-        now: SimTime,
-        penalty: SimDuration,
-    ) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        if self.state == FsmState::Idle {
-            return (out, events);
-        }
-        let was_established = self.state == FsmState::Established;
-        self.notify(NotifCode::Cease, 1, &mut out); // maximum number of prefixes reached
-        self.reset();
-        // The penalty is a fixed duration — no jitter — so seeded runs
-        // re-establish at exactly the same virtual instant.
-        self.idle_hold_until = now + penalty;
-        self.retry_attempt = 0;
-        if was_established {
-            events.push(SessionEvent::Down {
-                reason: "max prefixes reached".into(),
-            });
-        }
-        (out, events)
     }
 
     /// The idle-hold deadline, if a max-prefix penalty is being served.
@@ -570,14 +578,14 @@ impl Session {
         }
     }
 
-    /// Process an incoming message, producing replies and events.
-    pub fn on_message(
+    /// A message from the peer: replies to `out`, events to `events`.
+    fn on_message(
         &mut self,
         msg: BgpMessage,
         now: SimTime,
-    ) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
+        out: &mut Vec<BgpMessage>,
+        events: &mut Vec<SessionEvent>,
+    ) {
         self.stats.msgs_in += 1;
 
         // Any valid message refreshes the hold timer while up.
@@ -599,7 +607,7 @@ impl Session {
                     self.stats.msgs_out += 2;
                     self.state = FsmState::OpenConfirm;
                 }
-                Err(e) => self.fail(e.notification(), e.to_string(), now, &mut out, &mut events),
+                Err(e) => self.fail(e.notification(), e.to_string(), now, out, events),
             },
             (FsmState::OpenSent, BgpMessage::Open(open)) => match self.validate_open(&open) {
                 Ok(()) => {
@@ -608,7 +616,7 @@ impl Session {
                     self.stats.msgs_out += 1;
                     self.state = FsmState::OpenConfirm;
                 }
-                Err(e) => self.fail(e.notification(), e.to_string(), now, &mut out, &mut events),
+                Err(e) => self.fail(e.notification(), e.to_string(), now, out, events),
             },
             (FsmState::OpenConfirm, BgpMessage::Keepalive) => {
                 self.state = FsmState::Established;
@@ -632,51 +640,43 @@ impl Session {
                 self.go_down(
                     format!("peer notification: {:?}/{}", n.code, n.subcode),
                     now,
-                    &mut events,
+                    events,
                 );
             }
             (state, msg) => {
                 // Anything else is an FSM error: notify and drop.
                 let e = BgpError::FsmViolation(format!("{} in {:?}", msg.kind(), state));
-                self.fail(e.notification(), e.to_string(), now, &mut out, &mut events);
+                self.fail(e.notification(), e.to_string(), now, out, events);
             }
         }
-        (out, events)
     }
 
-    /// Drive timers. Returns keepalives, a ConnectRetry OPEN, or a
-    /// hold-timer-expired teardown.
-    pub fn tick(&mut self, now: SimTime) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
+    /// Serve the timers due at `now`: a keepalive, a ConnectRetry OPEN, a
+    /// hold-timer-expired teardown, or the end of an idle-hold penalty.
+    fn tick(&mut self, now: SimTime, out: &mut Vec<BgpMessage>, events: &mut Vec<SessionEvent>) {
         // Idle-hold: a session serving a max-prefix penalty automatically
         // re-enters the handshake once the penalty expires.
         if self.state == FsmState::Idle && self.idle_hold_until != SimTime::MAX {
             if now >= self.idle_hold_until {
                 out.extend(self.enter_handshake(now));
             }
-            return (out, events);
+            return;
         }
         // ConnectRetry: an active endpoint stuck reconnecting re-sends its
         // OPEN and doubles the backoff.
         if matches!(self.state, FsmState::Connect | FsmState::OpenSent)
             && now >= self.retry_deadline
         {
-            self.state = FsmState::OpenSent;
-            out.push(self.open_message());
-            self.stats.msgs_out += 1;
-            let backoff = self.retry_backoff();
-            self.retry_deadline = now + backoff;
-            self.retry_attempt = self.retry_attempt.saturating_add(1);
-            return (out, events);
+            out.extend(self.enter_handshake(now));
+            return;
         }
         if self.state != FsmState::Established && self.state != FsmState::OpenConfirm {
-            return (out, events);
+            return;
         }
         if now >= self.hold_deadline {
             let expired = (NotifCode::HoldTimerExpired, 0);
-            self.fail(expired, "hold timer expired", now, &mut out, &mut events);
-            return (out, events);
+            self.fail(expired, "hold timer expired", now, out, events);
+            return;
         }
         if now >= self.keepalive_due {
             out.push(BgpMessage::Keepalive);
@@ -685,10 +685,9 @@ impl Session {
                 self.keepalive_due = now + n.hold_time / 3;
             }
         }
-        (out, events)
     }
 
-    /// The earliest time at which `tick` needs to run again.
+    /// The earliest time at which a [`SessionInput::Tick`] has work.
     pub fn next_deadline(&self) -> SimTime {
         self.hold_deadline
             .min(self.keepalive_due)
@@ -702,7 +701,7 @@ impl Session {
     }
 
     /// Record an UPDATE sent by the owner (for statistics).
-    pub fn note_update_sent(&mut self) {
+    pub(crate) fn note_update_sent(&mut self) {
         self.stats.updates_out += 1;
         self.stats.msgs_out += 1;
     }
@@ -715,6 +714,19 @@ mod tests {
     use crate::message::{Nlri, UpdateMessage};
     use peering_netsim::Prefix;
     use std::sync::Arc;
+
+    use SessionInput::*;
+
+    type Sinks = (Vec<BgpMessage>, Vec<SessionEvent>);
+
+    impl Session {
+        /// `input` applied at `now`, into fresh sinks.
+        fn on(&mut self, input: SessionInput, now: SimTime) -> Sinks {
+            let (mut msgs, mut events) = (Vec::new(), Vec::new());
+            self.apply(input, now, &mut msgs, &mut events);
+            (msgs, events)
+        }
+    }
 
     fn pair() -> (Session, Session) {
         let a = Session::new(
@@ -730,9 +742,20 @@ mod tests {
 
     /// Run the handshake to Established, returning emitted events.
     fn establish(a: &mut Session, b: &mut Session, t: SimTime) -> Vec<SessionEvent> {
+        let (a_to_b, b_to_a) = (a.on(Start, t).0, b.on(Start, t).0);
+        relay(a, b, a_to_b, b_to_a, t)
+    }
+
+    /// Deliver `a_to_b` and `b_to_a`, and every reply, at `t` until the
+    /// sessions are quiet, returning the events surfaced.
+    fn relay(
+        a: &mut Session,
+        b: &mut Session,
+        mut a_to_b: Vec<BgpMessage>,
+        mut b_to_a: Vec<BgpMessage>,
+        t: SimTime,
+    ) -> Vec<SessionEvent> {
         let mut events = Vec::new();
-        let mut a_to_b: Vec<BgpMessage> = a.start(t);
-        let mut b_to_a: Vec<BgpMessage> = b.start(t);
         for _ in 0..8 {
             if a_to_b.is_empty() && b_to_a.is_empty() {
                 break;
@@ -740,12 +763,12 @@ mod tests {
             let mut next_a_to_b = Vec::new();
             let mut next_b_to_a = Vec::new();
             for m in a_to_b.drain(..) {
-                let (out, ev) = b.on_message(m, t);
+                let (out, ev) = b.on(Message(m), t);
                 next_b_to_a.extend(out);
                 events.extend(ev);
             }
             for m in b_to_a.drain(..) {
-                let (out, ev) = a.on_message(m, t);
+                let (out, ev) = a.on(Message(m), t);
                 next_a_to_b.extend(out);
                 events.extend(ev);
             }
@@ -827,7 +850,8 @@ mod tests {
             ..Default::default()
         });
         let u = UpdateMessage::announce(attrs, vec![Nlri::plain(Prefix::v4(10, 0, 0, 0, 8))]);
-        let (_, events) = b.on_message(BgpMessage::Update(u.clone()), SimTime::from_secs(1));
+        let update = BgpMessage::Update(u.clone());
+        let (_, events) = b.on(Message(update), SimTime::from_secs(1));
         assert_eq!(events, vec![SessionEvent::Update(u)]);
         assert_eq!(b.stats.updates_in, 1);
     }
@@ -835,11 +859,11 @@ mod tests {
     #[test]
     fn update_before_established_is_fsm_error() {
         let (mut a, _b) = pair();
-        a.start(SimTime::ZERO);
+        a.on(Start, SimTime::ZERO);
         assert_eq!(a.state(), FsmState::OpenSent);
         let attrs = Arc::new(PathAttributes::default());
         let u = UpdateMessage::announce(attrs, vec![Nlri::plain(Prefix::v4(10, 0, 0, 0, 8))]);
-        let (out, _) = a.on_message(BgpMessage::Update(u), SimTime::ZERO);
+        let (out, _) = a.on(Message(BgpMessage::Update(u)), SimTime::ZERO);
         assert!(matches!(out[0], BgpMessage::Notification(_)));
         assert_eq!(a.state(), FsmState::Idle);
     }
@@ -849,7 +873,7 @@ mod tests {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
         let hold = a.negotiated().unwrap().hold_time;
-        let (out, events) = a.tick(SimTime::ZERO + hold + SimDuration::from_secs(1));
+        let (out, events) = a.on(Tick, SimTime::ZERO + hold + SimDuration::from_secs(1));
         assert!(matches!(out[0], BgpMessage::Notification(_)));
         assert_eq!(
             events,
@@ -869,15 +893,10 @@ mod tests {
         // Exchange keepalives for several hold periods; nobody dies.
         for _ in 0..10 {
             now += ka;
-            let (a_out, a_ev) = a.tick(now);
-            let (b_out, b_ev) = b.tick(now);
+            let (a_out, a_ev) = a.on(Tick, now);
+            let (b_out, b_ev) = b.on(Tick, now);
             assert!(a_ev.is_empty() && b_ev.is_empty());
-            for m in a_out {
-                b.on_message(m, now);
-            }
-            for m in b_out {
-                a.on_message(m, now);
-            }
+            relay(&mut a, &mut b, a_out, b_out, now);
         }
         assert!(a.is_established() && b.is_established());
     }
@@ -886,10 +905,8 @@ mod tests {
     fn notification_takes_session_down() {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        let (_, events) = a.on_message(
-            BgpMessage::Notification(NotificationMessage::new(NotifCode::Cease, 2)),
-            SimTime::from_secs(1),
-        );
+        let cease = BgpMessage::Notification(NotificationMessage::new(NotifCode::Cease, 2));
+        let (_, events) = a.on(Message(cease), SimTime::from_secs(1));
         assert!(matches!(events[0], SessionEvent::Down { .. }));
         assert_eq!(a.state(), FsmState::Idle);
     }
@@ -898,12 +915,12 @@ mod tests {
     fn stop_emits_cease_and_event() {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        let (out, events) = a.stop(SimTime::from_secs(1));
+        let (out, events) = a.on(Stop, SimTime::from_secs(1));
         assert!(matches!(out[0], BgpMessage::Notification(_)));
         assert!(matches!(events[0], SessionEvent::Down { .. }));
         assert_eq!(a.state(), FsmState::Idle);
         // Stopping again is a no-op.
-        let (out2, ev2) = a.stop(SimTime::from_secs(2));
+        let (out2, ev2) = a.on(Stop, SimTime::from_secs(2));
         assert!(out2.is_empty() && ev2.is_empty());
     }
 
@@ -911,8 +928,8 @@ mod tests {
     fn restart_after_down_works() {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        a.stop(SimTime::from_secs(1));
-        b.stop(SimTime::from_secs(1));
+        a.on(Stop, SimTime::from_secs(1));
+        b.on(Stop, SimTime::from_secs(1));
         let events = establish(&mut a, &mut b, SimTime::from_secs(2));
         assert!(a.is_established() && b.is_established());
         assert!(events
@@ -924,7 +941,7 @@ mod tests {
     #[test]
     fn messages_in_idle_are_ignored() {
         let (mut a, _) = pair();
-        let (out, events) = a.on_message(BgpMessage::Keepalive, SimTime::ZERO);
+        let (out, events) = a.on(Message(BgpMessage::Keepalive), SimTime::ZERO);
         assert!(out.is_empty() && events.is_empty());
         assert_eq!(a.state(), FsmState::Idle);
     }
@@ -933,7 +950,7 @@ mod tests {
     fn route_refresh_surfaces_event() {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        let (_, events) = b.on_message(BgpMessage::RouteRefresh, SimTime::from_secs(1));
+        let (_, events) = b.on(Message(BgpMessage::RouteRefresh), SimTime::from_secs(1));
         assert_eq!(events, vec![SessionEvent::RefreshRequested]);
     }
 
@@ -958,33 +975,25 @@ mod tests {
         establish(&mut a, &mut b, SimTime::ZERO);
         assert!(a.is_established());
         let t1 = SimTime::from_secs(10);
-        let ev = a.drop_connection(t1);
+        let ev = a.on(ConnectionLost, t1).1;
         assert!(matches!(ev[0], SessionEvent::Down { .. }));
         // Active side waits in Connect with the retry timer armed;
         // passive side resumes listening with no timer.
         assert_eq!(a.state(), FsmState::Connect);
         let d1 = a.retry_deadline().expect("retry armed");
         assert!(d1 > t1);
-        let ev = b.drop_connection(t1);
+        let ev = b.on(ConnectionLost, t1).1;
         assert!(matches!(ev[0], SessionEvent::Down { .. }));
         assert_eq!(b.state(), FsmState::Connect);
         assert_eq!(b.retry_deadline(), None);
         // Firing the retry re-sends the OPEN and doubles the backoff.
-        let (out, _) = a.tick(d1);
+        let (out, _) = a.on(Tick, d1);
         assert!(matches!(out[0], BgpMessage::Open(_)));
         assert_eq!(a.state(), FsmState::OpenSent);
         let d2 = a.retry_deadline().expect("still armed");
         assert!(d2.since(d1) > d1.since(t1), "backoff grows: {d1:?} {d2:?}");
         // Deliver the retried OPEN: the handshake completes.
-        let (b_out, _) = b.on_message(out.into_iter().next().unwrap(), d1);
-        let mut a_out = Vec::new();
-        for m in b_out {
-            let (o, _) = a.on_message(m, d1);
-            a_out.extend(o);
-        }
-        for m in a_out {
-            b.on_message(m, d1);
-        }
+        relay(&mut a, &mut b, out, Vec::new(), d1);
         assert!(a.is_established() && b.is_established());
         assert_eq!(a.retry_deadline(), None, "retry disarmed on success");
         assert_eq!(a.stats.flaps, 2);
@@ -997,12 +1006,12 @@ mod tests {
                 SessionConfig::new(Asn(1), Ipv4Addr::new(1, 1, 1, 1))
                     .with_connect_retry(ConnectRetryConfig::new(seed)),
             );
-            s.start(SimTime::ZERO);
+            s.on(Start, SimTime::ZERO);
             let mut out = Vec::new();
             for _ in 0..6 {
                 let d = s.retry_deadline().expect("armed");
                 out.push(d);
-                s.tick(d);
+                s.on(Tick, d);
             }
             out
         };
@@ -1022,11 +1031,11 @@ mod tests {
             SessionConfig::new(Asn(1), Ipv4Addr::new(1, 1, 1, 1))
                 .with_connect_retry(ConnectRetryConfig::new(3)),
         );
-        let first = a.start(SimTime::ZERO);
+        let first = a.on(Start, SimTime::ZERO).0;
         assert!(matches!(first[0], BgpMessage::Open(_)));
         // Pretend the OPEN was lost: the deadline passes, tick re-sends.
         let d = a.retry_deadline().expect("armed at start");
-        let (out, _) = a.tick(d);
+        let (out, _) = a.on(Tick, d);
         assert!(matches!(out[0], BgpMessage::Open(_)));
         assert_eq!(a.state(), FsmState::OpenSent);
     }
@@ -1035,7 +1044,7 @@ mod tests {
     fn without_retry_config_down_means_idle() {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        let ev = a.drop_connection(SimTime::from_secs(5));
+        let ev = a.on(ConnectionLost, SimTime::from_secs(5)).1;
         assert!(matches!(ev[0], SessionEvent::Down { .. }));
         assert_eq!(a.state(), FsmState::Idle);
         assert_eq!(a.retry_deadline(), None);
@@ -1045,7 +1054,7 @@ mod tests {
     fn corrupt_message_notifies_and_drops() {
         let (mut a, mut b) = retry_pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        let (out, ev) = a.on_corrupt(SimTime::from_secs(5));
+        let (out, ev) = a.on(Corrupt, SimTime::from_secs(5));
         match &out[0] {
             BgpMessage::Notification(n) => {
                 assert_eq!(n.code, NotifCode::MessageHeaderError);
@@ -1058,7 +1067,7 @@ mod tests {
         assert!(a.retry_deadline().is_some());
         // Idle sessions have nothing to corrupt.
         let mut idle = Session::new(SessionConfig::new(Asn(9), Ipv4Addr::new(9, 9, 9, 9)));
-        let (out, ev) = idle.on_corrupt(SimTime::ZERO);
+        let (out, ev) = idle.on(Corrupt, SimTime::ZERO);
         assert!(out.is_empty() && ev.is_empty());
     }
 
@@ -1072,7 +1081,7 @@ mod tests {
         });
         let p = Prefix::v4(10, 0, 0, 0, 8);
         let u = UpdateMessage::announce(attrs, vec![Nlri::plain(p)]);
-        let (out, events) = b.on_malformed_update(u, SimTime::from_secs(1));
+        let (out, events) = b.on(MalformedUpdate(u), SimTime::from_secs(1));
         // RFC 7606: no NOTIFICATION, the session stays up, and the
         // announced routes come back as withdrawals.
         assert!(out.is_empty());
@@ -1098,7 +1107,7 @@ mod tests {
             announced: vec![],
             trace: None,
         };
-        let (out, events) = b.on_malformed_update(empty, SimTime::from_secs(1));
+        let (out, events) = b.on(MalformedUpdate(empty), SimTime::from_secs(1));
         assert!(out.is_empty() && events.is_empty());
         assert!(b.is_established());
     }
@@ -1106,9 +1115,9 @@ mod tests {
     #[test]
     fn malformed_update_before_established_is_fsm_error() {
         let (mut a, _b) = pair();
-        a.start(SimTime::ZERO);
+        a.on(Start, SimTime::ZERO);
         let u = UpdateMessage::withdraw(vec![Nlri::plain(Prefix::v4(10, 0, 0, 0, 8))]);
-        let (out, _) = a.on_malformed_update(u, SimTime::ZERO);
+        let (out, _) = a.on(MalformedUpdate(u), SimTime::ZERO);
         assert!(matches!(out[0], BgpMessage::Notification(_)));
         assert_eq!(a.state(), FsmState::Idle);
     }
@@ -1119,7 +1128,7 @@ mod tests {
         establish(&mut a, &mut b, SimTime::ZERO);
         let t1 = SimTime::from_secs(10);
         let penalty = SimDuration::from_secs(60);
-        let (out, ev) = a.max_prefix_cease(t1, penalty);
+        let (out, ev) = a.on(MaxPrefixCease(penalty), t1);
         match &out[0] {
             BgpMessage::Notification(n) => {
                 assert_eq!(n.code, NotifCode::Cease);
@@ -1135,12 +1144,12 @@ mod tests {
         assert_eq!(a.next_deadline(), t1 + penalty);
         a.check_invariants().unwrap();
         // Ticking before the deadline does nothing.
-        let (out, ev) = a.tick(t1 + SimDuration::from_secs(30));
+        let (out, ev) = a.on(Tick, t1 + SimDuration::from_secs(30));
         assert!(out.is_empty() && ev.is_empty());
         assert_eq!(a.state(), FsmState::Idle);
         // At the deadline the active side re-sends its OPEN.
         let t2 = t1 + penalty;
-        let (out, _) = a.tick(t2);
+        let (out, _) = a.on(Tick, t2);
         assert!(matches!(out[0], BgpMessage::Open(_)));
         assert_eq!(a.state(), FsmState::OpenSent);
         assert_eq!(a.idle_penalty_until(), None);
@@ -1148,24 +1157,8 @@ mod tests {
         // The peer dropped its side when the Cease arrived; restart it and
         // deliver the re-sent OPEN to prove re-establishment works.
         b.reset();
-        b.start(t2);
-        let mut a_to_b = out;
-        let mut b_to_a: Vec<BgpMessage> = Vec::new();
-        for _ in 0..8 {
-            if a_to_b.is_empty() && b_to_a.is_empty() {
-                break;
-            }
-            let mut next_a_to_b = Vec::new();
-            let mut next_b_to_a = Vec::new();
-            for m in a_to_b.drain(..) {
-                next_b_to_a.extend(b.on_message(m, t2).0);
-            }
-            for m in b_to_a.drain(..) {
-                next_a_to_b.extend(a.on_message(m, t2).0);
-            }
-            a_to_b = next_a_to_b;
-            b_to_a = next_b_to_a;
-        }
+        b.on(Start, t2);
+        relay(&mut a, &mut b, out, Vec::new(), t2);
         assert!(a.is_established() && b.is_established());
     }
 
@@ -1175,16 +1168,16 @@ mod tests {
         establish(&mut a, &mut b, SimTime::ZERO);
         let t1 = SimTime::from_secs(10);
         let penalty = SimDuration::from_secs(45);
-        let (out, _) = b.max_prefix_cease(t1, penalty);
+        let (out, _) = b.on(MaxPrefixCease(penalty), t1);
         assert!(matches!(out[0], BgpMessage::Notification(_)));
         assert_eq!(b.state(), FsmState::Idle);
-        let (out, ev) = b.tick(t1 + penalty);
+        let (out, ev) = b.on(Tick, t1 + penalty);
         assert!(out.is_empty() && ev.is_empty());
         assert_eq!(b.state(), FsmState::Connect);
         b.check_invariants().unwrap();
         // Idle sessions with no penalty have nothing to cease.
         let mut idle = Session::new(SessionConfig::new(Asn(9), Ipv4Addr::new(9, 9, 9, 9)));
-        let (out, ev) = idle.max_prefix_cease(SimTime::ZERO, penalty);
+        let (out, ev) = idle.on(MaxPrefixCease(penalty), SimTime::ZERO);
         assert!(out.is_empty() && ev.is_empty());
     }
 
@@ -1228,8 +1221,31 @@ mod tests {
         establish(&mut a, &mut b, SimTime::ZERO);
         assert!(a.is_established());
         assert_eq!(a.next_deadline(), SimTime::MAX);
-        let (out, ev) = a.tick(SimTime::from_secs(100_000));
+        let (out, ev) = a.on(Tick, SimTime::from_secs(100_000));
         assert!(out.is_empty() && ev.is_empty());
         assert!(a.is_established());
+    }
+
+    #[test]
+    fn apply_appends_to_the_callers_sinks() {
+        let (mut a, mut b) = pair();
+        establish(&mut a, &mut b, SimTime::ZERO);
+        // A surfaced event, a keepalive, then a Cease with its Down event.
+        let inputs = [
+            (Message(BgpMessage::RouteRefresh), 1),
+            (Tick, 31),
+            (Stop, 32),
+        ];
+        let mut fresh = a.clone();
+        let (mut want, mut msgs, mut events) = ((Vec::new(), Vec::new()), Vec::new(), Vec::new());
+        for (input, secs) in inputs {
+            let at = SimTime::from_secs(secs);
+            let (m, e) = fresh.on(input.clone(), at);
+            want.0.extend(m);
+            want.1.extend(e);
+            a.apply(input, at, &mut msgs, &mut events);
+        }
+        assert_eq!((want.0.len(), want.1.len()), (2, 2));
+        assert_eq!((msgs, events), want);
     }
 }

@@ -47,7 +47,9 @@ pub use attrs::{AsPath, AsPathSegment, Community, Origin, PathAttributes};
 pub use damping::{DampingConfig, DampingState};
 pub use decision::{compare_routes, DecisionConfig};
 pub use error::BgpError;
-pub use fsm::{ConnectRetryConfig, FsmState, Negotiated, Session, SessionConfig, SessionEvent};
+pub use fsm::{
+    ConnectRetryConfig, FsmState, Negotiated, Session, SessionConfig, SessionEvent, SessionInput,
+};
 pub use mem::DeepSize;
 pub use message::{
     BgpMessage, Capability, Nlri, NotifCode, NotificationMessage, OpenMessage, UpdateMessage,

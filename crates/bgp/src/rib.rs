@@ -139,11 +139,15 @@ fn find(paths: &[Route], path_id: u32) -> Result<usize, usize> {
 }
 
 /// Insert or replace `route` in a sorted path set, returning the route
-/// it replaced.
+/// it replaced. A second path grows the set to exactly two slots rather
+/// than to `Vec`'s minimum of four; later growth is amortized.
 fn upsert(paths: &mut Vec<Route>, route: Route) -> Option<Route> {
     match find(paths, route.path_id) {
         Ok(i) => Some(std::mem::replace(&mut paths[i], route)),
         Err(i) => {
+            if paths.len() == 1 {
+                paths.reserve_exact(1);
+            }
             paths.insert(i, route);
             None
         }

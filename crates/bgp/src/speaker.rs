@@ -36,7 +36,7 @@ pub use config::{
 use crate::attrs::{Community, PathAttributes};
 use crate::damping::DampingState;
 use crate::decision::best_route;
-use crate::fsm::{ConnectRetryConfig, Session, SessionConfig};
+use crate::fsm::{ConnectRetryConfig, Session, SessionConfig, SessionEvent, SessionInput};
 use crate::message::{BgpMessage, Nlri, UpdateMessage};
 use crate::policy::Policy;
 use crate::provenance::{ProvenanceEvent, ProvenanceLog};
@@ -169,6 +169,9 @@ struct PeerState {
     suppressed: BTreeSet<Prefix>,
     /// The max-prefix warning threshold already fired this session.
     max_prefix_warned: bool,
+    /// When the session was last started, for convergence measurement;
+    /// taken once it is Established.
+    started: Option<SimTime>,
 }
 
 impl PeerState {
@@ -196,6 +199,10 @@ impl PeerState {
 /// Boxed, so a speaker's first peer does not allocate a B-tree leaf of
 /// eleven inline `PeerState`s: k peers cost about k states.
 type Peers = BTreeMap<PeerId, Box<PeerState>>;
+
+/// Each locally originated prefix's attributes and the trace id of its
+/// live origination.
+type LocalRoutes = BTreeMap<Prefix, (Arc<PathAttributes>, TraceId)>;
 
 /// Every peer with a timer armed, ordered by `(deadline, peer)`.
 type Timers = BTreeSet<(SimTime, PeerId)>;
@@ -251,7 +258,7 @@ pub struct Speaker {
     /// The export peer-groups and the engine that serves them.
     export: Export,
     loc_rib: LocRib,
-    local_routes: BTreeMap<Prefix, Arc<PathAttributes>>,
+    local_routes: LocalRoutes,
     interner: AttrInterner,
     /// Count of UPDATE messages emitted.
     pub updates_sent: u64,
@@ -267,11 +274,9 @@ pub struct Speaker {
     /// unconditional and deterministic so attaching a provenance log never
     /// changes the ids (or anything else) a run produces.
     origin_seq: u32,
-    /// Trace id of the live origination for each locally originated prefix.
-    local_traces: BTreeMap<Prefix, TraceId>,
-    /// Sim-time each peer's session was last started, for convergence
-    /// measurement (cleared once Established is observed).
-    session_started: BTreeMap<PeerId, SimTime>,
+    /// The sinks [`drive_session`](Self::drive_session) lends a session's
+    /// `apply`, kept empty between calls so an input allocates none.
+    session_sinks: (Vec<BgpMessage>, Vec<SessionEvent>),
 }
 
 impl Speaker {
@@ -296,8 +301,7 @@ impl Speaker {
             telemetry: Telemetry::disabled(),
             provenance: ProvenanceLog::disabled(),
             origin_seq: 0,
-            local_traces: BTreeMap::new(),
-            session_started: BTreeMap::new(),
+            session_sinks: (Vec::new(), Vec::new()),
         }
     }
 
@@ -401,6 +405,7 @@ impl Speaker {
             stale: None,
             armed: SimTime::MAX,
             max_prefix_warned: false,
+            started: None,
             cfg,
         });
         retime(&mut self.timers, &mut state);
@@ -413,17 +418,22 @@ impl Speaker {
     pub fn apply(&mut self, input: Input, now: SimTime, out: &mut Vec<Output>) {
         match input {
             Input::Message(from, msg) => {
-                self.drive_session(from, now, out, |s| s.on_message(msg, now))
+                self.drive_session(from, SessionInput::Message(msg), now, out)
             }
             Input::Tick => self.tick_timers(now, out),
             Input::StartPeer(peer) => self.start_session(peer, now, out),
-            Input::StopPeer(peer) => self.drive_session(peer, now, out, |s| s.stop(now)),
+            Input::StopPeer(peer) => self.drive_session(peer, SessionInput::Stop, now, out),
             Input::SetPeerEnabled(peer, enabled) => self.set_enabled(peer, enabled, now, out),
             Input::ResetPeer(peer) => self.reset_transport(peer, now, out),
             Input::CorruptMessage(from) => {
-                self.drive_session(from, now, out, |s| s.on_corrupt(now))
+                self.drive_session(from, SessionInput::Corrupt, now, out)
             }
-            Input::MalformedUpdate(from, update) => self.malformed_update(from, update, now, out),
+            Input::MalformedUpdate(from, update) => {
+                if self.peer_established(from) {
+                    self.telemetry.counter_inc("bgp.session.treat_as_withdraw");
+                }
+                self.drive_session(from, SessionInput::MalformedUpdate(update), now, out)
+            }
             Input::RequestRefresh(peer) => {
                 if self.peer_established(peer) {
                     out.push(Output::Send(peer, BgpMessage::RouteRefresh));
@@ -469,16 +479,13 @@ impl Speaker {
     fn remove_peer(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
         // Take the session down like any other loss (Cease, `PeerDown`,
         // FSM accounting), then drop the configuration.
-        self.drive_session(peer, now, out, |s| s.stop(now));
+        self.drive_session(peer, SessionInput::Stop, now, out);
         // Graceful restart kept the paths as stale; a removed peer's go now.
         let affected = self.session_lost(peer, None);
         self.reconsider_with(&affected, now, None, out);
         let key = self.export_group_of(peer);
         if let (Some(key), Some(state)) = (key, self.peers.remove(&peer)) {
             self.timers.remove(&(state.armed, peer));
-            // Set by a start, cleared at Established: a peer removed
-            // mid-handshake still has one.
-            self.session_started.remove(&peer);
             self.export.leave(&self.peers, peer, key);
         }
     }
@@ -504,15 +511,13 @@ impl Speaker {
             attrs.add_community(c);
         }
         let attrs = self.interner.intern(attrs);
-        self.local_routes.insert(prefix, attrs);
         let trace = self.mint_origination(prefix, false, now);
-        self.local_traces.insert(prefix, trace);
+        self.local_routes.insert(prefix, (attrs, trace));
         self.reconsider_with(&[prefix], now, Some(trace), out);
     }
 
     fn withdraw_origin(&mut self, prefix: Prefix, now: SimTime, out: &mut Vec<Output>) {
         if self.local_routes.remove(&prefix).is_some() {
-            self.local_traces.remove(&prefix);
             let trace = self.mint_origination(prefix, true, now);
             self.reconsider_with(&[prefix], now, Some(trace), out);
         }
@@ -562,7 +567,7 @@ impl Speaker {
         // groups export the losing paths too, so they never skip.
         let observed = self.provenance.is_enabled();
         for &prefix in prefixes {
-            let local = local_route(&self.local_routes, &self.local_traces, &prefix, now);
+            let local = local_route(&self.local_routes, &prefix, now);
             let new_best = best_route(
                 candidates(&self.peers, &prefix).chain(local.as_ref()),
                 &self.cfg.decision,
@@ -659,15 +664,6 @@ impl Speaker {
                 ));
             }
         }
-        if let Some(peer) = self
-            .session_started
-            .keys()
-            .find(|p| !self.peers.contains_key(p))
-        {
-            return Err(format!(
-                "session start time kept for unconfigured peer {peer:?}"
-            ));
-        }
         let armed = self
             .peers
             .values()
@@ -749,15 +745,9 @@ fn candidates<'a>(peers: &'a Peers, prefix: &'a Prefix) -> impl Iterator<Item = 
 }
 
 /// The locally originated route for a prefix, if any, stamped `now`.
-fn local_route(
-    local_routes: &BTreeMap<Prefix, Arc<PathAttributes>>,
-    local_traces: &BTreeMap<Prefix, TraceId>,
-    prefix: &Prefix,
-    now: SimTime,
-) -> Option<Route> {
-    let attrs = local_routes.get(prefix)?;
-    let trace = local_traces.get(prefix).copied();
-    Some(Route::local(*prefix, Arc::clone(attrs), now).with_trace(trace))
+fn local_route(local_routes: &LocalRoutes, prefix: &Prefix, now: SimTime) -> Option<Route> {
+    let (attrs, trace) = local_routes.get(prefix)?;
+    Some(Route::local(*prefix, Arc::clone(attrs), now).with_trace(Some(*trace)))
 }
 
 #[cfg(test)]
@@ -766,7 +756,7 @@ mod tests {
     use crate::attrs::AsPath;
     use crate::damping::DampingConfig;
     use crate::fsm::FsmState;
-    use crate::message::NotifCode;
+    use crate::message::{NotifCode, OpenMessage};
     use crate::policy::{Action, Match};
     use crate::rib::RouteSource;
     use peering_netsim::SimDuration;
@@ -1301,18 +1291,27 @@ mod tests {
 
     #[test]
     fn removing_a_peer_mid_handshake_forgets_when_it_started() {
+        let telemetry = peering_telemetry::Telemetry::new();
         let mut s = speaker(1);
-        s.add_peer(PeerConfig::new(PeerId(0), Asn(2))).unwrap();
-        s.apply(Input::StartPeer(PeerId(0)), SimTime::ZERO, &mut Vec::new());
-        assert_eq!(s.peers[&PeerId(0)].session.state(), FsmState::OpenSent);
-        s.apply(
-            Input::RemovePeer(PeerId(0)),
-            SimTime::from_secs(1),
-            &mut Vec::new(),
-        );
-        // Checked here too: release builds skip `apply`'s own check.
-        assert!(s.session_started.is_empty());
-        assert_eq!(s.check_invariants(), Ok(()));
+        s.set_telemetry(telemetry.clone());
+        let peer = PeerId(0);
+        let mut out = Vec::new();
+        s.add_peer(PeerConfig::new(peer, Asn(2))).unwrap();
+        s.apply(Input::StartPeer(peer), SimTime::ZERO, &mut out);
+        assert_eq!(s.peers[&peer].session.state(), FsmState::OpenSent);
+        s.apply(Input::RemovePeer(peer), SimTime::from_secs(1), &mut out);
+        s.add_peer(PeerConfig::new(peer, Asn(2))).unwrap();
+        let (t2, t3) = (SimTime::from_secs(5), SimTime::from_secs(12));
+        s.apply(Input::StartPeer(peer), t2, &mut out);
+        let open = OpenMessage::new(Asn(2), 90, Ipv4Addr::new(10, 0, 0, 2));
+        s.apply(Input::Message(peer, BgpMessage::Open(open)), t3, &mut out);
+        s.apply(Input::Message(peer, BgpMessage::Keepalive), t3, &mut out);
+        assert!(s.peer_established(peer));
+        let snap = telemetry.snapshot();
+        let conv = snap
+            .histogram("bgp.session.convergence_us")
+            .expect("convergence histogram");
+        assert_eq!((conv.count, conv.sum), (1, t3.since(t2).as_micros()));
     }
 
     #[test]

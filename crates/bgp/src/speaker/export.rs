@@ -416,7 +416,6 @@ impl Speaker {
                 cfg: &self.cfg,
                 loc_rib: &self.loc_rib,
                 local_routes: &self.local_routes,
-                local_traces: &self.local_traces,
                 interner: &mut self.interner,
                 now,
             },

@@ -1,7 +1,9 @@
 //! The group-level half of the export engine: what a group makes of each
 //! source route of a prefix, computed once and shared by every member.
 
-use super::super::{candidates, local_route, AdvertiseMode, Peers, SpeakerConfig, SpeakerMode};
+use super::super::{
+    candidates, local_route, AdvertiseMode, LocalRoutes, Peers, SpeakerConfig, SpeakerMode,
+};
 use super::{ExportGroup, ExportGroupKey, GroupFingerprint};
 use crate::attrs::{Community, PathAttributes};
 use crate::decision::compare_routes;
@@ -9,7 +11,7 @@ use crate::provenance::ExportVerdict;
 use crate::rib::{AttrInterner, LocRib, PeerId, Route, RouteSource};
 use peering_netsim::{Prefix, SimTime, TraceId};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -81,8 +83,7 @@ pub(super) struct Staging {
 pub(super) struct Stager<'a> {
     pub(super) cfg: &'a SpeakerConfig,
     pub(super) loc_rib: &'a LocRib,
-    pub(super) local_routes: &'a BTreeMap<Prefix, Arc<PathAttributes>>,
-    pub(super) local_traces: &'a BTreeMap<Prefix, TraceId>,
+    pub(super) local_routes: &'a LocalRoutes,
     pub(super) interner: &'a mut AttrInterner,
     pub(super) now: SimTime,
 }
@@ -111,12 +112,7 @@ impl Stager<'_> {
             AdvertiseMode::AllPaths => {
                 let mut sources = std::mem::take(&mut st.sources);
                 sources.extend(candidates(peers, prefix).cloned());
-                sources.extend(local_route(
-                    self.local_routes,
-                    self.local_traces,
-                    prefix,
-                    self.now,
-                ));
+                sources.extend(local_route(self.local_routes, prefix, self.now));
                 // Deterministic order: best first.
                 let decision = &self.cfg.decision;
                 sources.sort_by(|a, b| compare_routes(b, a, decision).then(Ordering::Equal));

@@ -4,7 +4,7 @@
 
 use super::{relist, Output, Speaker, SpeakerEvent, SpeakerMode};
 use crate::attrs::PathAttributes;
-use crate::fsm::SessionEvent;
+use crate::fsm::{SessionEvent, SessionInput};
 use crate::message::{Nlri, UpdateMessage};
 use crate::policy::Policy;
 use crate::provenance::{ImportVerdict, ProvenanceEvent};
@@ -205,7 +205,9 @@ impl Speaker {
                 telemetry.counter_inc("bgp.session.max_prefix_warn");
             }
             if count > mp.limit {
-                let (msgs, sess_events) = state.session.max_prefix_cease(now, mp.idle_hold);
+                let (mut msgs, mut sess_events) = (Vec::new(), Vec::new());
+                let cease = SessionInput::MaxPrefixCease(mp.idle_hold);
+                state.session.apply(cease, now, &mut msgs, &mut sess_events);
                 out.extend(msgs.into_iter().map(|m| Output::Send(from, m)));
                 telemetry.counter_inc("bgp.session.down");
                 for ev in sess_events {

@@ -4,8 +4,7 @@
 
 use super::{relist, retime, Output, Speaker, SpeakerEvent, StaleState};
 use crate::damping::DampingState;
-use crate::fsm::{FsmState, Session, SessionEvent};
-use crate::message::{BgpMessage, UpdateMessage};
+use crate::fsm::{FsmState, Session, SessionEvent, SessionInput};
 use crate::rib::{LocRib, PeerId};
 use peering_netsim::{Prefix, SimTime};
 
@@ -28,40 +27,47 @@ impl Speaker {
     }
 
     pub(super) fn start_session(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
-        if !self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
-            return;
+        match self.peers.get_mut(&peer) {
+            Some(state) if state.cfg.enabled => state.started = Some(now),
+            _ => return,
         }
-        self.session_started.insert(peer, now);
-        self.drive_session(peer, now, out, |s| (s.start(now), Vec::new()));
+        self.drive_session(peer, SessionInput::Start, now, out);
     }
 
-    /// The one way a session is driven: run `drive` on `peer`'s session,
-    /// queue the messages it wants sent, apply the events it surfaced
-    /// (table sync, RIB flush, UPDATE processing) and record the FSM
-    /// transition. Every entry point that can move a session — messages,
-    /// timers, administrative stop, transport faults — comes through
-    /// here, so none can forget a step. Unknown peers are ignored.
+    /// The one way a session is driven: apply `input` to `peer`'s
+    /// session, queue the messages it wants sent, apply the events it
+    /// surfaced (table sync, RIB flush, UPDATE processing) and record the
+    /// FSM transition. Every entry point that can move a session —
+    /// messages, timers, administrative stop, transport faults — comes
+    /// through here, so none can forget a step. Unknown peers are ignored.
     pub(super) fn drive_session(
         &mut self,
         peer: PeerId,
+        input: SessionInput,
         now: SimTime,
         out: &mut Vec<Output>,
-        drive: impl FnOnce(&mut Session) -> (Vec<BgpMessage>, Vec<SessionEvent>),
     ) {
         let Some(state) = self.peers.get_mut(&peer) else {
             return;
         };
         let before = state.session.state();
-        let (msgs, events) = drive(&mut state.session);
+        // Taken out because the event handlers below need `&mut self`. An
+        // input sends at most two messages and surfaces at most one event;
+        // the sinks every Speaker keeps are sized to that, not to four.
+        let (mut msgs, mut events) = std::mem::take(&mut self.session_sinks);
+        msgs.reserve_exact(2);
+        events.reserve_exact(1);
+        state.session.apply(input, now, &mut msgs, &mut events);
         if out.is_empty() {
             // The common result is a message or two and no events: size
             // for exactly that rather than the amortized minimum.
             out.reserve_exact(msgs.len());
         }
-        out.extend(msgs.into_iter().map(|m| Output::Send(peer, m)));
-        for ev in events {
+        out.extend(msgs.drain(..).map(|m| Output::Send(peer, m)));
+        for ev in events.drain(..) {
             self.handle_session_event(peer, ev, now, out);
         }
+        self.session_sinks = (msgs, events);
         if let Some(state) = self.peers.get_mut(&peer) {
             retime(&mut self.timers, state);
             let after = state.session.state();
@@ -86,14 +92,14 @@ impl Speaker {
         if enabled {
             self.start_session(peer, now, out);
         } else {
-            self.drive_session(peer, now, out, |s| s.stop(now));
+            self.drive_session(peer, SessionInput::Stop, now, out);
         }
     }
 
     pub(super) fn tick_timers(&mut self, now: SimTime, out: &mut Vec<Output>) {
         let ids: Vec<PeerId> = self.peers.keys().copied().collect();
         for id in ids {
-            self.drive_session(id, now, out, |s| s.tick(now));
+            self.drive_session(id, SessionInput::Tick, now, out);
             let Some(state) = self.peers.get_mut(&id) else {
                 continue;
             };
@@ -189,7 +195,7 @@ impl Speaker {
     ) {
         match ev {
             SessionEvent::Established(_) => {
-                if let Some(started) = self.session_started.remove(&peer) {
+                if let Some(started) = self.peers.get_mut(&peer).and_then(|s| s.started.take()) {
                     self.telemetry
                         .observe_duration("bgp.session.convergence_us", now.since(started));
                 }
@@ -251,21 +257,8 @@ impl Speaker {
         // A disabled session has no connection to lose, and must not arm
         // a reconnect.
         if self.peers.get(&peer).is_some_and(|s| s.cfg.enabled) {
-            self.drive_session(peer, now, out, |s| (Vec::new(), s.drop_connection(now)));
+            self.drive_session(peer, SessionInput::ConnectionLost, now, out);
         }
-    }
-
-    pub(super) fn malformed_update(
-        &mut self,
-        from: PeerId,
-        update: UpdateMessage,
-        now: SimTime,
-        out: &mut Vec<Output>,
-    ) {
-        if self.peer_established(from) {
-            self.telemetry.counter_inc("bgp.session.treat_as_withdraw");
-        }
-        self.drive_session(from, now, out, |s| s.on_malformed_update(update, now));
     }
 
     pub(super) fn restart_cold(&mut self, now: SimTime, out: &mut Vec<Output>) {

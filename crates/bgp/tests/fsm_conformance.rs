@@ -13,7 +13,8 @@
 
 use peering_bgp::{
     AsPath, Asn, BgpMessage, ConnectRetryConfig, FsmState, Nlri, NotifCode, NotificationMessage,
-    OpenMessage, PathAttributes, Prefix, Session, SessionConfig, SessionEvent, UpdateMessage,
+    OpenMessage, PathAttributes, Prefix, Session, SessionConfig, SessionEvent, SessionInput,
+    UpdateMessage,
 };
 use peering_netsim::{SimDuration, SimTime};
 use std::collections::HashSet;
@@ -118,66 +119,73 @@ fn an_update() -> BgpMessage {
     ))
 }
 
+/// `input` applied to `s` at `now`, into fresh sinks.
+fn run(s: &mut Session, input: SessionInput, now: SimTime) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
+    let (mut msgs, mut events) = (Vec::new(), Vec::new());
+    s.apply(input, now, &mut msgs, &mut events);
+    (msgs, events)
+}
+
 /// Drive a fresh subject into `state`, returning it and the current time.
 fn reach(state: FsmState) -> (Session, SimTime) {
     let t0 = SimTime::ZERO;
     let mut s = subject();
-    match state {
-        FsmState::Idle => (s, t0),
-        FsmState::OpenSent => {
-            s.start(t0);
-            (s, t0)
-        }
-        FsmState::OpenConfirm => {
-            s.start(t0);
-            s.on_message(peer_open(), t0);
-            (s, t0)
-        }
-        FsmState::Established => {
-            s.start(t0);
-            s.on_message(peer_open(), t0);
-            s.on_message(BgpMessage::Keepalive, t0);
-            (s, t0)
-        }
-        FsmState::Connect => {
-            // An active endpoint visits Connect only after losing an
-            // established session (the simulated transport never blocks).
-            s.start(t0);
-            s.on_message(peer_open(), t0);
-            s.on_message(BgpMessage::Keepalive, t0);
-            let t = SimTime::from_secs(10);
-            s.drop_connection(t);
-            (s, t)
-        }
+    let steps = match state {
+        FsmState::Idle => 0,
+        FsmState::OpenSent => 1,
+        FsmState::OpenConfirm => 2,
+        // An active endpoint visits Connect only after losing an
+        // established session (the simulated transport never blocks).
+        FsmState::Established | FsmState::Connect => 3,
+    };
+    for ev in [Ev::Start, Ev::MsgOpen, Ev::MsgKeepalive]
+        .into_iter()
+        .take(steps)
+    {
+        apply(&mut s, ev, t0);
     }
+    if state == FsmState::Connect {
+        let t = SimTime::from_secs(10);
+        apply(&mut s, Ev::DropConn, t);
+        return (s, t);
+    }
+    (s, t0)
 }
 
-/// Apply one event class at `now`.
-fn apply(s: &mut Session, ev: Ev, now: SimTime) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
+/// The session input an event class is, and the instant it happens for a
+/// session at `now`.
+fn input_of(s: &Session, ev: Ev, now: SimTime) -> (SessionInput, SimTime) {
+    let message = |m| (SessionInput::Message(m), now);
     match ev {
-        Ev::Start => (s.start(now), Vec::new()),
-        Ev::Stop => s.stop(now),
-        Ev::DropConn => (Vec::new(), s.drop_connection(now)),
-        Ev::Corrupt => s.on_corrupt(now),
-        Ev::MsgOpen => s.on_message(peer_open(), now),
-        Ev::MsgKeepalive => s.on_message(BgpMessage::Keepalive, now),
-        Ev::MsgUpdate => s.on_message(an_update(), now),
-        Ev::MsgNotification => s.on_message(
-            BgpMessage::Notification(NotificationMessage::new(NotifCode::Cease, 2)),
-            now,
-        ),
-        Ev::MsgRouteRefresh => s.on_message(BgpMessage::RouteRefresh, now),
+        Ev::Start => (SessionInput::Start, now),
+        Ev::Stop => (SessionInput::Stop, now),
+        Ev::DropConn => (SessionInput::ConnectionLost, now),
+        Ev::Corrupt => (SessionInput::Corrupt, now),
+        Ev::MsgOpen => message(peer_open()),
+        Ev::MsgKeepalive => message(BgpMessage::Keepalive),
+        Ev::MsgUpdate => message(an_update()),
+        Ev::MsgNotification => message(BgpMessage::Notification(NotificationMessage::new(
+            NotifCode::Cease,
+            2,
+        ))),
+        Ev::MsgRouteRefresh => message(BgpMessage::RouteRefresh),
         Ev::RetryExpire => match s.retry_deadline() {
-            Some(d) => s.tick(d),
-            None => s.tick(now + SimDuration::from_secs(1)),
+            Some(d) => (SessionInput::Tick, d),
+            None => (SessionInput::Tick, now + SimDuration::from_secs(1)),
         },
         // Hold time is 90 s on both ends; one third of it schedules the
         // keepalive. In Connect/OpenSent these instants lie beyond the
         // armed retry deadline, so the reconnect fires — that *is* the
         // observable behavior of waiting that long in those states.
-        Ev::HoldExpire => s.tick(now + SimDuration::from_secs(91)),
-        Ev::KeepaliveDue => s.tick(now + SimDuration::from_secs(31)),
+        Ev::HoldExpire => (SessionInput::Tick, now + SimDuration::from_secs(91)),
+        Ev::KeepaliveDue => (SessionInput::Tick, now + SimDuration::from_secs(31)),
     }
+}
+
+/// Apply one event class at `now`.
+fn apply(s: &mut Session, ev: Ev, now: SimTime) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
+    let (input, at) = input_of(s, ev, now);
+    run(s, input, at)
 }
 
 fn classify(out: &[BgpMessage]) -> Emit {
@@ -332,7 +340,7 @@ fn max_prefix_cease_serves_a_fixed_idle_hold_from_every_state() {
         FsmState::Established,
     ] {
         let (mut s, now) = reach(state);
-        let (out, events) = s.max_prefix_cease(now, penalty);
+        let (out, events) = run(&mut s, SessionInput::MaxPrefixCease(penalty), now);
         match out.as_slice() {
             [BgpMessage::Notification(n)] => {
                 assert_eq!((n.code, n.subcode), (NotifCode::Cease, 1), "{state:?}");
@@ -349,14 +357,15 @@ fn max_prefix_cease_serves_a_fixed_idle_hold_from_every_state() {
         assert_eq!(s.state(), FsmState::Idle, "{state:?}");
         assert_eq!(s.idle_penalty_until(), Some(now + penalty), "{state:?}");
         // One instant shy of the deadline: still idle, nothing emitted.
-        let (out, ev) = s.tick(now + penalty - SimDuration::from_millis(1));
+        let shy = now + penalty - SimDuration::from_millis(1);
+        let (out, ev) = run(&mut s, SessionInput::Tick, shy);
         assert!(
             out.is_empty() && ev.is_empty(),
             "{state:?}: the penalty must hold to the deadline"
         );
         assert_eq!(s.state(), FsmState::Idle, "{state:?}");
         // At the deadline: the active endpoint re-opens by itself.
-        let (out, _) = s.tick(now + penalty);
+        let (out, _) = run(&mut s, SessionInput::Tick, now + penalty);
         assert!(
             matches!(out.as_slice(), [BgpMessage::Open(_)]),
             "{state:?}: re-open at the deadline, got {out:?}"
@@ -367,7 +376,7 @@ fn max_prefix_cease_serves_a_fixed_idle_hold_from_every_state() {
     }
     // From Idle the cease is a no-op: nothing to tear down, no penalty.
     let (mut s, now) = reach(FsmState::Idle);
-    let (out, events) = s.max_prefix_cease(now, penalty);
+    let (out, events) = run(&mut s, SessionInput::MaxPrefixCease(penalty), now);
     assert!(out.is_empty() && events.is_empty());
     assert_eq!(s.idle_penalty_until(), None);
 }
@@ -377,9 +386,10 @@ fn max_prefix_cease_serves_a_fixed_idle_hold_from_every_state() {
 #[test]
 fn manual_start_overrides_idle_hold_penalty() {
     let (mut s, now) = reach(FsmState::Established);
-    s.max_prefix_cease(now, SimDuration::from_secs(300));
+    let cease = SessionInput::MaxPrefixCease(SimDuration::from_secs(300));
+    run(&mut s, cease, now);
     let restart = now + SimDuration::from_secs(5);
-    let out = s.start(restart);
+    let (out, _) = run(&mut s, SessionInput::Start, restart);
     assert!(matches!(out.as_slice(), [BgpMessage::Open(_)]));
     assert_eq!(s.state(), FsmState::OpenSent);
     assert_eq!(s.idle_penalty_until(), None);
@@ -394,9 +404,9 @@ fn without_retry_every_loss_is_terminal_idle() {
         let mut s = Session::new(
             SessionConfig::new(Asn(100), Ipv4Addr::new(1, 1, 1, 1)).expect_peer(Asn(200)),
         );
-        s.start(SimTime::ZERO);
-        s.on_message(peer_open(), SimTime::ZERO);
-        s.on_message(BgpMessage::Keepalive, SimTime::ZERO);
+        for ev in [Ev::Start, Ev::MsgOpen, Ev::MsgKeepalive] {
+            apply(&mut s, ev, SimTime::ZERO);
+        }
         assert!(s.is_established());
         s
     };
@@ -412,7 +422,7 @@ fn without_retry_every_loss_is_terminal_idle() {
         assert_eq!(s.state(), FsmState::Idle, "{ev:?}");
         assert_eq!(s.retry_deadline(), None, "{ev:?}: no timer without retry");
         // And nothing ever happens again until a ManualStart.
-        let (out, ev2) = s.tick(SimTime::from_secs(100_000));
+        let (out, ev2) = run(&mut s, SessionInput::Tick, SimTime::from_secs(100_000));
         assert!(out.is_empty() && ev2.is_empty());
         s.check_invariants().unwrap();
     }

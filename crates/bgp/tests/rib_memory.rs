@@ -26,9 +26,10 @@ const PREFIXES: u32 = 4_096;
 const BYTES_ONE_PATH: i64 = 256;
 
 /// Live bytes per prefix with two ADD-PATH paths (ids 1 and 0, inserted
-/// in that order). Measured 521 bytes: the second path grows the set to
-/// four slots. An inner `BTreeMap` costs 1,257.
-const BYTES_TWO_PATHS: i64 = 576;
+/// in that order). Measured 329 bytes: the second path grows the set to
+/// exactly two slots. Growing it to `Vec`'s minimum of four costs 521,
+/// and an inner `BTreeMap` 1,257.
+const BYTES_TWO_PATHS: i64 = 352;
 
 fn route(prefix: Prefix, path_id: u32, attrs: &Arc<PathAttributes>) -> Route {
     Route {

@@ -156,7 +156,7 @@ impl<M> Ord for SimEvent<M> {
 /// The observable outcome of an engine run. Two runs over the same nodes
 /// agree iff these compare equal — this is what the differential harness
 /// asserts.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineRun {
     /// Events delivered (`on_event` invocations).
     pub events: u64,
@@ -168,6 +168,28 @@ pub struct EngineRun {
     pub checkpoints: Vec<(SimTime, u64)>,
     /// Digest fold at quiescence.
     pub final_digest: u64,
+}
+
+impl EngineRun {
+    /// Whether the nodes must be digested before any event at `horizon`
+    /// (`SimTime::MAX` once the run is over): a checkpoint is due, or the
+    /// run is over.
+    fn digest_due(&self, checkpoints: &[SimTime], horizon: SimTime) -> bool {
+        let next = checkpoints.get(self.checkpoints.len());
+        horizon == SimTime::MAX || next.is_some_and(|&at| at <= horizon)
+    }
+
+    /// Record `folded`, the nodes' digests at `horizon`, as every
+    /// checkpoint due by then and, once the run is over, as the final
+    /// digest: one digest pass serves them all.
+    fn record_digest(&mut self, checkpoints: &[SimTime], horizon: SimTime, folded: u64) {
+        let due = checkpoints[self.checkpoints.len()..].iter();
+        let due = due.take_while(|&&at| at <= horizon);
+        self.checkpoints.extend(due.map(|&at| (at, folded)));
+        if horizon == SimTime::MAX {
+            self.final_digest = folded;
+        }
+    }
 }
 
 /// FNV-1a fold of per-node digests in `NodeId` order. FNV is sequential
@@ -221,23 +243,15 @@ where
         }
     }
 
-    let mut run = EngineRun {
-        events: 0,
-        end_time: SimTime::ZERO,
-        checkpoints: Vec::new(),
-        final_digest: 0,
-    };
-    let mut next_ck = 0;
+    let mut run = EngineRun::default();
     loop {
         let horizon = match calendar.peek_time() {
             Some(t) if t <= max_time => t,
             _ => SimTime::MAX,
         };
-        while next_ck < checkpoints.len() && checkpoints[next_ck] <= horizon {
+        if run.digest_due(checkpoints, horizon) {
             let digests: Vec<u64> = nodes.iter().map(EngineNode::digest).collect();
-            run.checkpoints
-                .push((checkpoints[next_ck], fold_digests(&digests)));
-            next_ck += 1;
+            run.record_digest(checkpoints, horizon, fold_digests(&digests));
         }
         if horizon == SimTime::MAX {
             break;
@@ -251,8 +265,6 @@ where
             calendar.push(sent);
         }
     }
-    let digests: Vec<u64> = nodes.iter().map(EngineNode::digest).collect();
-    run.final_digest = fold_digests(&digests);
 
     let mut prof = EngineProfile {
         shards: 1,
@@ -359,7 +371,7 @@ impl<T: Clone> EpochBarrier<T> {
 #[derive(Debug, Clone, Copy)]
 struct RoundPlan {
     /// Global minimum pending event time (window start), `SimTime::MAX`
-    /// at quiescence.
+    /// once the run is over.
     window_start: SimTime,
     /// Exclusive end of the conservative window: `window_start +
     /// lookahead`, clamped down to the first checkpoint that is still
@@ -386,7 +398,7 @@ struct ParShared<M> {
     /// Per-node digest slots, written only on `need_digests` rounds.
     digests: Mutex<Vec<u64>>,
     /// Accumulated run record.
-    record: Mutex<RunRecord>,
+    record: Mutex<EngineRun>,
     /// Round-plan barrier (drain + min-publish complete ⇒ decide plan).
     plan: EpochBarrier<RoundPlan>,
     /// Digest barrier (digest slots written ⇒ fold and record).
@@ -416,15 +428,6 @@ impl<M> ParShared<M> {
         self.fold.poison();
         self.round_end.poison();
     }
-}
-
-#[derive(Debug)]
-struct RunRecord {
-    events: u64,
-    end_time: SimTime,
-    checkpoints: Vec<(SimTime, u64)>,
-    next_ck: usize,
-    final_digest: u64,
 }
 
 /// Run the sharded parallel engine. Must produce an [`EngineRun`] equal
@@ -470,13 +473,7 @@ where
         inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         mins: Mutex::new(vec![SimTime::MAX; shards]),
         digests: Mutex::new(vec![0; n]),
-        record: Mutex::new(RunRecord {
-            events: 0,
-            end_time: SimTime::ZERO,
-            checkpoints: Vec::new(),
-            next_ck: 0,
-            final_digest: 0,
-        }),
+        record: Mutex::new(EngineRun::default()),
         plan: EpochBarrier::new(shards),
         fold: EpochBarrier::new(shards),
         round_end: EpochBarrier::new(shards),
@@ -526,14 +523,7 @@ where
         }
     }
 
-    let rec = lock(&shared.record);
-    let run = EngineRun {
-        events: rec.events,
-        end_time: rec.end_time,
-        checkpoints: rec.checkpoints.clone(),
-        final_digest: rec.final_digest,
-    };
-    drop(rec);
+    let run = std::mem::take(&mut *lock(&shared.record));
     // Canonical record order: shards merge in thread-completion order,
     // which is nondeterministic, so re-sort by the deterministic key.
     let mut records = std::mem::take(&mut *lock(&shared.prof));
@@ -655,27 +645,21 @@ fn run_shard<N, F>(
         let barrier_mark = WallMark::now(wall_on);
         let plan = shared.plan.arrive_and_decide(|| {
             let mins = lock(&shared.mins);
-            let window_start = mins.iter().copied().min().unwrap_or(SimTime::MAX);
-            let done = window_start == SimTime::MAX || window_start > max_time;
-            let horizon = if done { SimTime::MAX } else { window_start };
+            let min = mins.iter().copied().min().unwrap_or(SimTime::MAX);
+            let done = min == SimTime::MAX || min > max_time;
+            let window_start = if done { SimTime::MAX } else { min };
             let rec = lock(&shared.record);
-            let need_digests =
-                done || (rec.next_ck < checkpoints.len() && checkpoints[rec.next_ck] <= horizon);
+            let need_digests = rec.digest_due(checkpoints, window_start);
             let window_end = if done {
                 SimTime::MAX
             } else {
-                // Checkpoints at or before `horizon` fire this round's
-                // digest pass; the first one after it bounds how far the
-                // window may advance.
-                let mut end = window_start + lookahead;
-                let mut k = rec.next_ck;
-                while k < checkpoints.len() && checkpoints[k] <= horizon {
-                    k += 1;
-                }
-                if k < checkpoints.len() {
-                    end = end.min(checkpoints[k]);
-                }
-                end
+                // Checkpoints at or before `window_start` fire this
+                // round's digest pass; the first one after it bounds how
+                // far the window may advance.
+                let end = window_start + lookahead;
+                let unfired = &checkpoints[rec.checkpoints.len()..];
+                let next = unfired.iter().find(|&&at| at > window_start);
+                next.map_or(end, |&at| end.min(at))
             };
             RoundPlan {
                 window_start,
@@ -693,22 +677,8 @@ fn run_shard<N, F>(
                 }
             }
             shared.fold.arrive_and_decide(|| {
-                let slots = lock(&shared.digests);
-                let folded = fold_digests(&slots);
-                let mut rec = lock(&shared.record);
-                let horizon = if plan.done {
-                    SimTime::MAX
-                } else {
-                    plan.window_start
-                };
-                while rec.next_ck < checkpoints.len() && checkpoints[rec.next_ck] <= horizon {
-                    let at = checkpoints[rec.next_ck];
-                    rec.checkpoints.push((at, folded));
-                    rec.next_ck += 1;
-                }
-                if plan.done {
-                    rec.final_digest = folded;
-                }
+                let folded = fold_digests(&lock(&shared.digests));
+                lock(&shared.record).record_digest(checkpoints, plan.window_start, folded);
             });
         }
 
@@ -787,6 +757,8 @@ fn run_shard<N, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
 
     /// A token-passing ring: node i forwards a counter to (i+1) % n with
     /// a fixed delay, `hops` times, folding everything it saw into a
@@ -796,6 +768,8 @@ mod tests {
         n: u32,
         hops: u32,
         acc: u64,
+        /// Counts the digests taken.
+        digests: Arc<AtomicUsize>,
     }
 
     impl EngineNode for RingNode {
@@ -821,6 +795,7 @@ mod tests {
         }
 
         fn digest(&self) -> u64 {
+            self.digests.fetch_add(1, Relaxed);
             self.acc ^ u64::from(self.id.0)
         }
     }
@@ -831,6 +806,7 @@ mod tests {
             n,
             hops,
             acc: 0,
+            digests: Arc::default(),
         }
     }
 
@@ -1104,10 +1080,21 @@ mod tests {
 
     #[test]
     fn checkpoints_cover_quiescence() {
-        let cks = [SimTime::from_secs(1_000_000)];
-        let (seq, _) = run_sequential(4, ring(4, 5), &cks, SimTime::MAX, ProfileConfig::off());
-        assert_eq!(seq.checkpoints.len(), 1);
-        assert_eq!(seq.checkpoints[0].1, seq.final_digest);
+        // Four checkpoints after quiescence and the final digest: one
+        // pass over the nodes records all five, on either engine.
+        let cks = [30, 60, 90, 120].map(SimTime::from_secs);
+        let digests = Arc::new(AtomicUsize::new(0));
+        let make_node = |id| RingNode {
+            digests: Arc::clone(&digests),
+            ..ring(4, 5)(id)
+        };
+        let (off, ms10) = (ProfileConfig::off(), SimDuration::from_millis(10));
+        let (seq, _) = run_sequential(4, make_node, &cks, SimTime::MAX, off);
+        assert_eq!(digests.swap(0, Relaxed), 4);
+        assert_eq!(seq.checkpoints.len(), 4);
+        assert!(seq.checkpoints.iter().all(|&(_, d)| d == seq.final_digest));
+        let (par, _) = run_parallel(4, make_node, 2, ms10, &cks, SimTime::MAX, off);
+        assert_eq!((digests.load(Relaxed), par), (4, seq));
     }
 
     #[test]

@@ -92,9 +92,6 @@ echo "==> benchmark package (standalone; builds against the crates' public APIs)
 # without this a public-API change that breaks it passes the gate.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> chaos smoke (session resilience under faults)"
-cargo test -q -p peering-workloads chaos_smoke
-
 mkdir -p results
 
 echo "==> telemetry smoke (snapshot validity + determinism)"
@@ -108,9 +105,6 @@ double_run_cmp collector - results/BENCH_collector.json,- \
 echo "==> abuse smoke (containment + bystander-isolation determinism)"
 double_run_cmp abuse - results/BENCH_abuse.json \
   cargo run --release -q -p peering-bench --bin abuse_smoke -- "{out}" 42
-
-echo "==> differential engine matrix (sequential vs sharded digests)"
-cargo test -q -p peering-workloads --test scale_differential
 
 echo "==> scale bench (full-scale fast path, profiler on; wall-clock keys stripped)"
 double_run_cmp scale '"timing_' results/BENCH_scale.json \
