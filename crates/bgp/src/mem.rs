@@ -61,11 +61,11 @@ impl DeepSize for AdjRib {
     /// per-prefix `BTreeMap`s: each outer entry and each (path id, route)
     /// entry is charged its bytes plus [`BTREE_ENTRY_OVERHEAD`]. The path
     /// sets are sorted `Vec`s now, and the counting allocator measures
-    /// 233 B per one-path prefix (`tests/rib_memory.rs`) where the model
-    /// charges 180 B and the old inner leaf cost 1,257 B. The charges are
-    /// left as they were so that `router_feed.table_bytes_per_route` and
-    /// `results/fig2.json` do not move; ROADMAP item 1(d) decides whether
-    /// Fig. 2 keeps this model or takes the allocator's count instead.
+    /// 156 B per one-path prefix (`tests/rib_memory.rs`) where the model
+    /// charges 128 B and the old inner leaf cost 1,257 B. The model moves
+    /// only with its types' sizes (`router_feed.table_bytes_per_route`,
+    /// `results/fig2.json`); ROADMAP item 1(d) decides whether Fig. 2
+    /// keeps it or takes the allocator's count instead.
     fn deep_size(&self) -> usize {
         let mut sz = size_of::<AdjRib>();
         sz += self.prefix_count() * (size_of::<peering_netsim::Prefix>() + BTREE_ENTRY_OVERHEAD);

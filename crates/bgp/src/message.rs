@@ -339,6 +339,12 @@ mod tests {
     use crate::attrs::AsPath;
 
     #[test]
+    fn an_nlri_is_28_bytes() {
+        // A 20-byte `Prefix` keeps it at 28; a `u128` v6 address made it 64.
+        assert_eq!(std::mem::size_of::<Nlri>(), 28);
+    }
+
+    #[test]
     fn open_two_octet_asn() {
         let o = OpenMessage::new(Asn(65000), 90, Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(o.my_as2, 65000);

@@ -556,6 +556,12 @@ mod tests {
     use crate::attrs::AsPath;
     use peering_netsim::Asn;
 
+    #[test]
+    fn a_route_is_72_bytes() {
+        // A 20-byte `Prefix` keeps it at 72; a `u128` v6 address made it 96.
+        assert_eq!(std::mem::size_of::<Route>(), 72);
+    }
+
     fn route(prefix: Prefix, path_id: u32, first_as: u32) -> Route {
         Route {
             prefix,

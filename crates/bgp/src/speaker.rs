@@ -170,8 +170,8 @@ struct PeerState {
     /// The max-prefix warning threshold already fired this session.
     max_prefix_warned: bool,
     /// When the session was last started, for convergence measurement;
-    /// taken once it is Established.
-    started: Option<SimTime>,
+    /// taken once it is Established. `SimTime::MAX` when unset.
+    started: SimTime,
 }
 
 impl PeerState {
@@ -405,7 +405,7 @@ impl Speaker {
             stale: None,
             armed: SimTime::MAX,
             max_prefix_warned: false,
-            started: None,
+            started: SimTime::MAX,
             cfg,
         });
         retime(&mut self.timers, &mut state);

@@ -28,7 +28,7 @@ impl Speaker {
 
     pub(super) fn start_session(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<Output>) {
         match self.peers.get_mut(&peer) {
-            Some(state) if state.cfg.enabled => state.started = Some(now),
+            Some(state) if state.cfg.enabled => state.started = now,
             _ => return,
         }
         self.drive_session(peer, SessionInput::Start, now, out);
@@ -195,7 +195,11 @@ impl Speaker {
     ) {
         match ev {
             SessionEvent::Established(_) => {
-                if let Some(started) = self.peers.get_mut(&peer).and_then(|s| s.started.take()) {
+                let started = self
+                    .peers
+                    .get_mut(&peer)
+                    .map(|s| std::mem::replace(&mut s.started, SimTime::MAX));
+                if let Some(started) = started.filter(|&t| t != SimTime::MAX) {
                     self.telemetry
                         .observe_duration("bgp.session.convergence_us", now.since(started));
                 }

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
 
@@ -152,19 +153,6 @@ impl Ipv4Net {
             })
             .collect()
     }
-
-    /// The immediate parent network (one bit shorter), or `None` for /0.
-    pub fn supernet(&self) -> Option<Ipv4Net> {
-        if self.len == 0 {
-            None
-        } else {
-            let len = self.len - 1;
-            Some(Ipv4Net {
-                addr: self.addr & Self::mask(len),
-                len,
-            })
-        }
-    }
 }
 
 impl fmt::Display for Ipv4Net {
@@ -179,21 +167,27 @@ impl fmt::Debug for Ipv4Net {
     }
 }
 
+/// Split CIDR text into an address and a length of at most `max` bits.
+fn parse_cidr<A: FromStr>(s: &str, max: u8) -> Result<(A, u8), PrefixParseError> {
+    let (a, l) = s
+        .split_once('/')
+        .ok_or_else(|| PrefixParseError(format!("{s}: missing '/'")))?;
+    let addr = a
+        .parse()
+        .map_err(|_| PrefixParseError(format!("{s}: bad address")))?;
+    let len: u8 = l
+        .parse()
+        .map_err(|_| PrefixParseError(format!("{s}: bad length")))?;
+    if len > max {
+        return Err(PrefixParseError(format!("{s}: length > {max}")));
+    }
+    Ok((addr, len))
+}
+
 impl FromStr for Ipv4Net {
     type Err = PrefixParseError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (a, l) = s
-            .split_once('/')
-            .ok_or_else(|| PrefixParseError(format!("{s}: missing '/'")))?;
-        let addr: Ipv4Addr = a
-            .parse()
-            .map_err(|_| PrefixParseError(format!("{s}: bad address")))?;
-        let len: u8 = l
-            .parse()
-            .map_err(|_| PrefixParseError(format!("{s}: bad length")))?;
-        if len > 32 {
-            return Err(PrefixParseError(format!("{s}: length > 32")));
-        }
+        let (addr, len) = parse_cidr(s, 32)?;
         Ok(Ipv4Net::new(addr, len))
     }
 }
@@ -202,9 +196,15 @@ impl FromStr for Ipv4Net {
 ///
 /// The paper lists IPv6 support as planned work; the control plane here
 /// handles v6 prefixes end to end so that extension is exercised.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// The address is stored as big-endian bytes rather than a `u128`: the
+/// byte array has alignment 1, which keeps [`Prefix`] at 20 bytes
+/// (alignment 4) instead of 48, and big-endian byte order compares like
+/// the integer, so the derived `Ord` is unchanged. `Hash` and the serde
+/// form are written by hand to stay those of `(u128, u8)`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Ipv6Net {
-    addr: u128,
+    addr: [u8; 16],
     len: u8,
 }
 
@@ -212,11 +212,19 @@ impl Ipv6Net {
     /// Construct, masking away host bits. Panics if `len > 128`.
     pub fn new(addr: Ipv6Addr, len: u8) -> Self {
         assert!(len <= 128, "IPv6 prefix length {len} > 128");
-        let raw = u128::from(addr);
+        Self::from_raw(u128::from(addr) & Self::mask(len), len)
+    }
+
+    fn from_raw(addr: u128, len: u8) -> Self {
         Ipv6Net {
-            addr: raw & Self::mask(len),
+            addr: addr.to_be_bytes(),
             len,
         }
+    }
+
+    /// The network address as an integer.
+    fn raw(&self) -> u128 {
+        u128::from_be_bytes(self.addr)
     }
 
     fn mask(len: u8) -> u128 {
@@ -241,12 +249,12 @@ impl Ipv6Net {
 
     /// True if `ip` falls inside this network.
     pub fn contains(&self, ip: Ipv6Addr) -> bool {
-        (u128::from(ip) & Self::mask(self.len)) == self.addr
+        (u128::from(ip) & Self::mask(self.len)) == self.raw()
     }
 
     /// True if `other` is equal to or more specific than `self`.
     pub fn covers(&self, other: &Ipv6Net) -> bool {
-        other.len >= self.len && (other.addr & Self::mask(self.len)) == self.addr
+        other.len >= self.len && (other.raw() & Self::mask(self.len)) == self.raw()
     }
 
     /// True if the two networks share any address.
@@ -256,7 +264,7 @@ impl Ipv6Net {
 
     /// The `i`-th address within the network.
     pub fn addr_at(&self, i: u128) -> Ipv6Addr {
-        Ipv6Addr::from(self.addr.wrapping_add(i))
+        Ipv6Addr::from(self.raw().wrapping_add(i))
     }
 
     /// Split into consecutive subnets of length `sub_len`, capped at
@@ -273,13 +281,34 @@ impl Ipv6Net {
         } else {
             1u64 << count_exp
         };
-        let step = 1u128 << (128 - sub_len);
+        // `::/0` into /0 is the one subnet whose step (2^128) overflows.
+        let step = 1u128.checked_shl(u32::from(128 - sub_len)).unwrap_or(0);
         (0..count.min(max as u64))
-            .map(|i| Ipv6Net {
-                addr: self.addr + i as u128 * step,
-                len: sub_len,
-            })
+            .map(|i| Ipv6Net::from_raw(self.raw() + i as u128 * step, sub_len))
             .collect()
+    }
+}
+
+impl Hash for Ipv6Net {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.raw().hash(state);
+        self.len.hash(state);
+    }
+}
+
+impl Serialize for Ipv6Net {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("addr".to_string(), self.raw().to_value()),
+            ("len".to_string(), self.len.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Ipv6Net {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let addr = u128::from_value(v.get("addr"))?;
+        Ok(Ipv6Net::from_raw(addr, u8::from_value(v.get("len"))?))
     }
 }
 
@@ -298,18 +327,7 @@ impl fmt::Debug for Ipv6Net {
 impl FromStr for Ipv6Net {
     type Err = PrefixParseError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (a, l) = s
-            .split_once('/')
-            .ok_or_else(|| PrefixParseError(format!("{s}: missing '/'")))?;
-        let addr: Ipv6Addr = a
-            .parse()
-            .map_err(|_| PrefixParseError(format!("{s}: bad address")))?;
-        let len: u8 = l
-            .parse()
-            .map_err(|_| PrefixParseError(format!("{s}: bad length")))?;
-        if len > 128 {
-            return Err(PrefixParseError(format!("{s}: length > 128")));
-        }
+        let (addr, len) = parse_cidr(s, 128)?;
         Ok(Ipv6Net::new(addr, len))
     }
 }
@@ -379,10 +397,7 @@ impl fmt::Display for Prefix {
 
 impl fmt::Debug for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Prefix::V4(p) => write!(f, "{p}"),
-            Prefix::V6(p) => write!(f, "{p}"),
-        }
+        write!(f, "{self}")
     }
 }
 
@@ -452,7 +467,6 @@ mod tests {
         let all: Ipv4Net = "0.0.0.0/0".parse().unwrap();
         assert!(all.contains(Ipv4Addr::new(8, 8, 8, 8)));
         assert!(all.covers(&"10.0.0.0/8".parse().unwrap()));
-        assert_eq!(all.supernet(), None);
     }
 
     #[test]
@@ -471,14 +485,6 @@ mod tests {
         }
         assert!(pool.subnets(16).is_empty());
         assert_eq!(pool.subnets(19), vec![pool]);
-    }
-
-    #[test]
-    fn v4_supernet_chain() {
-        let p: Ipv4Net = "10.128.0.0/9".parse().unwrap();
-        let s = p.supernet().unwrap();
-        assert_eq!(s.to_string(), "10.0.0.0/8");
-        assert!(s.covers(&p));
     }
 
     #[test]
@@ -530,6 +536,13 @@ mod tests {
         assert!(!v4.overlaps(&v6));
         assert_eq!(Prefix::v4(203, 0, 113, 0, 24), v4);
         assert_eq!(format!("{v4}"), "203.0.113.0/24");
+    }
+
+    #[test]
+    fn prefix_is_twenty_bytes() {
+        // A `u128` v6 address would make every prefix 48 bytes.
+        assert_eq!(std::mem::size_of::<Prefix>(), 20);
+        assert_eq!(std::mem::align_of::<Prefix>(), 4);
     }
 
     #[test]

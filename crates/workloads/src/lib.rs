@@ -34,5 +34,5 @@ pub use alexa::{CatalogConfig, ContentCatalog, Fqdn, WebSite};
 pub use catalog::{migrations, MigrationSpec, ScenarioSpec};
 pub use chaos::{ChaosReport, ChaosTopology};
 pub use mux_scale::{run_design, MuxScalePoint, MuxScaleReport};
-pub use scale::{differential, engine_profile_smoke, spaced_checkpoints, ScaleMsg, ScaleTopo};
+pub use scale::{differential, engine_profile_smoke, spaced_checkpoints, ScaleTopo};
 pub use traffic::{Flow, TrafficMatrix};

@@ -22,12 +22,12 @@
 
 use crate::chaos::{origin_prefix, ChaosTopology};
 use peering_bgp::{
-    digest_routes, Action, Asn, BgpMessage, Community, Input, Match, Output, PeerConfig, PeerId,
-    Policy, Prefix, Speaker, SpeakerConfig,
+    digest_routes, Action, Asn, Community, Input, Match, Output, PeerConfig, PeerId, Policy,
+    Prefix, Speaker, SpeakerConfig,
 };
 use peering_netsim::{
     run_parallel, run_sequential, EngineNode, EngineProfile, EngineRun, Fnv1a, NodeId, Outbox,
-    ProfileConfig, SimDuration, SimTime,
+    ProfileConfig, SimDuration, SimEvent, SimTime,
 };
 use peering_topology::{AsIdx, Internet, Relationship};
 use std::collections::BTreeSet;
@@ -50,14 +50,10 @@ const TAG_PEER: Community = Community::new(65001, 2);
 /// Route learned from a transit provider.
 const TAG_PROVIDER: Community = Community::new(65001, 3);
 
-/// Messages exchanged by engine-driven speakers.
-#[derive(Debug, Clone)]
-pub enum ScaleMsg {
-    /// A BGP message arriving on the *receiver's* session `PeerId`.
-    Bgp(PeerId, BgpMessage),
-    /// Self-scheduled timer service (MRAI flushes and friends).
-    Tick,
-}
+// Engine-driven speakers exchange `Input::Message` (on the receiver's
+// session) and self-scheduled `Input::Tick`. An in-flight event stays at
+// the 104 bytes it took with a two-variant message type of its own.
+const _: () = assert!(std::mem::size_of::<SimEvent<Input>>() <= 104);
 
 /// One speaker's place in a [`ScaleTopo`]: config, sessions, beacons.
 #[derive(Debug, Clone)]
@@ -75,7 +71,6 @@ struct NodeSpec {
 #[derive(Debug, Clone)]
 pub struct ScaleTopo {
     specs: Vec<NodeSpec>,
-    lookahead: SimDuration,
 }
 
 /// Deterministic per-link delay: at least [`BASE_DELAY`], spread by a
@@ -93,7 +88,7 @@ impl ScaleTopo {
         let n = topology.node_count();
         let mut specs: Vec<NodeSpec> = (0..n)
             .map(|i| NodeSpec {
-                cfg: flat_speaker_config(i),
+                cfg: speaker_config(Asn(65001 + i as u32), i),
                 peers: Vec::new(),
                 origins: vec![origin_prefix(i)],
             })
@@ -109,10 +104,7 @@ impl ScaleTopo {
             specs[a].peers.push((cfg_a, NodeId(b as u32), pb, delay));
             specs[b].peers.push((cfg_b, NodeId(a as u32), pa, delay));
         }
-        ScaleTopo {
-            specs,
-            lookahead: BASE_DELAY,
-        }
+        ScaleTopo { specs }
     }
 
     /// A generated Internet under Gao-Rexford policies, with `beacons`
@@ -123,7 +115,7 @@ impl ScaleTopo {
         let mut specs: Vec<NodeSpec> = g
             .indices()
             .map(|u| NodeSpec {
-                cfg: internet_speaker_config(g.info(u).asn, u.i()),
+                cfg: speaker_config(g.info(u).asn, u.i()),
                 peers: Vec::new(),
                 origins: Vec::new(),
             })
@@ -168,10 +160,7 @@ impl ScaleTopo {
                 specs[u.i()].origins.push(p);
             }
         }
-        ScaleTopo {
-            specs,
-            lookahead: BASE_DELAY,
-        }
+        ScaleTopo { specs }
     }
 
     /// Enable MRAI-style update packing on every speaker.
@@ -209,12 +198,6 @@ impl ScaleTopo {
     /// Number of configured sessions (edges).
     pub fn session_count(&self) -> usize {
         self.specs.iter().map(|s| s.peers.len()).sum::<usize>() / 2
-    }
-
-    /// The parallel engine's lookahead for this topology: the minimum
-    /// cross-node delay.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Total beacon prefixes originated.
@@ -290,7 +273,7 @@ impl ScaleTopo {
             self.node_count(),
             |id| self.make_node(id),
             shards,
-            self.lookahead,
+            BASE_DELAY,
             checkpoints,
             max_time,
             profile,
@@ -309,23 +292,15 @@ enum SessionRole {
     Provider,
 }
 
-fn flat_speaker_config(i: usize) -> SpeakerConfig {
-    let mut cfg = SpeakerConfig::new(
-        Asn(65001 + i as u32),
-        Ipv4Addr::new(10, 0, (i >> 8) as u8, (i & 0xff) as u8),
-    );
-    // Engine runs are event-quiescent: with keepalives disabled the
-    // simulation reaches a state with no pending events, which is the
-    // engines' convergence criterion.
-    cfg.hold_time = SimDuration::ZERO;
-    cfg
-}
-
-fn internet_speaker_config(asn: Asn, i: usize) -> SpeakerConfig {
+/// Node `i`'s speaker, router id `10.x.y.z` from `i`.
+fn speaker_config(asn: Asn, i: usize) -> SpeakerConfig {
     let mut cfg = SpeakerConfig::new(
         asn,
         Ipv4Addr::new(10, (i >> 16) as u8, (i >> 8) as u8, i as u8),
     );
+    // Engine runs are event-quiescent: with keepalives disabled the
+    // simulation reaches a state with no pending events, which is the
+    // engines' convergence criterion.
     cfg.hold_time = SimDuration::ZERO;
     cfg
 }
@@ -369,7 +344,7 @@ struct Link {
 }
 
 /// A [`Speaker`] adapted to [`EngineNode`]: messages route over links,
-/// timer deadlines become self-scheduled [`ScaleMsg::Tick`]s, and the
+/// timer deadlines become self-scheduled [`Input::Tick`]s, and the
 /// digest is an FNV-1a hash of the canonicalized Loc-RIB (same line
 /// format as [`crate::chaos::rib_digest`], minus `learned_at`-free
 /// fields it already excludes).
@@ -387,12 +362,12 @@ impl BgpNode {
     /// Route speaker outputs onto links, then service any timer
     /// deadline that is already due (its outputs refill the drained
     /// vector) and schedule a wake-up for the next future one.
-    fn service(&mut self, now: SimTime, mut outputs: Vec<Output>, out: &mut Outbox<ScaleMsg>) {
+    fn service(&mut self, now: SimTime, mut outputs: Vec<Output>, out: &mut Outbox<Input>) {
         loop {
             for o in outputs.drain(..) {
                 if let Output::Send(pid, msg) = o {
                     let link = &self.links[pid.0 as usize];
-                    out.send(link.dest, link.delay, ScaleMsg::Bgp(link.remote, msg));
+                    out.send(link.dest, link.delay, Input::Message(link.remote, msg));
                 }
             }
             let deadline = self.speaker.next_deadline();
@@ -413,7 +388,7 @@ impl BgpNode {
                 }
             } else {
                 if deadline != SimTime::MAX && self.ticks.insert(deadline) {
-                    out.send(self.me, deadline - now, ScaleMsg::Tick);
+                    out.send(self.me, deadline - now, Input::Tick);
                 }
                 break;
             }
@@ -422,9 +397,9 @@ impl BgpNode {
 }
 
 impl EngineNode for BgpNode {
-    type Msg = ScaleMsg;
+    type Msg = Input;
 
-    fn on_start(&mut self, out: &mut Outbox<ScaleMsg>) {
+    fn on_start(&mut self, out: &mut Outbox<Input>) {
         let now = SimTime::ZERO;
         let mut outputs = Vec::new();
         for p in std::mem::take(&mut self.origins) {
@@ -438,14 +413,10 @@ impl EngineNode for BgpNode {
         self.service(now, outputs, out);
     }
 
-    fn on_event(&mut self, now: SimTime, _from: NodeId, msg: ScaleMsg, out: &mut Outbox<ScaleMsg>) {
-        let input = match msg {
-            ScaleMsg::Bgp(pid, m) => Input::Message(pid, m),
-            ScaleMsg::Tick => {
-                self.ticks.remove(&now);
-                Input::Tick
-            }
-        };
+    fn on_event(&mut self, now: SimTime, _from: NodeId, input: Input, out: &mut Outbox<Input>) {
+        if let Input::Tick = input {
+            self.ticks.remove(&now);
+        }
         let mut outputs = Vec::new();
         self.speaker.apply(input, now, &mut outputs);
         self.service(now, outputs, out);
