@@ -6,6 +6,14 @@
 //! Fig. 2-style bytes/route at the preset's table size, and writes the
 //! combined report as JSON.
 //!
+//! It also measures what the engine's route state costs per (speaker,
+//! prefix): a counting global allocator tracks live bytes, and two
+//! sequential legs, one with no beacons and one with `beacons`, each
+//! record their peak above what was live when they began. The growth
+//! from the first peak to the second, divided by ASes × beacons, is
+//! `bytes_per_speaker_prefix`. Each leg resets the peak, so the Fig. 2
+//! leg, which sets the process peak, reaches neither.
+//!
 //! Usage: `scale_bench [out.json] [seed] [preset] [beacons]`
 //!
 //! Wall-clock timing lives here, in an example, because the repo's
@@ -14,10 +22,78 @@
 //! `timing_` so `tools/check.sh` can strip them and byte-compare
 //! double runs.
 
+// A `GlobalAlloc` impl is unsafe by signature; the allowance is local to
+// this file.
+#![allow(unsafe_code)]
+
 use peering_bench::scale;
 use peering_netsim::{ProfileConfig, SimTime};
 use peering_topology::Internet;
 use serde_json::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
+
+/// Forwards to the system allocator and tracks live bytes and their
+/// peak since the last [`reset_peak`].
+struct Counting;
+
+// Statistics only: the counters publish no other data, so Relaxed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+fn grow(bytes: i64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters touch no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size() as i64);
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size() as i64);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grow(new_size as i64 - layout.size() as i64);
+        // SAFETY: `ptr` and `layout` come from this allocator, which is
+        // `System` underneath.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Start a new peak at the bytes live now, and return them.
+fn reset_peak() -> i64 {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
+/// Run `f` and return its value with the peak live bytes it reached
+/// above what was live when it began. Deterministic for a
+/// single-threaded `f`.
+fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let start = reset_peak();
+    let v = f();
+    (v, PEAK.load(Ordering::Relaxed) - start)
+}
 
 /// Wall-clock milliseconds around `f`. The only clock in the bench.
 #[allow(clippy::disallowed_types)]
@@ -50,12 +126,23 @@ fn main() {
     );
 
     let cks = scale::standard_checkpoints();
-    let (seq, ms_seq) = timed(|| topo.run_engine_sequential(&cks, SimTime::MAX));
+    let idle = scale::build_topo(&net, 0);
+    let (_, peak_idle) = peak_above_start(|| idle.run_engine_sequential(&cks, SimTime::MAX));
+    drop(idle);
+    let ((seq, peak_loaded), ms_seq) =
+        timed(|| peak_above_start(|| topo.run_engine_sequential(&cks, SimTime::MAX)));
     let events_per_sec = seq.events as f64 / (ms_seq / 1e3);
     eprintln!(
         "  sequential: {} events, quiesced at {} us sim-time ({ms_seq:.0} ms wall, {events_per_sec:.0} events/s)",
         seq.events,
         seq.end_time.as_micros()
+    );
+    let speaker_prefixes = (net.graph.len() * topo.beacon_count()).max(1) as f64;
+    let bytes_per_speaker_prefix = (peak_loaded - peak_idle) as f64 / speaker_prefixes;
+    eprintln!(
+        "  route state: peak {peak_idle} B live at 0 beacons, {peak_loaded} B at {}: \
+         {bytes_per_speaker_prefix:.1} B per (speaker, prefix)",
+        topo.beacon_count()
     );
 
     // Parallel legs run with the profiler on: the acceptance bar is that
@@ -107,6 +194,15 @@ fn main() {
     let Value::Map(mut obj) = serde_json::to_value(&report).expect("report serializes") else {
         unreachable!("a struct serializes to a map");
     };
+    obj.push(("peak_live_bytes_idle".to_string(), Value::I64(peak_idle)));
+    obj.push((
+        "peak_live_bytes_loaded".to_string(),
+        Value::I64(peak_loaded),
+    ));
+    obj.push((
+        "bytes_per_speaker_prefix".to_string(),
+        Value::F64(bytes_per_speaker_prefix),
+    ));
     obj.push(("timing_wall_ms_build".to_string(), Value::F64(ms_build)));
     obj.push(("timing_wall_ms_sequential".to_string(), Value::F64(ms_seq)));
     obj.push((

@@ -408,6 +408,7 @@ mod tests {
                 "engine_profile",
                 map(vec![("speedup_ceiling_permille", Value::U64(4000))]),
             ),
+            ("bytes_per_speaker_prefix", Value::F64(682.8)),
             ("timing_wall_ms_sequential", Value::F64(25000.0)),
             ("timing_events_per_sec_sequential", Value::F64(59585.5)),
         ])

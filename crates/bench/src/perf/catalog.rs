@@ -25,6 +25,12 @@ pub const CATALOG: &[Metric] = &[
         gate: Some(Gate::Drift(0)),
     },
     Metric {
+        key: "scale.bytes_per_speaker_prefix",
+        file: "BENCH_scale.json",
+        extract: Extract::Path(&[Seg::Key("bytes_per_speaker_prefix")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
         key: "scale.bytes_per_route_interned",
         file: "BENCH_scale.json",
         extract: Extract::Path(&[Seg::Key("bytes_per_route"), Seg::Key("per_route_interned")]),

@@ -83,13 +83,12 @@ impl DeepSize for LocRib {
 }
 
 impl DeepSize for AttrInterner {
+    /// The handle plus its whole table: a table shared by many handles is
+    /// charged in full to each of them.
     fn deep_size(&self) -> usize {
-        let mut sz = size_of::<AttrInterner>();
-        for arc in self.iter() {
-            sz += HASH_ENTRY_OVERHEAD; // bucket slot
-            sz += ALLOC_HEADER + arc.deep_size(); // the shared allocation
-        }
-        sz
+        // Per set: its table slot and the shared allocation.
+        size_of::<AttrInterner>()
+            + self.sum_over_sets(|attrs| HASH_ENTRY_OVERHEAD + ALLOC_HEADER + attrs.deep_size())
     }
 }
 

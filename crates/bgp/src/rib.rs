@@ -5,16 +5,21 @@
 //! that is hundreds of tables — and per-client Adj-RIB-Outs. Figure 2 of
 //! the paper measures exactly this: how much memory one router's tables
 //! consume as peers × routes grow. The interner reproduces the attribute
-//! sharing real BGP implementations rely on to keep that curve sane.
+//! sharing real BGP implementations rely on to keep that curve sane. Its
+//! table is a flat set of attribute sets, one per distinct value, and it
+//! can be shared: a router keeps one of its own, while every speaker of
+//! one engine shard of the simulated Internet interns into the shard's
+//! table, so a route that k speakers import is one allocation.
 
 use crate::attrs::PathAttributes;
 use peering_netsim::{Fnv1a, Prefix, PrefixTrie, SimTime, TraceId};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::btree_map::Entry;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Identifies a BGP peer within one speaker.
@@ -430,123 +435,132 @@ pub fn digest_routes<'a>(h: &mut Fnv1a, routes: impl IntoIterator<Item = &'a Rou
     }
 }
 
-/// Interns path attributes so identical attribute sets share one
-/// allocation across RIB entries and sessions.
+/// One interned attribute set. It hashes and compares by value, and
+/// borrows as [`PathAttributes`], so the table can be probed with a
+/// decoded set before any `Arc` exists.
+#[derive(Debug)]
+struct Interned(Arc<PathAttributes>);
+
+impl PartialEq for Interned {
+    fn eq(&self, other: &Self) -> bool {
+        *self.0 == *other.0
+    }
+}
+
+impl Eq for Interned {}
+
+impl Hash for Interned {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl std::borrow::Borrow<PathAttributes> for Interned {
+    fn borrow(&self) -> &PathAttributes {
+        &self.0
+    }
+}
+
+/// A handle on a table of interned path attributes, so identical
+/// attribute sets share one allocation across RIB entries, sessions and
+/// every speaker that holds a handle on the same table.
 ///
-/// Disabling interning (`AttrInterner::disabled`) is the ablation for the
-/// Figure 2 experiment: every route then carries a private copy, which is
-/// how a naive implementation's memory curve would look.
+/// [`new`](Self::new) makes a table of its own; [`share`](Self::share)
+/// makes another handle on the same table, as the engine shards of
+/// `peering_workloads::ScaleTopo` hand one to each speaker they build.
+/// Handles are cheap (`Rc<RefCell<…>>`, as `Telemetry` is), and each
+/// counts its own [`hits`](Self::hits) and [`misses`](Self::misses).
+///
+/// Disabling interning ([`disabled`](Self::disabled)) is the ablation for
+/// the Figure 2 experiment: every route then carries a private copy,
+/// which is how a naive implementation's memory curve would look.
 #[derive(Debug, Default)]
 pub struct AttrInterner {
-    buckets: HashMap<u64, Vec<Arc<PathAttributes>>>,
-    enabled: bool,
-    /// Times an existing allocation was reused.
+    /// The shared set; `None` when interning is disabled.
+    table: Option<Rc<RefCell<HashSet<Interned>>>>,
+    /// Times this handle reused an existing allocation.
     pub hits: u64,
-    /// Times a new allocation was created.
+    /// Times this handle created a new allocation.
     pub misses: u64,
 }
 
 impl AttrInterner {
-    /// A working interner.
+    /// A working interner on a table of its own.
     pub fn new() -> Self {
         AttrInterner {
-            enabled: true,
+            table: Some(Rc::default()),
             ..Default::default()
         }
     }
 
     /// An interner that always allocates (ablation mode).
     pub fn disabled() -> Self {
+        Self::default()
+    }
+
+    /// Another handle on this interner's table, with counters of its
+    /// own. A disabled interner's handles are disabled too.
+    pub fn share(&self) -> Self {
         AttrInterner {
-            enabled: false,
+            table: self.table.clone(),
             ..Default::default()
         }
     }
 
     /// Whether interning is active.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn hash(attrs: &PathAttributes) -> u64 {
-        let mut h = DefaultHasher::new();
-        attrs.hash(&mut h);
-        h.finish()
+        self.table.is_some()
     }
 
     /// Return a shared allocation equal to `attrs`.
     pub fn intern(&mut self, attrs: PathAttributes) -> Arc<PathAttributes> {
-        if !self.enabled {
+        let Some(table) = &self.table else {
             self.misses += 1;
             return Arc::new(attrs);
-        }
-        let key = Self::hash(&attrs);
-        let bucket = self.buckets.entry(key).or_default();
-        for existing in bucket.iter() {
-            if **existing == attrs {
-                self.hits += 1;
-                return Arc::clone(existing);
-            }
+        };
+        let mut table = table.borrow_mut();
+        if let Some(held) = table.get(&attrs) {
+            self.hits += 1;
+            return Arc::clone(&held.0);
         }
         self.misses += 1;
         let arc = Arc::new(attrs);
-        bucket.push(Arc::clone(&arc));
+        table.insert(Interned(Arc::clone(&arc)));
         arc
     }
 
-    /// Like [`intern`](Self::intern) but starts from an existing Arc,
-    /// avoiding a clone when it is already the canonical allocation.
-    pub fn intern_arc(&mut self, attrs: Arc<PathAttributes>) -> Arc<PathAttributes> {
-        if !self.enabled {
-            return attrs;
-        }
-        let key = Self::hash(&attrs);
-        let bucket = self.buckets.entry(key).or_default();
-        for existing in bucket.iter() {
-            if Arc::ptr_eq(existing, &attrs) || **existing == *attrs {
-                self.hits += 1;
-                return Arc::clone(existing);
-            }
-        }
-        self.misses += 1;
-        bucket.push(Arc::clone(&attrs));
-        attrs
-    }
-
-    /// Drop interned entries no longer referenced anywhere else.
+    /// Drop the table's entries that nothing else references, whichever
+    /// handle interned them: a set stays while any speaker holds it.
     pub fn gc(&mut self) -> usize {
-        let mut freed = 0;
-        // peering-analysis: allow(nd-hash-iter, reason = "retain visits every bucket exactly once; per-bucket decisions depend only on refcounts, so visit order cannot alter the surviving set")
-        self.buckets.retain(|_, bucket| {
-            bucket.retain(|arc| {
-                let keep = Arc::strong_count(arc) > 1;
-                if !keep {
-                    freed += 1;
-                }
-                keep
-            });
-            !bucket.is_empty()
-        });
-        freed
+        let Some(table) = &self.table else {
+            return 0;
+        };
+        let mut table = table.borrow_mut();
+        let before = table.len();
+        // Hash order: each entry is kept by its refcount alone, so visit
+        // order cannot alter the surviving set.
+        table.retain(|held| Arc::strong_count(&held.0) > 1);
+        before - table.len()
     }
 
-    /// Number of distinct attribute sets currently interned.
+    /// Number of distinct attribute sets in the table, interned through
+    /// any of its handles.
     pub fn len(&self) -> usize {
-        // peering-analysis: allow(nd-hash-iter, reason = "order-insensitive integer sum of bucket sizes; iteration order cannot reach the result")
-        self.buckets.values().map(Vec::len).sum()
+        self.table.as_ref().map_or(0, |t| t.borrow().len())
     }
 
     /// True when nothing is interned.
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.len() == 0
     }
 
-    /// Iterate the interned attribute sets (for memory accounting).
-    /// Order is unspecified: the sole consumer is `DeepSize`, an
-    /// order-insensitive byte sum that never reaches a digest.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<PathAttributes>> {
-        // peering-analysis: allow(nd-hash-iter, reason = "memory-accounting walk; consumers sum per-entry byte charges, an order-insensitive reduction")
-        self.buckets.values().flatten()
+    /// Sum `charge` over the table's attribute sets (memory accounting).
+    pub fn sum_over_sets(&self, charge: impl Fn(&PathAttributes) -> usize) -> usize {
+        let Some(table) = &self.table else {
+            return 0;
+        };
+        // Hash order: an integer sum, which order cannot reach.
+        table.borrow().iter().map(|held| charge(&held.0)).sum()
     }
 }
 
@@ -700,13 +714,20 @@ mod tests {
     }
 
     #[test]
-    fn intern_arc_reuses_canonical() {
-        let mut int = AttrInterner::new();
-        let first = int.intern(PathAttributes::default());
-        let other = Arc::new(PathAttributes::default());
-        let got = int.intern_arc(other);
-        assert!(Arc::ptr_eq(&first, &got));
-        assert_eq!(int.len(), 1);
+    fn handles_share_one_table_and_count_their_own_lookups() {
+        let mut first = AttrInterner::new();
+        let mut second = first.share();
+        let attrs = PathAttributes {
+            med: Some(5),
+            ..Default::default()
+        };
+        let a = first.intern(attrs.clone());
+        let b = second.intern(attrs);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((first.hits, first.misses), (0, 1));
+        assert_eq!((second.hits, second.misses), (1, 0));
+        assert_eq!((first.len(), second.len()), (1, 1));
+        assert!(!AttrInterner::disabled().share().is_enabled());
     }
 
     #[test]

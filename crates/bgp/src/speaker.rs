@@ -280,10 +280,18 @@ pub struct Speaker {
 }
 
 impl Speaker {
-    /// Create a speaker with no peers.
+    /// Create a speaker with no peers and an attribute table of its own.
     pub fn new(cfg: SpeakerConfig) -> Self {
+        Self::with_interner(cfg, &AttrInterner::new())
+    }
+
+    /// Create a speaker with no peers that interns into `table`'s
+    /// attribute table, shared with every other speaker built on it.
+    /// Under [`SpeakerConfig::without_interning`] the table is ignored
+    /// and the speaker allocates every attribute set, as from `new`.
+    pub fn with_interner(cfg: SpeakerConfig, table: &AttrInterner) -> Self {
         let interner = if cfg.intern_attrs {
-            AttrInterner::new()
+            table.share()
         } else {
             AttrInterner::disabled()
         };
@@ -720,7 +728,10 @@ impl Speaker {
         Ok(())
     }
 
-    /// Interner statistics `(distinct, hits, misses)`.
+    /// Interner statistics `(distinct, hits, misses)`. `hits` and
+    /// `misses` are this speaker's own; `distinct` counts the whole
+    /// attribute table, so on a table shared with other speakers (see
+    /// [`with_interner`](Self::with_interner)) it counts theirs too.
     pub fn interner_stats(&self) -> (usize, u64, u64) {
         (
             self.interner.len(),
@@ -729,7 +740,8 @@ impl Speaker {
         )
     }
 
-    /// Drop interned attributes no longer referenced by any RIB.
+    /// Drop interned attributes no longer referenced by any RIB, this
+    /// speaker's or another's on the same table.
     pub fn gc(&mut self) -> usize {
         self.interner.gc()
     }
@@ -2145,5 +2157,142 @@ mod tests {
         let lookups = (after.1 + after.2) - (before.1 + before.2);
         assert_eq!(lookups, 6);
         assert_eq!(after.2 - before.2, 3);
+    }
+
+    /// A speaker of AS 2 on `table` that has learned `p` from an AS 1
+    /// origin with a table of its own, returned with that origin.
+    fn fed_on(table: &AttrInterner, p: Prefix) -> (Speaker, Speaker) {
+        let mut origin = speaker(1);
+        origin.add_peer(PeerConfig::new(PeerId(0), Asn(2))).unwrap();
+        let cfg = SpeakerConfig::new(Asn(2), Ipv4Addr::new(10, 0, 0, 2));
+        let mut s = Speaker::with_interner(cfg, table);
+        s.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive())
+            .unwrap();
+        settle(&mut origin, &mut s, PeerId(0), PeerId(0), SimTime::ZERO);
+        relay(
+            &mut origin,
+            PeerId(0),
+            originate(p),
+            &mut s,
+            PeerId(0),
+            SimTime::ZERO,
+        );
+        (origin, s)
+    }
+
+    #[test]
+    fn speakers_on_one_table_share_what_they_import() {
+        let p = Prefix::v4(10, 10, 0, 0, 16);
+        let table = AttrInterner::new();
+        let (_, b) = fed_on(&table, p);
+        let (_, c) = fed_on(&table, p);
+        let (_, alone) = fed_on(&AttrInterner::new(), p);
+        let best = |s: &Speaker| Arc::clone(&s.loc_rib().get(&p).expect("learned").attrs);
+        assert!(Arc::ptr_eq(&best(&b), &best(&c)));
+        assert!(!Arc::ptr_eq(&best(&b), &best(&alone)));
+        // `c` finds in the table every set `b` interned before it: the
+        // imported one and the one it stages toward the origin. Each is a
+        // hit on `c`'s handle where a table of its own missed.
+        let (distinct, hits, misses) = c.interner_stats();
+        let (alone_distinct, alone_hits, alone_misses) = alone.interner_stats();
+        assert_eq!((hits, misses), (alone_hits + alone_misses, 0));
+        assert_eq!(b.interner_stats(), (distinct, alone_hits, alone_misses));
+        assert_eq!(distinct, alone_distinct);
+    }
+
+    #[test]
+    fn gc_keeps_a_shared_set_while_any_speaker_holds_it() {
+        let p = Prefix::v4(10, 10, 0, 0, 16);
+        let mut table = AttrInterner::new();
+        let (mut b_origin, mut b) = fed_on(&table, p);
+        let (mut c_origin, mut c) = fed_on(&table, p);
+        let held = table.len();
+        assert!(held > 0);
+        let t = SimTime::from_secs(1);
+        let withdraw = Input::WithdrawOrigin(p);
+        relay(
+            &mut b_origin,
+            PeerId(0),
+            withdraw.clone(),
+            &mut b,
+            PeerId(0),
+            t,
+        );
+        assert!(b.loc_rib().is_empty());
+        assert_eq!(b.gc(), 0, "c still holds every set b dropped");
+        assert_eq!(table.len(), held);
+        relay(&mut c_origin, PeerId(0), withdraw, &mut c, PeerId(0), t);
+        assert_eq!(table.gc(), held);
+        assert!(table.is_empty() && c.interner_stats().0 == 0);
+    }
+
+    #[test]
+    fn a_shared_table_returns_to_empty_after_withdraw_all() {
+        // A ring of four speakers on one table, each originating a
+        // prefix. Converge, withdraw every origin, re-converge: the
+        // tables empty out and one GC pass, from any speaker, leaves the
+        // shared table with no entries.
+        const N: usize = 4;
+        let table = AttrInterner::new();
+        let mut nodes: Vec<Speaker> = (0..N)
+            .map(|i| {
+                let asn = 65001 + i as u32;
+                let cfg = SpeakerConfig::new(Asn(asn), Ipv4Addr::new(10, 0, 0, i as u8));
+                Speaker::with_interner(cfg, &table)
+            })
+            .collect();
+        // Node i's peer 0 is i + 1 (i initiates), its peer 1 is i - 1.
+        let link = |i: usize, peer: PeerId| match peer.0 {
+            0 => ((i + 1) % N, PeerId(1)),
+            _ => ((i + N - 1) % N, PeerId(0)),
+        };
+        for (i, node) in nodes.iter_mut().enumerate() {
+            let next = Asn(65001 + ((i + 1) % N) as u32);
+            let prev = Asn(65001 + ((i + N - 1) % N) as u32);
+            node.add_peer(PeerConfig::new(PeerId(0), next)).unwrap();
+            node.add_peer(PeerConfig::new(PeerId(1), prev).passive())
+                .unwrap();
+        }
+        let prefix = |i: usize| Prefix::v4(10, 100 + i as u8, 0, 0, 16);
+        let run = |nodes: &mut [Speaker], inputs: Vec<(usize, Input)>| {
+            let mut queue: std::collections::VecDeque<_> = inputs.into();
+            let mut steps = 0;
+            while let Some((i, input)) = queue.pop_front() {
+                steps += 1;
+                assert!(steps < 10_000, "the ring did not go quiet");
+                let mut out = Vec::new();
+                nodes[i].apply(input, SimTime::ZERO, &mut out);
+                for o in out {
+                    if let Output::Send(peer, msg) = o {
+                        let (j, back) = link(i, peer);
+                        queue.push_back((j, Input::Message(back, msg)));
+                    }
+                }
+            }
+        };
+        let passive_first = (0..N).map(|i| (i, Input::StartPeer(PeerId(1))));
+        let active = (0..N).map(|i| (i, Input::StartPeer(PeerId(0))));
+        let ticks = (0..N).map(|i| (i, Input::Tick));
+        run(
+            &mut nodes,
+            passive_first.chain(active).chain(ticks).collect(),
+        );
+        run(
+            &mut nodes,
+            (0..N).map(|i| (i, originate(prefix(i)))).collect(),
+        );
+        assert!(nodes.iter().all(|s| s.loc_rib().len() == N));
+        let withdraw_all = (0..N).map(|i| (i, Input::WithdrawOrigin(prefix(i))));
+        run(&mut nodes, withdraw_all.collect());
+        assert!(nodes.iter().all(|s| s.loc_rib().is_empty()));
+        nodes[0].gc();
+        for s in &nodes {
+            let (distinct, hits, misses) = s.interner_stats();
+            assert_eq!(
+                distinct, 0,
+                "the shared table still holds {distinct} entries"
+            );
+            assert!(hits + misses > 0, "a speaker never consulted the table");
+        }
     }
 }

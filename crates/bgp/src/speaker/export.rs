@@ -453,7 +453,10 @@ impl Speaker {
     /// export group's Adj-RIB-Out base is charged once no matter how many
     /// members share it; members additionally pay only for their masks —
     /// which is exactly the marginal-memory argument the mux-scale bench
-    /// measures.
+    /// measures. Every attribute set the tables reference is charged in
+    /// full, also one that other speakers on a shared attribute table
+    /// hold too, so summed over such speakers this over-counts: Fig. 2
+    /// and the mux measure speakers with tables of their own.
     pub fn table_memory(&self) -> usize {
         let ins = self.peers.values().map(|p| &p.adj_in);
         let bases = self.export.groups.values().map(|g| &g.base);

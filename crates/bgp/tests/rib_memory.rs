@@ -4,15 +4,21 @@
 //! speaker's route state. A prefix's path set is a `Vec` sorted by path
 //! id; a prefix with one path must cost one route-sized allocation, not
 //! an inner B-tree leaf (eleven slots) nor a `Vec` at its minimum growth
-//! capacity (four routes, 288 bytes). A test binary of its own because
-//! it installs a counting global allocator.
+//! capacity (four routes, 288 bytes). Speakers that share one attribute
+//! table, as one engine shard's do, hold one copy of a route's attribute
+//! set between them. A test binary of its own because it installs a
+//! counting global allocator.
 
 mod counting_alloc;
 
 use counting_alloc::live_bytes;
 use peering_bgp::rib::{AdjRib, LocRib};
-use peering_bgp::{AsPath, PathAttributes, PeerId, Route, RouteSource};
+use peering_bgp::{
+    AsPath, AttrInterner, BgpMessage, Input, Output, PathAttributes, PeerConfig, PeerId, Route,
+    RouteSource, Speaker, SpeakerConfig,
+};
 use peering_netsim::{Asn, Prefix, SimTime};
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// Prefixes per table: enough that the outer map's node overhead is
@@ -38,6 +44,13 @@ const BYTES_TWO_PATHS: i64 = 251;
 /// (a leaf and its share of the branch nodes), and a v4 node with its
 /// inline route slot is 96 bytes (128 with a 48-byte `Prefix`: 255).
 const BYTES_LOC_RIB: i64 = 210;
+
+/// Live bytes a speaker keeps for one route it imports (its Adj-RIB-In,
+/// Loc-RIB and export state) when another speaker on its attribute table
+/// imported the route first. Measured 2,840 bytes (x86-64, glibc); with
+/// a table of its own it is 3,184: the imported attribute set, the set
+/// it stages toward the origin, and its own table's first slots.
+const BYTES_SHARED_IMPORT: i64 = 3_000;
 
 fn route(prefix: Prefix, path_id: u32, attrs: &Arc<PathAttributes>) -> Route {
     Route {
@@ -119,5 +132,122 @@ fn a_loc_rib_prefix_costs_two_trie_nodes() {
     assert!(
         per_prefix <= BYTES_LOC_RIB,
         "a Loc-RIB prefix keeps {per_prefix} bytes, over the budget of {BYTES_LOC_RIB}"
+    );
+}
+
+/// Apply `input` to `a`, then carry messages both ways between the two
+/// speakers' peer 0 until they are quiet. Returns what `a` sent `b`.
+fn pump(a: &mut Speaker, b: &mut Speaker, input: Input) -> Vec<BgpMessage> {
+    let sends = |out: Vec<Output>| -> Vec<BgpMessage> {
+        let msg = |o| match o {
+            Output::Send(_, m) => Some(m),
+            Output::Event(_) => None,
+        };
+        out.into_iter().filter_map(msg).collect()
+    };
+    let mut out = Vec::new();
+    a.apply(input, SimTime::ZERO, &mut out);
+    let (mut to_b, mut sent) = (sends(out), Vec::new());
+    while !to_b.is_empty() {
+        let mut to_a = Vec::new();
+        for m in to_b.drain(..) {
+            sent.push(m.clone());
+            let mut out = Vec::new();
+            b.apply(Input::Message(PeerId(0), m), SimTime::ZERO, &mut out);
+            to_a.extend(sends(out));
+        }
+        for m in to_a {
+            let mut out = Vec::new();
+            a.apply(Input::Message(PeerId(0), m), SimTime::ZERO, &mut out);
+            to_b.extend(sends(out));
+        }
+    }
+    sent
+}
+
+fn listener_config() -> SpeakerConfig {
+    SpeakerConfig::new(Asn(2), Ipv4Addr::new(10, 0, 0, 2))
+}
+
+/// An AS 2 speaker on `table` with an established session to an AS 1
+/// origin, and the UPDATE that origin sends it for one prefix.
+fn listener_and_update(table: &AttrInterner) -> (Speaker, BgpMessage) {
+    let mut origin = Speaker::new(SpeakerConfig::new(Asn(1), Ipv4Addr::new(10, 0, 0, 1)));
+    let to_listener = PeerConfig::new(PeerId(0), Asn(2));
+    origin.add_peer(to_listener).expect("a new peer");
+    let mut listener = Speaker::with_interner(listener_config(), table);
+    let passive = PeerConfig::new(PeerId(0), Asn(1)).passive();
+    listener.add_peer(passive).expect("a new peer");
+    listener.apply(Input::StartPeer(PeerId(0)), SimTime::ZERO, &mut Vec::new());
+    pump(&mut origin, &mut listener, Input::StartPeer(PeerId(0)));
+    pump(&mut origin, &mut listener, Input::Tick);
+    assert!(listener.peer_established(PeerId(0)));
+    let mut out = Vec::new();
+    let originate = Input::Originate(Prefix::v4(10, 10, 0, 0, 16), Vec::new());
+    origin.apply(originate, SimTime::ZERO, &mut out);
+    let mut sent = out.into_iter().filter_map(|o| match o {
+        Output::Send(_, m) => Some(m),
+        Output::Event(_) => None,
+    });
+    let update = sent.next().expect("the origin sends an UPDATE");
+    assert!(sent.next().is_none());
+    (listener, update)
+}
+
+/// Live bytes each of `k` listeners on tables from `table_for` keeps
+/// after importing the one route, in the order they import it.
+fn import_bytes(k: usize, table_for: impl Fn() -> AttrInterner) -> Vec<i64> {
+    let mut listeners: Vec<(Speaker, BgpMessage)> =
+        (0..k).map(|_| listener_and_update(&table_for())).collect();
+    listeners
+        .iter_mut()
+        .map(|(listener, update)| {
+            let update = Input::Message(PeerId(0), update.clone());
+            let before = live_bytes();
+            let mut out = Vec::new();
+            listener.apply(update, SimTime::ZERO, &mut out);
+            drop(out);
+            live_bytes() - before
+        })
+        .collect()
+}
+
+#[test]
+fn speakers_on_one_table_hold_one_copy_of_a_route_they_share() {
+    let table = AttrInterner::new();
+    let shared = import_bytes(4, || table.share());
+    let private = import_bytes(4, AttrInterner::new);
+    // One attribute set's allocation: the set behind the `Arc`'s two
+    // counters. The later listeners on the shared table skip at least
+    // the imported set; the one each stages toward the origin is shared
+    // too.
+    let set = (2 * std::mem::size_of::<usize>() + std::mem::size_of::<PathAttributes>()) as i64;
+    for (k, (&kept, &alone)) in shared.iter().zip(&private).enumerate().skip(1) {
+        assert!(
+            kept + set <= alone,
+            "listener {k} keeps {kept} bytes on a shared table, {alone} on its own"
+        );
+        assert!(
+            kept <= BYTES_SHARED_IMPORT,
+            "listener {k} keeps {kept} bytes, over the budget of {BYTES_SHARED_IMPORT}"
+        );
+    }
+}
+
+#[test]
+fn a_speaker_on_a_shared_table_allocates_no_table() {
+    let table = AttrInterner::new();
+    let idle = |make: &dyn Fn() -> Speaker| {
+        let before = live_bytes();
+        let speaker = make();
+        let kept = live_bytes() - before;
+        drop(speaker);
+        kept
+    };
+    let shared = idle(&|| Speaker::with_interner(listener_config(), &table));
+    let own = idle(&|| Speaker::new(listener_config()));
+    assert!(
+        shared < own,
+        "a speaker on a shared table keeps {shared} bytes idle, Speaker::new {own}"
     );
 }

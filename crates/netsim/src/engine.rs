@@ -210,28 +210,34 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> crate::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run the reference sequential engine over `n` nodes built by
-/// `make_node`, recording a digest at each requested checkpoint time and
-/// stopping at quiescence (or after `max_time`).
+/// Run the reference sequential engine over `n` nodes, recording a
+/// digest at each requested checkpoint time and stopping at quiescence
+/// (or after `max_time`).
+///
+/// `make_shard` is called once, and the node builder it returns builds
+/// every node: the sequential engine is one shard. A builder can hold
+/// state its nodes share, such as one attribute table for all of them.
 ///
 /// The returned [`EngineRun`] does not depend on `profile` — the
 /// profiler only counts, it never schedules — and the profile holds a
 /// single degenerate epoch (shard 0, window `[0, end_time]`): the
 /// sequential engine has no rounds, so there is nothing finer to
 /// attribute.
-pub fn run_sequential<N, F>(
+pub fn run_sequential<N, B, F>(
     n: usize,
-    make_node: F,
+    make_shard: F,
     checkpoints: &[SimTime],
     max_time: SimTime,
     profile: ProfileConfig,
 ) -> (EngineRun, EngineProfile)
 where
     N: EngineNode,
-    F: Fn(NodeId) -> N,
+    B: FnMut(NodeId) -> N,
+    F: Fn() -> B,
 {
     let wall_mark = WallMark::now(profile.wall_enabled());
-    let mut nodes: Vec<N> = (0..n).map(|i| make_node(NodeId(i as u32))).collect();
+    let make_node = make_shard();
+    let mut nodes: Vec<N> = (0..n).map(|i| NodeId(i as u32)).map(make_node).collect();
     let mut seqs: Vec<u64> = vec![0; n];
     let mut calendar = Calendar::new();
     let mut out = Outbox::new();
@@ -431,10 +437,12 @@ impl<M> ParShared<M> {
 }
 
 /// Run the sharded parallel engine. Must produce an [`EngineRun`] equal
-/// to [`run_sequential`]'s for the same `n`/`make_node`/`checkpoints`.
+/// to [`run_sequential`]'s for the same `n`/`make_shard`/`checkpoints`.
 ///
-/// `make_node` is called on the owning shard's worker thread (nodes need
-/// not be `Send`); `lookahead` must be positive and no larger than every
+/// `make_shard` is called once on each shard's worker thread, and the
+/// node builder it returns builds that shard's nodes there (neither the
+/// nodes nor the builder need be `Send`, so the nodes of one shard can
+/// share `Rc` state); `lookahead` must be positive and no larger than every
 /// cross-shard delivery delay — a cross-shard send below it panics,
 /// because it would break the barrier invariant silently otherwise.
 /// `shards` is clamped to `n`.
@@ -443,9 +451,9 @@ impl<M> ParShared<M> {
 /// (the final, quiescent round plans no window and records nothing).
 /// The returned [`EngineRun`] does not depend on `profile` for any
 /// topology, seed, or shard count — profiling only counts.
-pub fn run_parallel<N, F>(
+pub fn run_parallel<N, B, F>(
     n: usize,
-    make_node: F,
+    make_shard: F,
     shards: usize,
     lookahead: SimDuration,
     checkpoints: &[SimTime],
@@ -454,7 +462,8 @@ pub fn run_parallel<N, F>(
 ) -> (EngineRun, EngineProfile)
 where
     N: EngineNode,
-    F: Fn(NodeId) -> N + Sync,
+    B: FnMut(NodeId) -> N,
+    F: Fn() -> B + Sync,
     N::Msg: Send,
 {
     assert!(shards > 0, "need at least one shard");
@@ -486,7 +495,7 @@ where
         std::thread::scope(|scope| {
             for s in 0..shards {
                 let shared = &shared;
-                let make_node = &make_node;
+                let make_shard = &make_shard;
                 let shard_of = &shard_of;
                 let range = bounds[s]..bounds[s + 1];
                 scope.spawn(move || {
@@ -497,7 +506,7 @@ where
                         run_shard(
                             s,
                             range,
-                            make_node,
+                            make_shard(),
                             shared,
                             shard_of,
                             lookahead,
@@ -549,10 +558,10 @@ struct SendStats {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_shard<N, F>(
+fn run_shard<N, B>(
     shard: usize,
     range: std::ops::Range<usize>,
-    make_node: &F,
+    make_node: B,
     shared: &ParShared<N::Msg>,
     shard_of: &[usize],
     lookahead: SimDuration,
@@ -561,10 +570,14 @@ fn run_shard<N, F>(
     profile: ProfileConfig,
 ) where
     N: EngineNode,
-    F: Fn(NodeId) -> N,
+    B: FnMut(NodeId) -> N,
 {
     let base = range.start;
-    let mut nodes: Vec<N> = range.clone().map(|i| make_node(NodeId(i as u32))).collect();
+    let mut nodes: Vec<N> = range
+        .clone()
+        .map(|i| NodeId(i as u32))
+        .map(make_node)
+        .collect();
     let mut seqs: Vec<u64> = vec![0; nodes.len()];
     let mut calendar = Calendar::new();
     let mut out = Outbox::new();
@@ -822,9 +835,9 @@ mod tests {
         max_time: SimTime,
     ) -> EngineRun {
         let off = ProfileConfig::off();
-        let (seq, _) = run_sequential(n, &make_node, cks, max_time, off);
+        let (seq, _) = run_sequential(n, || &make_node, cks, max_time, off);
         for &s in shards {
-            let (par, _) = run_parallel(n, &make_node, s, lookahead, cks, max_time, off);
+            let (par, _) = run_parallel(n, || &make_node, s, lookahead, cks, max_time, off);
             assert_eq!(seq, par, "shards={s} lookahead={lookahead:?}");
         }
         seq
@@ -928,7 +941,7 @@ mod tests {
         let seq = assert_shards_match(4, echo_ring(4, 40), &[1, 2, 4], ms10, &cks, max);
         let (full, _) = run_sequential(
             4,
-            echo_ring(4, 40),
+            || echo_ring(4, 40),
             &cks,
             SimTime::MAX,
             ProfileConfig::off(),
@@ -1013,7 +1026,7 @@ mod tests {
         let cks = [SimTime::from_millis(50), SimTime::from_millis(200)];
         let ms10 = SimDuration::from_millis(10);
         let run_with =
-            |profile| run_parallel(8, ring(8, 40), shards, ms10, &cks, SimTime::MAX, profile);
+            |profile| run_parallel(8, || ring(8, 40), shards, ms10, &cks, SimTime::MAX, profile);
         let (bare, _) = run_with(ProfileConfig::off());
         let (run, prof) = run_with(profile);
         assert_eq!(run, bare, "profiling perturbed the run (shards={shards})");
@@ -1057,14 +1070,15 @@ mod tests {
     fn profile_off_records_nothing() {
         let ms10 = SimDuration::from_millis(10);
         let off = ProfileConfig::off();
-        let (_, prof) = run_parallel(8, ring(8, 10), 2, ms10, &[], SimTime::MAX, off);
+        let (_, prof) = run_parallel(8, || ring(8, 10), 2, ms10, &[], SimTime::MAX, off);
         assert!(prof.records.is_empty());
         assert!(prof.wall.is_empty());
     }
 
     #[test]
     fn sequential_profile_is_one_degenerate_epoch() {
-        let (run, prof) = run_sequential(8, ring(8, 40), &[], SimTime::MAX, ProfileConfig::sim());
+        let (run, prof) =
+            run_sequential(8, || ring(8, 40), &[], SimTime::MAX, ProfileConfig::sim());
         assert_eq!(prof.shards, 1);
         assert_eq!(prof.records.len(), 1);
         let r = prof.records[0];
@@ -1089,12 +1103,30 @@ mod tests {
             ..ring(4, 5)(id)
         };
         let (off, ms10) = (ProfileConfig::off(), SimDuration::from_millis(10));
-        let (seq, _) = run_sequential(4, make_node, &cks, SimTime::MAX, off);
+        let (seq, _) = run_sequential(4, || make_node, &cks, SimTime::MAX, off);
         assert_eq!(digests.swap(0, Relaxed), 4);
         assert_eq!(seq.checkpoints.len(), 4);
         assert!(seq.checkpoints.iter().all(|&(_, d)| d == seq.final_digest));
-        let (par, _) = run_parallel(4, make_node, 2, ms10, &cks, SimTime::MAX, off);
+        let (par, _) = run_parallel(4, || make_node, 2, ms10, &cks, SimTime::MAX, off);
         assert_eq!((digests.load(Relaxed), par), (4, seq));
+    }
+
+    #[test]
+    fn the_shard_builder_runs_once_per_shard() {
+        // The sequential engine is one shard; the parallel one calls the
+        // shard builder once per shard, after clamping shards to nodes.
+        let built = AtomicUsize::new(0);
+        let make_shard = || {
+            built.fetch_add(1, Relaxed);
+            ring(4, 5)
+        };
+        let (off, ms10) = (ProfileConfig::off(), SimDuration::from_millis(10));
+        run_sequential(4, make_shard, &[], SimTime::MAX, off);
+        assert_eq!(built.swap(0, Relaxed), 1);
+        for (shards, builders) in [(1, 1), (2, 2), (4, 4), (8, 4)] {
+            run_parallel(4, make_shard, shards, ms10, &[], SimTime::MAX, off);
+            assert_eq!(built.swap(0, Relaxed), builders, "{shards} shards");
+        }
     }
 
     #[test]
@@ -1103,7 +1135,7 @@ mod tests {
         let ms50 = SimDuration::from_millis(50);
         run_parallel(
             2,
-            ring(2, 3),
+            || ring(2, 3),
             2,
             ms50,
             &[],
@@ -1138,7 +1170,7 @@ mod tests {
             let ms1 = SimDuration::from_millis(1);
             run_parallel(
                 4,
-                |id| Bomb { id },
+                || |id| Bomb { id },
                 2,
                 ms1,
                 &[],

@@ -22,8 +22,8 @@
 
 use crate::chaos::{origin_prefix, ChaosTopology};
 use peering_bgp::{
-    digest_routes, Action, Asn, Community, Input, Match, Output, PeerConfig, PeerId, Policy,
-    Prefix, Speaker, SpeakerConfig,
+    digest_routes, Action, Asn, AttrInterner, Community, Input, Match, Output, PeerConfig, PeerId,
+    Policy, Prefix, Speaker, SpeakerConfig,
 };
 use peering_netsim::{
     run_parallel, run_sequential, EngineNode, EngineProfile, EngineRun, Fnv1a, NodeId, Outbox,
@@ -172,7 +172,8 @@ impl ScaleTopo {
     }
 
     /// Disable attribute interning on every speaker (ablation: digests
-    /// must not change).
+    /// must not change). Each speaker then allocates every attribute
+    /// set, and the shard's shared table goes unused.
     pub fn without_interning(mut self) -> ScaleTopo {
         for spec in &mut self.specs {
             spec.cfg.intern_attrs = false;
@@ -205,9 +206,17 @@ impl ScaleTopo {
         self.specs.iter().map(|s| s.origins.len()).sum()
     }
 
-    fn make_node(&self, id: NodeId) -> BgpNode {
+    /// One engine shard's node builder. The shard's speakers intern into
+    /// one attribute table, so a route that k of them import is one
+    /// allocation, not k; a sequential run is one shard.
+    fn make_shard(&self) -> impl FnMut(NodeId) -> BgpNode + '_ {
+        let table = AttrInterner::new();
+        move |id| self.make_node(id, &table)
+    }
+
+    fn make_node(&self, id: NodeId, table: &AttrInterner) -> BgpNode {
         let spec = &self.specs[id.0 as usize];
-        let mut speaker = Speaker::new(spec.cfg.clone());
+        let mut speaker = Speaker::with_interner(spec.cfg.clone(), table);
         let mut links = Vec::with_capacity(spec.peers.len());
         for (cfg, dest, remote, delay) in &spec.peers {
             speaker
@@ -243,7 +252,7 @@ impl ScaleTopo {
     ) -> (EngineRun, EngineProfile) {
         run_sequential(
             self.node_count(),
-            |id| self.make_node(id),
+            || self.make_shard(),
             checkpoints,
             max_time,
             profile,
@@ -271,7 +280,7 @@ impl ScaleTopo {
     ) -> (EngineRun, EngineProfile) {
         run_parallel(
             self.node_count(),
-            |id| self.make_node(id),
+            || self.make_shard(),
             shards,
             BASE_DELAY,
             checkpoints,

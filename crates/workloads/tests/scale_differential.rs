@@ -6,7 +6,8 @@
 //!
 //! Plus the interner leak check: a full converge-then-withdraw-all
 //! cycle must return every speaker's attribute arena to empty, and
-//! disabling interning entirely must not change any digest.
+//! neither one attribute table per engine shard nor disabling interning
+//! entirely may change any digest.
 
 use peering_bgp::{digest_routes, Asn, Input};
 use peering_netsim::{Fnv1a, ProfileConfig, SimDuration, SimTime};
@@ -292,15 +293,31 @@ fn interner_arena_returns_to_baseline_after_withdraw_all() {
 }
 
 #[test]
-fn interning_ablation_is_digest_invariant_on_internet() {
-    // The Fig. 2 ablation at the engine level: sharing attribute
-    // allocations must be observationally invisible.
+fn shared_attribute_tables_are_digest_invariant_across_shards() {
+    // The Fig. 2 ablation at the engine level: the speakers of a shard
+    // share one attribute table, and sharing allocations across them
+    // must be observationally invisible. Each run on shared tables, on
+    // either engine and at every shard count (a table per shard), equals
+    // the run in which every speaker allocates every set.
     let net = Internet::build(InternetConfig::small(4));
-    let on = ScaleTopo::from_internet(&net, 5);
-    let off = on.clone().without_interning();
-    let a = on.run_engine_sequential(&[], SimTime::MAX);
-    let b = off.run_engine_sequential(&[], SimTime::MAX);
-    assert_eq!(a, b, "interning changed an engine-observable outcome");
+    let cks = spaced_checkpoints(HORIZON, 4);
+    for beacons in [4, 16] {
+        let on = ScaleTopo::from_internet(&net, beacons);
+        let off = on.clone().without_interning();
+        let reference = off.run_engine_sequential(&cks, SimTime::MAX);
+        assert_eq!(
+            on.run_engine_sequential(&cks, SimTime::MAX),
+            reference,
+            "{beacons} beacons: a shared table changed a sequential run"
+        );
+        for shards in SHARDS {
+            assert_eq!(
+                on.run_engine_parallel(shards, &cks, SimTime::MAX),
+                reference,
+                "{beacons} beacons: shared tables changed a {shards}-shard run"
+            );
+        }
+    }
 }
 
 #[test]
