@@ -12,7 +12,11 @@
 //! record their peak above what was live when they began. The growth
 //! from the first peak to the second, divided by ASes × beacons, is
 //! `bytes_per_speaker_prefix`. Each leg resets the peak, so the Fig. 2
-//! leg, which sets the process peak, reaches neither.
+//! leg, which sets the process peak, reaches neither. The idle leg's peak
+//! over ASes is `idle_bytes_per_speaker`: what a speaker with its
+//! sessions up and no routes costs. The harness's own spec is measured
+//! too: the live bytes `ScaleTopo::from_internet` keeps, over sessions,
+//! are `topo_bytes_per_session`.
 //!
 //! Usage: `scale_bench [out.json] [seed] [preset] [beacons]`
 //!
@@ -116,7 +120,9 @@ fn main() {
 
     eprintln!("scale_bench: building preset {preset_name:?} (seed {seed})");
     let (net, ms_build) = timed(|| Internet::build(scale::preset(&preset_name, seed)));
+    let live_before_topo = LIVE.load(Ordering::Relaxed);
     let topo = scale::build_topo(&net, beacons);
+    let topo_bytes = LIVE.load(Ordering::Relaxed) - live_before_topo;
     eprintln!(
         "  {} ASes, {} sessions, {} prefixes in table, {} beacons ({ms_build:.0} ms)",
         net.graph.len(),
@@ -136,6 +142,13 @@ fn main() {
         "  sequential: {} events, quiesced at {} us sim-time ({ms_seq:.0} ms wall, {events_per_sec:.0} events/s)",
         seq.events,
         seq.end_time.as_micros()
+    );
+    let speakers = net.graph.len().max(1) as f64;
+    let idle_bytes_per_speaker = peak_idle as f64 / speakers;
+    let topo_bytes_per_session = topo_bytes as f64 / topo.session_count().max(1) as f64;
+    eprintln!(
+        "  idle: {idle_bytes_per_speaker:.1} B per speaker; spec: {topo_bytes} B live, \
+         {topo_bytes_per_session:.1} B per session"
     );
     let speaker_prefixes = (net.graph.len() * topo.beacon_count()).max(1) as f64;
     let bytes_per_speaker_prefix = (peak_loaded - peak_idle) as f64 / speaker_prefixes;
@@ -202,6 +215,14 @@ fn main() {
     obj.push((
         "bytes_per_speaker_prefix".to_string(),
         Value::F64(bytes_per_speaker_prefix),
+    ));
+    obj.push((
+        "idle_bytes_per_speaker".to_string(),
+        Value::F64(idle_bytes_per_speaker),
+    ));
+    obj.push((
+        "topo_bytes_per_session".to_string(),
+        Value::F64(topo_bytes_per_session),
     ));
     obj.push(("timing_wall_ms_build".to_string(), Value::F64(ms_build)));
     obj.push(("timing_wall_ms_sequential".to_string(), Value::F64(ms_seq)));

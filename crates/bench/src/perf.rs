@@ -409,6 +409,8 @@ mod tests {
                 map(vec![("speedup_ceiling_permille", Value::U64(4000))]),
             ),
             ("bytes_per_speaker_prefix", Value::F64(682.8)),
+            ("idle_bytes_per_speaker", Value::F64(6_553.5)),
+            ("topo_bytes_per_session", Value::F64(68.1)),
             ("timing_wall_ms_sequential", Value::F64(25000.0)),
             ("timing_events_per_sec_sequential", Value::F64(59585.5)),
         ])

@@ -31,6 +31,18 @@ pub const CATALOG: &[Metric] = &[
         gate: Some(Gate::LowerIsBetter(10)),
     },
     Metric {
+        key: "scale.idle_bytes_per_speaker",
+        file: "BENCH_scale.json",
+        extract: Extract::Path(&[Seg::Key("idle_bytes_per_speaker")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
+        key: "scale.topo_bytes_per_session",
+        file: "BENCH_scale.json",
+        extract: Extract::Path(&[Seg::Key("topo_bytes_per_session")]),
+        gate: Some(Gate::LowerIsBetter(10)),
+    },
+    Metric {
         key: "scale.bytes_per_route_interned",
         file: "BENCH_scale.json",
         extract: Extract::Path(&[Seg::Key("bytes_per_route"), Seg::Key("per_route_interned")]),

@@ -95,8 +95,9 @@ pub struct SessionConfig {
     pub add_path_receive: bool,
     /// Automatic reconnection after a non-administrative down. `None`
     /// (the default) keeps the classic behavior: the session falls back
-    /// to `Idle` and stays there until restarted by hand.
-    pub connect_retry: Option<ConnectRetryConfig>,
+    /// to `Idle` and stays there until restarted by hand. Boxed: most
+    /// sessions have none.
+    pub connect_retry: Option<Box<ConnectRetryConfig>>,
     /// Advertise the RFC 4724 graceful-restart capability with this
     /// restart time (seconds) in our OPEN.
     pub graceful_restart_secs: Option<u16>,
@@ -139,7 +140,7 @@ impl SessionConfig {
 
     /// Reconnect automatically after non-administrative session loss.
     pub fn with_connect_retry(mut self, retry: ConnectRetryConfig) -> Self {
-        self.connect_retry = Some(retry);
+        self.connect_retry = Some(Box::new(retry));
         self
     }
 
@@ -234,7 +235,10 @@ pub struct Session {
     keepalive_due: SimTime,
     retry_deadline: SimTime,
     retry_attempt: u32,
-    retry_rng: Option<SimRng>,
+    /// Units drawn so far from the connect-retry jitter stream. The
+    /// stream is re-derived from the policy's seed for each draw (see
+    /// [`jitter_unit`]), so a session keeps no generator.
+    retry_draws: u32,
     /// While set, the session dwells in `Idle` until this instant before
     /// automatically re-entering the handshake — the deterministic
     /// idle-hold penalty served after a max-prefix Cease (RFC 4486 §4).
@@ -243,13 +247,21 @@ pub struct Session {
     pub stats: SessionStats,
 }
 
+/// Draw `n` (counting from 0) of the connect-retry jitter stream seeded
+/// with `seed`. Replaying the stream costs a few draws per backoff;
+/// keeping it would put a generator in every session, most of which never
+/// retry.
+fn jitter_unit(seed: u64, n: u32) -> f64 {
+    let mut rng = SimRng::new(seed).fork("connect-retry");
+    for _ in 0..n {
+        rng.unit();
+    }
+    rng.unit()
+}
+
 impl Session {
     /// Create a session in `Idle`.
     pub fn new(cfg: SessionConfig) -> Self {
-        let retry_rng = cfg
-            .connect_retry
-            .as_ref()
-            .map(|rc| SimRng::new(rc.seed).fork("connect-retry"));
         Session {
             cfg,
             state: FsmState::Idle,
@@ -258,7 +270,7 @@ impl Session {
             keepalive_due: SimTime::MAX,
             retry_deadline: SimTime::MAX,
             retry_attempt: 0,
-            retry_rng,
+            retry_draws: 0,
             idle_hold_until: SimTime::MAX,
             stats: SessionStats::default(),
         }
@@ -358,7 +370,8 @@ impl Session {
         };
         let shift = self.retry_attempt.min(16);
         let full = rc.initial.saturating_mul(1u64 << shift).min(rc.max);
-        let unit = self.retry_rng.as_mut().map(|r| r.unit()).unwrap_or(0.0);
+        let unit = jitter_unit(rc.seed, self.retry_draws);
+        self.retry_draws += 1;
         let shaved = (full.as_micros() as f64 * rc.jitter.clamp(0.0, 1.0) * unit) as u64;
         SimDuration::from_micros(full.as_micros().saturating_sub(shaved))
     }

@@ -156,8 +156,9 @@ struct PeerState {
     // and the MRAI flush — fold into `peer_deadline`; whoever writes one
     // calls `retime` before handing the peer back.
     session: Session,
-    /// Present while the peer is in a graceful-restart window.
-    stale: Option<StaleState>,
+    /// Present while the peer is in a graceful-restart window; boxed,
+    /// since most peers never are.
+    stale: Option<Box<StaleState>>,
     /// What this peer has been sent; only `export` can look inside.
     sent: Member,
     /// This peer's entry in [`Speaker::timers`]: its `peer_deadline` as
@@ -173,6 +174,13 @@ struct PeerState {
     /// taken once it is Established. `SimTime::MAX` when unset.
     started: SimTime,
 }
+
+// Every configured peer is one boxed `PeerState`, 320,176 of them on the
+// full preset: what few peers use (a graceful-restart window, a
+// connect-retry policy) sits behind a box, and the session keeps no
+// jitter generator.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<PeerState>() == 472);
 
 impl PeerState {
     /// Drop what `nlri` names from the Adj-RIB-In — one path when it

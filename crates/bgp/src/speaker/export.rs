@@ -169,8 +169,10 @@ impl Member {
 #[derive(Default)]
 pub(super) struct Export {
     /// Keyed by [`ExportGroupKey`]. Every configured peer belongs to
-    /// exactly one group; solo peers get a private one.
-    groups: BTreeMap<ExportGroupKey, ExportGroup>,
+    /// exactly one group; solo peers get a private one. Boxed, so a
+    /// speaker's first group allocates a leaf of pointers, not of eleven
+    /// inline groups.
+    groups: BTreeMap<ExportGroupKey, Box<ExportGroup>>,
     /// Allocated by the first engine call: a speaker that never exports
     /// pays a pointer for it.
     scratch: Option<Box<ExportScratch>>,
@@ -195,12 +197,12 @@ impl Export {
                 None => {
                     self.groups.insert(
                         key,
-                        ExportGroup {
+                        Box::new(ExportGroup {
                             export_prefix_free: fp.export.is_prefix_free(),
                             fingerprint: fp,
                             members: BTreeSet::from([peer.id]),
                             base: AdjRibOut::new(),
-                        },
+                        }),
                     );
                     return key;
                 }
@@ -402,7 +404,7 @@ impl Export {
 /// and where emission writes.
 struct Engine<'a> {
     peers: &'a mut Peers,
-    groups: &'a mut BTreeMap<ExportGroupKey, ExportGroup>,
+    groups: &'a mut BTreeMap<ExportGroupKey, Box<ExportGroup>>,
     stager: Stager<'a>,
     wire: Wire<'a>,
 }

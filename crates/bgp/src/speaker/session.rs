@@ -182,7 +182,7 @@ impl Speaker {
         // staleness stays bounded.
         let deadline = state.stale.as_ref().map_or(deadline, |st| st.deadline);
         let keys = state.adj_in.iter().map(|r| (r.prefix, r.path_id)).collect();
-        state.stale = Some(StaleState { deadline, keys });
+        state.stale = Some(Box::new(StaleState { deadline, keys }));
         Vec::new()
     }
 

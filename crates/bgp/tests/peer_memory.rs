@@ -1,9 +1,10 @@
 //! What a configured peer costs a speaker: the bytes it keeps per peer,
-//! and the allocations of an `add_peer` that joins an existing export
-//! group. A speaker of the simulated Internet has one to a few peers, so
-//! a fixed cost paid by the first peer (a B-tree leaf sized for eleven
-//! inline peer states) or a string built per join (the group key)
-//! shows up here at once. A test binary of its own because it installs
+//! the bytes of its first export group, and the allocations of an
+//! `add_peer` that joins an existing export group. A speaker of the
+//! simulated Internet has one to a few peers, so a fixed cost paid by the
+//! first peer (a B-tree leaf sized for eleven inline peer states or
+//! export groups) or a string built per join (the group key) shows up
+//! here at once. A test binary of its own because it installs
 //! a counting global allocator.
 
 mod counting_alloc;
@@ -15,10 +16,19 @@ use std::net::Ipv4Addr;
 
 /// Live bytes a speaker keeps per peer after `k` `add_peer`s sharing one
 /// import and one export policy, for `k` = 1, 3 and 40. The first peer
-/// also pays for the speaker's first export group. Measured 1,840, 992
-/// and 634 bytes (x86-64, glibc); peer states stored inline in the peers
-/// map cost 8,296, 2,904 and 1,421.
-const BYTES_PER_PEER: [(u32, i64); 3] = [(1, 2_048), (3, 1_152), (40, 768)];
+/// also pays for the speaker's first export group. Measured 952, 632 and
+/// 518 bytes (x86-64, glibc); export groups stored inline in the groups
+/// map and the rarely used graceful-restart and connect-retry state
+/// inline in each peer cost 1,848, 1,000 and 642; peer states stored
+/// inline in the peers map cost 8,296, 2,904 and 1,421.
+const BYTES_PER_PEER: [(u32, i64); 3] = [(1, 1_024), (3, 704), (40, 576)];
+
+/// Live bytes a speaker's first peer keeps beyond what the second peer,
+/// joining the same export group, keeps: the first group and the first
+/// leaves of the peers and groups maps. Measured 480 bytes; with groups
+/// stored inline, a groups-map leaf sized for eleven of them makes it
+/// 1,272.
+const FIRST_GROUP_BYTES: i64 = 512;
 
 /// Allocations of one `add_peer` that joins an existing export group:
 /// the boxed peer state, plus up to four when the peers map or the
@@ -74,6 +84,25 @@ fn a_peer_costs_about_what_it_holds() {
             "{k} peers keep {per_peer} bytes each, over the budget of {budget}"
         );
     }
+}
+
+#[test]
+fn a_speakers_first_export_group_costs_about_what_it_holds() {
+    let configs = peer_configs(2);
+    let mut s = speaker();
+    let kept = |s: &mut Speaker, cfg: &PeerConfig| {
+        let before = live_bytes();
+        s.add_peer(cfg.clone()).unwrap();
+        live_bytes() - before
+    };
+    let first = kept(&mut s, &configs[0]);
+    let second = kept(&mut s, &configs[1]);
+    let group = first - second;
+    assert!(
+        group <= FIRST_GROUP_BYTES,
+        "the first peer keeps {first} bytes and the second {second}: the first group costs \
+         {group}, over the budget of {FIRST_GROUP_BYTES}"
+    );
 }
 
 #[test]

@@ -30,8 +30,10 @@ use peering_netsim::{
     ProfileConfig, SimDuration, SimEvent, SimTime,
 };
 use peering_topology::{AsIdx, Internet, Relationship};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// Base one-way link delay; also the parallel engine's lookahead. Every
 /// link delay is `BASE_DELAY + k * DELAY_STEP` for some `k`, so the
@@ -55,21 +57,49 @@ const TAG_PROVIDER: Community = Community::new(65001, 3);
 // the 104 bytes it took with a two-variant message type of its own.
 const _: () = assert!(std::mem::size_of::<SimEvent<Input>>() <= 104);
 
-/// One speaker's place in a [`ScaleTopo`]: config, sessions, beacons.
+/// One speaker's place in a [`ScaleTopo`]: its ASN, sessions and
+/// beacons. Everything else about it is the topology's to share.
 #[derive(Debug, Clone)]
 struct NodeSpec {
-    cfg: SpeakerConfig,
-    /// Per local `PeerId` (index = `PeerId.0`): session config, the
-    /// neighbor's engine node, the neighbor's `PeerId` for this
-    /// session, and the one-way link delay.
-    peers: Vec<(PeerConfig, NodeId, PeerId, SimDuration)>,
+    asn: Asn,
+    /// Per local `PeerId` (index = `PeerId.0`).
+    peers: Vec<PeerRow>,
     /// Prefixes this node originates at start.
     origins: Vec<Prefix>,
 }
 
+/// One session end: only what differs from session to session. The
+/// policies live once per role in [`ScaleTopo::roles`].
+#[derive(Debug, Clone, Copy)]
+struct PeerRow {
+    /// Index into [`ScaleTopo::roles`].
+    role: u8,
+    /// This end waits for the neighbor to open the session.
+    passive: bool,
+    /// The neighbor's ASN.
+    asn: Asn,
+    /// The neighbor's engine node.
+    dest: NodeId,
+    /// The neighbor's `PeerId` for this session.
+    remote: PeerId,
+    /// One-way link delay.
+    delay: SimDuration,
+}
+
+// The full preset has 320,176 session ends: a byte here is 0.3 MB.
+const _: () = assert!(std::mem::size_of::<PeerRow>() <= 24);
+
 /// A topology of BGP speakers ready to run under either engine.
 #[derive(Debug, Clone)]
 pub struct ScaleTopo {
+    /// Every speaker's config but for its ASN and router id.
+    speaker: SpeakerConfig,
+    /// One session config per role, with a placeholder id and neighbor
+    /// ASN. A session end's config is its role's clone with the row's id,
+    /// ASN and passive side filled in; clones share the policies' rule
+    /// lists, so the spec and every speaker built from it hold one copy
+    /// of each role's rules, however many sessions there are.
+    roles: Vec<PeerConfig>,
     specs: Vec<NodeSpec>,
 }
 
@@ -81,6 +111,32 @@ fn link_delay(a: usize, b: usize) -> SimDuration {
     BASE_DELAY + DELAY_STEP.saturating_mul(k as u64)
 }
 
+/// Add one session between node `a`, which opens it, and node `b`, which
+/// waits; each end takes the next free `PeerId` of its node and the
+/// given role.
+fn connect(specs: &mut [NodeSpec], (a, role_a): (usize, u8), (b, role_b): (usize, u8)) {
+    let delay = link_delay(a, b);
+    let pa = PeerId(specs[a].peers.len() as u32);
+    let pb = PeerId(specs[b].peers.len() as u32);
+    let (asn_a, asn_b) = (specs[a].asn, specs[b].asn);
+    specs[a].peers.push(PeerRow {
+        role: role_a,
+        passive: false,
+        asn: asn_b,
+        dest: NodeId(b as u32),
+        remote: pb,
+        delay,
+    });
+    specs[b].peers.push(PeerRow {
+        role: role_b,
+        passive: true,
+        asn: asn_a,
+        dest: NodeId(a as u32),
+        remote: pa,
+        delay,
+    });
+}
+
 impl ScaleTopo {
     /// A flat topology from [`ChaosTopology`] adjacency: private ASNs,
     /// accept-all policies, one beacon prefix per node.
@@ -88,23 +144,21 @@ impl ScaleTopo {
         let n = topology.node_count();
         let mut specs: Vec<NodeSpec> = (0..n)
             .map(|i| NodeSpec {
-                cfg: speaker_config(Asn(65001 + i as u32), i),
+                asn: Asn(65001 + i as u32),
                 peers: Vec::new(),
                 origins: vec![origin_prefix(i)],
             })
             .collect();
         for (a, b) in topology.edges() {
-            let delay = link_delay(a, b);
-            let pa = PeerId(specs[a].peers.len() as u32);
-            let pb = PeerId(specs[b].peers.len() as u32);
-            // Lower index initiates, higher index listens — same
-            // convention as the chaos emulation.
-            let cfg_a = PeerConfig::new(pa, Asn(65001 + b as u32));
-            let cfg_b = PeerConfig::new(pb, Asn(65001 + a as u32)).passive();
-            specs[a].peers.push((cfg_a, NodeId(b as u32), pb, delay));
-            specs[b].peers.push((cfg_b, NodeId(a as u32), pa, delay));
+            // `a` initiates, `b` listens — same convention as the chaos
+            // emulation. Every session has the one accept-all role.
+            connect(&mut specs, (a, 0), (b, 0));
         }
-        ScaleTopo { specs }
+        ScaleTopo {
+            speaker: speaker_config(),
+            roles: vec![PeerConfig::new(PeerId(0), Asn(0))],
+            specs,
+        }
     }
 
     /// A generated Internet under Gao-Rexford policies, with `beacons`
@@ -115,34 +169,25 @@ impl ScaleTopo {
         let mut specs: Vec<NodeSpec> = g
             .indices()
             .map(|u| NodeSpec {
-                cfg: speaker_config(g.info(u).asn, u.i()),
-                peers: Vec::new(),
+                asn: g.info(u).asn,
+                // Every neighbor is one session end: sized exactly.
+                peers: Vec::with_capacity(g.neighbors(u).count()),
                 origins: Vec::new(),
             })
             .collect();
-        let mut wire = |a: AsIdx, b: AsIdx, rel_a: SessionRole, rel_b: SessionRole| {
-            let (ai, bi) = (a.i(), b.i());
-            let delay = link_delay(ai, bi);
-            let pa = PeerId(specs[ai].peers.len() as u32);
-            let pb = PeerId(specs[bi].peers.len() as u32);
-            let mut cfg_a = session_config(pa, g.info(b).asn, rel_a);
-            let mut cfg_b = session_config(pb, g.info(a).asn, rel_b);
-            // Lower graph index initiates the TCP connection.
-            if ai < bi {
-                cfg_b = cfg_b.passive();
-            } else {
-                cfg_a = cfg_a.passive();
-            }
-            specs[ai].peers.push((cfg_a, NodeId(bi as u32), pb, delay));
-            specs[bi].peers.push((cfg_b, NodeId(ai as u32), pa, delay));
-        };
         for (a, b, rel) in net.sessions() {
-            match rel {
+            let (role_a, role_b) = match rel {
                 // "a is customer of b": a sees b as provider.
-                Relationship::CustomerToProvider => {
-                    wire(a, b, SessionRole::Provider, SessionRole::Customer)
-                }
-                Relationship::PeerToPeer => wire(a, b, SessionRole::Peer, SessionRole::Peer),
+                Relationship::CustomerToProvider => (SessionRole::Provider, SessionRole::Customer),
+                Relationship::PeerToPeer => (SessionRole::Peer, SessionRole::Peer),
+            };
+            let a = (a.i(), role_a as u8);
+            let b = (b.i(), role_b as u8);
+            // Lower graph index initiates the TCP connection.
+            if a.0 < b.0 {
+                connect(&mut specs, a, b);
+            } else {
+                connect(&mut specs, b, a);
             }
         }
         // Beacon origins: a deterministic stride over ASes that own at
@@ -160,14 +205,16 @@ impl ScaleTopo {
                 specs[u.i()].origins.push(p);
             }
         }
-        ScaleTopo { specs }
+        ScaleTopo {
+            speaker: speaker_config(),
+            roles: SessionRole::ALL.map(role_config).to_vec(),
+            specs,
+        }
     }
 
     /// Enable MRAI-style update packing on every speaker.
     pub fn with_mrai(mut self, interval: SimDuration) -> ScaleTopo {
-        for spec in &mut self.specs {
-            spec.cfg.mrai = Some(interval);
-        }
+        self.speaker.mrai = Some(interval);
         self
     }
 
@@ -175,9 +222,7 @@ impl ScaleTopo {
     /// must not change). Each speaker then allocates every attribute
     /// set, and the shard's shared table goes unused.
     pub fn without_interning(mut self) -> ScaleTopo {
-        for spec in &mut self.specs {
-            spec.cfg.intern_attrs = false;
-        }
+        self.speaker.intern_attrs = false;
         self
     }
 
@@ -185,9 +230,7 @@ impl ScaleTopo {
     /// the naive one-Adj-RIB-Out-per-peer path (ablation: digests must
     /// not change).
     pub fn without_export_groups(mut self) -> ScaleTopo {
-        for spec in &mut self.specs {
-            spec.cfg.export_groups = false;
-        }
+        self.speaker.export_groups = false;
         self
     }
 
@@ -208,24 +251,35 @@ impl ScaleTopo {
 
     /// One engine shard's node builder. The shard's speakers intern into
     /// one attribute table, so a route that k of them import is one
-    /// allocation, not k; a sequential run is one shard.
+    /// allocation, not k, and write their outputs into one buffer, which
+    /// an event that emits then does not allocate; a sequential run is
+    /// one shard.
     fn make_shard(&self) -> impl FnMut(NodeId) -> BgpNode + '_ {
         let table = AttrInterner::new();
-        move |id| self.make_node(id, &table)
+        let outputs = Outputs::default();
+        move |id| self.make_node(id, &table, &outputs)
     }
 
-    fn make_node(&self, id: NodeId, table: &AttrInterner) -> BgpNode {
-        let spec = &self.specs[id.0 as usize];
-        let mut speaker = Speaker::with_interner(spec.cfg.clone(), table);
+    fn make_node(&self, id: NodeId, table: &AttrInterner, outputs: &Outputs) -> BgpNode {
+        let i = id.0 as usize;
+        let spec = &self.specs[i];
+        let mut cfg = self.speaker.clone();
+        cfg.asn = spec.asn;
+        cfg.router_id = Ipv4Addr::new(10, (i >> 16) as u8, (i >> 8) as u8, i as u8);
+        let mut speaker = Speaker::with_interner(cfg, table);
         let mut links = Vec::with_capacity(spec.peers.len());
-        for (cfg, dest, remote, delay) in &spec.peers {
+        for (local, row) in spec.peers.iter().enumerate() {
+            let mut peer = self.roles[usize::from(row.role)].clone();
+            peer.id = PeerId(local as u32);
+            peer.asn = row.asn;
+            peer.passive = row.passive;
             speaker
-                .add_peer(cfg.clone())
+                .add_peer(peer)
                 .expect("a speaker's peer ids are distinct");
             links.push(Link {
-                dest: *dest,
-                remote: *remote,
-                delay: *delay,
+                dest: row.dest,
+                remote: row.remote,
+                delay: row.delay,
             });
         }
         BgpNode {
@@ -234,6 +288,7 @@ impl ScaleTopo {
             links,
             origins: spec.origins.clone(),
             ticks: BTreeSet::new(),
+            outputs: Rc::clone(outputs),
         }
     }
 
@@ -290,7 +345,8 @@ impl ScaleTopo {
     }
 }
 
-/// Which side of a session the local AS is on, for policy assignment.
+/// Which side of a session the local AS is on, for policy assignment;
+/// its value indexes [`ScaleTopo::roles`] of a generated Internet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SessionRole {
     /// The neighbor is our customer.
@@ -301,12 +357,19 @@ enum SessionRole {
     Provider,
 }
 
-/// Node `i`'s speaker, router id `10.x.y.z` from `i`.
-fn speaker_config(asn: Asn, i: usize) -> SpeakerConfig {
-    let mut cfg = SpeakerConfig::new(
-        asn,
-        Ipv4Addr::new(10, (i >> 16) as u8, (i >> 8) as u8, i as u8),
-    );
+impl SessionRole {
+    /// Every role, in index order.
+    const ALL: [SessionRole; 3] = [
+        SessionRole::Customer,
+        SessionRole::Peer,
+        SessionRole::Provider,
+    ];
+}
+
+/// Every node's speaker config; [`ScaleTopo::make_node`] fills in the
+/// node's ASN and router id.
+fn speaker_config() -> SpeakerConfig {
+    let mut cfg = SpeakerConfig::new(Asn(0), Ipv4Addr::UNSPECIFIED);
     // Engine runs are event-quiescent: with keepalives disabled the
     // simulation reaches a state with no pending events, which is the
     // engines' convergence criterion.
@@ -314,8 +377,9 @@ fn speaker_config(asn: Asn, i: usize) -> SpeakerConfig {
     cfg
 }
 
-/// Gao-Rexford session config for one side of one session.
-fn session_config(id: PeerId, neighbor: Asn, role: SessionRole) -> PeerConfig {
+/// The Gao-Rexford session config of one role, built once per topology;
+/// every session end of the role clones it.
+fn role_config(role: SessionRole) -> PeerConfig {
     let (local_pref, tag) = match role {
         SessionRole::Customer => (200, TAG_CUSTOMER),
         SessionRole::Peer => (100, TAG_PEER),
@@ -342,8 +406,15 @@ fn session_config(id: PeerId, neighbor: Asn, role: SessionRole) -> PeerConfig {
             vec![Action::Reject],
         ),
     };
-    PeerConfig::new(id, neighbor).import(import).export(export)
+    PeerConfig::new(PeerId(0), Asn(0))
+        .import(import)
+        .export(export)
 }
+
+/// The output buffer the speakers of one engine shard share: a node takes
+/// it, empty, for one event and puts it back. A buffer per node would
+/// keep a session-count-sized `Vec` on every speaker after its start.
+type Outputs = Rc<RefCell<Vec<Output>>>;
 
 /// One speaker wired into the event engine.
 struct Link {
@@ -365,13 +436,15 @@ struct BgpNode {
     origins: Vec<Prefix>,
     /// Tick self-messages already in flight, by absolute fire time.
     ticks: BTreeSet<SimTime>,
+    /// The shard's output buffer.
+    outputs: Outputs,
 }
 
 impl BgpNode {
-    /// Route speaker outputs onto links, then service any timer
+    /// Route the speaker's outputs onto links, then service any timer
     /// deadline that is already due (its outputs refill the drained
-    /// vector) and schedule a wake-up for the next future one.
-    fn service(&mut self, now: SimTime, mut outputs: Vec<Output>, out: &mut Outbox<Input>) {
+    /// buffer) and schedule a wake-up for the next future one.
+    fn service(&mut self, now: SimTime, outputs: &mut Vec<Output>, out: &mut Outbox<Input>) {
         loop {
             for o in outputs.drain(..) {
                 if let Output::Send(pid, msg) = o {
@@ -381,7 +454,7 @@ impl BgpNode {
             }
             let deadline = self.speaker.next_deadline();
             if deadline <= now {
-                self.speaker.apply(Input::Tick, now, &mut outputs);
+                self.speaker.apply(Input::Tick, now, outputs);
                 if outputs.is_empty() && self.speaker.next_deadline() <= now {
                     // A due deadline `tick` cannot clear would spin; the
                     // speaker never does this (every timer fires or
@@ -410,7 +483,7 @@ impl EngineNode for BgpNode {
 
     fn on_start(&mut self, out: &mut Outbox<Input>) {
         let now = SimTime::ZERO;
-        let mut outputs = Vec::new();
+        let mut outputs = self.outputs.take();
         for p in std::mem::take(&mut self.origins) {
             let originate = Input::Originate(p, Vec::new());
             self.speaker.apply(originate, now, &mut outputs);
@@ -419,16 +492,18 @@ impl EngineNode for BgpNode {
         for id in ids {
             self.speaker.apply(Input::StartPeer(id), now, &mut outputs);
         }
-        self.service(now, outputs, out);
+        self.service(now, &mut outputs, out);
+        self.outputs.replace(outputs);
     }
 
     fn on_event(&mut self, now: SimTime, _from: NodeId, input: Input, out: &mut Outbox<Input>) {
         if let Input::Tick = input {
             self.ticks.remove(&now);
         }
-        let mut outputs = Vec::new();
+        let mut outputs = self.outputs.take();
         self.speaker.apply(input, now, &mut outputs);
-        self.service(now, outputs, out);
+        self.service(now, &mut outputs, out);
+        self.outputs.replace(outputs);
     }
 
     fn digest(&self) -> u64 {

@@ -8,9 +8,12 @@
 //! cycle must return every speaker's attribute arena to empty, and
 //! neither one attribute table per engine shard nor disabling interning
 //! entirely may change any digest.
+//!
+//! Every comparison above is between two runs of one spec; pinned runs
+//! of generated Internets also hold the spec itself to fixed digests.
 
 use peering_bgp::{digest_routes, Asn, Input};
-use peering_netsim::{Fnv1a, ProfileConfig, SimDuration, SimTime};
+use peering_netsim::{EngineRun, Fnv1a, ProfileConfig, SimDuration, SimTime};
 use peering_telemetry::{chrome_trace, record_engine_profile, Telemetry};
 use peering_topology::{Internet, InternetConfig};
 use peering_workloads::chaos::origin_prefix;
@@ -318,6 +321,67 @@ fn shared_attribute_tables_are_digest_invariant_across_shards() {
             );
         }
     }
+}
+
+/// A pinned run: events, quiescence time (µs), the digests at 40, 80,
+/// 120 and 160 ms, and the final digest.
+fn pinned(events: u64, end_us: u64, digests: [u64; 4], last: u64) -> EngineRun {
+    EngineRun {
+        events,
+        end_time: SimTime::from_micros(end_us),
+        checkpoints: digests
+            .iter()
+            .enumerate()
+            .map(|(k, &d)| (SimTime::from_millis(40 * (k as u64 + 1)), d))
+            .collect(),
+        final_digest: last,
+    }
+}
+
+#[test]
+fn generated_internet_runs_match_their_pinned_digests() {
+    // The other tests compare one run of a spec with another run of the
+    // same spec, so a spec that configured every session differently (a
+    // role's local-pref, a policy, which side listens) would pass them
+    // all. These runs are pinned instead: each converges through the
+    // beacons' propagation, and the checkpoints fall inside it.
+    let cks = spaced_checkpoints(SimTime::from_millis(160), 4);
+    let small = ScaleTopo::from_internet(&Internet::build(InternetConfig::small(42)), 8);
+    let expected = pinned(
+        2_538,
+        118_250,
+        [
+            13_106_396_526_580_010_433,
+            13_962_563_739_758_691_394,
+            15_473_204_741_827_499_375,
+            15_473_204_741_827_499_375,
+        ],
+        15_473_204_741_827_499_375,
+    );
+    for shards in [1, 2, 4] {
+        assert_eq!(
+            small.run_engine_parallel(shards, &cks, SimTime::MAX),
+            expected,
+            "small preset, 8 beacons: the {shards}-shard run moved"
+        );
+    }
+    let eval = ScaleTopo::from_internet(&Internet::build(InternetConfig::eval(42)), 24);
+    let expected = pinned(
+        353_542,
+        156_500,
+        [
+            991_235_478_032_143_894,
+            12_787_272_969_686_268_678,
+            14_838_695_075_127_200_418,
+            11_626_229_599_805_204_529,
+        ],
+        11_626_229_599_805_204_529,
+    );
+    assert_eq!(
+        eval.run_engine_sequential(&cks, SimTime::MAX),
+        expected,
+        "eval preset, 24 beacons: the sequential run moved"
+    );
 }
 
 #[test]
