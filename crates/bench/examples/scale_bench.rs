@@ -162,7 +162,7 @@ fn main() {
     // profiling is digest-invariant, so `run == seq` must still hold.
     let mut all_match = true;
     let mut parallel_ms = Vec::new();
-    let mut widest_profile = None;
+    let mut profiles = Vec::new();
     for &shards in &shard_counts {
         let ((run, prof), ms) = timed(|| {
             topo.run_engine_parallel_profiled(shards, &cks, SimTime::MAX, ProfileConfig::sim())
@@ -171,15 +171,18 @@ fn main() {
         all_match &= ok;
         let s = prof.summary();
         eprintln!(
-            "  parallel x{shards}: {} events over {} epochs, speedup ceiling {}.{:03}x ({ms:.0} ms wall) — {}",
+            "  parallel x{shards}: {} events over {} epochs, speedup ceiling {}.{:03}x, \
+             imbalance {} ‰, remote sends {} ‰ ({ms:.0} ms wall) — {}",
             run.events,
             s.epochs,
             s.speedup_ceiling_permille / 1000,
             s.speedup_ceiling_permille % 1000,
+            s.imbalance_permille,
+            s.remote_send_permille,
             if ok { "digests match" } else { "DIVERGED" }
         );
         parallel_ms.push((shards, ms));
-        widest_profile = Some(s);
+        profiles.push(s);
     }
     assert!(
         all_match,
@@ -202,7 +205,7 @@ fn main() {
         all_match,
         &seq,
         bytes,
-        widest_profile.expect("at least one parallel leg ran"),
+        profiles,
     );
     let Value::Map(mut obj) = serde_json::to_value(&report).expect("report serializes") else {
         unreachable!("a struct serializes to a map");

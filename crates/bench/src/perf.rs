@@ -405,8 +405,18 @@ mod tests {
                 ]),
             ),
             (
-                "engine_profile",
-                map(vec![("speedup_ceiling_permille", Value::U64(4000))]),
+                "engine_profiles",
+                Value::Seq(
+                    [1500, 2800, 4000]
+                        .map(|ceiling| {
+                            map(vec![
+                                ("speedup_ceiling_permille", Value::U64(ceiling)),
+                                ("imbalance_permille", Value::U64(1500)),
+                                ("remote_send_permille", Value::U64(300)),
+                            ])
+                        })
+                        .to_vec(),
+                ),
             ),
             ("bytes_per_speaker_prefix", Value::F64(682.8)),
             ("idle_bytes_per_speaker", Value::F64(6_553.5)),

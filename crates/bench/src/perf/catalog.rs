@@ -57,14 +57,37 @@ pub const CATALOG: &[Metric] = &[
         ]),
         gate: Some(Gate::LowerIsBetter(50)),
     },
+    // The partition's shape on the widest run: `engine_profiles` follows
+    // `scale_bench`'s shard counts 2, 4, 8, so index 2 is 8 shards.
     Metric {
         key: "scale.speedup_ceiling_permille",
         file: "BENCH_scale.json",
         extract: Extract::Path(&[
-            Seg::Key("engine_profile"),
+            Seg::Key("engine_profiles"),
+            Seg::Idx(2),
             Seg::Key("speedup_ceiling_permille"),
         ]),
         gate: Some(Gate::HigherIsBetter(100)),
+    },
+    Metric {
+        key: "scale.imbalance_permille",
+        file: "BENCH_scale.json",
+        extract: Extract::Path(&[
+            Seg::Key("engine_profiles"),
+            Seg::Idx(2),
+            Seg::Key("imbalance_permille"),
+        ]),
+        gate: Some(Gate::LowerIsBetter(100)),
+    },
+    Metric {
+        key: "scale.remote_send_permille",
+        file: "BENCH_scale.json",
+        extract: Extract::Path(&[
+            Seg::Key("engine_profiles"),
+            Seg::Idx(2),
+            Seg::Key("remote_send_permille"),
+        ]),
+        gate: Some(Gate::LowerIsBetter(100)),
     },
     Metric {
         key: "scale.timing_wall_ms_sequential",

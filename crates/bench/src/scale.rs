@@ -128,9 +128,10 @@ pub struct ScaleReport {
     pub sequential: EngineSummary,
     /// Fig. 2-style table cost at this preset's table size.
     pub bytes_per_route: BytesPerRoute,
-    /// Profiler summary of the widest parallel run (sim-time channel
-    /// only — digest-invariant, so it sits in the compared report).
-    pub engine_profile: ProfileSummary,
+    /// Profiler summary of each parallel run, in `shard_counts` order
+    /// (sim-time channel only — digest-invariant, so it sits in the
+    /// compared report).
+    pub engine_profiles: Vec<ProfileSummary>,
 }
 
 /// Build the engine topology for a generated Internet.
@@ -149,7 +150,7 @@ pub fn report(
     all_match: bool,
     sequential: &EngineRun,
     bytes: BytesPerRoute,
-    engine_profile: ProfileSummary,
+    engine_profiles: Vec<ProfileSummary>,
 ) -> ScaleReport {
     ScaleReport {
         preset: preset_name.to_string(),
@@ -162,7 +163,7 @@ pub fn report(
         parallel_matches_sequential: all_match,
         sequential: EngineSummary::from_run(sequential),
         bytes_per_route: bytes,
-        engine_profile,
+        engine_profiles,
     }
 }
 
@@ -193,12 +194,12 @@ mod tests {
             par == seq,
             &seq,
             bytes,
-            summary,
+            vec![summary],
         );
         assert!(rep.parallel_matches_sequential);
         assert_eq!(rep.sequential.checkpoints.len(), CHECKPOINT_COUNT);
-        assert_eq!(rep.engine_profile.events, seq.events);
-        assert!(rep.engine_profile.speedup_ceiling_permille >= 1000);
+        assert_eq!(rep.engine_profiles[0].events, seq.events);
+        assert!(rep.engine_profiles[0].speedup_ceiling_permille >= 1000);
         assert!(rep.sessions > 0 && rep.beacons > 0);
         assert!(rep.bytes_per_route.per_route_interned > 0.0);
         assert!(rep.bytes_per_route.per_route_uninterned >= rep.bytes_per_route.per_route_interned);

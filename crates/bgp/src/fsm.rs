@@ -8,9 +8,10 @@
 //! keepalive scheduling at one third of the negotiated hold time, hold
 //! timer expiry producing a NOTIFICATION, and session teardown semantics.
 //!
-//! A [`Session`] has one way in, [`Session::apply`], which appends what
-//! an input produces to the caller's two sinks (`Down` is surfaced only
-//! when an Established session drops):
+//! A [`Session`] has one way in, [`Session::apply`], which appends the
+//! messages an input sends to the caller's sink and returns the one event
+//! it surfaces, if any (`Down` is surfaced only when an Established
+//! session drops):
 //!
 //! | input | RFC 4271 §8.1 event | may send | may surface |
 //! |---|---|---|---|
@@ -386,45 +387,43 @@ impl Session {
     }
 
     /// Apply one input at `now`, appending the messages to send to `msgs`
-    /// and what the owner must act on to `events`. Both are sinks: what
-    /// they already hold is left as it is.
+    /// (a sink: what it already holds is left as it is) and returning what
+    /// the owner must act on. An input surfaces at most one event.
     pub fn apply(
         &mut self,
         input: SessionInput,
         now: SimTime,
-        msgs: &mut Vec<BgpMessage>,
-        events: &mut Vec<SessionEvent>,
-    ) {
+        msgs: &mut impl Extend<BgpMessage>,
+    ) -> Option<SessionEvent> {
         match input {
             SessionInput::Start => {
                 if self.state == FsmState::Idle {
                     msgs.extend(self.enter_handshake(now));
                 }
+                None
             }
             SessionInput::Stop => {
                 if matches!(self.state, FsmState::OpenConfirm | FsmState::Established) {
                     self.notify(NotifCode::Cease, 2, msgs); // administrative shutdown
                 }
-                if self.state == FsmState::Established {
-                    let reason = "administrative stop".into();
-                    events.push(SessionEvent::Down { reason });
-                }
+                let down = (self.state == FsmState::Established).then(|| SessionEvent::Down {
+                    reason: "administrative stop".into(),
+                });
                 self.reset();
                 self.retry_attempt = 0;
+                down
             }
-            SessionInput::Message(msg) => self.on_message(msg, now, msgs, events),
-            SessionInput::MalformedUpdate(update) => {
-                self.on_malformed_update(update, now, msgs, events)
-            }
-            SessionInput::Tick => self.tick(now, msgs, events),
+            SessionInput::Message(msg) => self.on_message(msg, now, msgs),
+            SessionInput::MalformedUpdate(update) => self.on_malformed_update(update, now, msgs),
+            SessionInput::Tick => self.tick(now, msgs),
             // A session that is down has no connection to lose or corrupt
             // and no prefixes to cease over.
-            _ if self.state == FsmState::Idle => {}
-            SessionInput::ConnectionLost => self.go_down("connection lost", now, events),
+            _ if self.state == FsmState::Idle => None,
+            SessionInput::ConnectionLost => self.go_down("connection lost", now),
             SessionInput::Corrupt => {
                 // Subcode 1: connection not synchronized.
                 let header_error = (NotifCode::MessageHeaderError, 1);
-                self.fail(header_error, "corrupt message", now, msgs, events);
+                self.fail(header_error, "corrupt message", now, msgs)
             }
             SessionInput::MaxPrefixCease(penalty) => {
                 let was_established = self.state == FsmState::Established;
@@ -434,10 +433,9 @@ impl Session {
                 // runs re-establish at exactly the same virtual instant.
                 self.idle_hold_until = now + penalty;
                 self.retry_attempt = 0;
-                if was_established {
-                    let reason = "max prefixes reached".into();
-                    events.push(SessionEvent::Down { reason });
-                }
+                was_established.then(|| SessionEvent::Down {
+                    reason: "max prefixes reached".into(),
+                })
             }
         }
     }
@@ -460,9 +458,9 @@ impl Session {
     }
 
     /// Queue a NOTIFICATION and count it.
-    fn notify(&mut self, code: NotifCode, subcode: u8, out: &mut Vec<BgpMessage>) {
+    fn notify(&mut self, code: NotifCode, subcode: u8, out: &mut impl Extend<BgpMessage>) {
         let notification = NotificationMessage::new(code, subcode);
-        out.push(BgpMessage::Notification(notification));
+        out.extend([BgpMessage::Notification(notification)]);
         self.stats.msgs_out += 1;
     }
 
@@ -472,11 +470,10 @@ impl Session {
         (code, subcode): (NotifCode, u8),
         reason: impl Into<String>,
         now: SimTime,
-        out: &mut Vec<BgpMessage>,
-        events: &mut Vec<SessionEvent>,
-    ) {
+        out: &mut impl Extend<BgpMessage>,
+    ) -> Option<SessionEvent> {
         self.notify(code, subcode, out);
-        self.go_down(reason, now, events);
+        self.go_down(reason, now)
     }
 
     /// RFC 7606 treat-as-withdraw; see [`SessionInput::MalformedUpdate`].
@@ -484,12 +481,11 @@ impl Session {
         &mut self,
         update: UpdateMessage,
         now: SimTime,
-        out: &mut Vec<BgpMessage>,
-        events: &mut Vec<SessionEvent>,
-    ) {
+        out: &mut impl Extend<BgpMessage>,
+    ) -> Option<SessionEvent> {
         self.stats.msgs_in += 1;
         match self.state {
-            FsmState::Idle => {}
+            FsmState::Idle => None,
             FsmState::Established => {
                 if self.hold_deadline != SimTime::MAX {
                     if let Some(n) = &self.negotiated {
@@ -501,18 +497,18 @@ impl Session {
                 withdrawn.extend(update.announced);
                 // An empty treated update would alias End-of-RIB; there is
                 // nothing to withdraw, so surface nothing.
-                if !withdrawn.is_empty() {
-                    events.push(SessionEvent::Update(UpdateMessage {
+                (!withdrawn.is_empty()).then(|| {
+                    SessionEvent::Update(UpdateMessage {
                         withdrawn,
                         attrs: None,
                         announced: Vec::new(),
                         trace: update.trace,
-                    }));
-                }
+                    })
+                })
             }
             state => {
                 let e = BgpError::FsmViolation(format!("update in {state:?}"));
-                self.fail(e.notification(), e.to_string(), now, out, events);
+                self.fail(e.notification(), e.to_string(), now, out)
             }
         }
     }
@@ -531,7 +527,7 @@ impl Session {
         self.idle_hold_until = SimTime::MAX;
     }
 
-    fn go_down(&mut self, reason: impl Into<String>, now: SimTime, events: &mut Vec<SessionEvent>) {
+    fn go_down(&mut self, reason: impl Into<String>, now: SimTime) -> Option<SessionEvent> {
         let was_established = self.state == FsmState::Established;
         self.reset();
         if self.cfg.connect_retry.is_some() {
@@ -541,11 +537,9 @@ impl Session {
             self.state = FsmState::Connect;
             self.arm_retry(now);
         }
-        if was_established {
-            events.push(SessionEvent::Down {
-                reason: reason.into(),
-            });
-        }
+        was_established.then(|| SessionEvent::Down {
+            reason: reason.into(),
+        })
     }
 
     fn validate_open(&self, open: &OpenMessage) -> Result<(), BgpError> {
@@ -591,14 +585,13 @@ impl Session {
         }
     }
 
-    /// A message from the peer: replies to `out`, events to `events`.
+    /// A message from the peer: replies to `out`, the event returned.
     fn on_message(
         &mut self,
         msg: BgpMessage,
         now: SimTime,
-        out: &mut Vec<BgpMessage>,
-        events: &mut Vec<SessionEvent>,
-    ) {
+        out: &mut impl Extend<BgpMessage>,
+    ) -> Option<SessionEvent> {
         self.stats.msgs_in += 1;
 
         // Any valid message refreshes the hold timer while up.
@@ -611,69 +604,67 @@ impl Session {
         match (&self.state, msg) {
             (FsmState::Idle, _) => {
                 // Quietly ignore stale traffic while administratively down.
+                None
             }
             (FsmState::Connect, BgpMessage::Open(open)) => match self.validate_open(&open) {
                 Ok(()) => {
                     self.accept_open(&open, now);
-                    out.push(self.open_message());
-                    out.push(BgpMessage::Keepalive);
+                    out.extend([self.open_message(), BgpMessage::Keepalive]);
                     self.stats.msgs_out += 2;
                     self.state = FsmState::OpenConfirm;
+                    None
                 }
-                Err(e) => self.fail(e.notification(), e.to_string(), now, out, events),
+                Err(e) => self.fail(e.notification(), e.to_string(), now, out),
             },
             (FsmState::OpenSent, BgpMessage::Open(open)) => match self.validate_open(&open) {
                 Ok(()) => {
                     self.accept_open(&open, now);
-                    out.push(BgpMessage::Keepalive);
+                    out.extend([BgpMessage::Keepalive]);
                     self.stats.msgs_out += 1;
                     self.state = FsmState::OpenConfirm;
+                    None
                 }
-                Err(e) => self.fail(e.notification(), e.to_string(), now, out, events),
+                Err(e) => self.fail(e.notification(), e.to_string(), now, out),
             },
             (FsmState::OpenConfirm, BgpMessage::Keepalive) => {
                 self.state = FsmState::Established;
                 self.stats.flaps += 1;
-                if let Some(n) = &self.negotiated {
-                    if !n.hold_time.is_zero() {
-                        self.hold_deadline = now + n.hold_time;
-                    }
-                    events.push(SessionEvent::Established(*n));
+                let n = self.negotiated.as_ref()?;
+                if !n.hold_time.is_zero() {
+                    self.hold_deadline = now + n.hold_time;
                 }
+                Some(SessionEvent::Established(*n))
             }
             (FsmState::Established, BgpMessage::Update(u)) => {
                 self.stats.updates_in += 1;
-                events.push(SessionEvent::Update(u));
+                Some(SessionEvent::Update(u))
             }
-            (FsmState::Established, BgpMessage::Keepalive) => {}
+            (FsmState::Established, BgpMessage::Keepalive) => None,
             (FsmState::Established, BgpMessage::RouteRefresh) => {
-                events.push(SessionEvent::RefreshRequested);
+                Some(SessionEvent::RefreshRequested)
             }
-            (_, BgpMessage::Notification(n)) => {
-                self.go_down(
-                    format!("peer notification: {:?}/{}", n.code, n.subcode),
-                    now,
-                    events,
-                );
-            }
+            (_, BgpMessage::Notification(n)) => self.go_down(
+                format!("peer notification: {:?}/{}", n.code, n.subcode),
+                now,
+            ),
             (state, msg) => {
                 // Anything else is an FSM error: notify and drop.
                 let e = BgpError::FsmViolation(format!("{} in {:?}", msg.kind(), state));
-                self.fail(e.notification(), e.to_string(), now, out, events);
+                self.fail(e.notification(), e.to_string(), now, out)
             }
         }
     }
 
     /// Serve the timers due at `now`: a keepalive, a ConnectRetry OPEN, a
     /// hold-timer-expired teardown, or the end of an idle-hold penalty.
-    fn tick(&mut self, now: SimTime, out: &mut Vec<BgpMessage>, events: &mut Vec<SessionEvent>) {
+    fn tick(&mut self, now: SimTime, out: &mut impl Extend<BgpMessage>) -> Option<SessionEvent> {
         // Idle-hold: a session serving a max-prefix penalty automatically
         // re-enters the handshake once the penalty expires.
         if self.state == FsmState::Idle && self.idle_hold_until != SimTime::MAX {
             if now >= self.idle_hold_until {
                 out.extend(self.enter_handshake(now));
             }
-            return;
+            return None;
         }
         // ConnectRetry: an active endpoint stuck reconnecting re-sends its
         // OPEN and doubles the backoff.
@@ -681,23 +672,23 @@ impl Session {
             && now >= self.retry_deadline
         {
             out.extend(self.enter_handshake(now));
-            return;
+            return None;
         }
         if self.state != FsmState::Established && self.state != FsmState::OpenConfirm {
-            return;
+            return None;
         }
         if now >= self.hold_deadline {
             let expired = (NotifCode::HoldTimerExpired, 0);
-            self.fail(expired, "hold timer expired", now, out, events);
-            return;
+            return self.fail(expired, "hold timer expired", now, out);
         }
         if now >= self.keepalive_due {
-            out.push(BgpMessage::Keepalive);
+            out.extend([BgpMessage::Keepalive]);
             self.stats.msgs_out += 1;
             if let Some(n) = &self.negotiated {
                 self.keepalive_due = now + n.hold_time / 3;
             }
         }
+        None
     }
 
     /// The earliest time at which a [`SessionInput::Tick`] has work.
@@ -735,9 +726,9 @@ mod tests {
     impl Session {
         /// `input` applied at `now`, into fresh sinks.
         fn on(&mut self, input: SessionInput, now: SimTime) -> Sinks {
-            let (mut msgs, mut events) = (Vec::new(), Vec::new());
-            self.apply(input, now, &mut msgs, &mut events);
-            (msgs, events)
+            let mut msgs = Vec::new();
+            let event = self.apply(input, now, &mut msgs);
+            (msgs, event.into_iter().collect())
         }
     }
 
@@ -1256,7 +1247,7 @@ mod tests {
             let (m, e) = fresh.on(input.clone(), at);
             want.0.extend(m);
             want.1.extend(e);
-            a.apply(input, at, &mut msgs, &mut events);
+            events.extend(a.apply(input, at, &mut msgs));
         }
         assert_eq!((want.0.len(), want.1.len()), (2, 2));
         assert_eq!((msgs, events), want);

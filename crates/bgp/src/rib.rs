@@ -11,7 +11,7 @@
 //! one engine shard of the simulated Internet interns into the shard's
 //! table, so a route that k speakers import is one allocation.
 
-use crate::attrs::PathAttributes;
+use crate::attrs::{AsPathSegment, Origin, PathAttributes};
 use peering_netsim::{Fnv1a, Prefix, PrefixTrie, SimTime, TraceId};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -418,21 +418,154 @@ impl LocRib {
 /// BGP decided and never on arrival timing or observational provenance.
 /// This is the one definition behind every convergence, bystander and
 /// chaos digest pinned in the goldens and `results/`.
+///
+/// A line is exactly the bytes of
+/// `format!("{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
+/// prefix, peer, path_id, source, igp_cost, attrs)`, the form the pinned
+/// digests were taken with, but every line is written straight into one
+/// buffer and sorted as a byte range, without a `String` or a formatter
+/// per route. `crates/bgp/tests/digest_model.rs` holds the `format!`
+/// form as the model and checks the two agree on seeded route sets.
 pub fn digest_routes<'a>(h: &mut Fnv1a, routes: impl IntoIterator<Item = &'a Route>) {
-    let mut lines: Vec<String> = routes
-        .into_iter()
-        .map(|r| {
-            format!(
-                "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
-                r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
-            )
-        })
-        .collect();
-    lines.sort();
-    for line in &lines {
-        h.write(line.as_bytes());
+    let routes: Vec<&Route> = routes.into_iter().collect();
+    let mut buf = Vec::new();
+    let mut lines: Vec<(usize, usize)> = Vec::with_capacity(routes.len());
+    for route in &routes {
+        let start = buf.len();
+        write_digest_line(&mut buf, route);
+        if start == 0 {
+            // A table's lines differ mostly by a few AS numbers: size the
+            // buffer once from the first, rather than doubling up to it.
+            let per_line = buf.len() + buf.len() / 4;
+            buf.reserve_exact(per_line * (routes.len() - 1));
+        }
+        lines.push((start, buf.len()));
+    }
+    // Equal ranges hold equal bytes, so an unstable sort hashes the same.
+    lines.sort_unstable_by(|&(a, b), &(c, d)| buf[a..b].cmp(&buf[c..d]));
+    for &(start, end) in &lines {
+        h.write(&buf[start..end]);
         h.write(b";");
     }
+}
+
+/// Append `route`'s digest line to `buf`: what the derived (and, for
+/// prefixes and addresses, hand-written) `Debug` forms print.
+fn write_digest_line(buf: &mut Vec<u8>, route: &Route) {
+    match route.prefix {
+        Prefix::V4(p) => {
+            write_ipv4(buf, p.network());
+            buf.push(b'/');
+            write_u32(buf, u32::from(p.len()));
+        }
+        Prefix::V6(p) => {
+            use std::io::Write as _;
+            // Writing into a `Vec` cannot fail.
+            let _ = write!(buf, "{p}");
+        }
+    }
+    buf.extend_from_slice(b" peer=PeerId(");
+    write_u32(buf, route.peer.0);
+    buf.extend_from_slice(b") path_id=");
+    write_u32(buf, route.path_id);
+    buf.extend_from_slice(match route.source {
+        RouteSource::Ebgp => b" source=Ebgp igp=",
+        RouteSource::Ibgp => b" source=Ibgp igp=",
+        RouteSource::Local => b" source=Local igp=",
+    });
+    write_u32(buf, route.igp_cost);
+    let attrs = &*route.attrs;
+    buf.extend_from_slice(match attrs.origin {
+        Origin::Igp => b" attrs=PathAttributes { origin: Igp, as_path: AsPath { segments: [",
+        Origin::Egp => b" attrs=PathAttributes { origin: Egp, as_path: AsPath { segments: [",
+        Origin::Incomplete => {
+            b" attrs=PathAttributes { origin: Incomplete, as_path: AsPath { segments: ["
+        }
+    });
+    for (k, segment) in attrs.as_path.segments.iter().enumerate() {
+        if k > 0 {
+            buf.extend_from_slice(b", ");
+        }
+        let (head, asns): (&[u8], _) = match segment {
+            AsPathSegment::Sequence(asns) => (b"Sequence([", asns),
+            AsPathSegment::Set(asns) => (b"Set([", asns),
+        };
+        buf.extend_from_slice(head);
+        write_list(buf, asns, b"Asn(", |a| a.0);
+        buf.extend_from_slice(b"])");
+    }
+    buf.extend_from_slice(b"] }, next_hop: ");
+    write_ipv4(buf, attrs.next_hop);
+    buf.extend_from_slice(b", med: ");
+    write_option_u32(buf, attrs.med);
+    buf.extend_from_slice(b", local_pref: ");
+    write_option_u32(buf, attrs.local_pref);
+    buf.extend_from_slice(match attrs.atomic_aggregate {
+        true => b", atomic_aggregate: true, aggregator: ",
+        false => b", atomic_aggregate: false, aggregator: ",
+    });
+    match attrs.aggregator {
+        None => buf.extend_from_slice(b"None"),
+        Some((asn, router)) => {
+            buf.extend_from_slice(b"Some((Asn(");
+            write_u32(buf, asn.0);
+            buf.extend_from_slice(b"), ");
+            write_ipv4(buf, router);
+            buf.extend_from_slice(b"))");
+        }
+    }
+    buf.extend_from_slice(b", communities: [");
+    write_list(buf, &attrs.communities, b"Community(", |c| c.0);
+    buf.extend_from_slice(b"] }");
+}
+
+/// `[a, b]`'s inside as `Debug` prints a list of one-field tuple structs:
+/// `Name(1), Name(2)`, `name` being `Name(`.
+fn write_list<T>(buf: &mut Vec<u8>, items: &[T], name: &[u8], field: impl Fn(&T) -> u32) {
+    for (k, item) in items.iter().enumerate() {
+        if k > 0 {
+            buf.extend_from_slice(b", ");
+        }
+        buf.extend_from_slice(name);
+        write_u32(buf, field(item));
+        buf.push(b')');
+    }
+}
+
+fn write_option_u32(buf: &mut Vec<u8>, value: Option<u32>) {
+    match value {
+        None => buf.extend_from_slice(b"None"),
+        Some(v) => {
+            buf.extend_from_slice(b"Some(");
+            write_u32(buf, v);
+            buf.push(b')');
+        }
+    }
+}
+
+fn write_ipv4(buf: &mut Vec<u8>, addr: std::net::Ipv4Addr) {
+    let [a, b, c, d] = addr.octets();
+    for (k, octet) in [a, b, c, d].into_iter().enumerate() {
+        if k > 0 {
+            buf.push(b'.');
+        }
+        write_u32(buf, u32::from(octet));
+    }
+}
+
+/// `v` in decimal, as `Display` prints it.
+fn write_u32(buf: &mut Vec<u8>, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
 }
 
 /// One interned attribute set. It hashes and compares by value, and

@@ -36,7 +36,7 @@ pub use config::{
 use crate::attrs::{Community, PathAttributes};
 use crate::damping::DampingState;
 use crate::decision::best_route;
-use crate::fsm::{ConnectRetryConfig, Session, SessionConfig, SessionEvent, SessionInput};
+use crate::fsm::{ConnectRetryConfig, Session, SessionConfig, SessionInput};
 use crate::message::{BgpMessage, Nlri, UpdateMessage};
 use crate::policy::Policy;
 use crate::provenance::{ProvenanceEvent, ProvenanceLog};
@@ -282,9 +282,6 @@ pub struct Speaker {
     /// unconditional and deterministic so attaching a provenance log never
     /// changes the ids (or anything else) a run produces.
     origin_seq: u32,
-    /// The sinks [`drive_session`](Self::drive_session) lends a session's
-    /// `apply`, kept empty between calls so an input allocates none.
-    session_sinks: (Vec<BgpMessage>, Vec<SessionEvent>),
 }
 
 impl Speaker {
@@ -317,7 +314,6 @@ impl Speaker {
             telemetry: Telemetry::disabled(),
             provenance: ProvenanceLog::disabled(),
             origin_seq: 0,
-            session_sinks: (Vec::new(), Vec::new()),
         }
     }
 

@@ -57,6 +57,25 @@ impl GroupFingerprint {
         }
     }
 
+    /// Whether `peer` on a speaker configured `cfg` has this fingerprint,
+    /// without building its own. Peers cloned from one config share
+    /// their export rules, so the rule lists mostly compare by pointer.
+    fn matches(&self, cfg: &SpeakerConfig, peer: &PeerConfig) -> bool {
+        // Destructured, so a field added to either struct must be
+        // compared here before this compiles.
+        let GroupFingerprint {
+            export: Policy { rules, default },
+            advertise,
+            ibgp,
+            rr_client,
+        } = self;
+        *advertise == peer.advertise
+            && *ibgp == (peer.asn == cfg.asn)
+            && *rr_client == peer.rr_client
+            && *default == peer.export.default
+            && (Arc::ptr_eq(rules, &peer.export.rules) || *rules == peer.export.rules)
+    }
+
     /// FNV-1a over the fingerprint's canonical debug form: deterministic
     /// across runs and platforms. The form is streamed into the hash, not
     /// built as a string first.
@@ -183,14 +202,24 @@ impl Export {
     /// as a member, creating the group on first use. Sharing is decided
     /// by structural fingerprint equality — the hash only picks the slot;
     /// on a collision the peer probes to the next free slot instead of
-    /// sharing.
+    /// sharing. A peer whose fingerprint a shared group already has joins
+    /// it without hashing: only a new group pays for the hash.
     fn resolve(&mut self, cfg: &SpeakerConfig, peer: &PeerConfig) -> ExportGroupKey {
-        let fp = GroupFingerprint::of(cfg, peer);
-        let mut key = match peer.grouping {
-            ExportGrouping::Auto if cfg.export_groups => {
-                ExportGroupKey(fp.hash() & !ExportGroupKey::SOLO_BIT)
+        let grouped = matches!(peer.grouping, ExportGrouping::Auto) && cfg.export_groups;
+        if grouped {
+            // Shared groups' keys have the solo bit clear: they sort first.
+            let mut shared = self
+                .groups
+                .range_mut(..ExportGroupKey(ExportGroupKey::SOLO_BIT));
+            if let Some((&key, g)) = shared.find(|(_, g)| g.fingerprint.matches(cfg, peer)) {
+                g.members.insert(peer.id);
+                return key;
             }
-            _ => ExportGroupKey::solo(peer.id),
+        }
+        let fp = GroupFingerprint::of(cfg, peer);
+        let mut key = match grouped {
+            true => ExportGroupKey(fp.hash() & !ExportGroupKey::SOLO_BIT),
+            false => ExportGroupKey::solo(peer.id),
         };
         loop {
             match self.groups.get_mut(&key) {
@@ -748,6 +777,40 @@ mod tests {
     use crate::policy::{Action, Match};
     use peering_netsim::Asn;
     use std::net::Ipv4Addr;
+
+    #[test]
+    fn a_thousand_peers_on_two_export_policies_make_two_groups() {
+        let cfg = SpeakerConfig::new(Asn(65000), Ipv4Addr::new(10, 0, 0, 1));
+        let no_transit = || {
+            Policy::accept_all().rule(
+                Match::HasCommunity(Community::new(65000, 3)),
+                vec![Action::Reject],
+            )
+        };
+        let shared = no_transit();
+        let mut export = Export::default();
+        let mut want = BTreeMap::new();
+        for i in 0..1_000u32 {
+            let peer = PeerConfig::new(PeerId(i), Asn(65001 + i));
+            // Every third peer's rules are an equal list of their own,
+            // so joins compare rules by value as well as by pointer.
+            let peer = match i % 3 {
+                0 => peer,
+                1 => peer.export(shared.clone()),
+                _ => peer.export(no_transit()),
+            };
+            let key = GroupFingerprint::of(&cfg, &peer).hash() & !ExportGroupKey::SOLO_BIT;
+            *want.entry(ExportGroupKey(key)).or_insert(0) += 1;
+            export.join(&cfg, &peer);
+        }
+        let got: BTreeMap<_, _> = export
+            .groups
+            .iter()
+            .map(|(&key, g)| (key, g.members.len()))
+            .collect();
+        assert_eq!(want.len(), 2);
+        assert_eq!(got, want);
+    }
 
     #[test]
     fn streamed_group_key_hashes_the_formatted_fingerprint() {

@@ -2,6 +2,7 @@
 //! Adj-RIB-In changes (loop check, import policy, damping, max-prefix
 //! limits) and a re-decision of the prefixes it touched.
 
+use super::session::SendTo;
 use super::{relist, Output, Speaker, SpeakerEvent, SpeakerMode};
 use crate::attrs::PathAttributes;
 use crate::fsm::{SessionEvent, SessionInput};
@@ -205,15 +206,11 @@ impl Speaker {
                 telemetry.counter_inc("bgp.session.max_prefix_warn");
             }
             if count > mp.limit {
-                let (mut msgs, mut sess_events) = (Vec::new(), Vec::new());
                 let cease = SessionInput::MaxPrefixCease(mp.idle_hold);
-                state.session.apply(cease, now, &mut msgs, &mut sess_events);
-                out.extend(msgs.into_iter().map(|m| Output::Send(from, m)));
+                let event = state.session.apply(cease, now, &mut SendTo(from, out));
                 telemetry.counter_inc("bgp.session.down");
-                for ev in sess_events {
-                    if let SessionEvent::Down { reason } = ev {
-                        out.push(Output::Event(SpeakerEvent::PeerDown(from, reason)));
-                    }
+                if let Some(SessionEvent::Down { reason }) = event {
+                    out.push(Output::Event(SpeakerEvent::PeerDown(from, reason)));
                 }
                 ceased = true;
             }

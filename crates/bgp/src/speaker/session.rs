@@ -5,8 +5,26 @@
 use super::{relist, retime, Output, Speaker, SpeakerEvent, StaleState};
 use crate::damping::DampingState;
 use crate::fsm::{FsmState, Session, SessionEvent, SessionInput};
+use crate::message::BgpMessage;
 use crate::rib::{LocRib, PeerId};
 use peering_netsim::{Prefix, SimTime};
+
+/// A session's message sink that queues each message as a send to the
+/// peer on the host's outputs.
+pub(super) struct SendTo<'a>(pub(super) PeerId, pub(super) &'a mut Vec<Output>);
+
+impl Extend<BgpMessage> for SendTo<'_> {
+    fn extend<I: IntoIterator<Item = BgpMessage>>(&mut self, msgs: I) {
+        let SendTo(peer, out) = self;
+        let msgs = msgs.into_iter();
+        if out.is_empty() {
+            // The common result is a message or two: size for exactly
+            // that rather than the amortized minimum.
+            out.reserve_exact(msgs.size_hint().0);
+        }
+        out.extend(msgs.map(|m| Output::Send(*peer, m)));
+    }
+}
 
 impl Speaker {
     /// Record an FSM state change on `peer`'s session between two
@@ -51,23 +69,12 @@ impl Speaker {
             return;
         };
         let before = state.session.state();
-        // Taken out because the event handlers below need `&mut self`. An
-        // input sends at most two messages and surfaces at most one event;
-        // the sinks every Speaker keeps are sized to that, not to four.
-        let (mut msgs, mut events) = std::mem::take(&mut self.session_sinks);
-        msgs.reserve_exact(2);
-        events.reserve_exact(1);
-        state.session.apply(input, now, &mut msgs, &mut events);
-        if out.is_empty() {
-            // The common result is a message or two and no events: size
-            // for exactly that rather than the amortized minimum.
-            out.reserve_exact(msgs.len());
-        }
-        out.extend(msgs.drain(..).map(|m| Output::Send(peer, m)));
-        for ev in events.drain(..) {
+        // Messages go straight to the host as sends; the one event an
+        // input can surface comes back.
+        let event = state.session.apply(input, now, &mut SendTo(peer, out));
+        if let Some(ev) = event {
             self.handle_session_event(peer, ev, now, out);
         }
-        self.session_sinks = (msgs, events);
         if let Some(state) = self.peers.get_mut(&peer) {
             retime(&mut self.timers, state);
             let after = state.session.state();

@@ -121,9 +121,9 @@ fn an_update() -> BgpMessage {
 
 /// `input` applied to `s` at `now`, into fresh sinks.
 fn run(s: &mut Session, input: SessionInput, now: SimTime) -> (Vec<BgpMessage>, Vec<SessionEvent>) {
-    let (mut msgs, mut events) = (Vec::new(), Vec::new());
-    s.apply(input, now, &mut msgs, &mut events);
-    (msgs, events)
+    let mut msgs = Vec::new();
+    let event = s.apply(input, now, &mut msgs);
+    (msgs, event.into_iter().collect())
 }
 
 /// Drive a fresh subject into `state`, returning it and the current time.

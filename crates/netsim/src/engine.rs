@@ -31,18 +31,47 @@
 //!   `(time, from, seq)`) before each window, erasing the arrival
 //!   interleaving.
 //!
+//! **Any partition gives the same run.** `run_parallel` takes a node
+//! order, a permutation of the ids, and cuts it into equal-count runs,
+//! one per shard. Nothing observable depends on that cut: the event key
+//! `(time, from, seq)` names nodes by id and counts per source, so it is
+//! the same whichever shard holds a node; the windows are bounded by the
+//! lookahead, which every cross-shard delay respects whatever the cut;
+//! and the digest fold reads its slots in id order. So the identity
+//! order, its reverse and any shuffle give one [`EngineRun`] (the
+//! engine's unit tests run all three), and the order is free to serve
+//! speed alone.
+//!
+//! **Why a customer-cone order balances.** A shard's cost per window is
+//! the events its nodes take, and a route's events follow the sessions
+//! it crosses. `peering_workloads::ScaleTopo` lists a generated Internet
+//! by a depth-first walk down customer edges, so each provider is
+//! followed by its cone. An equal-count run of that order is then a few
+//! whole cones: most sessions, provider to customer, stay inside it, so
+//! most sends stay on their shard, and every run holds some of the
+//! busy, many-session core ASes with their cones. The generator numbers
+//! ASes tier by tier, so a cut by index puts the whole core in the first
+//! run and hands that one shard most of the work.
+//!
+//! **Digests off the lock.** On a round that needs digests each shard
+//! digests its own nodes into a local buffer first and only then takes
+//! the slot lock to copy them in, so the shards' digest passes run side
+//! by side; the fold waits at its barrier for every copy.
+//!
 //! The primary oracle for all of this is differential: `run_parallel`
 //! must produce bitwise-identical checkpoint and final digests to
 //! `run_sequential` for every topology, seed, and shard count (see
 //! `peering-workloads`' differential tests and the scale bench).
 
 mod calendar;
+mod partition;
 use crate::profile::{EngineProfile, ProfileConfig, ShardEpoch, ShardEpochWall, WallMark};
 use crate::rng::Fnv1a;
 use crate::sync::{Condvar, Mutex};
 use crate::time::{SimDuration, SimTime};
 use crate::transport::NodeId;
 use calendar::Calendar;
+use partition::Partition;
 use std::cmp::Ordering;
 
 /// A node hosted by an engine. Implementations must be deterministic:
@@ -436,23 +465,29 @@ impl<M> ParShared<M> {
     }
 }
 
-/// Run the sharded parallel engine. Must produce an [`EngineRun`] equal
-/// to [`run_sequential`]'s for the same `n`/`make_shard`/`checkpoints`.
+/// Run the sharded parallel engine over the nodes `order` lists. Must
+/// produce an [`EngineRun`] equal to [`run_sequential`]'s for
+/// `n = order.len()` and the same `make_shard`/`checkpoints`, whatever
+/// the order.
 ///
-/// `make_shard` is called once on each shard's worker thread, and the
-/// node builder it returns builds that shard's nodes there (neither the
-/// nodes nor the builder need be `Send`, so the nodes of one shard can
-/// share `Rc` state); `lookahead` must be positive and no larger than every
-/// cross-shard delivery delay — a cross-shard send below it panics,
-/// because it would break the barrier invariant silently otherwise.
-/// `shards` is clamped to `n`.
+/// `order` is a permutation of the node ids `0..n` (anything else
+/// panics); shard `s` owns the equal-count run
+/// `order[s·n/shards .. (s+1)·n/shards]`, so a host that lists nodes which
+/// talk to each other next to each other keeps their messages on one
+/// shard. `make_shard` is called once on each shard's worker thread, and
+/// the node builder it returns builds that shard's nodes there, in
+/// ascending id order (neither the nodes nor the builder need be `Send`,
+/// so the nodes of one shard can share `Rc` state); `lookahead` must be
+/// positive and no larger than every cross-shard delivery delay — a
+/// cross-shard send below it panics, because it would break the barrier
+/// invariant silently otherwise. `shards` is clamped to `n`.
 ///
 /// The profile holds one [`ShardEpoch`] per shard per processed round
 /// (the final, quiescent round plans no window and records nothing).
 /// The returned [`EngineRun`] does not depend on `profile` for any
 /// topology, seed, or shard count — profiling only counts.
 pub fn run_parallel<N, B, F>(
-    n: usize,
+    order: &[NodeId],
     make_shard: F,
     shards: usize,
     lookahead: SimDuration,
@@ -471,12 +506,9 @@ where
         lookahead > SimDuration::ZERO,
         "conservative windows need a positive lookahead"
     );
+    let n = order.len();
     let shards = shards.min(n.max(1));
-    // Contiguous node partition: shard s owns [s*n/shards, (s+1)*n/shards).
-    let bounds: Vec<usize> = (0..=shards).map(|s| s * n / shards).collect();
-    let shard_of: Vec<usize> = (0..n)
-        .map(|i| bounds.partition_point(|&b| b <= i) - 1)
-        .collect();
+    let partition = Partition::new(order, shards);
 
     let shared: ParShared<N::Msg> = ParShared {
         inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -496,8 +528,7 @@ where
             for s in 0..shards {
                 let shared = &shared;
                 let make_shard = &make_shard;
-                let shard_of = &shard_of;
-                let range = bounds[s]..bounds[s + 1];
+                let partition = &partition;
                 scope.spawn(move || {
                     // A shard that dies (node panic, invariant breach)
                     // must poison the barriers on its way out, or its
@@ -505,10 +536,9 @@ where
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         run_shard(
                             s,
-                            range,
                             make_shard(),
                             shared,
-                            shard_of,
+                            partition,
                             lookahead,
                             checkpoints,
                             max_time,
@@ -560,10 +590,9 @@ struct SendStats {
 #[allow(clippy::too_many_arguments)]
 fn run_shard<N, B>(
     shard: usize,
-    range: std::ops::Range<usize>,
     make_node: B,
     shared: &ParShared<N::Msg>,
-    shard_of: &[usize],
+    partition: &Partition,
     lookahead: SimDuration,
     checkpoints: &[SimTime],
     max_time: SimTime,
@@ -572,12 +601,8 @@ fn run_shard<N, B>(
     N: EngineNode,
     B: FnMut(NodeId) -> N,
 {
-    let base = range.start;
-    let mut nodes: Vec<N> = range
-        .clone()
-        .map(|i| NodeId(i as u32))
-        .map(make_node)
-        .collect();
+    let ids = &partition.ids[shard];
+    let mut nodes: Vec<N> = ids.iter().copied().map(make_node).collect();
     let mut seqs: Vec<u64> = vec![0; nodes.len()];
     let mut calendar = Calendar::new();
     let mut out = Outbox::new();
@@ -597,9 +622,9 @@ fn run_shard<N, B>(
                  seqs: &mut Vec<u64>,
                  calendar: &mut Calendar<N::Msg>,
                  stats: &mut SendStats| {
-        let from = NodeId((base + from_local) as u32);
+        let from = ids[from_local];
         for (delay, ev) in out.stamp(from, now, &mut seqs[from_local]) {
-            let dest_shard = shard_of[ev.to.0 as usize];
+            let dest_shard = partition.shard_of[ev.to.0 as usize] as usize;
             if dest_shard == shard {
                 stats.local += 1;
                 calendar.push(ev);
@@ -683,10 +708,13 @@ fn run_shard<N, B>(
         });
 
         if plan.need_digests {
+            // Digest outside the lock, so the shards' passes overlap; the
+            // slots only take the copy.
+            let digests: Vec<u64> = nodes.iter().map(EngineNode::digest).collect();
             {
                 let mut slots = lock(&shared.digests);
-                for (li, node) in nodes.iter().enumerate() {
-                    slots[base + li] = node.digest();
+                for (id, d) in ids.iter().zip(digests) {
+                    slots[id.0 as usize] = d;
                 }
             }
             shared.fold.arrive_and_decide(|| {
@@ -718,7 +746,7 @@ fn run_shard<N, B>(
             local_events += 1;
             round_events += 1;
             local_end = ev.time;
-            let li = ev.to.0 as usize - base;
+            let li = partition.slot[ev.to.0 as usize] as usize;
             nodes[li].on_event(ev.time, ev.from, ev.msg, &mut out);
             route(li, ev.time, &mut out, &mut seqs, &mut calendar, &mut stats);
         }
@@ -823,9 +851,15 @@ mod tests {
         }
     }
 
+    /// The identity node order `0..n`.
+    fn ids(n: usize) -> Vec<NodeId> {
+        (0..n as u32).map(NodeId).collect()
+    }
+
     /// Run `n` nodes from `make_node` on the sequential engine and on
-    /// the parallel one at every count in `shards`, assert that each
-    /// parallel run equals the sequential one, and return the latter.
+    /// the parallel one at every count in `shards`, in the identity
+    /// order, assert that each parallel run equals the sequential one,
+    /// and return the latter.
     fn assert_shards_match<N: EngineNode>(
         n: usize,
         make_node: impl Fn(NodeId) -> N + Sync,
@@ -834,13 +868,57 @@ mod tests {
         cks: &[SimTime],
         max_time: SimTime,
     ) -> EngineRun {
+        let orders = [ids(n)];
+        assert_orders_match(&orders, make_node, shards, lookahead, cks, max_time)
+    }
+
+    /// [`assert_shards_match`] over every node order in `orders`.
+    fn assert_orders_match<N: EngineNode>(
+        orders: &[Vec<NodeId>],
+        make_node: impl Fn(NodeId) -> N + Sync,
+        shards: &[usize],
+        lookahead: SimDuration,
+        cks: &[SimTime],
+        max_time: SimTime,
+    ) -> EngineRun {
         let off = ProfileConfig::off();
+        let n = orders[0].len();
         let (seq, _) = run_sequential(n, || &make_node, cks, max_time, off);
-        for &s in shards {
-            let (par, _) = run_parallel(n, || &make_node, s, lookahead, cks, max_time, off);
-            assert_eq!(seq, par, "shards={s} lookahead={lookahead:?}");
+        for order in orders {
+            for &s in shards {
+                let (par, _) = run_parallel(order, || &make_node, s, lookahead, cks, max_time, off);
+                assert_eq!(
+                    seq, par,
+                    "shards={s} lookahead={lookahead:?} order={order:?}"
+                );
+            }
         }
         seq
+    }
+
+    /// The identity order of `n` nodes, its reverse and three seeded
+    /// shuffles of it. With `pairs`, a shuffle moves the pairs
+    /// `(2k, 2k+1)` as units and keeps each at an even position, so every
+    /// pair shares a shard at 1, 2 and 4 shards of 8 nodes.
+    fn orders(n: usize, pairs: bool) -> Vec<Vec<NodeId>> {
+        let mut orders = vec![ids(n), ids(n).into_iter().rev().collect()];
+        for seed in [1, 2, 3] {
+            let mut rng = crate::rng::SimRng::new(seed);
+            let order = if pairs {
+                let mut heads: Vec<u32> = (0..n as u32).step_by(2).collect();
+                rng.shuffle(&mut heads);
+                heads
+                    .iter()
+                    .flat_map(|&h| [NodeId(h), NodeId(h + 1)])
+                    .collect()
+            } else {
+                let mut order = ids(n);
+                rng.shuffle(&mut order);
+                order
+            };
+            orders.push(order);
+        }
+        orders
     }
 
     #[test]
@@ -1019,14 +1097,86 @@ mod tests {
         assert_eq!(seq.events, 8 * (5 * u64::from(hops) + 1));
     }
 
+    #[test]
+    fn every_node_order_gives_the_sequential_run() {
+        let shards = [1, 2, 3, 4, 8];
+        let ms10 = SimDuration::from_millis(10);
+        let cks = [50, 200, 100_000].map(SimTime::from_millis);
+        let seq = assert_orders_match(
+            &orders(8, false),
+            ring(8, 40),
+            &shards,
+            ms10,
+            &cks,
+            SimTime::MAX,
+        );
+        assert_eq!(seq.events, 41);
+        let cks = [12, 13, 45].map(SimTime::from_millis);
+        let orders7 = orders(7, false);
+        assert_orders_match(
+            &orders7,
+            echo_ring(7, 40),
+            &shards,
+            ms10,
+            &cks,
+            SimTime::MAX,
+        );
+        // The token's zero-delay echoes go to the partner `id ^ 1`, which
+        // must share its shard: pairs move as units, and 3 shards of 8
+        // nodes would split one.
+        let tokens = move |id| ZeroDelayNode {
+            id,
+            n: 8,
+            hops: 20,
+            acc: 0,
+        };
+        let cks = [50, 95].map(SimTime::from_millis);
+        let seq = assert_orders_match(
+            &orders(8, true),
+            tokens,
+            &[1, 2, 4],
+            ms10,
+            &cks,
+            SimTime::MAX,
+        );
+        assert_eq!(seq.events, 8 * (5 * 20 + 1));
+    }
+
+    #[test]
+    fn a_node_order_that_is_not_a_permutation_panics() {
+        let ms10 = SimDuration::from_millis(10);
+        let off = ProfileConfig::off();
+        let bad = [
+            vec![NodeId(0), NodeId(1), NodeId(1), NodeId(3)],
+            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(4)],
+        ];
+        for order in bad {
+            let r = std::panic::catch_unwind(|| {
+                run_parallel(&order, || ring(4, 5), 2, ms10, &[], SimTime::MAX, off)
+            });
+            let payload = r.expect_err("a bad order must not run");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains("not a permutation"), "{msg}");
+        }
+    }
+
     /// Cross-check one profiled run against its unprofiled twin and the
     /// profile's internal accounting invariants. `shards` above the
     /// ring's 8 nodes is clamped to 8.
     fn assert_profile_consistent(shards: usize, profile: ProfileConfig) {
         let cks = [SimTime::from_millis(50), SimTime::from_millis(200)];
         let ms10 = SimDuration::from_millis(10);
-        let run_with =
-            |profile| run_parallel(8, || ring(8, 40), shards, ms10, &cks, SimTime::MAX, profile);
+        let run_with = |profile| {
+            run_parallel(
+                &ids(8),
+                || ring(8, 40),
+                shards,
+                ms10,
+                &cks,
+                SimTime::MAX,
+                profile,
+            )
+        };
         let (bare, _) = run_with(ProfileConfig::off());
         let (run, prof) = run_with(profile);
         assert_eq!(run, bare, "profiling perturbed the run (shards={shards})");
@@ -1070,7 +1220,7 @@ mod tests {
     fn profile_off_records_nothing() {
         let ms10 = SimDuration::from_millis(10);
         let off = ProfileConfig::off();
-        let (_, prof) = run_parallel(8, || ring(8, 10), 2, ms10, &[], SimTime::MAX, off);
+        let (_, prof) = run_parallel(&ids(8), || ring(8, 10), 2, ms10, &[], SimTime::MAX, off);
         assert!(prof.records.is_empty());
         assert!(prof.wall.is_empty());
     }
@@ -1107,7 +1257,7 @@ mod tests {
         assert_eq!(digests.swap(0, Relaxed), 4);
         assert_eq!(seq.checkpoints.len(), 4);
         assert!(seq.checkpoints.iter().all(|&(_, d)| d == seq.final_digest));
-        let (par, _) = run_parallel(4, || make_node, 2, ms10, &cks, SimTime::MAX, off);
+        let (par, _) = run_parallel(&ids(4), || make_node, 2, ms10, &cks, SimTime::MAX, off);
         assert_eq!((digests.load(Relaxed), par), (4, seq));
     }
 
@@ -1124,7 +1274,7 @@ mod tests {
         run_sequential(4, make_shard, &[], SimTime::MAX, off);
         assert_eq!(built.swap(0, Relaxed), 1);
         for (shards, builders) in [(1, 1), (2, 2), (4, 4), (8, 4)] {
-            run_parallel(4, make_shard, shards, ms10, &[], SimTime::MAX, off);
+            run_parallel(&ids(4), make_shard, shards, ms10, &[], SimTime::MAX, off);
             assert_eq!(built.swap(0, Relaxed), builders, "{shards} shards");
         }
     }
@@ -1134,7 +1284,7 @@ mod tests {
     fn cross_shard_send_below_lookahead_panics() {
         let ms50 = SimDuration::from_millis(50);
         run_parallel(
-            2,
+            &ids(2),
             || ring(2, 3),
             2,
             ms50,
@@ -1169,7 +1319,7 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let ms1 = SimDuration::from_millis(1);
             run_parallel(
-                4,
+                &ids(4),
                 || |id| Bomb { id },
                 2,
                 ms1,

@@ -204,6 +204,9 @@ impl EngineProfile {
         s.imbalance_permille = (s.critical_path_events * u64::from(self.shards) * 1000)
             .checked_div(s.events)
             .unwrap_or(0);
+        s.remote_send_permille = (s.sent_remote * 1000)
+            .checked_div(s.sent_local + s.sent_remote)
+            .unwrap_or(0);
         s
     }
 }
@@ -238,6 +241,9 @@ pub struct ProfileSummary {
     /// `critical_path_events * shards * 1000 / events`: 1000 = perfect
     /// balance, `shards * 1000` = one shard does everything.
     pub imbalance_permille: u64,
+    /// `sent_remote * 1000 / (sent_local + sent_remote)`: the share of
+    /// messages the partition sends across shards.
+    pub remote_send_permille: u64,
 }
 
 #[cfg(test)]

@@ -101,6 +101,10 @@ pub struct ScaleTopo {
     /// of each role's rules, however many sessions there are.
     roles: Vec<PeerConfig>,
     specs: Vec<NodeSpec>,
+    /// The node order the parallel engine cuts into equal-count shards: a
+    /// permutation of the node ids, the customer-cone order of a generated
+    /// Internet ([`cone_order`]) and the index order of a flat topology.
+    order: Vec<NodeId>,
 }
 
 /// Deterministic per-link delay: at least [`BASE_DELAY`], spread by a
@@ -157,6 +161,7 @@ impl ScaleTopo {
         ScaleTopo {
             speaker: speaker_config(),
             roles: vec![PeerConfig::new(PeerId(0), Asn(0))],
+            order: (0..n as u32).map(NodeId).collect(),
             specs,
         }
     }
@@ -208,6 +213,7 @@ impl ScaleTopo {
         ScaleTopo {
             speaker: speaker_config(),
             roles: SessionRole::ALL.map(role_config).to_vec(),
+            order: cone_order(&specs),
             specs,
         }
     }
@@ -334,7 +340,7 @@ impl ScaleTopo {
         profile: ProfileConfig,
     ) -> (EngineRun, EngineProfile) {
         run_parallel(
-            self.node_count(),
+            &self.order,
             || self.make_shard(),
             shards,
             BASE_DELAY,
@@ -364,6 +370,44 @@ impl SessionRole {
         SessionRole::Peer,
         SessionRole::Provider,
     ];
+}
+
+/// The customer-cone order of a generated Internet: a depth-first walk
+/// down customer edges from each provider-free AS in index order, taking
+/// customers in index order, so every AS follows its cone's root and
+/// sits right under the first of its providers the walk reaches. ASes
+/// the walk never reaches (none in a generated Internet, whose provider
+/// edges have no cycle) follow in index order.
+///
+/// Cut into equal-count runs, this keeps most sessions inside a run and
+/// spreads the core over the runs, each core AS followed by its cone
+/// (see `peering_netsim::run_parallel`).
+fn cone_order(specs: &[NodeSpec]) -> Vec<NodeId> {
+    let customer = SessionRole::Customer as u8;
+    let provider = SessionRole::Provider as u8;
+    let mut seen = vec![false; specs.len()];
+    let mut order = Vec::with_capacity(specs.len());
+    let mut stack = Vec::new();
+    let roots = (0..specs.len()).filter(|&u| specs[u].peers.iter().all(|r| r.role != provider));
+    for root in roots {
+        stack.push(root);
+        // Pre-order with the visit check on pop: the same order a
+        // recursive walk gives, without its depth.
+        while let Some(u) = stack.pop() {
+            if std::mem::replace(&mut seen[u], true) {
+                continue;
+            }
+            order.push(NodeId(u as u32));
+            let first = stack.len();
+            let rows = specs[u].peers.iter().filter(|r| r.role == customer);
+            stack.extend(rows.map(|r| r.dest.0 as usize));
+            // Largest index on the bottom, so the smallest pops first.
+            stack[first..].sort_unstable_by(|a, b| b.cmp(a));
+        }
+    }
+    let unreached = (0..specs.len()).filter(|&u| !seen[u]);
+    order.extend(unreached.map(|u| NodeId(u as u32)));
+    order
 }
 
 /// Every node's speaker config; [`ScaleTopo::make_node`] fills in the
@@ -608,6 +652,43 @@ mod tests {
         let a = plain.run_engine_sequential(&[], SimTime::MAX);
         let b = packed.run_engine_sequential(&[], SimTime::MAX);
         assert_eq!(a.final_digest, b.final_digest);
+    }
+
+    #[test]
+    fn the_cone_order_lists_every_as_once_after_a_provider() {
+        let net = Internet::build(peering_topology::InternetConfig::small(42));
+        let topo = ScaleTopo::from_internet(&net, 4);
+        let order = &topo.order;
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (0..topo.node_count() as u32)
+                .map(NodeId)
+                .collect::<Vec<_>>()
+        );
+        let mut position = vec![0; order.len()];
+        for (k, id) in order.iter().enumerate() {
+            position[id.0 as usize] = k;
+        }
+        let provider = SessionRole::Provider as u8;
+        for (u, spec) in topo.specs.iter().enumerate() {
+            let mut providers = spec.peers.iter().filter(|r| r.role == provider).peekable();
+            let after_one = providers.peek().is_none()
+                || providers.any(|r| position[r.dest.0 as usize] < position[u]);
+            assert!(after_one, "AS {u} precedes all of its providers");
+        }
+        assert_ne!(
+            *order, sorted,
+            "a generated Internet is not in cone order by index"
+        );
+    }
+
+    #[test]
+    fn a_flat_topology_keeps_the_index_order() {
+        let topo = ScaleTopo::from_chaos(&ChaosTopology::Star(5));
+        let ids: Vec<NodeId> = (0..6).map(NodeId).collect();
+        assert_eq!(topo.order, ids);
     }
 
     #[test]

@@ -382,6 +382,11 @@ fn generated_internet_runs_match_their_pinned_digests() {
         expected,
         "eval preset, 24 beacons: the sequential run moved"
     );
+    assert_eq!(
+        eval.run_engine_parallel(2, &cks, SimTime::MAX),
+        expected,
+        "eval preset, 24 beacons: the 2-shard run moved"
+    );
 }
 
 #[test]
